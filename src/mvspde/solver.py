@@ -38,7 +38,7 @@ import numpy as np
 from .spectral import OperatorSpec, validate_spec
 from .coefficients import CoefficientSet, effective_constants
 from .measures import LawFlow, EmpiricalMeasure, dT_metric
-from .noise import StableNoiseBank, convolution_scales, CH_SLOW
+from .noise import RngStream, StableNoiseBank, convolution_scales, CH_PROJECTION, CH_SLOW
 
 __all__ = [
     "SimConfig",
@@ -160,6 +160,7 @@ def simulate_mkv(
     replica: int = 0,
     law_override: np.ndarray | None = None,
     block_steps: int = BLOCK_STEPS,
+    noise: np.ndarray | None = None,
 ) -> PathEnsemble:
     """Simulate the interacting particle system (or a frozen-law system).
 
@@ -170,7 +171,10 @@ def simulate_mkv(
 
     Noise draws are addressed by (seed, replica, particle_id, channel), so
     a given particle id sees the same noise whatever the ensemble around it,
-    and reruns reproduce trajectories bitwise.
+    and reruns reproduce trajectories bitwise.  ``noise``, if given, holds
+    the scaled convolution increments of every particle and step, shape
+    (M, n_steps, n_modes); no noise bank is opened then, so ``particle_ids``
+    and ``replica`` play no part.
     """
     spec, coeffs = config.spec, config.coeffs
     J = config.n_steps
@@ -183,26 +187,36 @@ def simulate_mkv(
     lam = spec.eigenvalues
     decay = np.exp(-lam * config.h)
     wdrift = -np.expm1(-lam * config.h) / lam
-    sig = convolution_scales(spec, config.h, "slow")
-    bank = StableNoiseBank(
-        config.seed, spec.alpha, config.M, spec.n_modes, CH_SLOW,
-        replica=replica, particle_ids=particle_ids,
-    )
+    if noise is None:
+        bank = StableNoiseBank(
+            config.seed, spec.alpha, config.M, spec.n_modes, CH_SLOW,
+            replica=replica, particle_ids=particle_ids,
+        )
+        sig = convolution_scales(spec, config.h, "slow")
+        blocks = (
+            (j0, bank.draw(min(block_steps, J - j0)) * sig)
+            for j0 in range(0, J, block_steps)
+        )
+    else:
+        noise = np.asarray(noise, dtype=float)
+        if noise.shape != (config.M, J, spec.n_modes):
+            raise ValueError(
+                f"noise must have shape {(config.M, J, spec.n_modes)}, got {noise.shape}"
+            )
+        blocks = [(0, noise)]
 
     x = np.tile(config.xi, (config.M, 1))
     paths = np.empty((config.M, J + 1, spec.n_modes))
     paths[:, 0] = x
     mu_track = np.empty(J + 1)
 
-    for j0 in range(0, J, block_steps):
-        bs = min(block_steps, J - j0)
-        noise = bank.draw(bs) * sig
-        for jj in range(bs):
+    for j0, block in blocks:
+        for jj in range(block.shape[1]):
             j = j0 + jj
             m = law_override[j] if law_override is not None else _empirical_mu_stat(x, spec.p)
             mu_track[j] = m
             drift = coeffs.B(x, m)
-            x = decay * x + wdrift * drift + noise[:, jj]
+            x = decay * x + wdrift * drift + block[:, jj]
             paths[:, j + 1] = x
     mu_track[J] = (
         law_override[J] if law_override is not None else _empirical_mu_stat(x, spec.p)
@@ -228,8 +242,14 @@ class PicardReport:
 
     @property
     def contracting(self) -> bool:
-        upto = self.noise_floor_iter if self.noise_floor_iter is not None else len(self.ratios)
-        return bool(np.all(self.ratios[:upto] < 1.0)) if upto > 0 else False
+        """The distance shrank at least once, and every time before the floor.
+
+        ``ratios[floor - 1]`` is the ratio that defines the floor (>= 1, or
+        0/0 at an exact fixed point), so it is not part of the test.
+        """
+        floor = self.noise_floor_iter
+        upto = len(self.ratios) if floor is None else floor - 1
+        return upto >= 1 and bool(np.all(self.ratios[:upto] < 1.0))
 
 
 def picard_law_iteration(
@@ -243,7 +263,10 @@ def picard_law_iteration(
     non-interacting particles against the frozen statistic of stage n's
     empirical flow and reads off the new flow.  All stages reuse identical
     noise (same seed, same particle addressing), so distances measure only
-    the law map's contraction, not noise resampling.
+    the law map's contraction, not noise resampling; it is drawn once and
+    handed to every stage.  Flows of more than ``EXACT_ASSIGNMENT_LIMIT``
+    particles are compared in sliced W_p, with projection directions from
+    the ``CH_PROJECTION`` stream of the seed.
     """
     if n_iters < 2:
         raise ValueError(f"need at least two iterations to report a ratio, got {n_iters}")
@@ -252,17 +275,20 @@ def picard_law_iteration(
 
     spec = config.spec
     J = config.n_steps
+    bank = StableNoiseBank(config.seed, spec.alpha, config.M, spec.n_modes, CH_SLOW)
+    noise = bank.draw(J) * convolution_scales(spec, config.h, "slow")
+    projections = RngStream(config.seed, channel=CH_PROJECTION)
     # stage 0: every measure in the flow is the point mass at xi
     const_cloud = np.tile(config.xi, (config.M, 1))
     prev_flow = LawFlow(config.times, np.tile(const_cloud, (J + 1, 1, 1)))
     prev_stat = np.full(J + 1, float(np.linalg.norm(config.xi)))
 
-    distances, flows = [], []
+    distances = []
     for _ in range(n_iters):
-        ens = simulate_mkv(config, law_override=prev_stat)
-        flow = ens.law
-        distances.append(dT_metric(flow, prev_flow, lambda_weight, spec.p))
-        flows.append(flow)
+        flow = simulate_mkv(config, law_override=prev_stat, noise=noise).law
+        distances.append(
+            dT_metric(flow, prev_flow, lambda_weight, spec.p, rng=projections)
+        )
         prev_flow = flow
         prev_stat = flow.moment_curve(spec.p)
 
@@ -279,7 +305,7 @@ def picard_law_iteration(
         ratios=ratios,
         lambda_weight=float(lambda_weight),
         noise_floor_iter=floor,
-        final_flow=flows[-1],
+        final_flow=prev_flow,
     )
 
 

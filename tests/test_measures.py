@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvspde import measures
 from mvspde.measures import (
     EXACT_ASSIGNMENT_LIMIT,
     EmpiricalMeasure,
@@ -14,6 +15,7 @@ from mvspde.measures import (
     wasserstein_exact,
     wasserstein_sliced,
 )
+from mvspde.noise import CH_PROJECTION, RngStream
 
 
 def cloud(rows):
@@ -190,6 +192,130 @@ class TestLawFlowMetric:
         d_small = dT_metric(f1, f2, lambda_weight=0.5, p=1.0)
         d_large = dT_metric(f1, f2, lambda_weight=5.0, p=1.0)
         assert d_large <= d_small + 1e-12
+
+
+def exhaustive_dT(mu_flow, nu_flow, lambda_weight, p, directions=None):
+    """Reference sup: solve every grid time, no pruning."""
+    best = 0.0
+    for j in range(mu_flow.n_times):
+        mu_j, nu_j = mu_flow.measure_at(j), nu_flow.measure_at(j)
+        if directions is None:
+            w = wasserstein_exact(mu_j, nu_j, p)
+        else:
+            w = wasserstein_sliced(mu_j, nu_j, p, directions=directions)
+        best = max(best, float(np.exp(-lambda_weight * mu_flow.times[j])) * w)
+    return best
+
+
+def flow_pair(seed, kind, n_times, M, n_modes):
+    """Two flows on [0, 1]: coupled, shuffled, independent, identical or tied.
+
+    Shuffled flows are coupled flows with the atoms relabelled, so the
+    index coupling is a poor bound and the sup needs many solves.
+    """
+    gen = np.random.default_rng(seed)
+    a = gen.normal(size=(n_times, M, n_modes))
+    if kind == "coupled":
+        b = a + 1e-3 * gen.normal(size=a.shape)
+    elif kind == "shuffled":
+        b = a[:, gen.permutation(M)] + 0.3 * gen.normal(size=a.shape)
+    elif kind == "independent":
+        b = gen.normal(size=a.shape)
+    elif kind == "identical":
+        b = a.copy()
+    else:  # tied: the same pair of clouds at every time
+        a[:] = a[0]
+        b = np.broadcast_to(gen.normal(size=(M, n_modes)), a.shape).copy()
+    times = np.linspace(0.0, 1.0, n_times)
+    return LawFlow(times, a), LawFlow(times, b)
+
+
+FLOW_KINDS = st.sampled_from(["coupled", "shuffled", "independent", "identical", "tied"])
+WEIGHTS = st.sampled_from([0.0, 0.25, 1.0, 6.0])
+
+
+class TestPrunedSup:
+    @given(seed=st.integers(0, 2**32 - 1), kind=FLOW_KINDS,
+           p=st.sampled_from([1.0, 2.0]), lam=WEIGHTS,
+           n_times=st.integers(1, 12), M=st.integers(1, 12),
+           n_modes=st.integers(1, 3))
+    def test_exact_matches_exhaustive_bitwise(self, seed, kind, p, lam,
+                                              n_times, M, n_modes):
+        mu, nu = flow_pair(seed, kind, n_times, M, n_modes)
+        if kind == "tied":
+            lam = 0.0
+        got = dT_metric(mu, nu, lambda_weight=lam, p=p)
+        assert got.hex() == exhaustive_dT(mu, nu, lam, p).hex()
+
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1), kind=FLOW_KINDS,
+           p=st.sampled_from([1.0, 2.0]), lam=WEIGHTS,
+           n_times=st.integers(1, 4))
+    def test_sliced_matches_exhaustive_bitwise(self, seed, kind, p, lam, n_times):
+        M = EXACT_ASSIGNMENT_LIMIT + 1
+        mu, nu = flow_pair(seed, kind, n_times, M, 2)
+        if kind == "tied":
+            lam = 0.0
+        rng = RngStream(seed, channel=CH_PROJECTION)
+        got = dT_metric(mu, nu, lambda_weight=lam, p=p, n_projections=16, rng=rng)
+        directions = rng.generator().standard_normal((16, 2))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        assert got.hex() == exhaustive_dT(mu, nu, lam, p, directions).hex()
+
+    def counting_exact(self, monkeypatch):
+        calls = []
+
+        def counted(mu, nu, p):
+            calls.append(None)
+            return wasserstein_exact(mu, nu, p)
+
+        monkeypatch.setattr(measures, "wasserstein_exact", counted)
+        return calls
+
+    def test_coupled_flow_costs_one_solve(self, monkeypatch, rng):
+        a = rng.normal(size=(17, 32, 4))
+        # perturbation shrinking in time: the sup sits at t = 0 alone
+        scale = 1e-3 * 0.5 ** np.arange(17)
+        b = a + scale[:, None, None] * rng.normal(size=a.shape)
+        times = np.linspace(0.0, 1.0, 17)
+        calls = self.counting_exact(monkeypatch)
+        got = dT_metric(LawFlow(times, a), LawFlow(times, b), lambda_weight=1.0, p=1.0)
+        assert len(calls) == 1
+        assert got == wasserstein_exact(EmpiricalMeasure(a[0]), EmpiricalMeasure(b[0]), 1.0)
+
+    def test_sup_below_the_largest_bound(self, monkeypatch):
+        # t=0: relabelled atoms, bound 10 but W = 0.995; t=1: a unit shift,
+        # bound = W = 1.  The sup sits at the smaller bound, 0.5% below W(t=0).
+        a = np.array([[[0.0], [10.0]], [[0.0], [10.0]]])
+        b = np.array([[[10.995], [0.995]], [[1.0], [11.0]]])
+        times = np.array([0.0, 1.0])
+        calls = self.counting_exact(monkeypatch)
+        assert dT_metric(LawFlow(times, a), LawFlow(times, b), 0.0, p=1.0) == 1.0
+        assert len(calls) == 2
+
+    def test_identical_flows_cost_no_solve(self, monkeypatch, rng):
+        flow = LawFlow(np.linspace(0.0, 1.0, 5), rng.normal(size=(5, 8, 2)))
+        calls = self.counting_exact(monkeypatch)
+        assert dT_metric(flow, flow, lambda_weight=1.0, p=2.0) == 0.0
+        assert calls == []
+
+    def test_non_finite_bound_names_time_before_solving(self, monkeypatch, rng):
+        a = rng.normal(size=(6, 8, 2))
+        b = a + 0.1
+        b[4, 3, 1] = np.nan
+        b[5, 0, 0] = np.inf
+        times = np.linspace(0.0, 1.0, 6)
+        calls = self.counting_exact(monkeypatch)
+        with pytest.raises(ValueError, match="time index 4"):
+            dT_metric(LawFlow(times, a), LawFlow(times, b), lambda_weight=1.0, p=1.0)
+        assert calls == []
+
+    def test_mode_count_mismatch_rejected(self, rng):
+        times = np.linspace(0.0, 1.0, 3)
+        f1 = LawFlow(times, rng.normal(size=(3, 5, 2)))
+        f2 = LawFlow(times, rng.normal(size=(3, 5, 3)))
+        with pytest.raises(ValueError, match="shapes differ"):
+            dT_metric(f1, f2, lambda_weight=1.0, p=1.0)
 
 
 class TestPersistence:

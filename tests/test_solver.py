@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from mvspde.coefficients import CoefficientSet, bounded_smooth
-from mvspde.measures import wasserstein_exact
-from mvspde.noise import RngStream, sample_convolution_increment
+from mvspde.measures import EXACT_ASSIGNMENT_LIMIT, wasserstein_exact
+from mvspde.noise import (
+    CH_SLOW,
+    RngStream,
+    StableNoiseBank,
+    convolution_scales,
+    sample_convolution_increment,
+)
 from mvspde.solver import (
+    PicardReport,
     SimConfig,
     moment_bound_check,
     picard_law_iteration,
@@ -182,6 +189,23 @@ class TestSimulateMkv:
             assert gap == pytest.approx(ref, abs=1e-12)
             assert gap <= math.exp(-spec.lambda_1 * t) * np.linalg.norm(xi) + 1e-12
 
+    def test_given_noise_replays_self_drawn_blocks(self, spec4, coeffs4):
+        cfg = SimConfig(spec=spec4, coeffs=coeffs4, T=0.5, h=1 / 40, M=6,
+                        seed=13, xi=0.2)
+        bank = StableNoiseBank(cfg.seed, spec4.alpha, cfg.M, 4, CH_SLOW)
+        noise = bank.draw(cfg.n_steps) * convolution_scales(spec4, cfg.h, "slow")
+        drawn = simulate_mkv(cfg, block_steps=7)
+        given_noise = simulate_mkv(cfg, noise=noise)
+        assert np.array_equal(drawn.paths, given_noise.paths)
+        assert np.array_equal(drawn.mu_stat, given_noise.mu_stat)
+
+    def test_given_noise_shape_checked(self, spec4, coeffs4):
+        cfg = SimConfig(spec=spec4, coeffs=coeffs4, T=0.5, h=0.125, M=3,
+                        seed=1, xi=0.2)
+        for shape in [(3, 4), (3, 5, 4), (4, 4, 4), (3, 4, 3)]:
+            with pytest.raises(ValueError, match="noise must have shape"):
+                simulate_mkv(cfg, noise=np.zeros(shape))
+
 
 class TestPicardIteration:
     def test_law_independent_drift_converges_in_one_step(self, spec4):
@@ -191,6 +215,23 @@ class TestPicardIteration:
         assert rep.distances[0] > 0.0
         assert rep.distances[1] == 0.0
         assert rep.distances[2] == 0.0
+        assert rep.contracting
+
+    def test_floor_at_first_ratio_is_not_contracting(self):
+        report = PicardReport(
+            distances=np.array([1.0, 1.5, 0.5]), ratios=np.array([1.5, 1 / 3]),
+            lambda_weight=1.0, noise_floor_iter=1, final_flow=None,
+        )
+        assert not report.contracting
+
+    def test_sliced_distance_past_exact_limit(self, spec4, coeffs4):
+        cfg = SimConfig(spec=spec4, coeffs=coeffs4, T=0.125, h=1 / 32,
+                        M=EXACT_ASSIGNMENT_LIMIT + 1, seed=6, xi=0.4)
+        rep = picard_law_iteration(cfg, n_iters=3)
+        assert np.all(np.isfinite(rep.distances))
+        assert rep.contracting
+        again = picard_law_iteration(cfg, n_iters=3)
+        assert rep.distances.tobytes() == again.distances.tobytes()
 
     def test_contraction_before_floor(self, spec8, coeffs8):
         cfg = SimConfig(spec=spec8, coeffs=coeffs8, T=0.5, h=1 / 32, M=64,
