@@ -9,6 +9,9 @@ A :class:`CoefficientSet` bundles the three drift maps of the model:
 All three are vectorised over leading axes: ``x`` and ``y`` are arrays whose
 last axis is the mode axis, and the measure argument enters only through the
 scalar statistic ``mu_stat`` = (mu |.|^p)^(1/p) of the current empirical law.
+A batch of independent systems, x of shape (R, M, n_modes), passes one
+statistic per system as an array of shape (R, 1, 1) that broadcasts
+against x; a single system passes a float.
 Routing the measure dependence through a 1-Lipschitz scalar functional keeps
 the advertised Lipschitz constants exact: |mu_stat - nu_stat| <= W_p(mu, nu)
 for any pair of laws, by coupling.
@@ -119,7 +122,7 @@ def bounded_smooth(
     def F(x, mu_stat, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return a * np.tanh(x + y) * active + (b_mu * min(1.0, float(mu_stat))) * e1
+        return a * np.tanh(x + y) * active + (b_mu * np.minimum(1.0, mu_stat)) * e1
 
     def G(x, mu_stat, y):
         x = np.asarray(x, dtype=float)
@@ -195,6 +198,45 @@ def linear_test(spec: OperatorSpec, a: float = 1.0, c: float = 0.5) -> Coefficie
     )
 
 
+class StackedInterp:
+    """``np.interp`` of K tables on one uniform grid, as one gather per call.
+
+    ``tables[k]`` holds values on ``grid``; called with u of shape (..., K),
+    it interpolates u[..., k] in table k.  The node index comes from
+    arithmetic on the uniform grid, corrected by one node either way
+    against the grid itself, so every value reproduces np.interp bit for
+    bit: the same node j, the slope (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]),
+    slope * (u - xp[j]) + fp[j], fp[j] on a node, the end values at and
+    beyond the grid ends, and NaN for NaN.
+    """
+
+    def __init__(self, grid, tables):
+        grid = np.asarray(grid, dtype=float)
+        table = np.asarray(tables, dtype=float)
+        n = grid.size
+        self.lo, self.hi = grid[0], grid[-1]
+        self.inv_step = (n - 1) / (self.hi - self.lo)
+        # a sentinel node past the end lets the upward correction read xp[j + 1]
+        self.nodes = np.append(grid, np.inf)
+        self.values = table.reshape(-1)
+        slope = np.zeros_like(table)  # the last node starts no segment
+        slope[:, :-1] = np.diff(table, axis=1) / np.diff(grid)
+        self.slopes = slope.reshape(-1)
+        self.offsets = n * np.arange(table.shape[0])
+
+    def __call__(self, u):
+        # clipping keeps in-grid values and sends the outside (and +-inf) to
+        # the end nodes, where the on-node rule returns the end values
+        u = np.clip(u, self.lo, self.hi)
+        j = np.fmax((u - self.lo) * self.inv_step, 0.0).astype(np.intp)  # NaN -> 0
+        j -= self.nodes.take(j) > u
+        j += self.nodes.take(j + 1) <= u
+        xj = self.nodes.take(j)
+        j += self.offsets
+        fj = self.values.take(j)
+        return np.where(xj == u, fj, self.slopes.take(j) * (u - xj) + fj)
+
+
 # fbar evaluators keyed by (spectrum, family) parameters: building the
 # quadrature tables costs ~a second, and forked workers inherit warm entries
 _FBAR_TABLE_CACHE: dict = {}
@@ -207,9 +249,10 @@ def _tanh_fbar(spec: OperatorSpec, a: float, b_mu: float, c: float, k_act: int):
     m_k = a tanh(x_k) / (lambda_k - c) shifted by zeta_k S, where
     zeta_k = gamma_k / (alpha (lambda_k - c))**(1/alpha).  Averaging the
     slow drift over that law needs Phi_zeta(u) = E[tanh(u + zeta S)], which
-    is precomputed on a grid per distinct zeta and linearly interpolated.
-    Outside the grid Phi is clamped to its end values; the clamp error is
-    bounded by the stable tail mass beyond the grid edge, ~ (zeta/40)^alpha.
+    is precomputed on a grid per distinct zeta and linearly interpolated,
+    all K active modes in one :class:`StackedInterp` gather.  Outside the
+    grid Phi is clamped to its end values; the clamp error is bounded by
+    the stable tail mass beyond the grid edge, ~ (zeta/40)^alpha.
     """
     cache_key = (
         spec.n_modes, spec.a, spec.g, spec.c_lambda, spec.c_gamma, spec.alpha,
@@ -227,23 +270,22 @@ def _tanh_fbar(spec: OperatorSpec, a: float, b_mu: float, c: float, k_act: int):
     zeta = spec.fast_amplitudes / (spec.alpha * np.abs(kappa)) ** (1.0 / spec.alpha)
     nodes, weights = stable_quadrature_rule(spec.alpha)
     u_grid = np.arange(-40.0, 40.0 + 1e-12, 0.02)
+    keys = [round(float(zeta[k]), 12) for k in range(k_act)]
     tables = {}
-    for k in range(k_act):
-        z = round(float(zeta[k]), 12)
+    for z in keys:
         if z not in tables:
             # Phi(u) = sum_i w_i tanh(u + z s_i); rows are u, columns nodes
             tables[z] = np.tanh(u_grid[:, None] + z * nodes[None, :]) @ weights
     e1 = np.zeros(spec.n_modes)
     e1[0] = 1.0
-    zeta_keys = [round(float(zeta[k]), 12) for k in range(k_act)]
+    gather = StackedInterp(u_grid, [tables[z] for z in keys])
 
     def fbar(x, mu_stat):
         x = np.asarray(x, dtype=float)
+        xa = x[..., :k_act]
         out = np.zeros_like(x)
-        for k in range(k_act):
-            u = x[..., k] + a * np.tanh(x[..., k]) / kappa[k]
-            out[..., k] = a * np.interp(u, u_grid, tables[zeta_keys[k]])
-        return out + (b_mu * min(1.0, float(mu_stat))) * e1
+        out[..., :k_act] = a * gather(xa + a * np.tanh(xa) / kappa[:k_act])
+        return out + (b_mu * np.minimum(1.0, mu_stat)) * e1
 
     _FBAR_TABLE_CACHE[cache_key] = fbar
     return fbar

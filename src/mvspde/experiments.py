@@ -12,7 +12,9 @@ seed).  The Monte Carlo budget splits into ``n_replicas`` chunks; replica
 r of grid point i draws from stream replica coordinate
 ``i * n_replicas + r`` under the single master seed, and pooling combines
 replica moments by exact sum-of-squares in fixed (grid, replica) order.
-Worker count therefore never changes a single bit of output.  Wall time
+The rate study advances the equal-size replicas of a grid point as one
+batch, and a replica's moments do not depend on its batch, so neither
+the batching nor the worker count changes a single bit of output.  Wall time
 is recorded only in the manifest, never in hashed or persisted content.
 """
 
@@ -263,6 +265,7 @@ def _default_drift(coeffs: CoefficientSet) -> AveragedDrift:
 
 
 def _rate_task(payload):
+    """Per-replica (mean_pow, var_pow, n) of one batch of equal-size systems."""
     spec, coeffs = _rebuild_pair(payload)
     base = SimConfig(
         spec=spec,
@@ -279,14 +282,30 @@ def _rate_task(payload):
         h_fast=payload["h_fast"],
         eta=payload["eta"],
     )
+    count = payload["count"]
     stats = strong_error_stats(
         cfg,
         payload["drift"],
         m=payload["m"],
-        particle_ids=range(payload["offset"], payload["offset"] + payload["count"]),
-        replica=payload["replica"],
+        replicas=[(rep, range(offset, offset + count)) for rep, offset in payload["replicas"]],
     )
-    return stats.mean_pow, stats.var_pow, stats.n
+    return [(s.mean_pow, s.var_pow, s.n) for s in stats]
+
+
+def _replica_batches(chunks, n_parts: int):
+    """Group replica indices into batches of equal particle count.
+
+    One batch per distinct chunk size, each cut into up to ``n_parts``
+    near-equal parts.  The grouping never changes a bit of output.
+    """
+    by_size = {}
+    for r, (_, count) in enumerate(chunks):
+        by_size.setdefault(count, []).append(r)
+    batches = []
+    for group in by_size.values():
+        parts = np.array_split(group, min(len(group), n_parts))
+        batches += [[int(r) for r in part] for part in parts]
+    return batches
 
 
 def rate_study(
@@ -341,9 +360,13 @@ def rate_study(
     chunks = _split_counts(base.M, n_replicas)
     xi_list = [float(v) for v in base.xi]
     eta_field = spec.as_field(eta)
+    steps = [round(base.T / hf) for hf in h_fasts]
     payloads = []
     for gi, e in enumerate(eps):
-        for r, (offset, count) in enumerate(chunks):
+        # cut a grid point into as many batches as its share of the work
+        # fills workers; one batch per chunk size when serial
+        n_parts = max(1, math.ceil(n_workers * steps[gi] / sum(steps)))
+        for batch in _replica_batches(chunks, n_parts):
             payloads.append({
                 "spec": _spec_dict(spec),
                 "family": family,
@@ -357,15 +380,18 @@ def rate_study(
                 "h_fast": h_fasts[gi],
                 "m": m,
                 "drift": drift,
-                "offset": offset,
-                "count": count,
-                "replica": gi * n_replicas + r,
+                "count": chunks[batch[0]][1],
+                "replicas": [(gi * n_replicas + r, chunks[r][0]) for r in batch],
             })
-    raw = _run_tasks(_rate_task, payloads, n_workers)
+    # costliest batches first, so that workers finish together
+    payloads.sort(key=lambda pl: -pl["count"] * len(pl["replicas"]) / pl["h_fast"])
+    moments = {}
+    for pl, rows in zip(payloads, _run_tasks(_rate_task, payloads, n_workers)):
+        moments.update(zip((rep for rep, _ in pl["replicas"]), rows))
 
     grid, flags = [], {}
     for gi, e in enumerate(eps):
-        parts = raw[gi * n_replicas:(gi + 1) * n_replicas]
+        parts = [moments[gi * n_replicas + r] for r in range(n_replicas)]
         mean, var, n = _pool_moments(parts)
         pooled = StrongErrorStats(
             mean_pow=mean, var_pow=var, n=n, m=m, epsilon=e, delta=deltas[gi]

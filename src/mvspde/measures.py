@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import json
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .noise import RngStream
 
@@ -51,6 +50,17 @@ EXACT_ASSIGNMENT_LIMIT = 256
 # in different orders, so where the identity matching is optimal the solved
 # distance can exceed its bound by a few ulps.
 PRUNE_MARGIN = 1e-9
+
+
+def assignment_solver():
+    """scipy's ``linear_sum_assignment``, imported on first use.
+
+    Loading scipy.optimize takes about half a second, most of the package's
+    import time, and only exact W_p needs it.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
 
 
 @dataclass(frozen=True)
@@ -100,7 +110,7 @@ def wasserstein_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> f
         )
     diff = mu.particles[:, None, :] - nu.particles[None, :, :]
     cost = np.linalg.norm(diff, axis=2) ** p
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = assignment_solver()(cost)
     return float(np.mean(cost[rows, cols]) ** (1.0 / p))
 
 

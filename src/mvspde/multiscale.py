@@ -515,9 +515,10 @@ def estimate_fbar(
 def averaged_drift_evaluator(drift: AveragedDrift, spec: OperatorSpec, coeffs: CoefficientSet):
     """Vectorised (x, mu_stat) -> Fbar evaluator for the averaged solver.
 
-    Closed-form modes vectorise over particles directly; the ergodic mode
-    falls back to a per-particle loop through the cache and is only meant
-    for small ensembles.
+    ``mu_stat`` is a float or, for a batch x of shape (R, M, n_modes), an
+    array of shape (R, 1, 1).  Closed-form modes vectorise over particles
+    and systems directly; the ergodic mode falls back to a per-particle loop
+    through the cache and is only meant for small ensembles.
     """
     if drift.mode in ("analytic_linear", "stationary_quadrature"):
         if drift.mode == "analytic_linear" and coeffs.variant != "linear_test":
@@ -533,10 +534,11 @@ def averaged_drift_evaluator(drift: AveragedDrift, spec: OperatorSpec, coeffs: C
 
     def evaluate(x, mu_stat):
         x = np.atleast_2d(x)
+        mu = np.broadcast_to(mu_stat, x.shape)[..., 0]
         out = np.empty_like(x)
-        for i in range(x.shape[0]):
+        for i in np.ndindex(x.shape[:-1]):
             out[i] = estimate_fbar(
-                drift, FrozenInput(x=x[i], mu_stat=mu_stat, y0=np.zeros(spec.n_modes)),
+                drift, FrozenInput(x=x[i], mu_stat=float(mu[i]), y0=np.zeros(spec.n_modes)),
                 spec, coeffs,
             )
         return out
@@ -707,21 +709,52 @@ class StrongErrorStats:
         return float(se_mean / self.m * self.mean_pow ** (1.0 / self.m - 1.0))
 
 
+def _draw_scaled(banks, n_steps: int, sig: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Next scaled noise block of every system, shape (R, M, n_steps, n_modes).
+
+    ``out`` is reused when it has that shape, else a new buffer is made.
+    """
+    shape = (len(banks), banks[0].n_particles, n_steps, banks[0].n_modes)
+    if out is None or out.shape != shape:
+        out = np.empty(shape)
+    for r, bank in enumerate(banks):
+        bank.draw(n_steps, out=out[r])
+    out *= sig
+    return out
+
+
+def _euler_into(out, decay, state, wdrift, drift, noise, scratch) -> None:
+    """out = decay * state + wdrift * drift + noise, summed in that order."""
+    np.multiply(decay, state, out=out)
+    np.multiply(wdrift, drift, out=scratch)
+    out += scratch
+    out += noise
+
+
 def strong_error_stats(
     cfg: MultiscaleConfig,
     drift: AveragedDrift,
     m: float | None = None,
-    particle_ids=None,
-    replica: int = 0,
+    replicas=((0, None),),
     block_steps: int = BLOCK_STEPS,
-) -> StrongErrorStats:
-    """Streaming synchronous-coupling error between slow-fast and averaged runs.
+) -> tuple[StrongErrorStats, ...]:
+    """Streaming synchronous-coupling errors between slow-fast and averaged runs.
 
     Advances the coupled pair (X, Y) and the averaged equation Xbar in one
     loop on the fast grid, with the slow noise increments shared per
     particle, and tracks max over grid times of |X - Xbar| per particle.
     Nothing is stored along the way, so production sizes stream in O(M)
     memory.
+
+    ``replicas`` lists independent interacting systems of ``cfg.base.M``
+    particles each, as (replica, particle_ids) stream addresses
+    (``particle_ids=None`` means range(M)).  They advance together as one
+    (R, M, n_modes) array; each system reads its own law statistic, and
+    every reduction runs along one system's particle or mode axis, so a
+    system's result has the same bits whatever else shares its batch.
+    Returns one :class:`StrongErrorStats` per system, in order.  A
+    non-finite error raises FloatingPointError naming epsilon, the
+    replica and the step.
 
     Requires p <= m < alpha (heavy tails: higher moments of the sup do not
     exist) and a coefficient family with bounded slow drift — with
@@ -738,41 +771,61 @@ def strong_error_stats(
             f"family '{coeffs.variant}' has unbounded slow drift: sup-error tails "
             "are uncontrolled; use a bounded family"
         )
+    if len(replicas) == 0:
+        raise ValueError("need at least one replica")
     fbar = averaged_drift_evaluator(drift, spec, coeffs)
     J = cfg.n_steps
     dec_s, w_s, sig_s = _slow_weights(spec, cfg.h_fast)
     dec_f, w_f, sig_f = _fast_weights(spec, cfg.h_fast, cfg.epsilon)
-    bank_s = StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, CH_SLOW,
-                             replica=replica, particle_ids=particle_ids)
-    bank_f = StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, CH_FAST,
-                             replica=replica, particle_ids=particle_ids)
+    banks_s, banks_f = (
+        [StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, channel,
+                         replica=rep, particle_ids=ids) for rep, ids in replicas]
+        for channel in (CH_SLOW, CH_FAST)
+    )
 
-    x = np.tile(base.xi, (base.M, 1))
+    shape = (len(banks_s), base.M, spec.n_modes)
+    x, y = np.broadcast_to(base.xi, shape).copy(), np.broadcast_to(cfg.eta, shape).copy()
     xb = x.copy()
-    y = np.tile(cfg.eta, (base.M, 1))
-    sup = np.zeros(base.M)
+    x_next, y_next, xb_next, scratch = (np.empty(shape) for _ in range(4))
+    dist = np.empty(shape[:2])
+    sup = np.zeros(shape[:2])
+    noise_s = noise_f = None
     for j0 in range(0, J, block_steps):
         bs = min(block_steps, J - j0)
-        noise_s = bank_s.draw(bs) * sig_s
-        noise_f = bank_f.draw(bs) * sig_f
+        noise_s = _draw_scaled(banks_s, bs, sig_s, noise_s)
+        noise_f = _draw_scaled(banks_f, bs, sig_f, noise_f)
         for jj in range(bs):
-            m_x = _empirical_mu_stat(x, spec.p)
-            m_b = _empirical_mu_stat(xb, spec.p)
+            m_x = _empirical_mu_stat(x, spec.p)[:, None, None]
+            m_b = _empirical_mu_stat(xb, spec.p)[:, None, None]
             fd = coeffs.F(x, m_x, y)
             gd = coeffs.G(x, m_x, y)
             fb = fbar(xb, m_b)
-            x = dec_s * x + w_s * fd + noise_s[:, jj]
-            y = dec_f * y + w_f * gd + noise_f[:, jj]
-            xb = dec_s * xb + w_s * fb + noise_s[:, jj]
-            np.maximum(sup, np.linalg.norm(x - xb, axis=1), out=sup)
+            _euler_into(x_next, dec_s, x, w_s, fd, noise_s[:, :, jj], scratch)
+            _euler_into(y_next, dec_f, y, w_f, gd, noise_f[:, :, jj], scratch)
+            _euler_into(xb_next, dec_s, xb, w_s, fb, noise_s[:, :, jj], scratch)
+            x, x_next, y, y_next, xb, xb_next = x_next, x, y_next, y, xb_next, xb
+            # |x - xb| per particle, as np.linalg.norm sums it
+            np.subtract(x, xb, out=scratch)
+            np.multiply(scratch, scratch, out=scratch)
+            np.sqrt(np.add.reduce(scratch, axis=-1, out=dist), out=dist)
+            if not np.isfinite(dist).all():
+                r = int(np.flatnonzero(~np.isfinite(dist).all(axis=1))[0])
+                raise FloatingPointError(
+                    f"non-finite coupling error at epsilon = {cfg.epsilon:.6g}, "
+                    f"replica {replicas[r][0]}, step {j0 + jj + 1} of {J}"
+                )
+            np.maximum(sup, dist, out=sup)
     pw = sup**m
-    return StrongErrorStats(
-        mean_pow=float(pw.mean()),
-        var_pow=float(pw.var(ddof=1)) if base.M > 1 else 0.0,
-        n=base.M,
-        m=float(m),
-        epsilon=cfg.epsilon,
-        delta=cfg.delta_resolved,
+    return tuple(
+        StrongErrorStats(
+            mean_pow=float(row.mean()),
+            var_pow=float(row.var(ddof=1)) if base.M > 1 else 0.0,
+            n=base.M,
+            m=float(m),
+            epsilon=cfg.epsilon,
+            delta=cfg.delta_resolved,
+        )
+        for row in pw
     )
 
 
@@ -783,4 +836,5 @@ def strong_error(
     **kwargs,
 ) -> float:
     """((1/M) sum_i max_t |X_t^(i) - Xbar_t^(i)|^m)^(1/m) under synchronous coupling."""
-    return strong_error_stats(cfg, drift, m, **kwargs).error
+    (stats,) = strong_error_stats(cfg, drift, m, **kwargs)
+    return stats.error

@@ -112,13 +112,54 @@ class RngStream:
         return self._open(2 * self.channel), self._open(2 * self.channel + 1)
 
 
-def _cms(u: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
-    """Chambers-Mallows-Stuck transform of uniform/exponential inputs."""
+# elements per chunk of the CMS transform: the chunk and its scratch buffer
+# stay in cache across the ten ufunc passes of the closed form
+CMS_CHUNK = 1 << 15
+
+
+def _cms_closed_form(u, w, alpha: float):
+    """Chambers-Mallows-Stuck transform as one expression (reference form)."""
     return (
         np.sin(alpha * u)
         / np.cos(u) ** (1.0 / alpha)
         * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
     )
+
+
+def _cms(u, w, alpha: float, out: np.ndarray | None = None):
+    """Chambers-Mallows-Stuck transform of uniform/exponential inputs.
+
+    Array inputs are transformed in chunks of ``CMS_CHUNK`` elements, with
+    the ufuncs of :func:`_cms_closed_form` applied in the same order, so
+    each element has the bits of the one-expression form.  ``out``, when
+    given, is a C-contiguous array of the inputs' shape and is returned.
+    Scalars take the closed form itself (numpy's scalar power is not the
+    array loop).
+    """
+    if np.ndim(u) == 0:
+        return _cms_closed_form(u, w, alpha)
+    shape = np.shape(u)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+    u, w, flat = np.ravel(u), np.ravel(w), out.reshape(-1)
+    scratch = np.empty(min(CMS_CHUNK, u.size))
+    e_cos, e_ratio = 1.0 / alpha, (1.0 - alpha) / alpha
+    for i in range(0, u.size, CMS_CHUNK):
+        uc, wc, oc = u[i:i + CMS_CHUNK], w[i:i + CMS_CHUNK], flat[i:i + CMS_CHUNK]
+        t = scratch[:uc.size]
+        np.multiply(alpha, uc, out=oc)
+        np.sin(oc, out=oc)
+        np.cos(uc, out=t)
+        np.power(t, e_cos, out=t)
+        np.divide(oc, t, out=oc)
+        np.multiply(1.0 - alpha, uc, out=t)
+        np.cos(t, out=t)
+        np.divide(t, wc, out=t)
+        np.power(t, e_ratio, out=t)
+        np.multiply(oc, t, out=oc)
+    return out
 
 
 def sample_standard_stable(rng, alpha: float, size=None) -> np.ndarray | float:
@@ -309,12 +350,17 @@ class StableNoiseBank:
             for pid in particle_ids
         ]
 
-    def draw(self, n_steps: int) -> np.ndarray:
-        """Next (n_particles, n_steps, n_modes) block of standard stable draws."""
+    def draw(self, n_steps: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Next (n_particles, n_steps, n_modes) block of standard stable draws.
+
+        ``out``, when given, is a C-contiguous array of that shape that
+        receives the block and is returned; a batch of banks can so fill the
+        rows of one preallocated array.
+        """
         shape = (n_steps, self.n_modes)
         u = np.empty((self.n_particles,) + shape)
         w = np.empty_like(u)
         for i, (gu, gw) in enumerate(self._pairs):
             u[i] = gu.uniform(-np.pi / 2.0, np.pi / 2.0, shape)
-            w[i] = gw.standard_exponential(shape)
-        return _cms(u, w, self.alpha)
+            gw.standard_exponential(out=w[i])
+        return _cms(u, w, self.alpha, out=out)

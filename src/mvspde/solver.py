@@ -37,7 +37,13 @@ import numpy as np
 
 from .spectral import OperatorSpec, validate_spec
 from .coefficients import CoefficientSet, effective_constants
-from .measures import LawFlow, EmpiricalMeasure, dT_metric
+from .measures import (
+    EXACT_ASSIGNMENT_LIMIT,
+    EmpiricalMeasure,
+    LawFlow,
+    assignment_solver,
+    dT_metric,
+)
 from .noise import RngStream, StableNoiseBank, convolution_scales, CH_PROJECTION, CH_SLOW
 
 __all__ = [
@@ -149,9 +155,18 @@ def step_exponential_euler(u, drift, h: float, spec: OperatorSpec, noise_inc) ->
     return decay * np.asarray(u) + w * np.asarray(drift) + np.asarray(noise)
 
 
-def _empirical_mu_stat(x: np.ndarray, p: float) -> float:
-    norms = np.linalg.norm(x, axis=-1)
-    return float(np.mean(norms**p) ** (1.0 / p))
+def _empirical_mu_stat(x: np.ndarray, p: float):
+    """Empirical p-moment statistic of each system in x, shape (..., M, n_modes).
+
+    Every system reduces along its own contiguous particle axis, and its
+    root is taken as a scalar power (numpy's array power loop can differ in
+    the last bit), so a system's statistic has the same bits alone as in a
+    batch.  A single system, x of shape (M, n_modes), gives a float; a
+    batch gives an array of shape x.shape[:-2].
+    """
+    means = np.mean(np.linalg.norm(x, axis=-1) ** p, axis=-1)
+    roots = [float(v) ** (1.0 / p) for v in np.ravel(means)]
+    return roots[0] if means.ndim == 0 else np.reshape(roots, means.shape)
 
 
 def simulate_mkv(
@@ -272,6 +287,9 @@ def picard_law_iteration(
         raise ValueError(f"need at least two iterations to report a ratio, got {n_iters}")
     if lambda_weight is None:
         lambda_weight = effective_constants(config.coeffs, config.spec).contraction_lambda
+
+    if config.M <= EXACT_ASSIGNMENT_LIMIT:
+        assignment_solver()  # load scipy's solver now, not inside the first distance
 
     spec = config.spec
     J = config.n_steps

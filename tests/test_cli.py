@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -258,3 +261,13 @@ class TestConfigBuilders:
         with pytest.raises(ConfigError) as exc:
             load_config(str(path))
         assert exc.value.pointer == "/operator/alpha"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only exact W_p needs scipy's assignment solver; loading it costs ~0.5 s
+    code = "import sys, mvspde.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,11 +2,12 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mvspde.coefficients import (
     BuiltinFamily,
     CoefficientSet,
+    StackedInterp,
     assumption_report,
     bounded_smooth,
     build_family,
@@ -130,6 +131,67 @@ class TestQuadratureFbar:
         f1 = bounded_smooth(spec4).fbar_factory(spec4)
         f2 = bounded_smooth(spec4).fbar_factory(spec4)
         assert f1 is f2
+
+
+# the averaged drift's interpolation grid and two tables on it; the second
+# holds -0.0 on the negative half, where only the on-node rule gives np.interp's
+# sign of zero
+INTERP_GRID = np.arange(-40.0, 40.0 + 1e-12, 0.02)
+INTERP_TABLES = np.stack([
+    np.tanh(INTERP_GRID),
+    np.where(INTERP_GRID < 0.0, -0.0, np.tanh(0.5 * INTERP_GRID) ** 3),
+])
+SPECIAL_U = [-1e300, -np.inf, -40.5, INTERP_GRID[0], INTERP_GRID[-1], 40.5, np.inf,
+             1e300, np.nan, 0.0, -0.0]
+# node values, values just off nodes, and points inside cells
+u_values = st.one_of(
+    st.sampled_from(SPECIAL_U),
+    st.integers(0, INTERP_GRID.size - 1).map(lambda i: float(INTERP_GRID[i])),
+    st.tuples(st.integers(0, INTERP_GRID.size - 1), st.sampled_from([-1, 1])).map(
+        lambda t: float(np.nextafter(INTERP_GRID[t[0]], t[1] * np.inf))),
+    st.floats(-41.0, 41.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestStackedInterp:
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(u_values, u_values), min_size=1, max_size=24))
+    def test_bitwise_np_interp(self, rows):
+        u = np.array(rows)
+        got = StackedInterp(INTERP_GRID, INTERP_TABLES)(u)
+        for k in range(2):
+            ref = np.interp(u[:, k], INTERP_GRID, INTERP_TABLES[k])
+            assert np.array_equal(got[:, k], ref, equal_nan=True)
+            assert np.array_equal(np.signbit(got[:, k]), np.signbit(ref))
+
+    def test_every_node_and_midpoint(self):
+        u = np.concatenate([INTERP_GRID, 0.5 * (INTERP_GRID[1:] + INTERP_GRID[:-1])])
+        u = np.stack([u, u[::-1]], axis=-1)
+        got = StackedInterp(INTERP_GRID, INTERP_TABLES)(u)
+        for k in range(2):
+            assert np.array_equal(got[:, k], np.interp(u[:, k], INTERP_GRID, INTERP_TABLES[k]))
+
+    def test_special_values(self):
+        u = np.array(SPECIAL_U)
+        got = StackedInterp(INTERP_GRID, INTERP_TABLES[:1])(u[:, None])[:, 0]
+        assert np.array_equal(got, np.interp(u, INTERP_GRID, INTERP_TABLES[0]), equal_nan=True)
+        assert got[0] == got[1] == got[2] == INTERP_TABLES[0, 0]
+        assert got[4] == got[5] == got[6] == got[7] == INTERP_TABLES[0, -1]
+        assert np.isnan(got[8])
+
+    def test_batched_fbar_rows_equal_single_system_calls(self, spec8, coeffs8):
+        # a batch of systems, each with its own law statistic, against one
+        # call per system with a float statistic
+        fbar = coeffs8.fbar_factory(spec8)
+        gen = np.random.default_rng(4)
+        x = gen.standard_normal((3, 7, 8)) * np.array([1.0, 9.0, 40.0, 80.0, 1, 1, 1, 1])
+        mu = np.array([0.3, 1.0, 2.5])
+        batched = fbar(x, mu[:, None, None])
+        slow = coeffs8.F(x, mu[:, None, None], x)
+        for r in range(3):
+            assert np.array_equal(batched[r], fbar(x[r].copy(), float(mu[r])))
+            assert np.array_equal(slow[r], coeffs8.F(x[r], float(mu[r]), x[r]))
 
 
 class TestEffectiveConstants:

@@ -100,6 +100,20 @@ class TestPoolingHelpers:
         with pytest.raises(ValueError):
             ex._split_counts(3, 4)
 
+    @pytest.mark.parametrize("total,n_chunks,n_parts", [
+        (64, 4, 1), (67, 4, 1), (67, 4, 2), (1000, 8, 1), (1000, 8, 3), (10, 3, 8),
+    ])
+    def test_replica_batches_partition_by_size(self, total, n_chunks, n_parts):
+        chunks = ex._split_counts(total, n_chunks)
+        batches = ex._replica_batches(chunks, n_parts)
+        assert sorted(r for b in batches for r in b) == list(range(n_chunks))
+        for batch in batches:
+            assert len({chunks[r][1] for r in batch}) == 1
+            assert all(isinstance(r, int) for r in batch)
+        groups = [[r for r, (_, c) in enumerate(chunks) if c == size]
+                  for size in {c for _, c in chunks}]
+        assert len(batches) == sum(min(len(g), n_parts) for g in groups)
+
     def test_pool_moments_matches_concatenation(self, rng):
         arrays = [rng.normal(size=n) ** 2 for n in (5, 11, 3)]
         parts = [(float(a.mean()), float(a.var(ddof=1)), a.size)
@@ -156,6 +170,15 @@ class TestRateStudy:
         forked = rate_study(base, EPS_GRID, family=fam, n_replicas=2,
                             n_workers=2)
         assert forked.grid == res.grid
+
+    def test_unequal_chunks_invisible_to_batching(self, spec4):
+        # 11 particles in systems of 4, 4 and 3: two batch sizes per point
+        fam = BuiltinFamily("bounded_smooth")
+        base = SimConfig(spec=spec4, coeffs=fam.build(spec4), T=0.25, h=0.125,
+                         M=11, seed=8, xi=0.3)
+        serial = rate_study(base, EPS_GRID, family=fam, n_replicas=3)
+        forked = rate_study(base, EPS_GRID, family=fam, n_replicas=3, n_workers=3)
+        assert forked.grid == serial.grid
 
     def test_theta_four_thirds_theory_slope(self):
         spec = OperatorSpec(n_modes=2, a=2.0, b=1.0, g=1.0, alpha=1.5,

@@ -1,18 +1,29 @@
-"""Pinned output digests: the bytes of result.csv for small CLI studies.
+"""Pinned output digests: the bytes of result.csv and meta.json for small CLI studies.
 
-Each digest was recorded from the code before the Picard iteration was
-sped up (pruned weighted-Wasserstein sup, noise drawn once per study).  A
-change that alters these bytes must say so and re-record them.
+The picard and simulate result.csv digests were recorded from the code
+before the Picard iteration was sped up (pruned weighted-Wasserstein sup,
+noise drawn once per study); every meta.json digest and the rate and
+hoelder cases were recorded from the code before the rate study batched
+its replicas into one kernel.  A change that alters these bytes must say
+so and re-record them.
+
+Each case runs the CLI in a fresh interpreter with the BLAS thread pools
+pinned to one thread: the averaged-drift quadrature table is a BLAS
+matrix-vector product whose bits depend on the pool size, so an
+in-process run would pin whatever the machine's default happens to be.
 """
 
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from mvspde.cli import run
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BASE_CFG = {
     "operator": {"n_modes": 4, "a": 2.0, "b": 1.0, "g": 1.0, "alpha": 1.5,
@@ -23,33 +34,73 @@ BASE_CFG = {
     "study": {"kind": "picard", "n_iters": 4, "out_dir": "out"},
 }
 
-# name -> (command, section overrides, sha256 of result.csv)
+RATE_STUDY = {"kind": "rate", "grid": [0.0625, 0.03125, 0.015625, 0.0078125],
+              "m": 1.0, "h_fast_ratio": 0.0625, "n_replicas": 4, "n_iters": None}
+
+# name -> (command, section overrides, threads, sha256 of result.csv, of meta.json)
 CASES = {
     # exact assignment path of the flow distance
-    "picard-exact": ("picard", {}, "bf0ebcbcdbbafc2db83c9d52a3bb42c4006d60033fa09e0b08d59756afa0ca24"),
+    "picard-exact": (
+        "picard", {}, 1,
+        "bf0ebcbcdbbafc2db83c9d52a3bb42c4006d60033fa09e0b08d59756afa0ca24",
+        "9dcfdbb0c76865978670ec0a24ccbbcedc1b889d658fccfe0a201219e98393ce",
+    ),
     # more steps than one noise block of simulate_mkv
     "picard-long": (
         "picard",
-        {"sim": {"M": 8, "T": 0.5, "h": 1 / 1200, "seed": 3}, "study": {"n_iters": 3}},
+        {"sim": {"M": 8, "T": 0.5, "h": 1 / 1200, "seed": 3}, "study": {"n_iters": 3}}, 1,
         "2f9b65835327d29eb873b8186b37499e5566b3591d70367f829916f2f1a1952d",
+        "696ecc2d36d73631b09e6a57a65693f25bbddd3ae6056b2cd71b51ea0dc9c8be",
     ),
     # moment order p = 1.25, more iterations
     "picard-p125": (
         "picard",
         {"operator": {"p": 1.25},
-         "sim": {"M": 32, "T": 0.5, "h": 0.03125, "seed": 11}, "study": {"n_iters": 6}},
+         "sim": {"M": 32, "T": 0.5, "h": 0.03125, "seed": 11}, "study": {"n_iters": 6}}, 1,
         "f834a7a110633ebcc1303a5c03ad4611cacbff265ddcdaa5f2a6be5e9bb15b18",
+        "b1995848fd00287472b644a47e26401c38d7e6a444babf9f49c23f07a37c9ea7",
     ),
     # the interacting system, on simulate_mkv's self-drawing noise path
     "simulate": (
         "simulate",
         {"sim": {"T": 0.5, "h": 1 / 1200, "M": 16}, "study": {"kind": "simulate", "n_iters": None}},
+        1,
         "530a72bff197ac1280e30246875416621992b2244827efbf416da790b6d5383e",
+        "46901da8a5036d11553d0ec7207f941571a084ef751c2ceadb47c353a1ad67b3",
+    ),
+    # four equal systems of 16 particles per scale ratio
+    "rate-equal": (
+        "rate-study", {"study": RATE_STUDY}, 1,
+        "fc93a0b4561bea88e9a00c6e2dd8fcd733c051ef6b173ca145b29af16e5e1fdb",
+        "ed6309dc9ded5c9085bfec0e978172637d514db25bc2aa50171f7978f17e74ba",
+    ),
+    # systems of 17, 17, 17 and 16 particles
+    "rate-unequal": (
+        "rate-study", {"sim": {"M": 67, "seed": 9}, "study": RATE_STUDY}, 1,
+        "202fe0c35a5159d0291126629d835aa22819efb21e2cc2cdd70b848f28464c86",
+        "ef697d71b83dad0463b5ccb5920ff10578f0e7cbf67919e7556f2619781000e9",
+    ),
+    # the same study on two workers: the bytes may not depend on the grouping
+    "rate-unequal-threads2": (
+        "rate-study", {"sim": {"M": 67, "seed": 9}, "study": RATE_STUDY}, 2,
+        "202fe0c35a5159d0291126629d835aa22819efb21e2cc2cdd70b848f28464c86",
+        "ef697d71b83dad0463b5ccb5920ff10578f0e7cbf67919e7556f2619781000e9",
+    ),
+    # slow-fast paths recorded for the increment regularity scan
+    "hoelder": (
+        "hoelder-study",
+        {"sim": {"M": 16, "h_fast": 1 / 256},
+         "study": {"kind": "hoelder", "epsilon": 0.0625, "grid": [0.03125, 0.0625, 0.125],
+                   "n_replicas": 2, "n_iters": None}},
+        1,
+        "c6ea09da90d8eb718ca9cc54975b3b6d64956f3b9ce38d5655e704197a98f402",
+        "f8674eadb7920c2a0c31fa9a48adecf361e7372acd2bdae8ca7a8e56e1af482f",
     ),
 }
 
 
-def csv_digest(tmp_path, command, overrides):
+def run_digests(tmp_path, command, overrides, threads):
+    """(sha256 of result.csv, of meta.json) of one CLI run in a fresh interpreter."""
     cfg = copy.deepcopy(BASE_CFG)
     for section, changes in overrides.items():
         cfg[section].update(changes)
@@ -57,12 +108,22 @@ def csv_digest(tmp_path, command, overrides):
             del cfg[section][key]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-    (csv,) = Path(tmp_path / "o").glob(f"{command}/*/result.csv")
-    return hashlib.sha256(csv.read_bytes()).hexdigest()
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvspde.cli", command, "--config", str(path),
+         "--out", str(tmp_path / "o"), "--threads", str(threads)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result_dir = Path(proc.stdout.strip().splitlines()[-1]).parent
+    return tuple(hashlib.sha256((result_dir / name).read_bytes()).hexdigest()
+                 for name in ("result.csv", "meta.json"))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_result_digest(name, tmp_path, capsys):
-    command, overrides, digest = CASES[name]
-    assert csv_digest(tmp_path, command, overrides) == digest
+def test_result_digest(name, tmp_path):
+    command, overrides, threads, csv_digest, meta_digest = CASES[name]
+    assert run_digests(tmp_path, command, overrides, threads) == (csv_digest, meta_digest)

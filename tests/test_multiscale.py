@@ -394,7 +394,7 @@ class TestAveragedEquationAndStrongError:
     def test_synchronous_zero_error(self, spec4):
         co = law_blind_f_coeffs(4)
         cfg = self._cfg(co, spec4)
-        stats = strong_error_stats(cfg, AveragedDrift(mode="stationary_quadrature"))
+        (stats,) = strong_error_stats(cfg, AveragedDrift(mode="stationary_quadrature"))
         assert stats.error == 0.0
         assert stats.stderr == 0.0
 
@@ -420,7 +420,7 @@ class TestAveragedEquationAndStrongError:
                              M=32, seed=2, xi=0.3)
             cfg = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9,
                                    delta=delta)
-            stats.append(strong_error_stats(cfg, drift))
+            stats += strong_error_stats(cfg, drift)
         # the coupling goes through Fbar itself; delta is only bookkeeping
         assert stats[0].mean_pow == stats[1].mean_pow
         assert stats[0].delta == 2**-6 and stats[1].delta == 2**-4
@@ -430,7 +430,75 @@ class TestAveragedEquationAndStrongError:
                          seed=17, xi=0.3)
         cfg = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9)
         drift = AveragedDrift(mode="stationary_quadrature")
-        s1 = strong_error_stats(cfg, drift)
-        s2 = strong_error_stats(cfg, drift)
+        (s1,) = strong_error_stats(cfg, drift)
+        (s2,) = strong_error_stats(cfg, drift)
         assert s1.error > 0.0
         assert s1.mean_pow == s2.mean_pow and s1.var_pow == s2.var_pow
+
+
+def blowup_coeffs(n, after_calls, row):
+    """Bounded-looking F that turns infinite on one system after some calls."""
+    calls = []
+
+    def F(x, s, y):
+        calls.append(None)
+        out = 0.5 * np.tanh(y) + np.zeros_like(x)
+        if len(calls) > after_calls:
+            out[row] = np.inf
+        return out
+
+    return CoefficientSet(
+        variant="custom", B=lambda x, s: np.zeros(n), F=F,
+        G=lambda x, s, y: 0.4 * np.tanh(y),
+        lip_C=0.5, lip_G_y=0.4, p=1.0, F_bounded=True, bound_const=1.0,
+        fbar_factory=lambda spec: (lambda x, s: np.zeros_like(x)), g_y_slope=0.4,
+    )
+
+
+class TestReplicaBatch:
+    """A system's errors have the same bits alone as in a batch."""
+
+    def _cfg(self, spec, coeffs, M=12, T=0.25):
+        base = SimConfig(spec=spec, coeffs=coeffs, T=T, h=T / 2, M=M, seed=41,
+                         xi=[0.5, -0.3, 0.2])
+        return MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9, eta=0.1)
+
+    @pytest.mark.parametrize("m", [1.0, 1.25])
+    def test_batch_rows_equal_single_systems(self, spec8, coeffs8, m):
+        cfg = self._cfg(spec8, coeffs8)
+        drift = AveragedDrift(mode="stationary_quadrature")
+        replicas = [(3, range(0, 12)), (4, range(12, 24)), (9, range(24, 36))]
+        # 24-step blocks leave a short last block of the 128 steps
+        batch = strong_error_stats(cfg, drift, m=m, replicas=replicas, block_steps=24)
+        assert len(batch) == 3
+        for stats, replica in zip(batch, replicas):
+            (alone,) = strong_error_stats(cfg, drift, m=m, replicas=[replica])
+            assert (stats.mean_pow, stats.var_pow, stats.n) == \
+                (alone.mean_pow, alone.var_pow, alone.n)
+            assert stats.mean_pow > 0.0
+        assert batch[0].mean_pow != batch[1].mean_pow
+
+    def test_ergodic_drift_batch(self, spec2):
+        co = law_blind_f_coeffs(2)
+        base = SimConfig(spec=spec2, coeffs=co, T=0.0625, h=0.03125, M=2, seed=3, xi=0.3)
+        cfg = MultiscaleConfig(base=base, epsilon=2**-4, h_fast=2**-8)
+        drift = AveragedDrift(mode="ergodic_estimate", relax_time=0.05, avg_time=0.16,
+                              h_step=0.01)
+        replicas = [(0, None), (1, [5, 6])]
+        batch = strong_error_stats(cfg, drift, replicas=replicas)
+        for stats, replica in zip(batch, replicas):
+            (alone,) = strong_error_stats(cfg, drift, replicas=[replica])
+            assert stats.mean_pow == alone.mean_pow
+
+    def test_needs_a_replica(self, spec4, coeffs4):
+        with pytest.raises(ValueError, match="at least one replica"):
+            strong_error_stats(self._cfg(spec4, coeffs4),
+                               AveragedDrift(mode="stationary_quadrature"), replicas=[])
+
+    def test_nonfinite_error_names_epsilon_replica_and_step(self, spec4):
+        cfg = self._cfg(spec4, blowup_coeffs(4, after_calls=5, row=1), M=4)
+        replicas = [(10, None), (11, range(4, 8)), (12, range(8, 12))]
+        with pytest.raises(FloatingPointError,
+                           match=r"epsilon = 0\.03125, replica 11, step 6 of 128"):
+            strong_error_stats(cfg, AveragedDrift(mode="stationary_quadrature"),
+                               replicas=replicas)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mvspde.noise import (
     CH_FAST,
     CH_SLOW,
+    CMS_CHUNK,
     RngStream,
     StableNoiseBank,
     chf_estimate,
@@ -15,6 +16,8 @@ from mvspde.noise import (
     stable_quadrature_rule,
     standard_stable_pdf,
     tail_slope,
+    _cms,
+    _cms_closed_form,
 )
 from mvspde.spectral import OperatorSpec
 
@@ -198,6 +201,65 @@ class TestNoiseBank:
         plain = StableNoiseBank(3, ALPHA, n_particles=1, n_modes=3,
                                 channel=CH_SLOW, particle_ids=[5])
         assert np.array_equal(bank.draw(3)[0], plain.draw(3)[0])
+
+
+class TestChunkedCms:
+    """The chunked transform has the bits of the one-expression closed form."""
+
+    @settings(max_examples=10)
+    @given(
+        size=st.sampled_from([1, CMS_CHUNK - 1, CMS_CHUNK, CMS_CHUNK + 1, 3 * CMS_CHUNK + 7]),
+        alpha=st.floats(1.05, 1.95),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_closed_form(self, size, alpha, seed):
+        gen = np.random.default_rng(seed)
+        u = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size)
+        w = gen.standard_exponential(size)
+        ref = _cms_closed_form(u, w, alpha)
+        assert np.array_equal(_cms(u, w, alpha), ref)
+        out = np.empty(size)
+        assert _cms(u, w, alpha, out=out) is out
+        assert np.array_equal(out, ref)
+
+    def test_keeps_shape_and_scalars(self):
+        gen = np.random.default_rng(1)
+        u = gen.uniform(-1.5, 1.5, (3, 5, 2))
+        w = gen.standard_exponential((3, 5, 2))
+        assert np.array_equal(_cms(u, w, ALPHA), _cms_closed_form(u, w, ALPHA))
+        assert _cms(0.3, 1.2, ALPHA) == _cms_closed_form(0.3, 1.2, ALPHA)
+
+    def test_out_must_fit(self):
+        u = np.full((4, 3), 0.1)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _cms(u, u, ALPHA, out=np.empty((3, 4)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _cms(u, u, ALPHA, out=np.empty((3, 4)).T)
+
+
+class TestDrawInto:
+    @settings(max_examples=10)
+    @given(
+        n_particles=st.integers(1, 6),
+        n_steps=st.integers(1, 40),
+        n_modes=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_out_rows_equal_plain_draws(self, n_particles, n_steps, n_modes, seed):
+        # two banks fill the rows of one buffer, twice, as a replica batch does
+        args = (seed, ALPHA, n_particles, n_modes, CH_FAST)
+        plain = [StableNoiseBank(*args, replica=r) for r in range(2)]
+        into = [StableNoiseBank(*args, replica=r) for r in range(2)]
+        buf = np.empty((2, n_particles, n_steps, n_modes))
+        for _ in range(2):
+            for bank, row in zip(into, buf):
+                assert bank.draw(n_steps, out=row) is row
+            assert np.array_equal(buf, np.stack([b.draw(n_steps) for b in plain]))
+
+    def test_out_shape_checked(self):
+        bank = StableNoiseBank(1, ALPHA, 2, 3, CH_SLOW)
+        with pytest.raises(ValueError, match="shape"):
+            bank.draw(4, out=np.empty((2, 5, 3)))
 
 
 class TestDensityAndQuadrature:

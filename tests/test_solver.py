@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvspde.coefficients import CoefficientSet, bounded_smooth
 from mvspde.measures import EXACT_ASSIGNMENT_LIMIT, wasserstein_exact
@@ -15,6 +16,7 @@ from mvspde.noise import (
 from mvspde.solver import (
     PicardReport,
     SimConfig,
+    _empirical_mu_stat,
     moment_bound_check,
     picard_law_iteration,
     simulate_mkv,
@@ -205,6 +207,32 @@ class TestSimulateMkv:
         for shape in [(3, 4), (3, 5, 4), (4, 4, 4), (3, 4, 3)]:
             with pytest.raises(ValueError, match="noise must have shape"):
                 simulate_mkv(cfg, noise=np.zeros(shape))
+
+
+class TestEmpiricalMuStat:
+    @settings(max_examples=30)
+    @given(
+        n_systems=st.integers(1, 5),
+        n_particles=st.integers(1, 40),
+        n_modes=st.integers(1, 8),
+        p=st.sampled_from([1.0, 1.25, 1.4, 1.49]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batched_rows_equal_single_system_calls(self, n_systems, n_particles,
+                                                    n_modes, p, seed):
+        x = np.random.default_rng(seed).standard_cauchy((n_systems, n_particles, n_modes))
+        batched = _empirical_mu_stat(x, p)
+        assert batched.shape == (n_systems,)
+        for r in range(n_systems):
+            single = _empirical_mu_stat(x[r].copy(), p)
+            assert isinstance(single, float)
+            assert batched[r] == single
+
+    def test_single_system_value(self):
+        x = np.array([[3.0, 4.0], [0.0, 1.0]])
+        assert _empirical_mu_stat(x, 1.0) == 3.0
+        assert _empirical_mu_stat(x, 1.25) == pytest.approx(
+            ((5.0**1.25 + 1.0) / 2.0) ** 0.8, rel=1e-15)
 
 
 class TestPicardIteration:
