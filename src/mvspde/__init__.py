@@ -23,7 +23,7 @@ from .noise import RngStream, sample_standard_stable, sample_convolution_increme
 from .measures import EmpiricalMeasure, LawFlow, wasserstein_exact, dT_metric
 from .coefficients import CoefficientSet, bounded_smooth, linear_test
 from .solver import SimConfig, simulate_mkv, picard_law_iteration
-from .multiscale import MultiscaleConfig, simulate_slow_fast, strong_error
+from .multiscale import MultiscaleConfig, simulate_slow_fast, strong_error_stats
 from .experiments import ExperimentResult, rate_study, hoelder_study, persist, load_result
 from .config import load_config
 
@@ -33,7 +33,7 @@ __all__ = [
     "EmpiricalMeasure", "LawFlow", "wasserstein_exact", "dT_metric",
     "CoefficientSet", "bounded_smooth", "linear_test",
     "SimConfig", "simulate_mkv", "picard_law_iteration",
-    "MultiscaleConfig", "simulate_slow_fast", "strong_error",
+    "MultiscaleConfig", "simulate_slow_fast", "strong_error_stats",
     "ExperimentResult", "rate_study", "hoelder_study", "persist", "load_result",
     "load_config",
 ]

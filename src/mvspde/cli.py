@@ -27,6 +27,7 @@ from .config import (
     load_config,
 )
 from .experiments import (
+    aux_gap_study,
     ergodicity_study,
     hoelder_study,
     persist,
@@ -53,6 +54,7 @@ def _parser() -> argparse.ArgumentParser:
         ("ergodicity", "fit frozen-equation mixing rates on probe inputs"),
         ("rate-study", "strong averaging error against the timescale ratio"),
         ("hoelder-study", "slow-path increment regularity against block length"),
+        ("aux-gap", "fast-path gap to its block-frozen twin against block length"),
     ):
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", required=True, help="JSON config path")
@@ -161,10 +163,11 @@ def run(argv=None) -> int:
                 n_workers=args.threads,
                 config_extra=cfg,
             )
-        else:  # hoelder-study
+        else:  # hoelder-study, aux-gap
             delta_grid = _require_grid(study)
             ms = build_multiscale(cfg, base)
-            result = hoelder_study(
+            increment_study = hoelder_study if args.command == "hoelder-study" else aux_gap_study
+            result = increment_study(
                 ms, delta_grid,
                 family=recipe,
                 n_replicas=study.get("n_replicas", 4),
@@ -198,6 +201,7 @@ _KIND_BY_COMMAND = {
     "ergodicity": "ergodicity",
     "rate-study": "rate",
     "hoelder-study": "hoelder",
+    "aux-gap": "aux-gap",
 }
 
 

@@ -95,7 +95,7 @@ SCHEMA = {
             "required": ["kind"],
             "properties": {
                 "kind": {
-                    "enum": ["simulate", "picard", "ergodicity", "rate", "hoelder"]
+                    "enum": ["simulate", "picard", "ergodicity", "rate", "hoelder", "aux-gap"]
                 },
                 "grid": {
                     "type": "array",
@@ -191,7 +191,7 @@ def build_sim(
 
 
 def build_multiscale(cfg: dict, base: SimConfig) -> MultiscaleConfig:
-    """Two-scale config for studies at a fixed epsilon (hoelder, simulate-fast).
+    """Two-scale config for studies at a fixed epsilon (hoelder, aux-gap).
 
     Reads sim.h_fast and study.epsilon; both must be present.
     """

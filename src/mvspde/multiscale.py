@@ -27,8 +27,10 @@ Supporting objects:
   driven by the *same* slow noise streams (synchronous coupling), so that
   sup-in-time strong errors can be measured per particle.
 
-``strong_error`` fuses all three advances in one streaming loop so that no
-trajectory storage is needed at production sizes.
+Every loop here is one call of :func:`mvspde.solver.advance`, the
+exponential-Euler kernel; ``strong_error_stats`` steps the coupled pair and
+the averaged equation together, so that no trajectory storage is needed at
+production sizes.
 """
 
 from __future__ import annotations
@@ -40,16 +42,16 @@ import numpy as np
 
 from .spectral import OperatorSpec
 from .coefficients import CoefficientSet, effective_constants
-from .solver import SimConfig, PathEnsemble, BLOCK_STEPS, _empirical_mu_stat
-from .noise import (
-    RngStream,
-    StableNoiseBank,
-    convolution_scales,
-    _cms,
-    CH_SLOW,
-    CH_FAST,
-    CH_FROZEN,
+from .solver import (
+    NonFiniteState,
+    PathEnsemble,
+    SimConfig,
+    _empirical_mu_stat,
+    _recorder,
+    advance,
+    euler_weights,
 )
+from .noise import RngStream, StableNoiseBank, convolution_scales, CH_SLOW, CH_FAST, CH_FROZEN
 
 __all__ = [
     "MultiscaleConfig",
@@ -66,7 +68,6 @@ __all__ = [
     "DecayReport",
     "ergodicity_decay",
     "simulate_averaged",
-    "strong_error",
     "StrongErrorStats",
     "strong_error_stats",
 ]
@@ -160,29 +161,11 @@ class SlowFastPaths:
     fast: PathEnsemble
 
 
-def _fast_weights(spec: OperatorSpec, h: float, epsilon: float):
-    """Fast-component decay / drift-weight / noise-scale triple for one step."""
-    lam = spec.eigenvalues
-    decay = np.exp(-lam * h / epsilon)
-    wdrift = -np.expm1(-lam * h / epsilon) / lam
-    sig = convolution_scales(spec, h, "fast", epsilon)
-    return decay, wdrift, sig
-
-
-def _slow_weights(spec: OperatorSpec, h: float):
-    lam = spec.eigenvalues
-    decay = np.exp(-lam * h)
-    wdrift = -np.expm1(-lam * h) / lam
-    sig = convolution_scales(spec, h, "slow")
-    return decay, wdrift, sig
-
-
 def simulate_slow_fast(
     cfg: MultiscaleConfig,
     particle_ids=None,
     replica: int = 0,
     record_every: int = 1,
-    block_steps: int = BLOCK_STEPS,
 ) -> SlowFastPaths:
     """Advance the coupled system; record both components every ``record_every`` steps.
 
@@ -193,40 +176,23 @@ def simulate_slow_fast(
     """
     base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
     J = cfg.n_steps
-    if J % record_every != 0:
-        raise ValueError(f"record_every = {record_every} does not divide {J} steps")
-    dec_s, w_s, sig_s = _slow_weights(spec, cfg.h_fast)
-    dec_f, w_f, sig_f = _fast_weights(spec, cfg.h_fast, cfg.epsilon)
-    bank_s = StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, CH_SLOW,
-                             replica=replica, particle_ids=particle_ids)
-    bank_f = StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, CH_FAST,
-                             replica=replica, particle_ids=particle_ids)
-
-    x = np.tile(base.xi, (base.M, 1))
-    y = np.tile(cfg.eta, (base.M, 1))
-    n_rec = J // record_every + 1
-    xs = np.empty((base.M, n_rec, spec.n_modes))
-    ys = np.empty_like(xs)
-    mu_track = np.empty(n_rec)
-    xs[:, 0], ys[:, 0] = x, y
-    mu_track[0] = _empirical_mu_stat(x, spec.p)
-
-    for j0 in range(0, J, block_steps):
-        bs = min(block_steps, J - j0)
-        noise_s = bank_s.draw(bs) * sig_s
-        noise_f = bank_f.draw(bs) * sig_f
-        for jj in range(bs):
-            j = j0 + jj
-            m = _empirical_mu_stat(x, spec.p)
-            fd = coeffs.F(x, m, y)
-            gd = coeffs.G(x, m, y)
-            x = dec_s * x + w_s * fd + noise_s[:, jj]
-            y = dec_f * y + w_f * gd + noise_f[:, jj]
-            if (j + 1) % record_every == 0:
-                r = (j + 1) // record_every
-                xs[:, r], ys[:, r] = x, y
-                mu_track[r] = _empirical_mu_stat(x, spec.p)
-
+    shape = (base.M, spec.n_modes)
+    (xs, ys), mu, observe = _recorder(J, record_every, shape, 2, spec.p)
+    banks = [
+        StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, channel,
+                        replica=replica, particle_ids=particle_ids)
+        for channel in (CH_SLOW, CH_FAST)
+    ]
+    advance(
+        {"slow component X": np.broadcast_to(base.xi, shape),
+         "fast component Y": np.broadcast_to(cfg.eta, shape)},
+        [euler_weights(spec, cfg.h_fast), euler_weights(spec, cfg.h_fast, cfg.epsilon)],
+        [(banks[0], convolution_scales(spec, cfg.h_fast, "slow")),
+         (banks[1], convolution_scales(spec, cfg.h_fast, "fast", cfg.epsilon))],
+        lambda j, f: [coeffs.F(f[0], mu[j], f[1]), coeffs.G(f[0], mu[j], f[1])],
+        J, observe,
+    )
+    mu_track = mu[::record_every]
     times = cfg.times[::record_every]
     slow = PathEnsemble(times=times, paths=xs, spec=spec, mu_stat=mu_track)
     fast = PathEnsemble(times=times, paths=ys, spec=spec, mu_stat=mu_track)
@@ -275,7 +241,6 @@ def simulate_auxiliary(
     particle_ids=None,
     replica: int = 0,
     record_every: int = 1,
-    block_steps: int = BLOCK_STEPS,
 ) -> PathEnsemble:
     """Fast component with slow inputs frozen at block starts (same noise).
 
@@ -286,8 +251,7 @@ def simulate_auxiliary(
     """
     base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
     J = cfg.n_steps
-    if J % record_every != 0:
-        raise ValueError(f"record_every = {record_every} does not divide {J} steps")
+    (ys,), _, observe = _recorder(J, record_every, (base.M, spec.n_modes))
     steps_per_block = snapshots.delta / cfg.h_fast
     if abs(steps_per_block - round(steps_per_block)) > 1e-6:
         raise ValueError(
@@ -300,26 +264,19 @@ def simulate_auxiliary(
         raise ValueError(
             f"need {n_needed} block snapshots to cover {J} steps, got {snapshots.x.shape[0]}"
         )
-    dec_f, w_f, sig_f = _fast_weights(spec, cfg.h_fast, cfg.epsilon)
     bank_f = StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, CH_FAST,
                              replica=replica, particle_ids=particle_ids)
 
-    y = np.tile(cfg.eta, (base.M, 1))
-    n_rec = J // record_every + 1
-    ys = np.empty((base.M, n_rec, spec.n_modes))
-    ys[:, 0] = y
+    def drift(j, fields):
+        blk = j // steps_per_block
+        return [coeffs.G(snapshots.x[blk], snapshots.mu_stat[blk], fields[0])]
 
-    for j0 in range(0, J, block_steps):
-        bs = min(block_steps, J - j0)
-        noise_f = bank_f.draw(bs) * sig_f
-        for jj in range(bs):
-            j = j0 + jj
-            blk = j // steps_per_block
-            gd = coeffs.G(snapshots.x[blk], snapshots.mu_stat[blk], y)
-            y = dec_f * y + w_f * gd + noise_f[:, jj]
-            if (j + 1) % record_every == 0:
-                ys[:, (j + 1) // record_every] = y
-
+    advance(
+        {"auxiliary fast component": np.broadcast_to(cfg.eta, (base.M, spec.n_modes))},
+        [euler_weights(spec, cfg.h_fast, cfg.epsilon)],
+        [(bank_f, convolution_scales(spec, cfg.h_fast, "fast", cfg.epsilon))],
+        drift, J, observe,
+    )
     return PathEnsemble(times=cfg.times[::record_every], paths=ys, spec=spec)
 
 
@@ -332,7 +289,6 @@ def simulate_frozen(
     rng: RngStream,
     n_particles: int = 1,
     record_every: int = 1,
-    block_steps: int = BLOCK_STEPS,
 ) -> PathEnsemble:
     """Frozen equation at scale one: fast dynamics with (x, mu_stat) pinned.
 
@@ -351,29 +307,19 @@ def simulate_frozen(
     if abs(J - round(J)) > 1e-9 or round(J) < 1:
         raise ValueError(f"T_end/h_fast = {J} is not a positive integer step count")
     J = round(J)
-    if J % record_every != 0:
-        raise ValueError(f"record_every = {record_every} does not divide {J} steps")
-    dec, w, sig = _fast_weights(spec, h_fast, 1.0)
+    (ys,), _, observe = _recorder(J, record_every, (n_particles, spec.n_modes))
     bank = StableNoiseBank(
         rng.seed, spec.alpha, n_particles, spec.n_modes, CH_FROZEN,
         replica=rng.replica,
         particle_ids=[rng.particle + i for i in range(n_particles)],
     )
     x_row = frozen.x[None, :]
-    y = np.tile(frozen.y0, (n_particles, 1))
-    n_rec = J // record_every + 1
-    ys = np.empty((n_particles, n_rec, spec.n_modes))
-    ys[:, 0] = y
-    for j0 in range(0, J, block_steps):
-        bs = min(block_steps, J - j0)
-        noise = bank.draw(bs) * sig
-        for jj in range(bs):
-            gd = coeffs.G(x_row, frozen.mu_stat, y)
-            y = dec * y + w * gd + noise[:, jj]
-            j = j0 + jj
-            if (j + 1) % record_every == 0:
-                ys[:, (j + 1) // record_every] = y
-    times = h_fast * record_every * np.arange(n_rec)
+    advance(
+        {"frozen-equation state": np.broadcast_to(frozen.y0, (n_particles, spec.n_modes))},
+        [euler_weights(spec, h_fast)], [(bank, convolution_scales(spec, h_fast, "fast", 1.0))],
+        lambda j, fields: [coeffs.G(x_row, frozen.mu_stat, fields[0])], J, observe,
+    )
+    times = h_fast * record_every * np.arange(ys.shape[1])
     return PathEnsemble(times=times, paths=ys, spec=spec)
 
 
@@ -450,36 +396,28 @@ def ergodic_fbar(
     t_b, t_a = drift.windows(spec, coeffs)
     key_hash = zlib.crc32(repr(key).encode()) & 0x7FFFFFFF
     base = rng if rng is not None else RngStream(drift.seed)
-    stream = base.derived(particle=key_hash, channel=CH_FROZEN)
+    bank = StableNoiseBank(base.seed, spec.alpha, 1, spec.n_modes, CH_FROZEN,
+                           replica=base.replica, particle_ids=[key_hash])
 
     n_relax = int(np.ceil(t_b / drift.h_step))
     n_avg = int(np.ceil(t_a / drift.h_step))
     n_avg -= n_avg % drift.n_batches  # equal batches
-    dec, w, sig = _fast_weights(spec, drift.h_step, 1.0)
-    gu, gw = stream.pair()
+    per_batch = n_avg // drift.n_batches
     x_row = frozen.x[None, :]
-    y = frozen.y0[None, :].copy()
+    sums = np.zeros((drift.n_batches, spec.n_modes))
 
-    def _advance(n_steps, accumulate):
-        nonlocal y
-        sums = np.zeros((drift.n_batches, spec.n_modes)) if accumulate else None
-        per_batch = n_steps // drift.n_batches if accumulate else n_steps
-        done = 0
-        while done < n_steps:
-            bs = min(4096, n_steps - done)
-            u = gu.uniform(-np.pi / 2, np.pi / 2, (bs, spec.n_modes))
-            wexp = gw.standard_exponential((bs, spec.n_modes))
-            noise = sig * _cms(u, wexp, spec.alpha)
-            for jj in range(bs):
-                if accumulate:
-                    sums[(done + jj) // per_batch] += coeffs.F(x_row, frozen.mu_stat, y)[0]
-                y = dec * y + w * coeffs.G(x_row, frozen.mu_stat, y) + noise[jj]
-            done += bs
-        return sums
+    def observe(j, fields):
+        if n_relax <= j < n_relax + n_avg:
+            sums[(j - n_relax) // per_batch] += coeffs.F(x_row, frozen.mu_stat, fields[0])[0]
 
-    _advance(n_relax, accumulate=False)
-    sums = _advance(n_avg, accumulate=True)
-    batch_means = sums / (n_avg // drift.n_batches)
+    advance(
+        {"frozen-equation state": frozen.y0[None, :]},
+        [euler_weights(spec, drift.h_step)],
+        [(bank, convolution_scales(spec, drift.h_step, "fast", 1.0))],
+        lambda j, fields: [coeffs.G(x_row, frozen.mu_stat, fields[0])],
+        n_relax + n_avg, observe,
+    )
+    batch_means = sums / per_batch
     est = batch_means.mean(axis=0)
     stderr_vec = batch_means.std(axis=0, ddof=1) / np.sqrt(drift.n_batches)
     stderr = float(np.linalg.norm(stderr_vec))
@@ -495,21 +433,9 @@ def estimate_fbar(
     rng: RngStream | None = None,
 ) -> np.ndarray:
     """Averaged slow drift at a frozen input, by the drift's chosen mode."""
-    if drift.mode == "analytic_linear":
-        if coeffs.variant != "linear_test":
-            raise ValueError(
-                f"analytic_linear is only valid for the linear oracle family, "
-                f"coefficients are '{coeffs.variant}'"
-            )
-        return coeffs.fbar_factory(spec)(frozen.x, frozen.mu_stat)
-    if drift.mode == "stationary_quadrature":
-        if coeffs.fbar_factory is None:
-            raise ValueError(
-                f"family '{coeffs.variant}' exposes no stationary-law quadrature"
-            )
-        return coeffs.fbar_factory(spec)(frozen.x, frozen.mu_stat)
-    est, _ = ergodic_fbar(drift, frozen, spec, coeffs, rng)
-    return est
+    if drift.mode == "ergodic_estimate":
+        return ergodic_fbar(drift, frozen, spec, coeffs, rng)[0]
+    return averaged_drift_evaluator(drift, spec, coeffs)(frozen.x, frozen.mu_stat)
 
 
 def averaged_drift_evaluator(drift: AveragedDrift, spec: OperatorSpec, coeffs: CoefficientSet):
@@ -522,15 +448,11 @@ def averaged_drift_evaluator(drift: AveragedDrift, spec: OperatorSpec, coeffs: C
     """
     if drift.mode in ("analytic_linear", "stationary_quadrature"):
         if drift.mode == "analytic_linear" and coeffs.variant != "linear_test":
-            raise ValueError("analytic_linear is only valid for the linear oracle family")
+            raise ValueError(f"analytic_linear is only valid for the linear oracle family, "
+                             f"coefficients are '{coeffs.variant}'")
         if coeffs.fbar_factory is None:
             raise ValueError(f"family '{coeffs.variant}' exposes no closed-form Fbar")
-        fbar = coeffs.fbar_factory(spec)
-
-        def evaluate(x, mu_stat):
-            return fbar(x, mu_stat)
-
-        return evaluate
+        return coeffs.fbar_factory(spec)
 
     def evaluate(x, mu_stat):
         x = np.atleast_2d(x)
@@ -641,7 +563,6 @@ def simulate_averaged(
     particle_ids=None,
     replica: int = 0,
     record_every: int = 1,
-    block_steps: int = BLOCK_STEPS,
 ) -> PathEnsemble:
     """Averaged slow equation driven by the *same* slow noise as the paired run.
 
@@ -652,29 +573,17 @@ def simulate_averaged(
     """
     base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
     J = cfg.n_steps
-    if J % record_every != 0:
-        raise ValueError(f"record_every = {record_every} does not divide {J} steps")
+    (xs,), mu, observe = _recorder(J, record_every, (base.M, spec.n_modes), p=spec.p)
     fbar = averaged_drift_evaluator(drift, spec, coeffs)
-    dec_s, w_s, sig_s = _slow_weights(spec, cfg.h_fast)
     bank_s = StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, CH_SLOW,
                              replica=replica, particle_ids=particle_ids)
-    x = np.tile(base.xi, (base.M, 1))
-    n_rec = J // record_every + 1
-    xs = np.empty((base.M, n_rec, spec.n_modes))
-    xs[:, 0] = x
-    mu_track = np.empty(n_rec)
-    mu_track[0] = _empirical_mu_stat(x, spec.p)
-    for j0 in range(0, J, block_steps):
-        bs = min(block_steps, J - j0)
-        noise_s = bank_s.draw(bs) * sig_s
-        for jj in range(bs):
-            j = j0 + jj
-            m = _empirical_mu_stat(x, spec.p)
-            x = dec_s * x + w_s * fbar(x, m) + noise_s[:, jj]
-            if (j + 1) % record_every == 0:
-                r = (j + 1) // record_every
-                xs[:, r] = x
-                mu_track[r] = _empirical_mu_stat(x, spec.p)
+    advance(
+        {"averaged slow component": np.broadcast_to(base.xi, (base.M, spec.n_modes))},
+        [euler_weights(spec, cfg.h_fast)],
+        [(bank_s, convolution_scales(spec, cfg.h_fast, "slow"))],
+        lambda j, fields: [fbar(fields[0], mu[j])], J, observe,
+    )
+    mu_track = mu[::record_every]
     times = cfg.times[::record_every]
     return PathEnsemble(times=times, paths=xs, spec=spec, mu_stat=mu_track)
 
@@ -709,34 +618,11 @@ class StrongErrorStats:
         return float(se_mean / self.m * self.mean_pow ** (1.0 / self.m - 1.0))
 
 
-def _draw_scaled(banks, n_steps: int, sig: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """Next scaled noise block of every system, shape (R, M, n_steps, n_modes).
-
-    ``out`` is reused when it has that shape, else a new buffer is made.
-    """
-    shape = (len(banks), banks[0].n_particles, n_steps, banks[0].n_modes)
-    if out is None or out.shape != shape:
-        out = np.empty(shape)
-    for r, bank in enumerate(banks):
-        bank.draw(n_steps, out=out[r])
-    out *= sig
-    return out
-
-
-def _euler_into(out, decay, state, wdrift, drift, noise, scratch) -> None:
-    """out = decay * state + wdrift * drift + noise, summed in that order."""
-    np.multiply(decay, state, out=out)
-    np.multiply(wdrift, drift, out=scratch)
-    out += scratch
-    out += noise
-
-
 def strong_error_stats(
     cfg: MultiscaleConfig,
     drift: AveragedDrift,
     m: float | None = None,
     replicas=((0, None),),
-    block_steps: int = BLOCK_STEPS,
 ) -> tuple[StrongErrorStats, ...]:
     """Streaming synchronous-coupling errors between slow-fast and averaged runs.
 
@@ -752,8 +638,8 @@ def strong_error_stats(
     (R, M, n_modes) array; each system reads its own law statistic, and
     every reduction runs along one system's particle or mode axis, so a
     system's result has the same bits whatever else shares its batch.
-    Returns one :class:`StrongErrorStats` per system, in order.  A
-    non-finite error raises FloatingPointError naming epsilon, the
+    Returns one :class:`StrongErrorStats` per system, in order.  A NaN or
+    inf in X, Y or Xbar raises FloatingPointError naming epsilon, the
     replica and the step.
 
     Requires p <= m < alpha (heavy tails: higher moments of the sup do not
@@ -775,46 +661,46 @@ def strong_error_stats(
         raise ValueError("need at least one replica")
     fbar = averaged_drift_evaluator(drift, spec, coeffs)
     J = cfg.n_steps
-    dec_s, w_s, sig_s = _slow_weights(spec, cfg.h_fast)
-    dec_f, w_f, sig_f = _fast_weights(spec, cfg.h_fast, cfg.epsilon)
     banks_s, banks_f = (
         [StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, channel,
                          replica=rep, particle_ids=ids) for rep, ids in replicas]
         for channel in (CH_SLOW, CH_FAST)
     )
+    slow = (banks_s, convolution_scales(spec, cfg.h_fast, "slow"))
+    w_slow = euler_weights(spec, cfg.h_fast)
 
-    shape = (len(banks_s), base.M, spec.n_modes)
-    x, y = np.broadcast_to(base.xi, shape).copy(), np.broadcast_to(cfg.eta, shape).copy()
-    xb = x.copy()
-    x_next, y_next, xb_next, scratch = (np.empty(shape) for _ in range(4))
+    shape = (len(replicas), base.M, spec.n_modes)
+    diff = np.empty(shape)
     dist = np.empty(shape[:2])
     sup = np.zeros(shape[:2])
-    noise_s = noise_f = None
-    for j0 in range(0, J, block_steps):
-        bs = min(block_steps, J - j0)
-        noise_s = _draw_scaled(banks_s, bs, sig_s, noise_s)
-        noise_f = _draw_scaled(banks_f, bs, sig_f, noise_f)
-        for jj in range(bs):
-            m_x = _empirical_mu_stat(x, spec.p)[:, None, None]
-            m_b = _empirical_mu_stat(xb, spec.p)[:, None, None]
-            fd = coeffs.F(x, m_x, y)
-            gd = coeffs.G(x, m_x, y)
-            fb = fbar(xb, m_b)
-            _euler_into(x_next, dec_s, x, w_s, fd, noise_s[:, :, jj], scratch)
-            _euler_into(y_next, dec_f, y, w_f, gd, noise_f[:, :, jj], scratch)
-            _euler_into(xb_next, dec_s, xb, w_s, fb, noise_s[:, :, jj], scratch)
-            x, x_next, y, y_next, xb, xb_next = x_next, x, y_next, y, xb_next, xb
-            # |x - xb| per particle, as np.linalg.norm sums it
-            np.subtract(x, xb, out=scratch)
-            np.multiply(scratch, scratch, out=scratch)
-            np.sqrt(np.add.reduce(scratch, axis=-1, out=dist), out=dist)
-            if not np.isfinite(dist).all():
-                r = int(np.flatnonzero(~np.isfinite(dist).all(axis=1))[0])
-                raise FloatingPointError(
-                    f"non-finite coupling error at epsilon = {cfg.epsilon:.6g}, "
-                    f"replica {replicas[r][0]}, step {j0 + jj + 1} of {J}"
-                )
-            np.maximum(sup, dist, out=sup)
+
+    def drift_at(j, fields):
+        x, y, xb = fields
+        m_x = _empirical_mu_stat(x, spec.p)[:, None, None]
+        m_b = _empirical_mu_stat(xb, spec.p)[:, None, None]
+        return coeffs.F(x, m_x, y), coeffs.G(x, m_x, y), fbar(xb, m_b)
+
+    def track_sup(j, fields):
+        # |x - xb| per particle, as np.linalg.norm sums it
+        np.subtract(fields[0], fields[2], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sqrt(np.add.reduce(diff, axis=-1, out=dist), out=dist)
+        np.maximum(sup, dist, out=sup)
+
+    try:
+        advance(
+            {"slow component X": np.broadcast_to(base.xi, shape),
+             "fast component Y": np.broadcast_to(cfg.eta, shape),
+             "averaged slow component": np.broadcast_to(base.xi, shape)},
+            [w_slow, euler_weights(spec, cfg.h_fast, cfg.epsilon), w_slow],
+            [slow, (banks_f, convolution_scales(spec, cfg.h_fast, "fast", cfg.epsilon)), slow],
+            drift_at, J, track_sup,
+        )
+    except NonFiniteState as exc:
+        raise FloatingPointError(
+            f"non-finite coupling error at epsilon = {cfg.epsilon:.6g}, "
+            f"replica {replicas[exc.system][0]}, step {exc.step} of {J}"
+        ) from exc
     pw = sup**m
     return tuple(
         StrongErrorStats(
@@ -828,13 +714,3 @@ def strong_error_stats(
         for row in pw
     )
 
-
-def strong_error(
-    cfg: MultiscaleConfig,
-    drift: AveragedDrift,
-    m: float | None = None,
-    **kwargs,
-) -> float:
-    """((1/M) sum_i max_t |X_t^(i) - Xbar_t^(i)|^m)^(1/m) under synchronous coupling."""
-    (stats,) = strong_error_stats(cfg, drift, m, **kwargs)
-    return stats.error

@@ -51,7 +51,6 @@ __all__ = [
     "CH_FROZEN",
     "CH_PROJECTION",
     "CH_PROBE",
-    "CH_INIT",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -63,7 +62,6 @@ CH_FAST = 1
 CH_FROZEN = 2
 CH_PROJECTION = 3
 CH_PROBE = 4
-CH_INIT = 5
 
 
 @dataclass(frozen=True)

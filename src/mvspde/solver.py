@@ -19,7 +19,9 @@ frozen on the step:
 where eta_j is an *exact* sample of the stochastic-convolution increment
 over the step (see :mod:`mvspde.noise`).  There is therefore no
 discretisation error in the linear or noise parts — only in holding the
-drift and the law constant across a step.
+drift and the law constant across a step.  :func:`advance` is the one
+implementation of that step; every stepping loop of the package, here and
+in :mod:`mvspde.multiscale`, is a call of it.
 
 :func:`picard_law_iteration` reproduces the fixed-point construction of the
 solution law: freeze a candidate flow of laws, solve the now law-free
@@ -49,7 +51,9 @@ from .noise import RngStream, StableNoiseBank, convolution_scales, CH_PROJECTION
 __all__ = [
     "SimConfig",
     "PathEnsemble",
-    "step_exponential_euler",
+    "euler_weights",
+    "NonFiniteState",
+    "advance",
     "simulate_mkv",
     "PicardReport",
     "picard_law_iteration",
@@ -139,22 +143,6 @@ class PathEnsemble:
         return EmpiricalMeasure(self.paths[:, j])
 
 
-def step_exponential_euler(u, drift, h: float, spec: OperatorSpec, noise_inc) -> np.ndarray:
-    """One exponential Euler step; u, drift, noise broadcast over leading axes.
-
-    ``noise_inc`` is a mode array (or a convolution-increment object carrying
-    one in ``.field``); the linear and noise parts are exact, only the drift
-    is frozen at the left endpoint.
-    """
-    if h <= 0:
-        raise ValueError(f"step size must be positive: {h}")
-    noise = getattr(noise_inc, "field", noise_inc)
-    lam = spec.eigenvalues
-    decay = np.exp(-lam * h)
-    w = -np.expm1(-lam * h) / lam
-    return decay * np.asarray(u) + w * np.asarray(drift) + np.asarray(noise)
-
-
 def _empirical_mu_stat(x: np.ndarray, p: float):
     """Empirical p-moment statistic of each system in x, shape (..., M, n_modes).
 
@@ -169,12 +157,113 @@ def _empirical_mu_stat(x: np.ndarray, p: float):
     return roots[0] if means.ndim == 0 else np.reshape(roots, means.shape)
 
 
+def euler_weights(spec: OperatorSpec, h: float, epsilon: float = 1.0):
+    """(decay, drift weight) of one exponential Euler step on the clock 1/epsilon.
+
+    decay = e^{-lambda_k h/eps}, weight = (1 - e^{-lambda_k h/eps}) / lambda_k;
+    dividing by epsilon = 1.0 is exact, so slow steps keep the plain bits.
+    """
+    if h <= 0:
+        raise ValueError(f"step size must be positive: {h}")
+    lam = spec.eigenvalues
+    return np.exp(-lam * h / epsilon), -np.expm1(-lam * h / epsilon) / lam
+
+
+class NonFiniteState(FloatingPointError):
+    """A field turned NaN or inf at 1-based ``step``; ``system`` is the flat
+    index over the field's leading axes (None for an (M, n_modes) field)."""
+
+    def __init__(self, name: str, step: int, n_steps: int, system: int | None):
+        where = "" if system is None else f", system {system}"
+        super().__init__(f"non-finite {name} at step {step} of {n_steps}{where}")
+        self.step, self.system = step, system
+
+
+def _noise_block(source, j0: int, n: int, buf):
+    """Steps j0 .. j0 + n - 1 of a noise source, time on axis -2."""
+    if isinstance(source, np.ndarray):
+        return source[..., j0:j0 + n, :]
+    banks, scale = source
+    lead = () if isinstance(banks, StableNoiseBank) else (len(banks),)
+    banks = banks if lead else [banks]
+    shape = lead + (banks[0].n_particles, n, banks[0].n_modes)
+    if buf is None or buf.shape != shape:
+        buf = np.empty(shape)
+    for bank, rows in zip(banks, buf.reshape((-1,) + shape[-3:])):
+        bank.draw(n, out=rows)
+    buf *= scale
+    return buf
+
+
+def advance(states: dict, weights, noise, drift, n_steps: int, observe) -> list:
+    """Step named fields in lockstep by exponential Euler; return the final fields.
+
+    ``states`` maps names to initial fields of shape (M, n_modes), or
+    (R, M, n_modes) for R systems; each is copied into a C-ordered buffer,
+    so callbacks reduce over one layout whatever array was passed.  Per
+    field, ``weights`` holds an :func:`euler_weights` pair and ``noise`` a
+    source: scaled increments with time on axis -2, or (banks, scale) with
+    one :class:`StableNoiseBank` (or one per system), drawn ``BLOCK_STEPS``
+    steps at a time.  Fields listing the same source object share it.
+
+    At j = 0 .. n_steps - 1, ``observe(j, fields)`` runs first, then each
+    field becomes decay * field + weight * drift + noise, summed in that
+    order, with drifts from ``drift(j, fields)``; ``observe`` runs again at
+    n_steps.  The fields passed are buffers that later steps overwrite.  A
+    NaN or inf in any field after a step raises :class:`NonFiniteState`.
+    """
+    names = list(states)
+    fields = [np.array(v, dtype=float, order="C") for v in states.values()]
+    spare, scratch = [np.empty_like(f) for f in fields], [np.empty_like(f) for f in fields]
+    sources = {id(src): src for src in noise}
+    blocks = dict.fromkeys(sources)
+    block_steps = BLOCK_STEPS
+    for j0 in range(0, n_steps, block_steps):
+        n = min(block_steps, n_steps - j0)
+        for key, src in sources.items():
+            blocks[key] = _noise_block(src, j0, n, blocks[key])
+        rows = [blocks[id(src)] for src in noise]
+        for j in range(j0, j0 + n):
+            observe(j, fields)
+            for k, d in enumerate(drift(j, fields)):
+                np.multiply(weights[k][0], fields[k], out=spare[k])
+                np.multiply(weights[k][1], d, out=scratch[k])
+                spare[k] += scratch[k]
+                spare[k] += rows[k][..., j - j0, :]
+            fields, spare = spare, fields
+            for name, f in zip(names, fields):
+                if not np.isfinite(f).all():
+                    bad = np.argwhere(~np.isfinite(f))[0][:-2]
+                    system = int(np.ravel_multi_index(bad, f.shape[:-2])) if bad.size else None
+                    raise NonFiniteState(name, j + 1, n_steps, system)
+    observe(n_steps, fields)
+    return fields
+
+
+def _recorder(n_steps: int, every: int, shape, n_fields: int = 1, p: float | None = None):
+    """(paths, mu, observe): an :func:`advance` hook recording the first
+    ``n_fields`` fields (each of ``shape``) at every ``every``-th grid time
+    and, when ``p`` is given, field 0's p-moment statistic at every time."""
+    if n_steps % every != 0:
+        raise ValueError(f"record_every = {every} does not divide {n_steps} steps")
+    paths = [np.empty((shape[0], n_steps // every + 1, shape[1])) for _ in range(n_fields)]
+    mu = np.empty(n_steps + 1)
+
+    def observe(j, fields):
+        if p is not None:
+            mu[j] = _empirical_mu_stat(fields[0], p)
+        if j % every == 0:
+            for path, f in zip(paths, fields):
+                path[:, j // every] = f
+
+    return paths, mu, observe
+
+
 def simulate_mkv(
     config: SimConfig,
     particle_ids=None,
     replica: int = 0,
     law_override: np.ndarray | None = None,
-    block_steps: int = BLOCK_STEPS,
     noise: np.ndarray | None = None,
 ) -> PathEnsemble:
     """Simulate the interacting particle system (or a frozen-law system).
@@ -199,42 +288,29 @@ def simulate_mkv(
             raise ValueError(
                 f"law_override must have shape ({J + 1},), got {law_override.shape}"
             )
-    lam = spec.eigenvalues
-    decay = np.exp(-lam * config.h)
-    wdrift = -np.expm1(-lam * config.h) / lam
     if noise is None:
         bank = StableNoiseBank(
             config.seed, spec.alpha, config.M, spec.n_modes, CH_SLOW,
             replica=replica, particle_ids=particle_ids,
         )
-        sig = convolution_scales(spec, config.h, "slow")
-        blocks = (
-            (j0, bank.draw(min(block_steps, J - j0)) * sig)
-            for j0 in range(0, J, block_steps)
-        )
+        noise = (bank, convolution_scales(spec, config.h, "slow"))
     else:
         noise = np.asarray(noise, dtype=float)
         if noise.shape != (config.M, J, spec.n_modes):
             raise ValueError(
                 f"noise must have shape {(config.M, J, spec.n_modes)}, got {noise.shape}"
             )
-        blocks = [(0, noise)]
 
-    x = np.tile(config.xi, (config.M, 1))
-    paths = np.empty((config.M, J + 1, spec.n_modes))
-    paths[:, 0] = x
-    mu_track = np.empty(J + 1)
-
-    for j0, block in blocks:
-        for jj in range(block.shape[1]):
-            j = j0 + jj
-            m = law_override[j] if law_override is not None else _empirical_mu_stat(x, spec.p)
-            mu_track[j] = m
-            drift = coeffs.B(x, m)
-            x = decay * x + wdrift * drift + block[:, jj]
-            paths[:, j + 1] = x
-    mu_track[J] = (
-        law_override[J] if law_override is not None else _empirical_mu_stat(x, spec.p)
+    shape = (config.M, spec.n_modes)
+    (paths,), mu_track, observe = _recorder(
+        J, 1, shape, p=spec.p if law_override is None else None
+    )
+    if law_override is not None:
+        mu_track[:] = law_override
+    advance(
+        {"interacting particle state": np.broadcast_to(config.xi, shape)},
+        [euler_weights(spec, config.h)], [noise],
+        lambda j, fields: [coeffs.B(fields[0], mu_track[j])], J, observe,
     )
     return PathEnsemble(times=config.times, paths=paths, spec=spec, mu_stat=mu_track)
 

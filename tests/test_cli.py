@@ -186,6 +186,24 @@ class TestSmokeRuns:
         assert "fitted slope" in out
 
 
+    def test_aux_gap(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            sim={"T": 0.5, "h": 0.03125, "M": 32, "h_fast": 2**-9},
+            study={"kind": "aux-gap", "grid": [0.125, 0.0625, 0.03125, 0.015625],
+                   "epsilon": 0.03125, "h_fast_ratio": None, "n_replicas": 2,
+                   "m": None},
+        )
+        assert run(["aux-gap", "--config", cfg, "--out",
+                    str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert "fitted slope" in out
+        manifest = Path(out.strip().splitlines()[-1])
+        assert manifest.parent.parent.name == "aux-gap"
+        meta = json.loads((manifest.parent / "meta.json").read_text())
+        assert meta["meta"]["error_kind"] == "aux"
+
+
 class TestDeterminismFlags:
     def test_threads_do_not_change_results(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

@@ -4,8 +4,11 @@ The picard and simulate result.csv digests were recorded from the code
 before the Picard iteration was sped up (pruned weighted-Wasserstein sup,
 noise drawn once per study); every meta.json digest and the rate and
 hoelder cases were recorded from the code before the rate study batched
-its replicas into one kernel.  A change that alters these bytes must say
-so and re-record them.
+its replicas into one kernel.  The aux-gap, ergodicity and rate-default8
+cases and the in-process ergodic_fbar and simulate_averaged pins were
+recorded from the code before the seven stepping loops became one
+exponential-Euler kernel.  A change that alters these bytes must say so
+and re-record them.
 
 Each case runs the CLI in a fresh interpreter with the BLAS thread pools
 pinned to one thread: the averaged-drift quadrature table is a BLAS
@@ -21,7 +24,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mvspde.coefficients import bounded_smooth, linear_test
+from mvspde.multiscale import (
+    AveragedDrift,
+    FrozenInput,
+    MultiscaleConfig,
+    ergodic_fbar,
+    simulate_averaged,
+)
+from mvspde.solver import SimConfig
+from mvspde.spectral import OperatorSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -36,6 +51,17 @@ BASE_CFG = {
 
 RATE_STUDY = {"kind": "rate", "grid": [0.0625, 0.03125, 0.015625, 0.0078125],
               "m": 1.0, "h_fast_ratio": 0.0625, "n_replicas": 4, "n_iters": None}
+
+DEFAULT8_RATE = {
+    "operator": {"n_modes": 8, "a": 2.0, "b": 1.0, "g": 1.0, "c_lambda": 1.0,
+                 "c_beta": 1.0, "c_gamma": 1.0, "alpha": 1.5,
+                 "theta": 1.3333333333333333, "p": 1.0},
+    "coefficients": {"variant": "bounded_smooth", "a": 1.0, "b_mu": 0.5, "c": 0.5, "K": 4},
+    "sim": {"T": 0.25, "h": 0.015625, "M": 64, "seed": 1729,
+            "xi": [0.5, -0.3, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0], "eta": 0.0},
+    "study": {"kind": "rate", "grid": [0.0625, 0.03125, 0.015625, 0.0078125],
+              "m": 1.0, "h_fast_ratio": 0.0625, "n_replicas": 8, "n_iters": None},
+}
 
 # name -> (command, section overrides, threads, sha256 of result.csv, of meta.json)
 CASES = {
@@ -96,6 +122,35 @@ CASES = {
         "c6ea09da90d8eb718ca9cc54975b3b6d64956f3b9ce38d5655e704197a98f402",
         "f8674eadb7920c2a0c31fa9a48adecf361e7372acd2bdae8ca7a8e56e1af482f",
     ),
+    # the fast path against its block-frozen auxiliary twin
+    "aux-gap": (
+        "aux-gap",
+        {"sim": {"M": 16, "h_fast": 1 / 256},
+         "study": {"kind": "aux-gap", "epsilon": 0.0625, "grid": [0.03125, 0.0625, 0.125],
+                   "n_replicas": 2, "n_iters": None}},
+        1,
+        "72f764696bd25d8ec73e6b067656cae360590c3e1db8de4a3ae4ddde0428b3e4",
+        "9916506ccb5a0e97d283d182c26686e14fd5c5672892a50c4d2efae739b784af",
+    ),
+    # frozen-equation ensembles on the linear oracle family
+    "ergodicity": (
+        "ergodicity",
+        {"operator": {"n_modes": 2},
+         "coefficients": {"variant": "linear_test", "a": 1.0, "c": 0.5, "K": None},
+         "sim": {"xi": [2.0, 0.0]},
+         "study": {"kind": "ergodicity", "grid": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
+                   "ensemble": 600, "n_iters": None}},
+        1,
+        "0a63fd223288f3657e7a6c605c74a6fd9ee940caeafcd40189c2344a795e8fa1",
+        "9a5804afda498cf1538f0a0055acb89de5b78bded812e392c05ce39cf4713ed3",
+    ),
+    # the operator and coefficients of configs/default.json: 8 modes, K = 4,
+    # eight systems of 8 particles per scale ratio
+    "rate-default8": (
+        "rate-study", DEFAULT8_RATE, 1,
+        "21f2e04ff7edc2f22f5151989223bebc22c0e912813ca3b8838fc01e134c38f5",
+        "d315bfd0f39512d54dab34a8cd141e505cee66daec4e82eee0d23f0db0b40610",
+    ),
 }
 
 
@@ -127,3 +182,44 @@ def run_digests(tmp_path, command, overrides, threads):
 def test_result_digest(name, tmp_path):
     command, overrides, threads, csv_digest, meta_digest = CASES[name]
     assert run_digests(tmp_path, command, overrides, threads) == (csv_digest, meta_digest)
+
+
+# --------------------------------------------------------------------------
+# in-process pins of loops that no subcommand reaches; their drifts are
+# elementwise maps, so no BLAS call enters the bits
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+# relax_time -> sha256 of (estimate, stderr); 4,800 averaging steps cross
+# several noise blocks, and relax_time = 0 starts averaging at once
+ERGODIC_FBAR = {
+    2.0: "bb968aa1c9aaf6f5275e126f532e8403698e63a09eff62f76c101b554a96089f",
+    0.0: "a21a7ee204edb5e30847afad9b2b82eb8dd23b565238eef85cabe7d861dd2388",
+}
+
+
+@pytest.mark.parametrize("relax_time", sorted(ERGODIC_FBAR))
+def test_ergodic_fbar_digest(relax_time):
+    spec = OperatorSpec(n_modes=4, a=2.0, b=1.0, g=1.0, alpha=1.5, theta=1.0, p=1.0)
+    frozen = FrozenInput(x=np.array([0.5, -0.3, 0.2, 0.0]), mu_stat=0.6,
+                         y0=np.array([0.1, 0.0, -0.2, 0.0]))
+    drift = AveragedDrift(mode="ergodic_estimate", seed=7, relax_time=relax_time,
+                          avg_time=24.0)
+    est, stderr = ergodic_fbar(drift, frozen, spec, bounded_smooth(spec))
+    assert _sha256(est, [stderr]) == ERGODIC_FBAR[relax_time]
+
+
+def test_simulate_averaged_digest():
+    spec = OperatorSpec(n_modes=4, a=2.0, b=1.0, g=1.0, alpha=1.5, theta=1.0, p=1.0)
+    base = SimConfig(spec=spec, coeffs=linear_test(spec, a=1.0, c=0.5), T=0.5,
+                     h=0.125, M=16, seed=3, xi=[0.5, -0.3, 0.2, 0.0])
+    cfg = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-12, eta=0.1)
+    ens = simulate_averaged(cfg, AveragedDrift(mode="analytic_linear"), record_every=4)
+    assert _sha256(ens.paths, ens.mu_stat) == (
+        "5e31127cc8154d79e41b35c432db8e5a7683ec96f47793e89939bf1d126d5e5e")

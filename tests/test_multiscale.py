@@ -16,9 +16,9 @@ from mvspde.multiscale import (
     simulate_frozen,
     simulate_slow_fast,
     slow_snapshots,
-    strong_error,
     strong_error_stats,
 )
+from mvspde import solver
 from mvspde.noise import RngStream, sample_convolution_increment
 from mvspde.solver import SimConfig, simulate_mkv
 from mvspde.spectral import OperatorSpec
@@ -138,6 +138,24 @@ class TestSimulateSlowFast:
         assert np.array_equal(sf.slow.paths[:, 0, :], np.tile(base.xi, (8, 1)))
         assert np.array_equal(sf.fast.paths[:, 0, :], np.zeros((8, 4)))
         assert np.allclose(sf.slow.times, cfg.times)
+
+    def test_nonfinite_fast_component_raises_naming_the_step(self, spec4):
+        calls = []
+
+        def G(x, s, y):
+            calls.append(None)
+            return np.full(4, np.nan if len(calls) == 4 else 0.0)
+
+        co = CoefficientSet(
+            variant="custom", B=lambda x, s: np.zeros(4), F=lambda x, s, y: np.zeros(4),
+            G=G, lip_C=1.0, lip_G_y=0.0, p=1.0, F_bounded=True, bound_const=0.0,
+            fbar_factory=None, g_y_slope=0.0,
+        )
+        base = SimConfig(spec=spec4, coeffs=co, T=0.5, h=0.25, M=8, seed=21, xi=0.4)
+        cfg = MultiscaleConfig(base=base, epsilon=0.125, h_fast=1 / 128)
+        with pytest.raises(FloatingPointError,
+                           match=r"non-finite fast component Y at step 4 of 64"):
+            simulate_slow_fast(cfg)
 
     def test_fast_moment_uniform_in_epsilon(self, spec4):
         co = zero_coeffs(4)
@@ -403,14 +421,14 @@ class TestAveragedEquationAndStrongError:
                          seed=0, xi=0.3)
         cfg = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9)
         with pytest.raises(ValueError, match="unbounded"):
-            strong_error(cfg, AveragedDrift(mode="analytic_linear"))
+            strong_error_stats(cfg, AveragedDrift(mode="analytic_linear"))
 
     def test_moment_order_bounds(self, spec4, coeffs4):
         cfg = self._cfg(coeffs4, spec4, M=8)
         drift = AveragedDrift(mode="stationary_quadrature")
         for bad_m in (1.5, 0.5):
             with pytest.raises(ValueError, match="moment order"):
-                strong_error(cfg, drift, m=bad_m)
+                strong_error_stats(cfg, drift, m=bad_m)
 
     def test_estimator_independent_of_delta(self, spec4, coeffs4):
         drift = AveragedDrift(mode="stationary_quadrature")
@@ -464,12 +482,14 @@ class TestReplicaBatch:
         return MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9, eta=0.1)
 
     @pytest.mark.parametrize("m", [1.0, 1.25])
-    def test_batch_rows_equal_single_systems(self, spec8, coeffs8, m):
+    def test_batch_rows_equal_single_systems(self, spec8, coeffs8, m, monkeypatch):
         cfg = self._cfg(spec8, coeffs8)
         drift = AveragedDrift(mode="stationary_quadrature")
         replicas = [(3, range(0, 12)), (4, range(12, 24)), (9, range(24, 36))]
         # 24-step blocks leave a short last block of the 128 steps
-        batch = strong_error_stats(cfg, drift, m=m, replicas=replicas, block_steps=24)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "BLOCK_STEPS", 24)
+            batch = strong_error_stats(cfg, drift, m=m, replicas=replicas)
         assert len(batch) == 3
         for stats, replica in zip(batch, replicas):
             (alone,) = strong_error_stats(cfg, drift, m=m, replicas=[replica])

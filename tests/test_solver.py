@@ -13,14 +13,16 @@ from mvspde.noise import (
     convolution_scales,
     sample_convolution_increment,
 )
+from mvspde import solver
 from mvspde.solver import (
     PicardReport,
     SimConfig,
     _empirical_mu_stat,
+    advance,
+    euler_weights,
     moment_bound_check,
     picard_law_iteration,
     simulate_mkv,
-    step_exponential_euler,
 )
 from mvspde.spectral import OperatorSpec, apply_semigroup
 
@@ -51,37 +53,68 @@ def linear_drift_coeffs(n, a):
     )
 
 
+def euler_run(u0, drift, h, spec, n_steps=1):
+    """Final field of n_steps noise-free kernel steps under a constant drift."""
+    u0 = np.asarray(u0, dtype=float)[None, :]
+    (u,) = advance({"u": u0}, [euler_weights(spec, h)],
+                   [np.zeros((1, n_steps, u0.shape[1]))],
+                   lambda j, fields: [drift], n_steps, lambda j, fields: None)
+    return u[0]
+
+
 class TestStepExponentialEuler:
+    """Exponential Euler steps through euler_weights and the advance kernel."""
+
     def test_pure_decay(self, spec4):
         u = np.array([1.0, -0.5, 2.0, 0.25])
-        out = step_exponential_euler(u, np.zeros(4), 0.3, spec4, np.zeros(4))
+        out = euler_run(u, np.zeros(4), 0.3, spec4)
         assert np.allclose(out, apply_semigroup(u, 0.3, spec4), rtol=1e-15)
 
     def test_constant_drift_reaches_stationary_point(self, spec4):
         d = np.array([1.0, 2.0, -1.0, 0.5])
-        u = np.zeros(4)
-        for _ in range(200):
-            u = step_exponential_euler(u, d, 0.5, spec4, np.zeros(4))
+        u = euler_run(np.zeros(4), d, 0.5, spec4, n_steps=200)
         assert np.allclose(u, d / spec4.eigenvalues, rtol=1e-9)
 
     def test_hand_fixed_point(self):
         spec = OperatorSpec(n_modes=1, a=2.0, b=1.0, g=1.0, alpha=1.5,
                             theta=1.0, p=1.0)
-        out = step_exponential_euler(np.array([1.0]), np.array([1.0]),
-                                     math.log(2.0), spec, np.zeros(1))
+        out = euler_run([1.0], np.array([1.0]), math.log(2.0), spec)
         assert out[0] == pytest.approx(1.0, abs=1e-15)
 
-    def test_accepts_increment_object(self, spec4, rng):
-        inc = sample_convolution_increment(spec4, 0.5, RngStream(4))
-        via_obj = step_exponential_euler(np.ones(4), np.zeros(4), 0.5, spec4, inc)
-        via_arr = step_exponential_euler(np.ones(4), np.zeros(4), 0.5, spec4,
-                                         inc.field)
-        assert np.array_equal(via_obj, via_arr)
-
     def test_nonpositive_step_rejected(self, spec4):
-        with pytest.raises(ValueError):
-            step_exponential_euler(np.zeros(4), np.zeros(4), 0.0, spec4,
-                                   np.zeros(4))
+        for h in (0.0, -0.1):
+            with pytest.raises(ValueError, match="step size"):
+                euler_weights(spec4, h)
+
+    def test_fields_listing_one_source_share_its_increments(self, spec4):
+        bank = StableNoiseBank(3, spec4.alpha, 5, 4, CH_SLOW)
+        source = (bank, convolution_scales(spec4, 0.1, "slow"))
+        a, b = advance({"a": np.zeros((5, 4)), "b": np.zeros((5, 4))},
+                       [euler_weights(spec4, 0.1)] * 2, [source, source],
+                       lambda j, fields: [0.0, 0.0], 9, lambda j, fields: None)
+        assert np.array_equal(a, b) and np.all(a != 0.0)
+
+    def test_observe_sees_every_grid_time_before_its_step(self, spec4):
+        seen = []
+        advance({"u": np.ones((2, 4))}, [euler_weights(spec4, 0.1)],
+                [np.zeros((2, 3, 4))], lambda j, fields: [0.0],
+                3, lambda j, fields: seen.append((j, fields[0][0, 0])))
+        decay = euler_weights(spec4, 0.1)[0][0]
+        assert [j for j, _ in seen] == [0, 1, 2, 3]
+        assert [v for _, v in seen] == pytest.approx([1.0, decay, decay**2, decay**3],
+                                                     rel=1e-15)
+
+    def test_nonfinite_field_names_step_and_system(self, spec4):
+        def drift(j, fields):
+            d = np.zeros((3, 2, 4))
+            if j == 4:
+                d[2, 1, 0] = np.nan
+            return [d]
+
+        with pytest.raises(FloatingPointError,
+                           match=r"non-finite u at step 5 of 8, system 2"):
+            advance({"u": np.zeros((3, 2, 4))}, [euler_weights(spec4, 0.1)],
+                    [np.zeros((3, 2, 8, 4))], drift, 8, lambda j, fields: None)
 
 
 class TestSimConfig:
@@ -191,15 +224,35 @@ class TestSimulateMkv:
             assert gap == pytest.approx(ref, abs=1e-12)
             assert gap <= math.exp(-spec.lambda_1 * t) * np.linalg.norm(xi) + 1e-12
 
-    def test_given_noise_replays_self_drawn_blocks(self, spec4, coeffs4):
+    def test_given_noise_replays_self_drawn_blocks(self, spec4, coeffs4, monkeypatch):
         cfg = SimConfig(spec=spec4, coeffs=coeffs4, T=0.5, h=1 / 40, M=6,
                         seed=13, xi=0.2)
         bank = StableNoiseBank(cfg.seed, spec4.alpha, cfg.M, 4, CH_SLOW)
         noise = bank.draw(cfg.n_steps) * convolution_scales(spec4, cfg.h, "slow")
-        drawn = simulate_mkv(cfg, block_steps=7)
+        # 7-step blocks leave a short last block of the 20 steps
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "BLOCK_STEPS", 7)
+            drawn = simulate_mkv(cfg)
         given_noise = simulate_mkv(cfg, noise=noise)
         assert np.array_equal(drawn.paths, given_noise.paths)
         assert np.array_equal(drawn.mu_stat, given_noise.mu_stat)
+
+    def test_nonfinite_drift_raises_naming_the_step(self, spec4):
+        calls = []
+
+        def B(x, s):
+            calls.append(None)
+            return np.full(4, np.inf if len(calls) == 3 else 0.0)
+
+        co = CoefficientSet(
+            variant="custom", B=B, F=lambda x, s, y: np.zeros(4),
+            G=lambda x, s, y: np.zeros(4), lip_C=1.0, lip_G_y=0.5, p=1.0,
+            F_bounded=True, bound_const=0.0, fbar_factory=None, g_y_slope=0.0,
+        )
+        cfg = SimConfig(spec=spec4, coeffs=co, T=0.5, h=0.125, M=3, seed=1, xi=0.2)
+        with pytest.raises(FloatingPointError,
+                           match=r"non-finite interacting particle state at step 3 of 4"):
+            simulate_mkv(cfg)
 
     def test_given_noise_shape_checked(self, spec4, coeffs4):
         cfg = SimConfig(spec=spec4, coeffs=coeffs4, T=0.5, h=0.125, M=3,
