@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .spectral import OperatorSpec, AssumptionCheck, ValidationReport, validate_spec
-from .noise import RngStream, CH_PROBE, stable_quadrature_rule
+from .noise import RngStream, CH_PROBE, stable_quadrature_rule, weighted_row_sums
 from .measures import EmpiricalMeasure, wasserstein_exact
 
 __all__ = [
@@ -73,6 +73,12 @@ class CoefficientSet:
     ``fbar_factory(spec)``, when present, returns the exact averaged slow
     drift ``(x, mu_stat) -> field`` obtained by integrating F against the
     stationary law of the frozen equation.
+
+    ``y_modes``, when set, is the number of leading modes through which F
+    and G read the fast variable: F and G then accept a fast field holding
+    only those modes (G returns a field shaped like y), and the fast modes
+    past them are an Ornstein-Uhlenbeck process nothing observes.  None
+    means all modes.
     """
 
     variant: str
@@ -87,6 +93,7 @@ class CoefficientSet:
     fbar_factory: Callable | None = None
     # slope of G in y when affine (frozen equation is then exactly soluble)
     g_y_slope: float | None = None
+    y_modes: int | None = None
 
 
 def bounded_smooth(
@@ -106,6 +113,11 @@ def bounded_smooth(
     joint Lipschitz constant is max(a, b_mu) (tanh is 1-Lipschitz and the
     measure statistic enters through min(1, .)); G is Lipschitz with
     constant max(a, |c|) and its y-slope is exactly c.
+
+    F reads y on the first K modes only (``y_modes`` = K) and evaluates
+    tanh there; its other modes hold +0.0 before the measure term, as
+    ``a tanh(.) * 0.0 + 0.0`` does.  G evaluates tanh on as many modes as
+    y holds and returns a field shaped like y.
     """
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
@@ -122,12 +134,16 @@ def bounded_smooth(
     def F(x, mu_stat, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return a * np.tanh(x + y) * active + (b_mu * np.minimum(1.0, mu_stat)) * e1
+        head = a * np.tanh(x[..., :k_act] + (y[..., :k_act] if y.ndim else y))
+        out = np.zeros(head.shape[:-1] + e1.shape)
+        out[..., :k_act] = head
+        return out + (b_mu * np.minimum(1.0, mu_stat)) * e1
 
     def G(x, mu_stat, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return a * np.tanh(x) * active + c * y
+        n = y.shape[-1] if y.ndim else None
+        return a * np.tanh(x[..., :n]) * active[:n] + c * y
 
     def B(x, mu_stat):
         return F(x, mu_stat, 0.0)
@@ -147,6 +163,7 @@ def bounded_smooth(
         bound_const=a * np.sqrt(k_act) + b_mu,
         fbar_factory=fbar_factory,
         g_y_slope=c,
+        y_modes=k_act,
     )
 
 
@@ -249,10 +266,11 @@ def _tanh_fbar(spec: OperatorSpec, a: float, b_mu: float, c: float, k_act: int):
     m_k = a tanh(x_k) / (lambda_k - c) shifted by zeta_k S, where
     zeta_k = gamma_k / (alpha (lambda_k - c))**(1/alpha).  Averaging the
     slow drift over that law needs Phi_zeta(u) = E[tanh(u + zeta S)], which
-    is precomputed on a grid per distinct zeta and linearly interpolated,
-    all K active modes in one :class:`StackedInterp` gather.  Outside the
-    grid Phi is clamped to its end values; the clamp error is bounded by
-    the stable tail mass beyond the grid edge, ~ (zeta/40)^alpha.
+    is precomputed on a grid per distinct zeta (row-blocked fixed-order
+    sums, so no BLAS thread count reaches the bits) and linearly
+    interpolated, all K active modes in one :class:`StackedInterp` gather.
+    Outside the grid Phi is clamped to its end values; the clamp error is
+    bounded by the stable tail mass beyond the grid edge, ~ (zeta/40)^alpha.
     """
     cache_key = (
         spec.n_modes, spec.a, spec.g, spec.c_lambda, spec.c_gamma, spec.alpha,
@@ -275,7 +293,7 @@ def _tanh_fbar(spec: OperatorSpec, a: float, b_mu: float, c: float, k_act: int):
     for z in keys:
         if z not in tables:
             # Phi(u) = sum_i w_i tanh(u + z s_i); rows are u, columns nodes
-            tables[z] = np.tanh(u_grid[:, None] + z * nodes[None, :]) @ weights
+            tables[z] = weighted_row_sums(np.add, np.tanh, u_grid, z * nodes, weights)
     e1 = np.zeros(spec.n_modes)
     e1[0] = 1.0
     gather = StackedInterp(u_grid, [tables[z] for z in keys])

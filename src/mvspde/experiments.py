@@ -15,7 +15,8 @@ replica moments by exact sum-of-squares in fixed (grid, replica) order.
 The rate study advances the equal-size replicas of a grid point as one
 batch, and a replica's moments do not depend on its batch, so neither
 the batching nor the worker count changes a single bit of output.  Wall time
-is recorded only in the manifest, never in hashed or persisted content.
+and peak memory are recorded only in the manifest, never in hashed or
+persisted content.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import resource
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -807,6 +809,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process or of its largest reaped worker, MB.
+
+    ``ru_maxrss`` is in kB on Linux.
+    """
+    usage = (resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return max(u.ru_maxrss for u in usage) / 1024.0
+
+
 def persist(result: ExperimentResult, out_dir) -> Path:
     """Write a result under out_dir/<kind>/<config_hash>/ and return the manifest.
 
@@ -814,7 +825,7 @@ def persist(result: ExperimentResult, out_dir) -> Path:
     fit, flags — stable key order, no timestamps), loglog.dat (log10
     columns for plotting) and manifest.json listing the files with sha256
     digests.  Identical (config, seeds) runs produce byte-identical
-    csv/json/dat; only the manifest's runtime_s field varies.
+    csv/json/dat; only the manifest's runtime_s and peak_rss_mb fields vary.
     """
     if not result.grid:
         raise ValueError("refusing to persist a result with an empty grid")
@@ -860,6 +871,7 @@ def persist(result: ExperimentResult, out_dir) -> Path:
         "config_hash": result.config_hash,
         "files": {p.name: _sha256(p) for p in (csv_path, meta_path, dat_path)},
         "runtime_s": result.runtime_s,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     manifest_path = root / "manifest.json"
     manifest_path.write_text(

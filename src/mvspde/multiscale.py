@@ -640,7 +640,10 @@ def strong_error_stats(
     system's result has the same bits whatever else shares its batch.
     Returns one :class:`StrongErrorStats` per system, in order.  A NaN or
     inf in X, Y or Xbar raises FloatingPointError naming epsilon, the
-    replica and the step.
+    replica and the step.  Y holds only the ``coeffs.y_modes`` leading
+    modes, the ones F reads (all modes when None); the fast noise of the
+    modes past them is drawn but never transformed, so every stream and
+    every bit of the result are those of a full-width Y.
 
     Requires p <= m < alpha (heavy tails: higher moments of the sup do not
     exist) and a coefficient family with bounded slow drift — with
@@ -668,6 +671,9 @@ def strong_error_stats(
     )
     slow = (banks_s, convolution_scales(spec, cfg.h_fast, "slow"))
     w_slow = euler_weights(spec, cfg.h_fast)
+    head = slice(coeffs.y_modes)
+    fast = (banks_f, convolution_scales(spec, cfg.h_fast, "fast", cfg.epsilon)[head])
+    w_fast = [w[head] for w in euler_weights(spec, cfg.h_fast, cfg.epsilon)]
 
     shape = (len(replicas), base.M, spec.n_modes)
     diff = np.empty(shape)
@@ -690,10 +696,10 @@ def strong_error_stats(
     try:
         advance(
             {"slow component X": np.broadcast_to(base.xi, shape),
-             "fast component Y": np.broadcast_to(cfg.eta, shape),
+             "fast component Y": np.broadcast_to(cfg.eta[head], shape[:2] + fast[1].shape),
              "averaged slow component": np.broadcast_to(base.xi, shape)},
-            [w_slow, euler_weights(spec, cfg.h_fast, cfg.epsilon), w_slow],
-            [slow, (banks_f, convolution_scales(spec, cfg.h_fast, "fast", cfg.epsilon)), slow],
+            [w_slow, w_fast, w_slow],
+            [slow, fast, slow],
             drift_at, J, track_sup,
         )
     except NonFiniteState as exc:

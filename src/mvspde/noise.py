@@ -45,6 +45,7 @@ __all__ = [
     "tail_slope",
     "standard_stable_pdf",
     "stable_quadrature_rule",
+    "weighted_row_sums",
     "StableNoiseBank",
     "CH_SLOW",
     "CH_FAST",
@@ -261,6 +262,33 @@ def tail_slope(
     return float(slope)
 
 
+# rows per block of a quadrature matrix: a block of 2400 nodes is ~5 MB
+QUADRATURE_BLOCK_ROWS = 256
+
+
+def weighted_row_sums(combine, kernel, x, t, weights) -> np.ndarray:
+    """sum_j weights[j] * kernel(combine(x[i], t[j])) for every x[i].
+
+    ``combine`` is a binary ufunc (its ``outer`` forms a block of the
+    matrix) and ``kernel`` a unary one.  The matrix is built
+    ``QUADRATURE_BLOCK_ROWS`` rows at a time in one preallocated buffer,
+    and each row is reduced by ``np.add.reduce`` along the contiguous
+    column axis: a fixed-order sum whose bits depend on no BLAS thread
+    count and on no block size (Demmel & Nguyen, "Fast reproducible
+    floating-point summation", ARITH 2013).
+    """
+    out = np.empty(x.size)
+    buf = np.empty((min(QUADRATURE_BLOCK_ROWS, x.size), t.size))
+    for i in range(0, x.size, QUADRATURE_BLOCK_ROWS):
+        rows = x[i:i + QUADRATURE_BLOCK_ROWS]
+        blk = buf[:rows.size]
+        combine.outer(rows, t, out=blk)
+        kernel(blk, out=blk)
+        blk *= weights
+        np.add.reduce(blk, axis=1, out=out[i:i + rows.size])
+    return out
+
+
 def standard_stable_pdf(x, alpha: float, n_t: int = 4096, t_max: float | None = None):
     """Density of the standard symmetric alpha-stable law by cosine inversion.
 
@@ -279,12 +307,7 @@ def standard_stable_pdf(x, alpha: float, n_t: int = 4096, t_max: float | None = 
     wt = np.full(n_t, t[1] - t[0])
     wt[0] = wt[-1] = wt[0] / 2.0
     damp = np.exp(-(t**alpha)) * wt
-    out = np.empty_like(x)
-    # chunk the outer product to bound memory at ~8 MB
-    chunk = max(1, int(1_000_000 / n_t))
-    for i in range(0, x.size, chunk):
-        xi = x[i : i + chunk]
-        out[i : i + chunk] = np.cos(np.outer(xi, t)) @ damp
+    out = weighted_row_sums(np.multiply, np.cos, x.ravel(), t, damp).reshape(x.shape)
     out /= np.pi
     return out if out.size > 1 else float(out[0])
 
@@ -351,9 +374,12 @@ class StableNoiseBank:
     def draw(self, n_steps: int, out: np.ndarray | None = None) -> np.ndarray:
         """Next (n_particles, n_steps, n_modes) block of standard stable draws.
 
-        ``out``, when given, is a C-contiguous array of that shape that
-        receives the block and is returned; a batch of banks can so fill the
-        rows of one preallocated array.
+        ``out``, when given, is a C-contiguous array of shape (n_particles,
+        n_steps, k) with k <= n_modes that receives the block's k leading
+        modes and is returned; a batch of banks can so fill the rows of one
+        preallocated array.  Only those modes go through the CMS transform,
+        but every step still consumes the uniform and exponential words of
+        all n_modes, so the streams stand where a full draw leaves them.
         """
         shape = (n_steps, self.n_modes)
         u = np.empty((self.n_particles,) + shape)
@@ -361,4 +387,5 @@ class StableNoiseBank:
         for i, (gu, gw) in enumerate(self._pairs):
             u[i] = gu.uniform(-np.pi / 2.0, np.pi / 2.0, shape)
             gw.standard_exponential(out=w[i])
-        return _cms(u, w, self.alpha, out=out)
+        k = self.n_modes if out is None else out.shape[-1]
+        return _cms(u[..., :k], w[..., :k], self.alpha, out=out)

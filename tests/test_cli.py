@@ -61,6 +61,13 @@ class TestValidate:
         assert names == ["A1", "A3", "B1", "B2-slow", "B2-fast", "B3"]
         assert all("pass" in line for line in out)
 
+    def test_shipped_aux_gap_config_passes(self, capsys):
+        path = REPO / "configs/aux_gap.json"
+        assert run(["validate", "--config", str(path)]) == 0
+        assert all("pass" in line for line in capsys.readouterr().out.splitlines())
+        # the aux-gap subcommand's kind guard accepts it
+        assert load_config(path)["study"]["kind"] == "aux-gap"
+
     def test_vanishing_gap_names_dissipativity(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, coefficients={"c": 1.0})
         code = run(["validate", "--config", cfg])
@@ -132,6 +139,14 @@ class TestSmokeRuns:
         manifest = manifest_of(capsys)
         rows = (manifest.parent / "result.csv").read_text().splitlines()
         assert len(rows) == 1 + 4
+
+    def test_manifest_records_peak_rss(self, tmp_path, capsys):
+        assert run(["rate-study", "--config", write_cfg(tmp_path), "--threads", "2",
+                    "--out", str(tmp_path / "o")]) == 0
+        manifest = manifest_of(capsys)
+        assert json.loads(manifest.read_text())["peak_rss_mb"] > 0.0
+        for name in ("result.csv", "meta.json"):
+            assert "rss" not in (manifest.parent / name).read_text()
 
     def test_simulate(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, study={"kind": "simulate", "grid": None,

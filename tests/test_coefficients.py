@@ -1,9 +1,11 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvspde import coefficients
 from mvspde.coefficients import (
     BuiltinFamily,
     CoefficientSet,
@@ -15,7 +17,7 @@ from mvspde.coefficients import (
     linear_test,
     probe_lipschitz,
 )
-from mvspde.noise import CH_PROBE, RngStream
+from mvspde.noise import CH_PROBE, RngStream, stable_quadrature_rule, weighted_row_sums
 from mvspde.spectral import OperatorSpec
 
 field4 = st.lists(st.floats(-3, 3, allow_nan=False, width=32), min_size=4, max_size=4)
@@ -52,6 +54,25 @@ class TestBoundedSmoothFamily:
         out = co.F(x, 0.0, np.zeros(8))
         assert np.all(out[2:] == 0.0)
         assert np.any(out[:2] != 0.0)
+
+    @given(x=st.lists(st.sampled_from([0.0, -0.0, 0.5, -2.0, 1e-310, -1e-310]),
+                      min_size=8, max_size=8),
+           y=st.lists(st.sampled_from([0.0, -0.0, 0.25, -0.5, -1e-310]),
+                      min_size=8, max_size=8),
+           mu=st.sampled_from([0.0, 0.3, 2.0]))
+    def test_head_only_fast_field(self, spec8, x, y, mu):
+        # F and G on the K leading fast modes give the full-width bits, signs
+        # of zero included; F keeps a*tanh(x + y)*active + b_mu*min(1, mu)*e1
+        co = bounded_smooth(spec8, n_active=3)
+        x, y = np.array(x), np.array(y)
+        active = (np.arange(8) < 3).astype(float)
+        f = co.F(x, mu, y)
+        assert co.y_modes == 3
+        assert f.tobytes() == co.F(x, mu, y[:3]).tobytes()
+        assert f.tobytes() == (np.tanh(x + y) * active + 0.5 * min(1.0, mu) * np.eye(8)[0]).tobytes()
+        assert co.G(x, mu, y[:3]).tobytes() == co.G(x, mu, y)[:3].tobytes()
+        assert co.G(x, mu, y).tobytes() == (np.tanh(x) * active + 0.5 * y).tobytes()
+        assert linear_test(spec8).y_modes is None
 
     def test_law_dependence_saturates(self, coeffs4):
         x = np.zeros(4)
@@ -131,6 +152,29 @@ class TestQuadratureFbar:
         f1 = bounded_smooth(spec4).fbar_factory(spec4)
         f2 = bounded_smooth(spec4).fbar_factory(spec4)
         assert f1 is f2
+
+    def test_blocked_tables_match_full_matrix_gemv(self, spec8):
+        # the Phi tables of the 8-mode averaged drift, K = 4, c = 0.5; the two
+        # summation orders differ by up to 5 ulp of 1 (1.1e-15, fourth table)
+        nodes, weights = stable_quadrature_rule(spec8.alpha)
+        u = np.arange(-40.0, 40.0 + 1e-12, 0.02)
+        kappa = spec8.eigenvalues[:4] - 0.5
+        zeta = spec8.fast_amplitudes[:4] / (spec8.alpha * kappa) ** (1.0 / spec8.alpha)
+        for z in zeta:
+            table = weighted_row_sums(np.add, np.tanh, u, z * nodes, weights)
+            for i in range(0, u.size, 1000):  # the reference matrix in slices
+                gemv = np.tanh(u[i:i + 1000, None] + z * nodes[None, :]) @ weights
+                assert np.max(np.abs(table[i:i + 1000] - gemv)) <= 8 * np.finfo(float).eps
+
+    def test_table_build_memory_bounded(self, spec8, monkeypatch):
+        monkeypatch.setattr(coefficients, "_FBAR_TABLE_CACHE", {})
+        tracemalloc.start()
+        try:
+            bounded_smooth(spec8).fbar_factory(spec8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 # the averaged drift's interpolation grid and two tables on it; the second

@@ -10,10 +10,18 @@ recorded from the code before the seven stepping loops became one
 exponential-Euler kernel.  A change that alters these bytes must say so
 and re-record them.
 
+The four rate cases (rate-equal, rate-unequal, rate-unequal-threads2 and
+rate-default8) were re-recorded when the averaged-drift quadrature
+tables moved from a BLAS matrix-vector product to row-blocked
+``np.add.reduce`` sums: the new fixed summation order moves Fbar by at
+most 8.9e-16, which changes these bytes and no others.  That change
+alone was in the tree when they were recorded; the head-only fast field
+and the 128-step noise blocks that followed leave them unchanged.
+
 Each case runs the CLI in a fresh interpreter with the BLAS thread pools
-pinned to one thread: the averaged-drift quadrature table is a BLAS
-matrix-vector product whose bits depend on the pool size, so an
-in-process run would pin whatever the machine's default happens to be.
+pinned to one thread.  No BLAS call remains on any pinned path (the
+thread-count test below checks the rate path), so the pinning only keeps
+the cases independent of the machine.
 """
 
 import copy
@@ -97,20 +105,20 @@ CASES = {
     # four equal systems of 16 particles per scale ratio
     "rate-equal": (
         "rate-study", {"study": RATE_STUDY}, 1,
-        "fc93a0b4561bea88e9a00c6e2dd8fcd733c051ef6b173ca145b29af16e5e1fdb",
-        "ed6309dc9ded5c9085bfec0e978172637d514db25bc2aa50171f7978f17e74ba",
+        "f73f49d1919f501873008e17a052fd4515c21858dad859a1f510406162054226",
+        "45124949176aa7df0e1078f56e54dd5edd8264d6be41d0cce8f7251daaadc49d",
     ),
     # systems of 17, 17, 17 and 16 particles
     "rate-unequal": (
         "rate-study", {"sim": {"M": 67, "seed": 9}, "study": RATE_STUDY}, 1,
-        "202fe0c35a5159d0291126629d835aa22819efb21e2cc2cdd70b848f28464c86",
-        "ef697d71b83dad0463b5ccb5920ff10578f0e7cbf67919e7556f2619781000e9",
+        "b99a16e89e9ee8ce2042d8003f70a87dbed88f1e6ec1666f4a4c1eb3689b6bc4",
+        "0a6c8bbb3ced6f9cf8c063dc4fae0618b9a70cb3e2455407112a5200474a7820",
     ),
     # the same study on two workers: the bytes may not depend on the grouping
     "rate-unequal-threads2": (
         "rate-study", {"sim": {"M": 67, "seed": 9}, "study": RATE_STUDY}, 2,
-        "202fe0c35a5159d0291126629d835aa22819efb21e2cc2cdd70b848f28464c86",
-        "ef697d71b83dad0463b5ccb5920ff10578f0e7cbf67919e7556f2619781000e9",
+        "b99a16e89e9ee8ce2042d8003f70a87dbed88f1e6ec1666f4a4c1eb3689b6bc4",
+        "0a6c8bbb3ced6f9cf8c063dc4fae0618b9a70cb3e2455407112a5200474a7820",
     ),
     # slow-fast paths recorded for the increment regularity scan
     "hoelder": (
@@ -148,14 +156,15 @@ CASES = {
     # eight systems of 8 particles per scale ratio
     "rate-default8": (
         "rate-study", DEFAULT8_RATE, 1,
-        "21f2e04ff7edc2f22f5151989223bebc22c0e912813ca3b8838fc01e134c38f5",
-        "d315bfd0f39512d54dab34a8cd141e505cee66daec4e82eee0d23f0db0b40610",
+        "aaeca81a614bbe39dee7cb10620d3c0d00595e8cdf4ce63d9ab38430369fd03e",
+        "63e3c145f444520743d6d61e3a03e3e0624083381e516d194fe24d88326be19d",
     ),
 }
 
 
-def run_digests(tmp_path, command, overrides, threads):
+def run_digests(tmp_path, command, overrides, threads, blas_threads=1):
     """(sha256 of result.csv, of meta.json) of one CLI run in a fresh interpreter."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
     cfg = copy.deepcopy(BASE_CFG)
     for section, changes in overrides.items():
         cfg[section].update(changes)
@@ -165,7 +174,7 @@ def run_digests(tmp_path, command, overrides, threads):
     path.write_text(json.dumps(cfg))
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+        env[var] = str(blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mvspde.cli", command, "--config", str(path),
@@ -182,6 +191,13 @@ def run_digests(tmp_path, command, overrides, threads):
 def test_result_digest(name, tmp_path):
     command, overrides, threads, csv_digest, meta_digest = CASES[name]
     assert run_digests(tmp_path, command, overrides, threads) == (csv_digest, meta_digest)
+
+
+def test_rate_bytes_independent_of_blas_threads(tmp_path):
+    # 8 modes, K = 4: the averaged-drift tables and the head-only fast field
+    one, two = (run_digests(tmp_path / f"blas{n}", "rate-study", DEFAULT8_RATE, 1,
+                            blas_threads=n) for n in (1, 2))
+    assert one == two
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -509,6 +511,42 @@ class TestReplicaBatch:
         for stats, replica in zip(batch, replicas):
             (alone,) = strong_error_stats(cfg, drift, replicas=[replica])
             assert stats.mean_pow == alone.mean_pow
+
+    def test_head_only_fast_field_equals_full_width(self, spec8, coeffs8, monkeypatch):
+        # Y on the K = 4 modes F reads against Y on all 8 modes, two systems,
+        # 24-step blocks leaving a short last block of the 128 steps
+        assert coeffs8.y_modes == 4
+        full = dataclasses.replace(coeffs8, y_modes=None)
+        drift = AveragedDrift(mode="stationary_quadrature")
+        replicas = [(3, None), (5, range(12, 24))]
+        monkeypatch.setattr(solver, "BLOCK_STEPS", 24)
+        head = strong_error_stats(self._cfg(spec8, coeffs8), drift, m=1.25, replicas=replicas)
+        wide = strong_error_stats(self._cfg(spec8, full), drift, m=1.25, replicas=replicas)
+        assert [(s.mean_pow, s.var_pow) for s in head] == [(s.mean_pow, s.var_pow) for s in wide]
+        assert head[0].mean_pow != head[1].mean_pow
+
+    def test_nonfinite_head_only_y_names_epsilon_replica_and_step(self, spec4):
+        # F reads y on its two leading modes; G turns NaN on the third system
+        calls = []
+
+        def F(x, s, y):
+            out = np.zeros_like(x)
+            out[..., :2] = 0.5 * np.tanh(y[..., :2])
+            return out
+
+        def G(x, s, y):
+            calls.append(None)
+            out = 0.4 * np.tanh(y)
+            if len(calls) > 3:
+                out[2] = np.nan
+            return out
+
+        co = dataclasses.replace(blowup_coeffs(4, after_calls=0, row=0), F=F, G=G, y_modes=2)
+        replicas = [(10, None), (11, range(4, 8)), (12, range(8, 12))]
+        with pytest.raises(FloatingPointError,
+                           match=r"epsilon = 0\.03125, replica 12, step 4 of 128"):
+            strong_error_stats(self._cfg(spec4, co, M=4),
+                               AveragedDrift(mode="stationary_quadrature"), replicas=replicas)
 
     def test_needs_a_replica(self, spec4, coeffs4):
         with pytest.raises(ValueError, match="at least one replica"):

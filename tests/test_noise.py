@@ -3,6 +3,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from mvspde import noise
 from mvspde.noise import (
     CH_FAST,
     CH_SLOW,
@@ -16,6 +17,7 @@ from mvspde.noise import (
     stable_quadrature_rule,
     standard_stable_pdf,
     tail_slope,
+    weighted_row_sums,
     _cms,
     _cms_closed_form,
 )
@@ -260,9 +262,48 @@ class TestDrawInto:
         bank = StableNoiseBank(1, ALPHA, 2, 3, CH_SLOW)
         with pytest.raises(ValueError, match="shape"):
             bank.draw(4, out=np.empty((2, 5, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            bank.draw(4, out=np.empty((2, 4, 4)))
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_head_draw_is_the_leading_modes_and_keeps_the_stream(self, k):
+        full = StableNoiseBank(8, ALPHA, 3, 5, CH_FAST, replica=2)
+        head = StableNoiseBank(8, ALPHA, 3, 5, CH_FAST, replica=2)
+        first, second, third = (full.draw(n) for n in (7, 4, 6))
+        out = np.empty((3, 7, k))
+        assert head.draw(7, out=out) is out
+        assert np.array_equal(out, first[..., :k])
+        # the next block, full or head-only, is where a full draw left the stream
+        assert np.array_equal(head.draw(4), second)
+        assert np.array_equal(head.draw(6, out=np.empty((3, 6, k))), third[..., :k])
 
 
 class TestDensityAndQuadrature:
+    def test_blocked_row_sums_match_full_matrix_gemv(self, monkeypatch):
+        # the two quadrature matrices of the package: the stable density's
+        # cosine inversion and the averaged drift's tanh table
+        gen = np.random.default_rng(2)
+        x = gen.uniform(-40.0, 40.0, 600)
+        t, w = np.linspace(0.0, 12.0, 4096), gen.uniform(0.0, 1e-3, 4096)
+        s, v = gen.uniform(-60.0, 60.0, 2400), gen.dirichlet(np.ones(2400))
+        for combine, kernel, cols, weights in ((np.multiply, np.cos, t, w),
+                                               (np.add, np.tanh, s, v)):
+            blocked = weighted_row_sums(combine, kernel, x, cols, weights)
+            gemv = kernel(combine.outer(x, cols)) @ weights
+            assert np.max(np.abs(blocked - gemv)) <= 8 * np.finfo(float).eps
+            # the block height never enters the bits
+            monkeypatch.setattr(noise, "QUADRATURE_BLOCK_ROWS", 7)
+            assert np.array_equal(weighted_row_sums(combine, kernel, x, cols, weights), blocked)
+            monkeypatch.undo()
+
+    def test_pdf_matches_full_matrix_gemv(self):
+        xs = np.linspace(-60.0, 60.0, 301)
+        t = np.linspace(0.0, 46.0 ** (1.0 / ALPHA), 4096)
+        wt = np.full(t.size, t[1])
+        wt[0] = wt[-1] = t[1] / 2.0
+        gemv = np.cos(np.outer(xs, t)) @ (np.exp(-(t**ALPHA)) * wt) / np.pi
+        assert np.max(np.abs(standard_stable_pdf(xs, ALPHA) - gemv)) <= 8 * np.finfo(float).eps
+
     def test_pdf_against_scipy(self):
         xs = np.array([0.0, 0.5, 1.0, 3.0, 10.0, 40.0])
         ours = standard_stable_pdf(xs, ALPHA)
