@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import sys
 
 import numpy as np
@@ -20,14 +21,15 @@ from .coefficients import assumption_report
 from .config import (
     ConfigError,
     build_coeffs,
-    build_family_recipe,
     build_multiscale,
+    build_replicas,
     build_sim,
     build_spec,
     load_config,
 )
 from .experiments import (
     aux_gap_study,
+    config_digest,
     ergodicity_study,
     hoelder_study,
     persist,
@@ -98,7 +100,6 @@ def run(argv=None) -> int:
             cfg = copy.deepcopy(cfg)
             cfg["sim"]["seed"] = args.seed
         spec = build_spec(cfg)
-        recipe = build_family_recipe(cfg)
         coeffs = build_coeffs(cfg, spec)
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -125,13 +126,12 @@ def run(argv=None) -> int:
         out_dir = args.out or study.get("out_dir", "out")
 
         if args.command == "simulate":
-            result = simulate_study(base, m=study.get("m"), config_extra=cfg)
+            result = simulate_study(base, m=study.get("m"))
         elif args.command == "picard":
             result = picard_study(
                 base,
                 n_iters=study.get("n_iters", 8),
                 lambda_weight=study.get("lambda_weight"),
-                config_extra=cfg,
             )
         elif args.command == "ergodicity":
             t_grid = _require_grid(study)
@@ -149,19 +149,16 @@ def run(argv=None) -> int:
                 ensemble=study.get("ensemble", 4000),
                 seed=base.seed,
                 h_step=study.get("h_step", 0.01),
-                config_extra=cfg,
             )
         elif args.command == "rate-study":
             eps_grid = _require_grid(study)
             result = rate_study(
                 base, eps_grid,
                 m=study.get("m", 1.0),
-                family=recipe,
                 eta=cfg["sim"].get("eta", 0.0),
                 h_fast_ratio=study.get("h_fast_ratio", 1.0 / 16),
-                n_replicas=study.get("n_replicas", 8),
+                n_replicas=build_replicas(cfg, 8),
                 n_workers=args.threads,
-                config_extra=cfg,
             )
         else:  # hoelder-study, aux-gap
             delta_grid = _require_grid(study)
@@ -169,11 +166,11 @@ def run(argv=None) -> int:
             increment_study = hoelder_study if args.command == "hoelder-study" else aux_gap_study
             result = increment_study(
                 ms, delta_grid,
-                family=recipe,
-                n_replicas=study.get("n_replicas", 4),
+                n_replicas=build_replicas(cfg, 4),
                 n_workers=args.threads,
-                config_extra=cfg,
             )
+        # the file, not the objects built from it, names a CLI run
+        result = dataclasses.replace(result, config=cfg, config_hash=config_digest(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

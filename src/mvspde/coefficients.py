@@ -36,7 +36,7 @@ exact averaged drift through ``fbar_factory``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -79,6 +79,11 @@ class CoefficientSet:
     only those modes (G returns a field shaped like y), and the fast modes
     past them are an Ornstein-Uhlenbeck process nothing observes.  None
     means all modes.
+
+    ``recipe`` is the ``(BuiltinFamily, spec)`` pair a built-in set was
+    built from, and is how the set crosses process boundaries: pickling
+    rebuilds it from the recipe, and a set without one (hand-built, or
+    derived by ``dataclasses.replace``, which drops it) refuses to pickle.
     """
 
     variant: str
@@ -94,6 +99,15 @@ class CoefficientSet:
     # slope of G in y when affine (frozen equation is then exactly soluble)
     g_y_slope: float | None = None
     y_modes: int | None = None
+    recipe: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        if self.recipe is None:
+            raise TypeError(
+                f"coefficient set {self.variant!r} has no BuiltinFamily recipe: "
+                "its closures cannot cross process boundaries"
+            )
+        return BuiltinFamily.build, self.recipe
 
 
 def bounded_smooth(
@@ -313,8 +327,8 @@ def _tanh_fbar(spec: OperatorSpec, a: float, b_mu: float, c: float, k_act: int):
 class BuiltinFamily:
     """Picklable recipe for a built-in coefficient family.
 
-    Workers rebuild coefficient sets from this instead of shipping closures
-    across process boundaries.
+    ``build`` stamps the set it returns with ``(self, spec)``, so that the
+    set pickles as this recipe instead of as its closures.
     """
 
     variant: str
@@ -324,9 +338,11 @@ class BuiltinFamily:
     n_active: int | None = None
 
     def build(self, spec: OperatorSpec) -> CoefficientSet:
-        return build_family(
+        coeffs = build_family(
             self.variant, spec, a=self.a, b_mu=self.b_mu, c=self.c, n_active=self.n_active
         )
+        object.__setattr__(coeffs, "recipe", (self, spec))
+        return coeffs
 
 
 def build_family(variant: str, spec: OperatorSpec, **params) -> CoefficientSet:

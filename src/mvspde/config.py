@@ -6,10 +6,13 @@ exponents), ``coefficients`` (built-in drift family and its parameters),
 ``study`` (which curve to produce and on what grid).  The schema rejects
 unknown keys outright: silent typos like ``n_mode`` are the main failure
 mode of flat config files, and every key here changes the physics.
+``describe`` runs the builders backwards: it writes the sections of the
+built objects a study was given.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -25,10 +28,11 @@ __all__ = [
     "ConfigError",
     "load_config",
     "build_spec",
-    "build_family_recipe",
     "build_coeffs",
     "build_sim",
     "build_multiscale",
+    "build_replicas",
+    "describe",
 ]
 
 _NUM = {"type": "number"}
@@ -156,7 +160,7 @@ def build_spec(cfg: dict) -> OperatorSpec:
     return OperatorSpec(**cfg["operator"])
 
 
-def build_family_recipe(cfg: dict) -> BuiltinFamily:
+def build_coeffs(cfg: dict, spec: OperatorSpec) -> CoefficientSet:
     sect = cfg["coefficients"]
     return BuiltinFamily(
         variant=sect["variant"],
@@ -164,11 +168,7 @@ def build_family_recipe(cfg: dict) -> BuiltinFamily:
         b_mu=sect.get("b_mu", 0.5),
         c=sect.get("c", 0.5),
         n_active=sect.get("K"),
-    )
-
-
-def build_coeffs(cfg: dict, spec: OperatorSpec) -> CoefficientSet:
-    return build_family_recipe(cfg).build(spec)
+    ).build(spec)
 
 
 def build_sim(
@@ -207,3 +207,38 @@ def build_multiscale(cfg: dict, base: SimConfig) -> MultiscaleConfig:
         h_fast=float(sect["h_fast"]),
         eta=sect.get("eta", 0.0),
     )
+
+
+def build_replicas(cfg: dict, default: int) -> int:
+    """study.n_replicas (``default`` when absent), checked against sim.M.
+
+    Every replica is an interacting system of at least M // n_replicas
+    particles, and a one-particle system has no interaction.
+    """
+    n = cfg.get("study", {}).get("n_replicas", default)
+    M = cfg["sim"]["M"]
+    if M // n < 2:
+        raise ConfigError(
+            f"cannot split M={M} particles into {n} interacting systems "
+            "of at least 2 particles",
+            pointer="/study/n_replicas",
+        )
+    return n
+
+
+def describe(spec: OperatorSpec, coeffs: CoefficientSet, sim: SimConfig | None = None) -> dict:
+    """Config sections that ``build_spec``, ``build_coeffs`` and ``build_sim`` read back.
+
+    The ``coefficients`` section holds the set's recipe; a set without one
+    is described by its variant alone.  Callers add their ``study`` section.
+    """
+    out = {"operator": dataclasses.asdict(spec), "coefficients": {"variant": coeffs.variant}}
+    if coeffs.recipe is not None:
+        family = coeffs.recipe[0]
+        out["coefficients"].update(a=family.a, b_mu=family.b_mu, c=family.c)
+        if family.n_active is not None:
+            out["coefficients"]["K"] = family.n_active
+    if sim is not None:
+        out["sim"] = {"T": sim.T, "h": sim.h, "M": sim.M, "seed": sim.seed,
+                      "xi": [float(v) for v in sim.xi]}
+    return out

@@ -7,6 +7,13 @@ and the fixed-point contraction trace.  Each returns an
 :class:`ExperimentResult` whose grid is a list of (parameter, error,
 stderr) points; power-law studies also carry a weighted log-log fit.
 
+A study reads what it simulates from the built objects it is given
+(:class:`SimConfig`, :class:`MultiscaleConfig` and their
+:class:`CoefficientSet`) and from nothing else.  Its workers receive the
+grid point's config pickled, the coefficient set crossing as its
+``BuiltinFamily`` recipe, and its ``config`` record is
+:func:`~mvspde.config.describe` of those objects plus a ``study`` section.
+
 Determinism contract: a study is a pure function of (config, master
 seed).  The Monte Carlo budget splits into ``n_replicas`` chunks; replica
 r of grid point i draws from stream replica coordinate
@@ -28,15 +35,15 @@ import multiprocessing
 import resource
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .coefficients import BuiltinFamily, CoefficientSet, effective_constants
+from .coefficients import CoefficientSet, effective_constants
+from .config import describe
 from .multiscale import (
     AveragedDrift,
-    FrozenInput,
     MultiscaleConfig,
     StrongErrorStats,
     ergodicity_decay,
@@ -208,50 +215,25 @@ def _pool_moments(parts):
     return float(mean), float(max(var, 0.0)), int(n_tot)
 
 
-def _run_tasks(fn, payloads, n_workers: int):
-    if n_workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
+def _run_tasks(fn, tasks, n_workers: int):
+    """``fn(*task)`` for every task, in a fork pool when ``n_workers`` > 1.
+
+    Each task leads with its config, which reaches a worker pickled; its
+    coefficient set crosses as its recipe.
+    """
+    if n_workers > 1 and tasks[0][0].base.coeffs.recipe is None:
+        raise ValueError(
+            "parallel studies need a BuiltinFamily recipe: coefficient closures "
+            "cannot cross process boundaries"
+        )
+    if n_workers <= 1 or len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-posix fallback
         ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
-        return list(pool.map(fn, payloads, chunksize=1))
-
-
-def _spec_dict(spec: OperatorSpec) -> dict:
-    return {
-        "n_modes": spec.n_modes,
-        "a": spec.a,
-        "b": spec.b,
-        "g": spec.g,
-        "c_lambda": spec.c_lambda,
-        "c_beta": spec.c_beta,
-        "c_gamma": spec.c_gamma,
-        "alpha": spec.alpha,
-        "theta": spec.theta,
-        "p": spec.p,
-    }
-
-
-def _rebuild_pair(payload):
-    spec = OperatorSpec(**payload["spec"])
-    if payload.get("family") is not None:
-        coeffs = payload["family"].build(spec)
-    else:
-        coeffs = payload["coeffs"]
-    return spec, coeffs
-
-
-def _resolve_coeffs(base: SimConfig, family, n_workers: int) -> CoefficientSet:
-    if family is not None:
-        return family.build(base.spec)
-    if n_workers > 1:
-        raise ValueError(
-            "parallel studies need a BuiltinFamily recipe: coefficient closures "
-            "cannot cross process boundaries"
-        )
-    return base.coeffs
+        return list(pool.map(fn, *zip(*tasks), chunksize=1))
 
 
 def _default_drift(coeffs: CoefficientSet) -> AveragedDrift:
@@ -266,30 +248,12 @@ def _default_drift(coeffs: CoefficientSet) -> AveragedDrift:
 # rate study: strong coupling error against the timescale ratio
 
 
-def _rate_task(payload):
-    """Per-replica (mean_pow, var_pow, n) of one batch of equal-size systems."""
-    spec, coeffs = _rebuild_pair(payload)
-    base = SimConfig(
-        spec=spec,
-        coeffs=coeffs,
-        T=payload["T"],
-        h=payload["h"],
-        M=payload["count"],
-        seed=payload["seed"],
-        xi=np.asarray(payload["xi"]),
-    )
-    cfg = MultiscaleConfig(
-        base=base,
-        epsilon=payload["epsilon"],
-        h_fast=payload["h_fast"],
-        eta=payload["eta"],
-    )
-    count = payload["count"]
+def _rate_task(cfg, drift, m, replicas):
+    """Per-replica (mean_pow, var_pow, n) of one batch of systems of cfg.base.M particles."""
+    count = cfg.base.M
     stats = strong_error_stats(
-        cfg,
-        payload["drift"],
-        m=payload["m"],
-        replicas=[(rep, range(offset, offset + count)) for rep, offset in payload["replicas"]],
+        cfg, drift, m=m,
+        replicas=[(rep, range(offset, offset + count)) for rep, offset in replicas],
     )
     return [(s.mean_pow, s.var_pow, s.n) for s in stats]
 
@@ -315,13 +279,11 @@ def rate_study(
     eps_grid,
     m: float = 1.0,
     *,
-    family: BuiltinFamily | None = None,
     drift: AveragedDrift | None = None,
     eta=0.0,
     h_fast_ratio: float = 1.0 / 16,
     n_replicas: int = 8,
     n_workers: int = 1,
-    config_extra: dict | None = None,
 ) -> ExperimentResult:
     """Strong error sup_t |X^eps - Xbar| in L^m against the scale ratio.
 
@@ -338,58 +300,32 @@ def rate_study(
         raise ValueError(f"rate study needs >= 4 grid points, got {len(eps)}")
     if any(e <= 0 for e in eps) or any(b <= a for a, b in zip(eps[1:], eps)):
         raise ValueError("eps grid must be positive and strictly decreasing")
-    spec = base.spec
-    coeffs = _resolve_coeffs(base, family, n_workers)
+    spec, coeffs = base.spec, base.coeffs
     if drift is None:
         drift = _default_drift(coeffs)
     if coeffs.fbar_factory is not None:
         coeffs.fbar_factory(spec)  # warm shared tables before any fork
-    # validate every grid point up front; MultiscaleConfig rejects bad steps
-    deltas, h_fasts = [], []
-    for e in eps:
-        probe_cfg = MultiscaleConfig(
-            base=SimConfig(
-                spec=spec, coeffs=coeffs, T=base.T, h=base.h, M=base.M,
-                seed=base.seed, xi=base.xi,
-            ),
-            epsilon=e,
-            h_fast=e * h_fast_ratio,
-            eta=eta,
-        )
-        deltas.append(probe_cfg.delta_resolved)
-        h_fasts.append(probe_cfg.h_fast)
+    # one config per grid point validates its steps up front
+    cfgs = [MultiscaleConfig(base=base, epsilon=e, h_fast=e * h_fast_ratio, eta=eta)
+            for e in eps]
+    deltas = [c.delta_resolved for c in cfgs]
 
     chunks = _split_counts(base.M, n_replicas)
-    xi_list = [float(v) for v in base.xi]
-    eta_field = spec.as_field(eta)
-    steps = [round(base.T / hf) for hf in h_fasts]
-    payloads = []
-    for gi, e in enumerate(eps):
+    steps = [c.n_steps for c in cfgs]
+    tasks = []
+    for gi, cfg in enumerate(cfgs):
         # cut a grid point into as many batches as its share of the work
         # fills workers; one batch per chunk size when serial
         n_parts = max(1, math.ceil(n_workers * steps[gi] / sum(steps)))
         for batch in _replica_batches(chunks, n_parts):
-            payloads.append({
-                "spec": _spec_dict(spec),
-                "family": family,
-                "coeffs": None if family is not None else coeffs,
-                "T": base.T,
-                "h": base.h,
-                "seed": base.seed,
-                "xi": xi_list,
-                "eta": eta_field,
-                "epsilon": e,
-                "h_fast": h_fasts[gi],
-                "m": m,
-                "drift": drift,
-                "count": chunks[batch[0]][1],
-                "replicas": [(gi * n_replicas + r, chunks[r][0]) for r in batch],
-            })
+            batch_cfg = replace(cfg, base=replace(base, M=chunks[batch[0]][1]))
+            replicas = [(gi * n_replicas + r, chunks[r][0]) for r in batch]
+            tasks.append((batch_cfg, drift, m, replicas))
     # costliest batches first, so that workers finish together
-    payloads.sort(key=lambda pl: -pl["count"] * len(pl["replicas"]) / pl["h_fast"])
+    tasks.sort(key=lambda t: -t[0].base.M * len(t[3]) / t[0].h_fast)
     moments = {}
-    for pl, rows in zip(payloads, _run_tasks(_rate_task, payloads, n_workers)):
-        moments.update(zip((rep for rep, _ in pl["replicas"]), rows))
+    for task, rows in zip(tasks, _run_tasks(_rate_task, tasks, n_workers)):
+        moments.update(zip((rep for rep, _ in task[3]), rows))
 
     grid, flags = [], {}
     for gi, e in enumerate(eps):
@@ -412,15 +348,10 @@ def rate_study(
         except ValueError:
             flags["fit"] = "degenerate"
     theta = spec.theta
-    config = config_extra if config_extra is not None else {
-        "operator": _spec_dict(spec),
-        "coefficients": {"variant": coeffs.variant},
-        "sim": {"T": base.T, "h": base.h, "M": base.M, "seed": base.seed,
-                "xi": xi_list},
-        "study": {"kind": "rate", "grid": eps, "m": m,
-                  "h_fast_ratio": h_fast_ratio, "n_replicas": n_replicas,
-                  "drift_mode": drift.mode},
-    }
+    config = describe(spec, coeffs, base)
+    config["sim"]["eta"] = cfgs[0].eta
+    config["study"] = {"kind": "rate", "grid": eps, "m": m, "h_fast_ratio": h_fast_ratio,
+                       "n_replicas": n_replicas, "drift_mode": drift.mode}
     seeds = (base.seed,) + tuple(range(len(eps) * n_replicas))
     return ExperimentResult(
         kind="rate",
@@ -437,7 +368,7 @@ def rate_study(
             "theory_slope": theta / (2.0 * (1.0 + theta)),
             "m": m,
             "delta": deltas,
-            "h_fast": h_fasts,
+            "h_fast": [c.h_fast for c in cfgs],
             "error_kind": "sup-coupling",
         }),
     )
@@ -468,25 +399,16 @@ def _increment_rows(x, h_fast, delta_grid):
     return rows
 
 
-def _path_task(payload):
-    spec, coeffs = _rebuild_pair(payload)
-    base = SimConfig(
-        spec=spec, coeffs=coeffs, T=payload["T"], h=payload["h"],
-        M=payload["count"], seed=payload["seed"], xi=np.asarray(payload["xi"]),
-    )
-    cfg = MultiscaleConfig(
-        base=base, epsilon=payload["epsilon"], h_fast=payload["h_fast"],
-        eta=payload["eta"],
-    )
-    ids = range(payload["offset"], payload["offset"] + payload["count"])
-    sf = simulate_slow_fast(cfg, particle_ids=ids, replica=payload["replica"])
-    if payload["arm"] == "slow":
-        return _increment_rows(sf.slow.paths, cfg.h_fast, payload["delta_grid"])
+def _path_task(cfg, arm, deltas, offset, replica):
+    """Per-delta (mean, var, n) rows of one replica of cfg.base.M particles."""
+    ids = range(offset, offset + cfg.base.M)
+    sf = simulate_slow_fast(cfg, particle_ids=ids, replica=replica)
+    if arm == "slow":
+        return _increment_rows(sf.slow.paths, cfg.h_fast, deltas)
     rows = []
-    for d in payload["delta_grid"]:
+    for d in deltas:
         snaps = slow_snapshots(sf.slow, d)
-        aux = simulate_auxiliary(cfg, snaps, particle_ids=ids,
-                                 replica=payload["replica"])
+        aux = simulate_auxiliary(cfg, snaps, particle_ids=ids, replica=replica)
         gap = np.linalg.norm(sf.fast.paths - aux.paths, axis=2)
         a = gap.mean(axis=1)
         rows.append((float(a.mean()), float(a.var(ddof=1)) if a.size > 1 else 0.0,
@@ -494,8 +416,7 @@ def _path_task(payload):
     return rows
 
 
-def _increment_study(cfg, delta_grid, kind, arm, family, n_replicas, n_workers,
-                     config_extra, theory_slope):
+def _increment_study(cfg, delta_grid, kind, arm, n_replicas, n_workers):
     t0 = time.perf_counter()
     deltas = [float(d) for d in delta_grid]
     if len(deltas) < 2:
@@ -508,28 +429,9 @@ def _increment_study(cfg, delta_grid, kind, arm, family, n_replicas, n_workers,
                 f"and at most T={cfg.base.T:.6g}"
             )
     base = cfg.base
-    spec = base.spec
-    coeffs = _resolve_coeffs(base, family, n_workers)
-    chunks = _split_counts(base.M, n_replicas)
-    xi_list = [float(v) for v in base.xi]
-    payloads = [{
-        "spec": _spec_dict(spec),
-        "family": family,
-        "coeffs": None if family is not None else coeffs,
-        "T": base.T,
-        "h": base.h,
-        "seed": base.seed,
-        "xi": xi_list,
-        "eta": cfg.eta,
-        "epsilon": cfg.epsilon,
-        "h_fast": cfg.h_fast,
-        "delta_grid": deltas,
-        "arm": arm,
-        "offset": offset,
-        "count": count,
-        "replica": r,
-    } for r, (offset, count) in enumerate(chunks)]
-    raw = _run_tasks(_path_task, payloads, n_workers)
+    tasks = [(replace(cfg, base=replace(base, M=count)), arm, deltas, offset, r)
+             for r, (offset, count) in enumerate(_split_counts(base.M, n_replicas))]
+    raw = _run_tasks(_path_task, tasks, n_workers)
 
     grid, flags = [], {}
     for di, d in enumerate(deltas):
@@ -546,17 +448,16 @@ def _increment_study(cfg, delta_grid, kind, arm, family, n_replicas, n_workers,
             slope, slope_se, r2 = fit.slope, fit.slope_stderr, fit.r2
         except ValueError:
             flags["fit"] = "degenerate"
-    # the rate is an upper bound; a markedly steeper fit means another term
+    # both arms shrink at the slow path's regularity order theta / 2; the
+    # rate is an upper bound, and a markedly steeper fit means another term
     # (typically the deterministic drift increment, slope 1) dominates
+    theory_slope = base.spec.theta / 2.0
     if slope is not None and slope > max(0.85, theory_slope + 0.2):
         flags["fit"] = "above-envelope"
-    config = config_extra if config_extra is not None else {
-        "operator": _spec_dict(spec),
-        "coefficients": {"variant": coeffs.variant},
-        "sim": {"T": base.T, "h": base.h, "M": base.M, "seed": base.seed,
-                "xi": xi_list, "h_fast": cfg.h_fast, "epsilon": cfg.epsilon},
-        "study": {"kind": kind, "grid": deltas, "n_replicas": n_replicas},
-    }
+    config = describe(base.spec, base.coeffs, base)
+    config["sim"].update(h_fast=cfg.h_fast, eta=cfg.eta)
+    config["study"] = {"kind": kind, "grid": deltas, "epsilon": cfg.epsilon,
+                       "n_replicas": n_replicas}
     return ExperimentResult(
         kind=kind,
         grid=tuple(grid),
@@ -577,10 +478,8 @@ def hoelder_study(
     cfg: MultiscaleConfig,
     delta_grid,
     *,
-    family: BuiltinFamily | None = None,
     n_replicas: int = 4,
     n_workers: int = 1,
-    config_extra: dict | None = None,
 ) -> ExperimentResult:
     """Time-averaged slow increment (1/T) int E|X_t - X_{t(delta)}| dt vs delta.
 
@@ -590,21 +489,16 @@ def hoelder_study(
     deterministic drift-dominated regimes come out near slope 1 and are
     flagged ``above-envelope``.
     """
-    return _increment_study(
-        cfg, delta_grid, kind="hoelder", arm="slow", family=family,
-        n_replicas=n_replicas, n_workers=n_workers, config_extra=config_extra,
-        theory_slope=cfg.base.spec.theta / 2.0,
-    )
+    return _increment_study(cfg, delta_grid, kind="hoelder", arm="slow",
+                            n_replicas=n_replicas, n_workers=n_workers)
 
 
 def aux_gap_study(
     cfg: MultiscaleConfig,
     delta_grid,
     *,
-    family: BuiltinFamily | None = None,
     n_replicas: int = 4,
     n_workers: int = 1,
-    config_extra: dict | None = None,
 ) -> ExperimentResult:
     """Time-averaged gap between the fast path and its block-frozen twin.
 
@@ -613,11 +507,8 @@ def aux_gap_study(
     driven purely by slow displacement over one block and shrinks with
     delta at the slow path's regularity order.
     """
-    return _increment_study(
-        cfg, delta_grid, kind="aux-gap", arm="aux", family=family,
-        n_replicas=n_replicas, n_workers=n_workers, config_extra=config_extra,
-        theory_slope=cfg.base.spec.theta / 2.0,
-    )
+    return _increment_study(cfg, delta_grid, kind="aux-gap", arm="aux",
+                            n_replicas=n_replicas, n_workers=n_workers)
 
 
 # --------------------------------------------------------------------------
@@ -634,7 +525,6 @@ def ergodicity_study(
     seed: int = 0,
     h_step: float = 0.01,
     drift: AveragedDrift | None = None,
-    config_extra: dict | None = None,
 ) -> ExperimentResult:
     """Fitted mixing rate of the frozen fast equation at each probe input.
 
@@ -671,13 +561,10 @@ def ergodicity_study(
                               stderr=rep.rate_stderr))
         reports.append({"kept": int(np.sum(rep.kept)),
                         "envelope_ok": bool(rep.envelope_ok)})
-    config = config_extra if config_extra is not None else {
-        "operator": _spec_dict(spec),
-        "coefficients": {"variant": coeffs.variant},
-        "study": {"kind": "ergodicity", "t_grid": [float(t) for t in t_grid],
-                  "ensemble": ensemble, "seed": seed, "h_step": h_step,
-                  "n_probes": len(probes)},
-    }
+    config = describe(spec, coeffs)
+    config["study"] = {"kind": "ergodicity", "t_grid": [float(t) for t in t_grid],
+                       "ensemble": ensemble, "seed": seed, "h_step": h_step,
+                       "n_probes": len(probes)}
     return ExperimentResult(
         kind="ergodicity",
         grid=tuple(grid),
@@ -703,7 +590,6 @@ def picard_study(
     *,
     n_iters: int = 8,
     lambda_weight: float | None = None,
-    config_extra: dict | None = None,
 ) -> ExperimentResult:
     """Successive-approximation distances d_n as a study curve.
 
@@ -720,14 +606,8 @@ def picard_study(
     if rep.noise_floor_iter is not None:
         for i in range(rep.noise_floor_iter, len(grid)):
             flags[str(i)] = "noise-floor"
-    config = config_extra if config_extra is not None else {
-        "operator": _spec_dict(cfg.spec),
-        "coefficients": {"variant": cfg.coeffs.variant},
-        "sim": {"T": cfg.T, "h": cfg.h, "M": cfg.M, "seed": cfg.seed,
-                "xi": [float(v) for v in cfg.xi]},
-        "study": {"kind": "picard", "n_iters": n_iters,
-                  "lambda_weight": rep.lambda_weight},
-    }
+    config = describe(cfg.spec, cfg.coeffs, cfg)
+    config["study"] = {"kind": "picard", "n_iters": n_iters, "lambda_weight": rep.lambda_weight}
     return ExperimentResult(
         kind="picard",
         grid=grid,
@@ -753,7 +633,6 @@ def simulate_study(
     cfg: SimConfig,
     *,
     m: float | None = None,
-    config_extra: dict | None = None,
 ) -> ExperimentResult:
     """Single interacting-system run, reported as the p-moment curve.
 
@@ -772,13 +651,8 @@ def simulate_study(
         se = se_v / p * mean_v ** (1.0 / p - 1.0) if mean_v > 0 else 0.0
         grid.append(GridPoint(param=float(t), error=stat, stderr=float(se)))
     check = moment_bound_check(ens, m=m if m is not None else p)
-    config = config_extra if config_extra is not None else {
-        "operator": _spec_dict(cfg.spec),
-        "coefficients": {"variant": cfg.coeffs.variant},
-        "sim": {"T": cfg.T, "h": cfg.h, "M": cfg.M, "seed": cfg.seed,
-                "xi": [float(v) for v in cfg.xi]},
-        "study": {"kind": "simulate", "m": m},
-    }
+    config = describe(cfg.spec, cfg.coeffs, cfg)
+    config["study"] = {"kind": "simulate", "m": m}
     return ExperimentResult(
         kind="simulate",
         grid=tuple(grid),

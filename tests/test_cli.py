@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mvspde import cli, coefficients, experiments, measures, noise, solver
 from mvspde.cli import run
 from mvspde.config import (
     ConfigError,
@@ -121,6 +123,26 @@ class TestComputeGuards:
                                          "grid": [0.125, 0.0625]})
         assert run(["hoelder-study", "--config", cfg]) == 2
         assert "/sim/h_fast" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, shipped", [("rate-study", "smoke.json"),
+                                                  ("hoelder-study", "hoelder.json")])
+    def test_too_few_particles_per_replica(self, tmp_path, capsys, command, shipped):
+        raw = json.loads((REPO / "configs" / shipped).read_text())
+        raw["sim"]["M"] = 3
+        path = tmp_path / shipped
+        path.write_text(json.dumps(raw))
+        assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "/study/n_replicas" in err
+
+    @pytest.mark.parametrize("command, kind, M", [("rate-study", "rate", 15),
+                                                  ("aux-gap", "aux-gap", 7)])
+    def test_replica_default_checked_against_M(self, tmp_path, capsys, command, kind, M):
+        # no n_replicas key: rate splits into 8 systems, the increment studies into 4
+        cfg = write_cfg(tmp_path, sim={"M": M, "h_fast": 2**-9},
+                        study={"kind": kind, "n_replicas": None, "epsilon": 0.03125})
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "/study/n_replicas" in capsys.readouterr().err
 
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -294,6 +316,49 @@ class TestConfigBuilders:
         with pytest.raises(ConfigError) as exc:
             load_config(str(path))
         assert exc.value.pointer == "/operator/alpha"
+
+
+class TestBenchmarkHooks:
+    """The module attributes and parameters that span hooks outside the package wrap."""
+
+    def test_hooked_names_and_parameters_exist(self):
+        for mod, name in ((cli, "rate_study"), (cli, "picard_study"), (cli, "persist"),
+                          (cli, "load_config"), (coefficients.BuiltinFamily, "build"),
+                          (solver, "simulate_mkv"), (solver, "dT_metric"),
+                          (measures, "wasserstein_exact")):
+            assert callable(getattr(mod, name)), name
+        assert "cfg" in inspect.signature(experiments.strong_error_stats).parameters
+        assert "config" in inspect.signature(solver.simulate_mkv).parameters
+        assert "n_particles" in inspect.signature(noise.StableNoiseBank.__init__).parameters
+
+    def test_cli_reaches_hooks_at_call_time(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                out = real(*args, **kwargs)
+                seen.append((name, args[0], out))
+                return out
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        for name in ("rate_study", "picard_study"):
+            spy(cli, name)
+        spy(coefficients.BuiltinFamily, "build")
+        spy(experiments, "strong_error_stats")
+        assert run(["rate-study", "--config", write_cfg(tmp_path),
+                    "--out", str(tmp_path / "o")]) == 0
+        picard = write_cfg(tmp_path, "picard.json", sim={"M": 8},
+                           study={"kind": "picard", "grid": None, "n_iters": 2})
+        assert run(["picard", "--config", picard, "--out", str(tmp_path / "o")]) == 0
+        names = [name for name, _, _ in seen]
+        assert names.count("rate_study") == names.count("picard_study") == 1
+        built = [out for name, _, out in seen if name == "build"]
+        # every stepped system reads the set the CLI built through BuiltinFamily.build
+        stepped = [cfg.base.coeffs for name, cfg, _ in seen if name == "strong_error_stats"]
+        assert stepped and all(co is built[0] for co in stepped)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

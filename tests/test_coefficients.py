@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import tracemalloc
 
@@ -291,6 +292,31 @@ class TestFamilyRegistry:
         a = fam.build(spec4).F(x, 0.5, x)
         b = clone.build(spec4).F(x, 0.5, x)
         assert np.array_equal(a, b)
+
+    def test_built_set_pickles_as_its_recipe(self, spec8, monkeypatch):
+        fam = BuiltinFamily(variant="bounded_smooth", a=0.7, b_mu=0.2, c=0.3, n_active=4)
+        co = fam.build(spec8)
+        gen = np.random.default_rng(3)
+        x, y = gen.standard_normal((2, 5, 8))
+        mu = np.array([0.2, 0.6, 1.4, 0.9, 3.0])[:, None]
+        fbar = co.fbar_factory(spec8)
+        # the clone rebuilds its averaged-drift tables, as a fresh worker does
+        monkeypatch.setattr(coefficients, "_FBAR_TABLE_CACHE", {})
+        clone = pickle.loads(pickle.dumps(co))
+        assert clone.recipe == (fam, spec8)
+        for name in ("F", "G"):
+            assert getattr(clone, name)(x, mu, y).tobytes() == getattr(co, name)(x, mu, y).tobytes()
+        clone_fbar = clone.fbar_factory(spec8)
+        assert clone_fbar is not fbar
+        assert clone_fbar(x, mu).tobytes() == fbar(x, mu).tobytes()
+
+    def test_replace_drops_recipe(self, spec4):
+        co = BuiltinFamily(variant="bounded_smooth").build(spec4)
+        derived = dataclasses.replace(co)
+        assert co.recipe is not None and derived.recipe is None
+        assert derived == co  # the recipe takes no part in equality
+        with pytest.raises(TypeError, match="cannot cross process boundaries"):
+            pickle.dumps(derived)
 
     def test_linear_recipe_ignores_mu_params(self, spec2):
         fam = BuiltinFamily(variant="linear_test", a=2.0, c=0.25)

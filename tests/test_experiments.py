@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from mvspde import experiments as ex
 from mvspde.coefficients import BuiltinFamily, CoefficientSet
+from mvspde.config import build_coeffs, build_multiscale, build_sim, build_spec
 from mvspde.experiments import (
     ExperimentResult,
     GridPoint,
@@ -47,7 +49,7 @@ def small_rate(spec4):
     fam = BuiltinFamily("bounded_smooth")
     base = SimConfig(spec=spec4, coeffs=fam.build(spec4), T=0.25, h=0.125,
                      M=16, seed=303, xi=0.3)
-    return rate_study(base, EPS_GRID, family=fam, n_replicas=2), base, fam
+    return rate_study(base, EPS_GRID, n_replicas=2), base
 
 
 class TestFitLoglog:
@@ -149,7 +151,7 @@ class TestIncrementRows:
 
 class TestRateStudy:
     def test_shape_and_metadata(self, small_rate):
-        res, base, _ = small_rate
+        res, base = small_rate
         assert res.kind == "rate"
         assert [g.param for g in res.grid] == [pytest.approx(e) for e in EPS_GRID]
         assert all(g.error > 0 for g in res.grid)
@@ -159,16 +161,15 @@ class TestRateStudy:
         assert res.fitted_slope is not None
 
     def test_bitwise_rerun(self, small_rate, spec4):
-        res, base, fam = small_rate
-        again = rate_study(base, EPS_GRID, family=fam, n_replicas=2)
+        res, base = small_rate
+        again = rate_study(base, EPS_GRID, n_replicas=2)
         assert again.grid == res.grid
         assert again.config_hash == res.config_hash
         assert again.seeds == res.seeds
 
     def test_worker_count_invisible_in_results(self, small_rate):
-        res, base, fam = small_rate
-        forked = rate_study(base, EPS_GRID, family=fam, n_replicas=2,
-                            n_workers=2)
+        res, base = small_rate
+        forked = rate_study(base, EPS_GRID, n_replicas=2, n_workers=2)
         assert forked.grid == res.grid
 
     def test_unequal_chunks_invisible_to_batching(self, spec4):
@@ -176,8 +177,8 @@ class TestRateStudy:
         fam = BuiltinFamily("bounded_smooth")
         base = SimConfig(spec=spec4, coeffs=fam.build(spec4), T=0.25, h=0.125,
                          M=11, seed=8, xi=0.3)
-        serial = rate_study(base, EPS_GRID, family=fam, n_replicas=3)
-        forked = rate_study(base, EPS_GRID, family=fam, n_replicas=3, n_workers=3)
+        serial = rate_study(base, EPS_GRID, n_replicas=3)
+        forked = rate_study(base, EPS_GRID, n_replicas=3, n_workers=3)
         assert forked.grid == serial.grid
 
     def test_theta_four_thirds_theory_slope(self):
@@ -186,22 +187,35 @@ class TestRateStudy:
         fam = BuiltinFamily("bounded_smooth", n_active=2)
         base = SimConfig(spec=spec, coeffs=fam.build(spec), T=0.25, h=0.125,
                          M=4, seed=1, xi=0.2)
-        res = rate_study(base, EPS_GRID, family=fam, n_replicas=1)
+        res = rate_study(base, EPS_GRID, n_replicas=1)
         assert res.meta["theory_slope"] == pytest.approx(2.0 / 7.0)
 
     def test_grid_validation(self, small_rate):
-        _, base, fam = small_rate
+        _, base = small_rate
         with pytest.raises(ValueError):
-            rate_study(base, EPS_GRID[:3], family=fam)        # too short
+            rate_study(base, EPS_GRID[:3])        # too short
         with pytest.raises(ValueError):
-            rate_study(base, EPS_GRID[::-1], family=fam)      # increasing
-        with pytest.raises(ValueError):
-            rate_study(base, EPS_GRID, family=None, n_workers=2)
+            rate_study(base, EPS_GRID[::-1])      # increasing
+        with pytest.raises(ValueError, match="recipe"):
+            # replace drops the recipe, so the set cannot reach a worker
+            rate_study(dataclasses.replace(base, coeffs=dataclasses.replace(base.coeffs)),
+                       EPS_GRID, n_workers=2)
+
+    def test_config_hash_tells_coefficient_sets_apart(self, spec4):
+        # two sets that differ only in a; the config must come from the set simulated
+        hashes = []
+        for a in (0.3, 1.0):
+            coeffs = BuiltinFamily("bounded_smooth", a=a).build(spec4)
+            base = SimConfig(spec=spec4, coeffs=coeffs, T=0.25, h=0.125, M=4, seed=8, xi=0.3)
+            res = rate_study(base, EPS_GRID, n_replicas=1)
+            assert res.config["coefficients"]["a"] == a
+            hashes.append(res.config_hash)
+        assert hashes[0] != hashes[1]
 
     def test_y_blind_drift_hits_noise_floor(self, spec4):
         base = SimConfig(spec=spec4, coeffs=law_blind_f_coeffs(4), T=0.25,
                          h=0.125, M=8, seed=5, xi=0.3)
-        res = rate_study(base, EPS_GRID, family=None, n_replicas=2)
+        res = rate_study(base, EPS_GRID, n_replicas=2)
         assert all(g.error == 0.0 for g in res.grid)
         assert all(res.flags[str(i)] == "noise-floor" for i in range(4))
         assert res.flags["fit"] == "degenerate"
@@ -225,6 +239,29 @@ class TestIncrementStudies:
         assert [g.param for g in res.grid] == list(deltas)
         assert all(g.error > 0 for g in res.grid)
         assert res.fitted_slope is not None
+
+    @pytest.mark.parametrize("study", [hoelder_study, aux_gap_study])
+    def test_worker_count_invisible_in_results(self, spec4, study):
+        # built sets reach forked workers pickled as their recipe
+        cfg = self._cfg(spec4, BuiltinFamily("bounded_smooth", a=0.7, c=0.25, n_active=3).build(spec4))
+        deltas = (2**-6, 2**-5, 2**-4)
+        serial = study(cfg, deltas, n_replicas=2)
+        forked = study(cfg, deltas, n_replicas=2, n_workers=2)
+        assert forked.grid == serial.grid
+        assert forked.config_hash == serial.config_hash
+
+    def test_config_reads_back_to_its_objects(self, spec4):
+        cfg = self._cfg(spec4, BuiltinFamily("bounded_smooth", c=0.25).build(spec4))
+        res = hoelder_study(cfg, (2**-6, 2**-5), n_replicas=2)
+        spec = build_spec(res.config)
+        base = build_sim(res.config, spec, build_coeffs(res.config, spec))
+        again = build_multiscale(res.config, base)
+        assert spec == cfg.base.spec
+        assert base.coeffs.recipe == cfg.base.coeffs.recipe
+        assert (base.T, base.h, base.M, base.seed) == (cfg.base.T, cfg.base.h, cfg.base.M, cfg.base.seed)
+        assert (again.epsilon, again.h_fast) == (cfg.epsilon, cfg.h_fast)
+        assert again.eta.tobytes() == cfg.eta.tobytes()
+        assert again.base.xi.tobytes() == cfg.base.xi.tobytes()
 
     def test_grid_is_postprocessing_only(self, spec4, coeffs4):
         cfg = self._cfg(spec4, coeffs4)
@@ -345,7 +382,7 @@ class TestStudyWrappers:
 
 class TestPersistence:
     def test_round_trip(self, small_rate, tmp_path):
-        res, _, _ = small_rate
+        res, _ = small_rate
         manifest = persist(res, tmp_path)
         assert manifest.name == "manifest.json"
         loaded = load_result(manifest)
@@ -361,16 +398,15 @@ class TestPersistence:
         assert loaded.meta == res.meta
 
     def test_reruns_byte_identical(self, small_rate, tmp_path):
-        res, base, fam = small_rate
-        again = rate_study(base, EPS_GRID, family=fam, n_replicas=2)
+        res, base = small_rate
+        again = rate_study(base, EPS_GRID, n_replicas=2)
         p1 = persist(res, tmp_path / "a").parent
         p2 = persist(again, tmp_path / "b").parent
         for name in ("result.csv", "meta.json", "loglog.dat"):
             assert (p1 / name).read_bytes() == (p2 / name).read_bytes()
 
     def test_empty_grid_refused_before_writing(self, small_rate, tmp_path):
-        res, _, _ = small_rate
-        import dataclasses
+        res, _ = small_rate
         hollow = dataclasses.replace(res, grid=())
         out = tmp_path / "nothing"
         with pytest.raises(ValueError, match="empty"):
@@ -378,7 +414,7 @@ class TestPersistence:
         assert not out.exists()
 
     def test_digest_mismatch_detected(self, small_rate, tmp_path):
-        res, _, _ = small_rate
+        res, _ = small_rate
         manifest = persist(res, tmp_path)
         csv = manifest.parent / "result.csv"
         csv.write_text(csv.read_text().replace("0", "1", 1))
@@ -386,7 +422,7 @@ class TestPersistence:
             load_result(manifest)
 
     def test_csv_and_dat_layout(self, small_rate, tmp_path):
-        res, _, _ = small_rate
+        res, _ = small_rate
         manifest = persist(res, tmp_path)
         lines = (manifest.parent / "result.csv").read_text().splitlines()
         assert lines[0] == "param,error,stderr"
