@@ -29,7 +29,6 @@ from .config import (
 )
 from .experiments import (
     aux_gap_study,
-    config_digest,
     ergodicity_study,
     hoelder_study,
     persist,
@@ -170,7 +169,7 @@ def run(argv=None) -> int:
                 n_workers=args.threads,
             )
         # the file, not the objects built from it, names a CLI run
-        result = dataclasses.replace(result, config=cfg, config_hash=config_digest(cfg))
+        result = dataclasses.replace(result, config=cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,15 @@
 """Batch studies over simulation configs, plus flat-file persistence.
 
-Four curve-producing studies live here: the strong-convergence rate scan
-over the timescale ratio, the slow-path increment regularity scan over
-block lengths, the frozen-equation mixing-rate scan over probe inputs,
-and the fixed-point contraction trace.  Each returns an
-:class:`ExperimentResult` whose grid is a list of (parameter, error,
-stderr) points; power-law studies also carry a weighted log-log fit.
+The curve-producing studies live here: the strong-convergence rate scan
+over the timescale ratio, the slow-path increment regularity and
+auxiliary-gap scans over block lengths, the frozen-equation mixing-rate
+scan over probe inputs, the fixed-point contraction trace and the moment
+curve.  Each returns an :class:`ExperimentResult`, built by ``_result``
+alone, whose grid is a list of (parameter, error, stderr) points and
+whose ``config_hash`` is derived from its ``config``.  The three
+power-law studies pool per-replica :class:`StrongErrorStats` through one
+step, ``_power_law_curve``, which also flags the noise floor and fits
+the weighted log-log slope.
 
 A study reads what it simulates from the built objects it is given
 (:class:`SimConfig`, :class:`MultiscaleConfig` and their
@@ -45,6 +49,7 @@ from .config import describe
 from .multiscale import (
     AveragedDrift,
     MultiscaleConfig,
+    NoSignalError,
     StrongErrorStats,
     ergodicity_decay,
     estimate_fbar,
@@ -102,11 +107,15 @@ class ExperimentResult:
     slope_stderr: float | None
     fit_r2: float | None
     config: dict
-    config_hash: str
     seeds: tuple[int, ...]
     runtime_s: float
     flags: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+
+    @property
+    def config_hash(self) -> str:
+        """Digest naming the result's directory, derived from ``config`` alone."""
+        return config_digest(self.config)
 
 
 @dataclass(frozen=True)
@@ -138,6 +147,22 @@ def canonical_json(obj) -> str:
 def config_digest(config: dict) -> str:
     """Short stable digest of a config dict (sha256 of canonical JSON)."""
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()[:12]
+
+
+def _result(kind, grid, config, seeds, t0, meta, flags=None, fit=None) -> ExperimentResult:
+    """A study's result, timed from its ``time.perf_counter()`` start ``t0``."""
+    return ExperimentResult(
+        kind=kind,
+        grid=tuple(grid),
+        fitted_slope=None if fit is None else fit.slope,
+        slope_stderr=None if fit is None else fit.slope_stderr,
+        fit_r2=None if fit is None else fit.r2,
+        config=_plain(config),
+        seeds=tuple(seeds),
+        runtime_s=time.perf_counter() - t0,
+        flags={} if flags is None else flags,
+        meta=_plain(meta),
+    )
 
 
 def fit_loglog(grid, exclude=()) -> FitReport:
@@ -207,12 +232,37 @@ def _split_counts(total: int, n_chunks: int):
 
 
 def _pool_moments(parts):
-    """Combine per-replica (mean, var, n) by exact sums of squares."""
-    n_tot = sum(n for _, _, n in parts)
-    mean = sum(n * m for m, _, n in parts) / n_tot
-    ss = sum(v * (n - 1) + n * m * m for m, v, n in parts)
+    """Combine per-replica rows leading with (mean, var, n) by exact sums of squares."""
+    n_tot = sum(n for _, _, n, *_ in parts)
+    mean = sum(n * m for m, _, n, *_ in parts) / n_tot
+    ss = sum(v * (n - 1) + n * m * m for m, v, n, *_ in parts)
     var = (ss - n_tot * mean * mean) / (n_tot - 1) if n_tot > 1 else 0.0
     return float(mean), float(max(var, 0.0)), int(n_tot)
+
+
+def _power_law_curve(params, parts, m):
+    """Pooled curve of per-replica moments, its noise-floor flags and log-log fit.
+
+    ``parts[i]`` lists the replica :class:`StrongErrorStats` at
+    ``params[i]``, pooled in that order into moments of m-th powers.  Every
+    error measured here has an exact zero baseline, so a point within 3
+    stderr of zero is flagged ``noise-floor`` and left out of the fit; a
+    fit that fails is flagged ``degenerate`` and returned as None.
+    """
+    grid, flags = [], {}
+    for i, (param, reps) in enumerate(zip(params, parts)):
+        pooled = StrongErrorStats(*_pool_moments(reps), m)
+        err, se = pooled.error, pooled.stderr
+        if err <= 3.0 * se:
+            flags[str(i)] = "noise-floor"
+        grid.append(GridPoint(param=param, error=err, stderr=se))
+    fit = None
+    if len(grid) >= 3:
+        try:
+            fit = fit_loglog(grid, exclude={int(k) for k in flags})
+        except ValueError:
+            flags["fit"] = "degenerate"
+    return grid, flags, fit
 
 
 def _run_tasks(fn, tasks, n_workers: int):
@@ -249,13 +299,12 @@ def _default_drift(coeffs: CoefficientSet) -> AveragedDrift:
 
 
 def _rate_task(cfg, drift, m, replicas):
-    """Per-replica (mean_pow, var_pow, n) of one batch of systems of cfg.base.M particles."""
+    """Per-replica StrongErrorStats of one batch of systems of cfg.base.M particles."""
     count = cfg.base.M
-    stats = strong_error_stats(
+    return strong_error_stats(
         cfg, drift, m=m,
         replicas=[(rep, range(offset, offset + count)) for rep, offset in replicas],
     )
-    return [(s.mean_pow, s.var_pow, s.n) for s in stats]
 
 
 def _replica_batches(chunks, n_parts: int):
@@ -279,7 +328,6 @@ def rate_study(
     eps_grid,
     m: float = 1.0,
     *,
-    drift: AveragedDrift | None = None,
     eta=0.0,
     h_fast_ratio: float = 1.0 / 16,
     n_replicas: int = 8,
@@ -290,9 +338,8 @@ def rate_study(
     Runs the coupled two-scale / averaged pair at every epsilon on the
     grid (fast step ``eps * h_fast_ratio``) and fits the log-log slope of
     the error curve, to be compared against the theoretical order
-    theta / (2 (1 + theta)).  Points indistinguishable from the coupling
-    noise floor (error within 3 stderr of the exact-coupling zero
-    baseline) are flagged and excluded from the fit.
+    theta / (2 (1 + theta)); :func:`_power_law_curve` flags the points at
+    the noise floor.  The averaged drift is the family's default one.
     """
     t0 = time.perf_counter()
     eps = [float(e) for e in eps_grid]
@@ -301,14 +348,12 @@ def rate_study(
     if any(e <= 0 for e in eps) or any(b <= a for a, b in zip(eps[1:], eps)):
         raise ValueError("eps grid must be positive and strictly decreasing")
     spec, coeffs = base.spec, base.coeffs
-    if drift is None:
-        drift = _default_drift(coeffs)
+    drift = _default_drift(coeffs)
     if coeffs.fbar_factory is not None:
         coeffs.fbar_factory(spec)  # warm shared tables before any fork
     # one config per grid point validates its steps up front
     cfgs = [MultiscaleConfig(base=base, epsilon=e, h_fast=e * h_fast_ratio, eta=eta)
             for e in eps]
-    deltas = [c.delta_resolved for c in cfgs]
 
     chunks = _split_counts(base.M, n_replicas)
     steps = [c.n_steps for c in cfgs]
@@ -327,51 +372,22 @@ def rate_study(
     for task, rows in zip(tasks, _run_tasks(_rate_task, tasks, n_workers)):
         moments.update(zip((rep for rep, _ in task[3]), rows))
 
-    grid, flags = [], {}
-    for gi, e in enumerate(eps):
-        parts = [moments[gi * n_replicas + r] for r in range(n_replicas)]
-        mean, var, n = _pool_moments(parts)
-        pooled = StrongErrorStats(
-            mean_pow=mean, var_pow=var, n=n, m=m, epsilon=e, delta=deltas[gi]
-        )
-        err, se = pooled.error, pooled.stderr
-        # coupling-zero baseline is exactly 0, so the floor test is 3 sigma
-        if err <= 3.0 * se:
-            flags[str(gi)] = "noise-floor"
-        grid.append(GridPoint(param=e, error=err, stderr=se))
-
-    slope = slope_se = r2 = None
-    if len(grid) >= 3:
-        try:
-            fit = fit_loglog(grid, exclude={int(k) for k in flags})
-            slope, slope_se, r2 = fit.slope, fit.slope_stderr, fit.r2
-        except ValueError:
-            flags["fit"] = "degenerate"
+    grid, flags, fit = _power_law_curve(
+        eps, [[moments[gi * n_replicas + r] for r in range(n_replicas)]
+              for gi in range(len(eps))], m)
     theta = spec.theta
     config = describe(spec, coeffs, base)
     config["sim"]["eta"] = cfgs[0].eta
     config["study"] = {"kind": "rate", "grid": eps, "m": m, "h_fast_ratio": h_fast_ratio,
                        "n_replicas": n_replicas, "drift_mode": drift.mode}
     seeds = (base.seed,) + tuple(range(len(eps) * n_replicas))
-    return ExperimentResult(
-        kind="rate",
-        grid=tuple(grid),
-        fitted_slope=slope,
-        slope_stderr=slope_se,
-        fit_r2=r2,
-        config=_plain(config),
-        config_hash=config_digest(config),
-        seeds=seeds,
-        runtime_s=time.perf_counter() - t0,
-        flags=flags,
-        meta=_plain({
-            "theory_slope": theta / (2.0 * (1.0 + theta)),
-            "m": m,
-            "delta": deltas,
-            "h_fast": [c.h_fast for c in cfgs],
-            "error_kind": "sup-coupling",
-        }),
-    )
+    return _result("rate", grid, config, seeds, t0, {
+        "theory_slope": theta / (2.0 * (1.0 + theta)),
+        "m": m,
+        "delta": [c.delta_resolved for c in cfgs],
+        "h_fast": [c.h_fast for c in cfgs],
+        "error_kind": "sup-coupling",
+    }, flags, fit)
 
 
 # --------------------------------------------------------------------------
@@ -379,7 +395,7 @@ def rate_study(
 
 
 def _increment_rows(x, h_fast, delta_grid):
-    """Per-particle time-averaged |path - block-frozen path| for each delta.
+    """Moments of the per-particle time-averaged |path - block-frozen path| per delta.
 
     The integral over (t_j, t_{j+1}] is approximated at its right endpoint
     against the block active on that interval, so the block starts (where
@@ -393,14 +409,12 @@ def _increment_rows(x, h_fast, delta_grid):
         s = int(round(d / h_fast))
         idx = ((j - 1) // s) * s
         gap = np.linalg.norm(x[:, j] - x[:, idx], axis=2)  # (M, n_rec-1)
-        a = gap.mean(axis=1)
-        rows.append((float(a.mean()), float(a.var(ddof=1)) if a.size > 1 else 0.0,
-                     int(a.size)))
+        rows.append(StrongErrorStats.from_sample(gap.mean(axis=1), 1.0))
     return rows
 
 
 def _path_task(cfg, arm, deltas, offset, replica):
-    """Per-delta (mean, var, n) rows of one replica of cfg.base.M particles."""
+    """Per-delta StrongErrorStats (m = 1) of one replica of cfg.base.M particles."""
     ids = range(offset, offset + cfg.base.M)
     sf = simulate_slow_fast(cfg, particle_ids=ids, replica=replica)
     if arm == "slow":
@@ -410,9 +424,7 @@ def _path_task(cfg, arm, deltas, offset, replica):
         snaps = slow_snapshots(sf.slow, d)
         aux = simulate_auxiliary(cfg, snaps, particle_ids=ids, replica=replica)
         gap = np.linalg.norm(sf.fast.paths - aux.paths, axis=2)
-        a = gap.mean(axis=1)
-        rows.append((float(a.mean()), float(a.var(ddof=1)) if a.size > 1 else 0.0,
-                     int(a.size)))
+        rows.append(StrongErrorStats.from_sample(gap.mean(axis=1), 1.0))
     return rows
 
 
@@ -432,46 +444,20 @@ def _increment_study(cfg, delta_grid, kind, arm, n_replicas, n_workers):
     tasks = [(replace(cfg, base=replace(base, M=count)), arm, deltas, offset, r)
              for r, (offset, count) in enumerate(_split_counts(base.M, n_replicas))]
     raw = _run_tasks(_path_task, tasks, n_workers)
-
-    grid, flags = [], {}
-    for di, d in enumerate(deltas):
-        mean, var, n = _pool_moments([rows[di] for rows in raw])
-        se = math.sqrt(var / n)
-        if mean <= 3.0 * se:
-            flags[str(di)] = "noise-floor"
-        grid.append(GridPoint(param=d, error=mean, stderr=se))
-
-    slope = slope_se = r2 = None
-    if len(grid) >= 3:
-        try:
-            fit = fit_loglog(grid, exclude={int(k) for k in flags})
-            slope, slope_se, r2 = fit.slope, fit.slope_stderr, fit.r2
-        except ValueError:
-            flags["fit"] = "degenerate"
+    grid, flags, fit = _power_law_curve(deltas, list(zip(*raw)), 1.0)
     # both arms shrink at the slow path's regularity order theta / 2; the
     # rate is an upper bound, and a markedly steeper fit means another term
     # (typically the deterministic drift increment, slope 1) dominates
     theory_slope = base.spec.theta / 2.0
-    if slope is not None and slope > max(0.85, theory_slope + 0.2):
+    if fit is not None and fit.slope > max(0.85, theory_slope + 0.2):
         flags["fit"] = "above-envelope"
     config = describe(base.spec, base.coeffs, base)
     config["sim"].update(h_fast=cfg.h_fast, eta=cfg.eta)
     config["study"] = {"kind": kind, "grid": deltas, "epsilon": cfg.epsilon,
                        "n_replicas": n_replicas}
-    return ExperimentResult(
-        kind=kind,
-        grid=tuple(grid),
-        fitted_slope=slope,
-        slope_stderr=slope_se,
-        fit_r2=r2,
-        config=_plain(config),
-        config_hash=config_digest(config),
-        seeds=(base.seed,) + tuple(range(n_replicas)),
-        runtime_s=time.perf_counter() - t0,
-        flags=flags,
-        meta=_plain({"theory_slope": theory_slope, "epsilon": cfg.epsilon,
-                     "m": 1.0, "error_kind": arm}),
-    )
+    return _result(kind, grid, config, (base.seed,) + tuple(range(n_replicas)), t0,
+                   {"theory_slope": theory_slope, "epsilon": cfg.epsilon,
+                    "m": 1.0, "error_kind": arm}, flags, fit)
 
 
 def hoelder_study(
@@ -524,21 +510,20 @@ def ergodicity_study(
     ensemble: int = 4000,
     seed: int = 0,
     h_step: float = 0.01,
-    drift: AveragedDrift | None = None,
 ) -> ExperimentResult:
     """Fitted mixing rate of the frozen fast equation at each probe input.
 
     Probe i runs under stream replica coordinate i; its grid row is
     (i + 1, fitted rate, rate stderr).  Probes whose decay curve never
     rises above the Monte Carlo floor (e.g. started at the stationary
-    mean) are flagged ``no-signal`` and reported as nan.
+    mean) are flagged ``no-signal`` and reported as nan.  The reference
+    Fbar comes from the family's default averaged drift.
     """
     t0 = time.perf_counter()
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe input")
-    if drift is None:
-        drift = _default_drift(coeffs)
+    drift = _default_drift(coeffs)
     eff = effective_constants(coeffs, spec)
     grid, flags, reports = [], {}, []
     for i, probe in enumerate(probes):
@@ -549,9 +534,7 @@ def ergodicity_study(
                 probe, spec, coeffs, np.asarray(t_grid, dtype=float),
                 ensemble, rng, h_step=h_step, fbar_ref=fbar_ref,
             )
-        except ValueError as exc:
-            if "MC floor" not in str(exc):
-                raise
+        except NoSignalError:
             flags[str(i)] = "no-signal"
             grid.append(GridPoint(param=float(i + 1), error=float("nan"),
                                   stderr=float("nan")))
@@ -564,21 +547,11 @@ def ergodicity_study(
     config = describe(spec, coeffs)
     config["study"] = {"kind": "ergodicity", "t_grid": [float(t) for t in t_grid],
                        "ensemble": ensemble, "seed": seed, "h_step": h_step,
-                       "n_probes": len(probes)}
-    return ExperimentResult(
-        kind="ergodicity",
-        grid=tuple(grid),
-        fitted_slope=None,
-        slope_stderr=None,
-        fit_r2=None,
-        config=_plain(config),
-        config_hash=config_digest(config),
-        seeds=(seed,) + tuple(range(len(probes))),
-        runtime_s=time.perf_counter() - t0,
-        flags=flags,
-        meta=_plain({"theory_rate": eff.gap, "probes": reports,
-                     "error_kind": "mixing-rate"}),
-    )
+                       "probes": [{"x": p.x, "mu_stat": p.mu_stat, "y0": p.y0}
+                                  for p in probes]}
+    return _result("ergodicity", grid, config, (seed,) + tuple(range(len(probes))), t0,
+                   {"theory_rate": eff.gap, "probes": reports,
+                    "error_kind": "mixing-rate"}, flags)
 
 
 # --------------------------------------------------------------------------
@@ -608,25 +581,13 @@ def picard_study(
             flags[str(i)] = "noise-floor"
     config = describe(cfg.spec, cfg.coeffs, cfg)
     config["study"] = {"kind": "picard", "n_iters": n_iters, "lambda_weight": rep.lambda_weight}
-    return ExperimentResult(
-        kind="picard",
-        grid=grid,
-        fitted_slope=None,
-        slope_stderr=None,
-        fit_r2=None,
-        config=_plain(config),
-        config_hash=config_digest(config),
-        seeds=(cfg.seed,),
-        runtime_s=time.perf_counter() - t0,
-        flags=flags,
-        meta=_plain({
-            "ratios": list(rep.ratios),
-            "contracting": bool(rep.contracting),
-            "lambda_weight": rep.lambda_weight,
-            "noise_floor_iter": rep.noise_floor_iter,
-            "error_kind": "flow-distance",
-        }),
-    )
+    return _result("picard", grid, config, (cfg.seed,), t0, {
+        "ratios": list(rep.ratios),
+        "contracting": bool(rep.contracting),
+        "lambda_weight": rep.lambda_weight,
+        "noise_floor_iter": rep.noise_floor_iter,
+        "error_kind": "flow-distance",
+    }, flags)
 
 
 def simulate_study(
@@ -653,26 +614,14 @@ def simulate_study(
     check = moment_bound_check(ens, m=m if m is not None else p)
     config = describe(cfg.spec, cfg.coeffs, cfg)
     config["study"] = {"kind": "simulate", "m": m}
-    return ExperimentResult(
-        kind="simulate",
-        grid=tuple(grid),
-        fitted_slope=None,
-        slope_stderr=None,
-        fit_r2=None,
-        config=_plain(config),
-        config_hash=config_digest(config),
-        seeds=(cfg.seed,),
-        runtime_s=time.perf_counter() - t0,
-        flags={},
-        meta=_plain({
-            "sup_moment": check.sup_moment,
-            "trend_slope": check.trend_slope,
-            "trend_stderr": check.trend_stderr,
-            "stable": bool(check.stable),
-            "moment_order": m if m is not None else p,
-            "error_kind": "p-moment",
-        }),
-    )
+    return _result("simulate", grid, config, (cfg.seed,), t0, {
+        "sup_moment": check.sup_moment,
+        "trend_slope": check.trend_slope,
+        "trend_stderr": check.trend_stderr,
+        "stable": bool(check.stable),
+        "moment_order": m if m is not None else p,
+        "error_kind": "p-moment",
+    })
 
 
 # --------------------------------------------------------------------------
@@ -779,7 +728,6 @@ def load_result(manifest_path) -> ExperimentResult:
         slope_stderr=meta["slope_stderr"],
         fit_r2=meta["fit_r2"],
         config=meta["config"],
-        config_hash=meta["config_hash"],
         seeds=tuple(meta["seeds"]),
         runtime_s=manifest["runtime_s"],
         flags=meta["flags"],

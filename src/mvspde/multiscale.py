@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +67,7 @@ __all__ = [
     "estimate_fbar",
     "ergodic_fbar",
     "DecayReport",
+    "NoSignalError",
     "ergodicity_decay",
     "simulate_averaged",
     "StrongErrorStats",
@@ -339,16 +341,14 @@ class AveragedDrift:
 
     ``relax_time`` / ``avg_time`` default to 8 and 64 relaxation times
     1/(lambda_1 - L_G).  Ergodic estimates are reproducible: the stream for
-    a cache key is derived from ``seed`` and a hash of the quantized key,
-    so results do not depend on evaluation order.
+    a cache key is derived from ``seed`` and a hash of the key quantized at
+    ``CACHE_RESOLUTION``, so results do not depend on evaluation order.
     """
 
     mode: str = "stationary_quadrature"
     relax_time: float | None = None
     avg_time: float | None = None
     h_step: float = 0.005
-    cache_resolution: float = 1e-3
-    n_batches: int = 16
     seed: int = 2**20
     cache: dict = field(default_factory=dict)
 
@@ -367,9 +367,15 @@ class AveragedDrift:
         return t_b, t_a
 
 
-def _cache_key(x: np.ndarray, mu_stat: float, resolution: float) -> tuple:
+# relative quantum of the ergodic-estimate cache key, and the number of
+# batch-mean windows its standard error is taken over
+CACHE_RESOLUTION = 1e-3
+N_BATCHES = 16
+
+
+def _cache_key(x: np.ndarray, mu_stat: float) -> tuple:
     scale = max(1.0, float(np.max(np.abs(x))), abs(mu_stat))
-    q = resolution * scale
+    q = CACHE_RESOLUTION * scale
     return tuple(np.round(np.asarray(x, dtype=float) / q).astype(np.int64)) + (
         int(round(mu_stat / q)),
     )
@@ -385,12 +391,12 @@ def ergodic_fbar(
     """Time-average F along one long frozen path; returns (field, stderr).
 
     Burn-in ``relax_time``, then average F(x, mu, Y_s) over ``avg_time``.
-    The standard error comes from batch means (``n_batches`` equal
+    The standard error comes from batch means (``N_BATCHES`` equal
     sub-windows), which absorbs the path's autocorrelation.  Results are
     cached by quantized (x, mu_stat); the noise stream is derived from the
     cache key so a cache hit and a recomputation agree.
     """
-    key = _cache_key(frozen.x, frozen.mu_stat, drift.cache_resolution)
+    key = _cache_key(frozen.x, frozen.mu_stat)
     if key in drift.cache:
         return drift.cache[key]
     t_b, t_a = drift.windows(spec, coeffs)
@@ -401,10 +407,10 @@ def ergodic_fbar(
 
     n_relax = int(np.ceil(t_b / drift.h_step))
     n_avg = int(np.ceil(t_a / drift.h_step))
-    n_avg -= n_avg % drift.n_batches  # equal batches
-    per_batch = n_avg // drift.n_batches
+    n_avg -= n_avg % N_BATCHES  # equal batches
+    per_batch = n_avg // N_BATCHES
     x_row = frozen.x[None, :]
-    sums = np.zeros((drift.n_batches, spec.n_modes))
+    sums = np.zeros((N_BATCHES, spec.n_modes))
 
     def observe(j, fields):
         if n_relax <= j < n_relax + n_avg:
@@ -419,7 +425,7 @@ def ergodic_fbar(
     )
     batch_means = sums / per_batch
     est = batch_means.mean(axis=0)
-    stderr_vec = batch_means.std(axis=0, ddof=1) / np.sqrt(drift.n_batches)
+    stderr_vec = batch_means.std(axis=0, ddof=1) / np.sqrt(N_BATCHES)
     stderr = float(np.linalg.norm(stderr_vec))
     drift.cache[key] = (est, stderr)
     return est, stderr
@@ -483,6 +489,10 @@ class DecayReport:
     envelope_ok: bool          # no kept point exceeds 1.5x the fitted envelope
 
 
+class NoSignalError(ValueError):
+    """The decay curve never rises far enough above its Monte Carlo floor to fit."""
+
+
 def ergodicity_decay(
     frozen: FrozenInput,
     spec: OperatorSpec,
@@ -497,7 +507,8 @@ def ergodicity_decay(
 
     Runs ``n_replicas`` frozen paths from the same start, estimates
     E F(x, mu, Y_t) at the grid times, and fits log|gap| ~ -rate * t on the
-    points that sit above 3x their Monte Carlo floor.  The theoretical
+    points that sit above 3x their Monte Carlo floor, raising
+    :class:`NoSignalError` when fewer than two do.  The theoretical
     envelope decays at rate lambda_1 - L_G.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -529,7 +540,7 @@ def ergodicity_decay(
 
     kept = gaps > 3.0 * floors
     if kept.sum() < 2:
-        raise ValueError("fewer than 2 points above the MC floor; shrink t_grid or add replicas")
+        raise NoSignalError("fewer than 2 points above the MC floor; shrink t_grid or add replicas")
     t_k, g_k = t_grid[kept], np.log(gaps[kept])
     design = np.vstack([t_k, np.ones_like(t_k)]).T
     coef, res, *_ = np.linalg.lstsq(design, g_k, rcond=None)
@@ -588,23 +599,27 @@ def simulate_averaged(
     return PathEnsemble(times=times, paths=xs, spec=spec, mu_stat=mu_track)
 
 
-@dataclass(frozen=True)
-class StrongErrorStats:
-    """Moments of per-particle sup-in-time coupling errors.
+class StrongErrorStats(NamedTuple):
+    """Moments of a per-particle sample of m-th powers of an error.
 
-    ``mean_pow`` and ``var_pow`` describe sup|X - Xbar|^m across particles;
-    ``error`` is mean_pow**(1/m) and ``stderr`` its delta-method standard
-    error.  ``delta`` records the block length the auxiliary construction
-    would use at this epsilon (the estimator itself couples through the
-    exact averaged drift and does not depend on it).
+    ``mean_pow`` and ``var_pow`` describe the sample across its ``n``
+    particles (sup|X - Xbar|^m for the strong error; m = 1 for the
+    increment studies); ``error`` is mean_pow**(1/m) and ``stderr`` its
+    delta-method standard error.  As a tuple it leads with (mean, var, n),
+    the row that replica moments pool by.
     """
 
     mean_pow: float
     var_pow: float
     n: int
     m: float
-    epsilon: float
-    delta: float
+
+    @classmethod
+    def from_sample(cls, sample: np.ndarray, m: float) -> StrongErrorStats:
+        """Mean, unbiased variance and size of a 1-d sample of m-th powers."""
+        return cls(mean_pow=float(sample.mean()),
+                   var_pow=float(sample.var(ddof=1)) if sample.size > 1 else 0.0,
+                   n=int(sample.size), m=m)
 
     @property
     def error(self) -> float:
@@ -707,16 +722,5 @@ def strong_error_stats(
             f"non-finite coupling error at epsilon = {cfg.epsilon:.6g}, "
             f"replica {replicas[exc.system][0]}, step {exc.step} of {J}"
         ) from exc
-    pw = sup**m
-    return tuple(
-        StrongErrorStats(
-            mean_pow=float(row.mean()),
-            var_pow=float(row.var(ddof=1)) if base.M > 1 else 0.0,
-            n=base.M,
-            m=float(m),
-            epsilon=cfg.epsilon,
-            delta=cfg.delta_resolved,
-        )
-        for row in pw
-    )
+    return tuple(StrongErrorStats.from_sample(row, float(m)) for row in sup**m)
 

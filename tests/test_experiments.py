@@ -22,7 +22,7 @@ from mvspde.experiments import (
     rate_study,
     simulate_study,
 )
-from mvspde.multiscale import FrozenInput, MultiscaleConfig
+from mvspde.multiscale import FrozenInput, MultiscaleConfig, NoSignalError
 from mvspde.solver import SimConfig
 from mvspde.spectral import OperatorSpec
 
@@ -349,6 +349,32 @@ class TestErgodicityStudy:
     def test_empty_probe_list_rejected(self, spec2, linear2):
         with pytest.raises(ValueError):
             ergodicity_study([], spec2, linear2, np.arange(0.5, 2.01, 0.5))
+
+    def test_config_hash_tells_probes_apart(self, spec2, linear2):
+        grid = np.arange(0.5, 2.01, 0.5)
+        results = [
+            ergodicity_study([FrozenInput(x=np.array([s, 0.0]), mu_stat=s, y0=np.zeros(2))],
+                             spec2, linear2, grid, ensemble=300, seed=4)
+            for s in (2.0, 3.0)
+        ]
+        assert results[0].config_hash != results[1].config_hash
+        assert [r.config["study"]["probes"][0]["x"] for r in results] == [[2.0, 0.0], [3.0, 0.0]]
+
+    def test_no_signal_detected_by_type_not_message(self, spec2, linear2, monkeypatch):
+        probe = FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0, y0=np.zeros(2))
+        grid = np.arange(0.5, 2.01, 0.5)
+
+        def raising(exc):
+            def decay(*args, **kwargs):
+                raise exc
+            return decay
+
+        monkeypatch.setattr(ex, "ergodicity_decay", raising(NoSignalError("flat curve")))
+        res = ergodicity_study([probe], spec2, linear2, grid, ensemble=10)
+        assert res.flags == {"0": "no-signal"}
+        monkeypatch.setattr(ex, "ergodicity_decay", raising(ValueError("MC floor")))
+        with pytest.raises(ValueError, match="MC floor"):
+            ergodicity_study([probe], spec2, linear2, grid, ensemble=10)
 
 
 class TestStudyWrappers:

@@ -18,6 +18,10 @@ most 8.9e-16, which changes these bytes and no others.  That change
 alone was in the tree when they were recorded; the head-only fast field
 and the 128-step noise blocks that followed leave them unchanged.
 
+The rate-m125 case, the only pin of the delta-method error bar at m != 1,
+was recorded before the curve studies shared one moments type and one
+floor-and-fit.
+
 Each case runs the CLI in a fresh interpreter with the BLAS thread pools
 pinned to one thread.  No BLAS call remains on any pinned path (the
 thread-count test below checks the rate path), so the pinning only keeps
@@ -119,6 +123,12 @@ CASES = {
         "rate-study", {"sim": {"M": 67, "seed": 9}, "study": RATE_STUDY}, 2,
         "b99a16e89e9ee8ce2042d8003f70a87dbed88f1e6ec1666f4a4c1eb3689b6bc4",
         "0a6c8bbb3ced6f9cf8c063dc4fae0618b9a70cb3e2455407112a5200474a7820",
+    ),
+    # moment order m = 1.25 (p = 1 <= m < alpha): the delta-method error bar
+    "rate-m125": (
+        "rate-study", {"study": dict(RATE_STUDY, m=1.25)}, 1,
+        "31bd2446e42fea9553d70561a7ff2bade6b2a57f4f40834c80a49b3e3bae3867",
+        "740b7bb44bcaefbd87c219bc0ea6f55c89b6f434240508b7936841d6355c0377",
     ),
     # slow-fast paths recorded for the increment regularity scan
     "hoelder": (
