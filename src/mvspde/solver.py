@@ -150,9 +150,11 @@ def _empirical_mu_stat(x: np.ndarray, p: float):
     root is taken as a scalar power (numpy's array power loop can differ in
     the last bit), so a system's statistic has the same bits alone as in a
     batch.  A single system, x of shape (M, n_modes), gives a float; a
-    batch gives an array of shape x.shape[:-2].
+    batch gives an array of shape x.shape[:-2].  The particle norms are
+    sqrt(add.reduce(x*x)), the bits of np.linalg.norm on real input
+    without its dispatch.
     """
-    means = np.mean(np.linalg.norm(x, axis=-1) ** p, axis=-1)
+    means = np.mean(np.sqrt(np.add.reduce(x * x, axis=-1)) ** p, axis=-1)
     roots = [float(v) ** (1.0 / p) for v in np.ravel(means)]
     return roots[0] if means.ndim == 0 else np.reshape(roots, means.shape)
 
