@@ -656,9 +656,8 @@ def strong_error_stats(
     Returns one :class:`StrongErrorStats` per system, in order.  A NaN or
     inf in X, Y or Xbar raises FloatingPointError naming epsilon, the
     replica and the step.  Y holds only the ``coeffs.y_modes`` leading
-    modes, the ones F reads (all modes when None); the fast noise of the
-    modes past them is drawn but never transformed, so every stream and
-    every bit of the result are those of a full-width Y.
+    modes, the ones F reads (all modes when None), and the fast banks draw
+    those modes alone.
 
     Requires p <= m < alpha (heavy tails: higher moments of the sup do not
     exist) and a coefficient family with bounded slow drift — with
@@ -679,15 +678,17 @@ def strong_error_stats(
         raise ValueError("need at least one replica")
     fbar = averaged_drift_evaluator(drift, spec, coeffs)
     J = cfg.n_steps
-    banks_s, banks_f = (
-        [StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, channel,
-                         replica=rep, particle_ids=ids) for rep, ids in replicas]
-        for channel in (CH_SLOW, CH_FAST)
-    )
-    slow = (banks_s, convolution_scales(spec, cfg.h_fast, "slow"))
-    w_slow = euler_weights(spec, cfg.h_fast)
+
+    def source(channel, scale):
+        # one bank per system, holding as many modes as the scale
+        return ([StableNoiseBank(base.seed, spec.alpha, base.M, scale.size, channel,
+                                 replica=rep, particle_ids=ids) for rep, ids in replicas],
+                scale)
+
     head = slice(coeffs.y_modes)
-    fast = (banks_f, convolution_scales(spec, cfg.h_fast, "fast", cfg.epsilon)[head])
+    slow = source(CH_SLOW, convolution_scales(spec, cfg.h_fast, "slow"))
+    fast = source(CH_FAST, convolution_scales(spec, cfg.h_fast, "fast", cfg.epsilon)[head])
+    w_slow = euler_weights(spec, cfg.h_fast)
     w_fast = [w[head] for w in euler_weights(spec, cfg.h_fast, cfg.epsilon)]
 
     shape = (len(replicas), base.M, spec.n_modes)

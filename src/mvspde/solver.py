@@ -188,8 +188,7 @@ def _noise_block(source, j0: int, n: int, buf):
     banks, scale = source
     lead = () if isinstance(banks, StableNoiseBank) else (len(banks),)
     banks = banks if lead else [banks]
-    # the scale's length sets the modes drawn: the leading ones of each bank
-    shape = lead + (banks[0].n_particles, n, np.shape(scale)[-1])
+    shape = lead + (banks[0].n_particles, n, banks[0].n_modes)
     if buf is None or buf.shape != shape:
         buf = np.empty(shape)
     for bank, rows in zip(banks, buf.reshape((-1,) + shape[-3:])):
@@ -207,7 +206,7 @@ def advance(states: dict, weights, noise, drift, n_steps: int, observe) -> list:
     field, ``weights`` holds an :func:`euler_weights` pair and ``noise`` a
     source: scaled increments with time on axis -2, or (banks, scale) with
     one :class:`StableNoiseBank` (or one per system), drawn ``BLOCK_STEPS``
-    steps at a time on the ``len(scale)`` leading modes of each bank.
+    steps at a time and multiplied by ``scale``.
     Fields listing the same source object share it.
 
     At j = 0 .. n_steps - 1, ``observe(j, fields)`` runs first, then each

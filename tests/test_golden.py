@@ -1,26 +1,23 @@
 """Pinned output digests: the bytes of result.csv and meta.json for small CLI studies.
 
-The picard and simulate result.csv digests were recorded from the code
-before the Picard iteration was sped up (pruned weighted-Wasserstein sup,
-noise drawn once per study); every meta.json digest and the rate and
-hoelder cases were recorded from the code before the rate study batched
-its replicas into one kernel.  The aux-gap, ergodicity and rate-default8
-cases and the in-process ergodic_fbar and simulate_averaged pins were
-recorded from the code before the seven stepping loops became one
-exponential-Euler kernel.  A change that alters these bytes must say so
+Every pin below, the twelve CLI cases and the in-process ergodic_fbar and
+simulate_averaged pins, was re-recorded in one change that moved every
+noise bit and, at rounding level, the averaged-drift quadrature:
+
+- the Chambers-Mallows-Stuck transform took its tangent form (half-angle
+  tangents in place of sin/cos, one power in place of two);
+- its uniform input became the raw [0, 1) word grid shifted by 2**-54
+  (``Generator.random`` in place of ``uniform(-pi/2, pi/2)``);
+- the fast noise banks of the rate study draw only the ``y_modes`` modes
+  F reads, so those streams no longer skip the words of the other modes;
+- the stable quadrature rule mirrors its non-negative nodes and density,
+  so its nodes are bitwise symmetric.
+
+The law statistic's move from np.linalg.norm to sqrt(add.reduce(x*x)),
+bit-equal on real input, landed before that change with every pin
+unchanged.  Of all the digests, only the ergodicity case's meta.json
+stayed as it was.  A change that alters these bytes must say so
 and re-record them.
-
-The four rate cases (rate-equal, rate-unequal, rate-unequal-threads2 and
-rate-default8) were re-recorded when the averaged-drift quadrature
-tables moved from a BLAS matrix-vector product to row-blocked
-``np.add.reduce`` sums: the new fixed summation order moves Fbar by at
-most 8.9e-16, which changes these bytes and no others.  That change
-alone was in the tree when they were recorded; the head-only fast field
-and the 128-step noise blocks that followed leave them unchanged.
-
-The rate-m125 case, the only pin of the delta-method error bar at m != 1,
-was recorded before the curve studies shared one moments type and one
-floor-and-fit.
 
 Each case runs the CLI in a fresh interpreter with the BLAS thread pools
 pinned to one thread.  No BLAS call remains on any pinned path (the
@@ -80,55 +77,55 @@ CASES = {
     # exact assignment path of the flow distance
     "picard-exact": (
         "picard", {}, 1,
-        "bf0ebcbcdbbafc2db83c9d52a3bb42c4006d60033fa09e0b08d59756afa0ca24",
-        "9dcfdbb0c76865978670ec0a24ccbbcedc1b889d658fccfe0a201219e98393ce",
+        "ce5d14d489b8bf0affa77c4cbacdabff2ad9ff37639394814fd560ea58142fec",
+        "a93714fbdb1c5f3c5c443788c97ebe2ef0ca4503fb6e1df55456f61f7c6582df",
     ),
     # more steps than one noise block of simulate_mkv
     "picard-long": (
         "picard",
         {"sim": {"M": 8, "T": 0.5, "h": 1 / 1200, "seed": 3}, "study": {"n_iters": 3}}, 1,
-        "2f9b65835327d29eb873b8186b37499e5566b3591d70367f829916f2f1a1952d",
-        "696ecc2d36d73631b09e6a57a65693f25bbddd3ae6056b2cd71b51ea0dc9c8be",
+        "364146d878c5fa08c1ca74e121625f4c3a22938f8aacc3459031a426ca9667ff",
+        "635a539aa4e258aef8efa7bcb77e8fbac0c0f5fb6df00a145081190cd95a3ba4",
     ),
     # moment order p = 1.25, more iterations
     "picard-p125": (
         "picard",
         {"operator": {"p": 1.25},
          "sim": {"M": 32, "T": 0.5, "h": 0.03125, "seed": 11}, "study": {"n_iters": 6}}, 1,
-        "f834a7a110633ebcc1303a5c03ad4611cacbff265ddcdaa5f2a6be5e9bb15b18",
-        "b1995848fd00287472b644a47e26401c38d7e6a444babf9f49c23f07a37c9ea7",
+        "8ebe4d18469addb705576760c4ff5bd0f6e1d8d1fea86fcc2f7123008cf857c2",
+        "aa26df031268d72d8f0ecf7794674fea329c0dafc99dffee62dd21923dbd1b06",
     ),
     # the interacting system, on simulate_mkv's self-drawing noise path
     "simulate": (
         "simulate",
         {"sim": {"T": 0.5, "h": 1 / 1200, "M": 16}, "study": {"kind": "simulate", "n_iters": None}},
         1,
-        "530a72bff197ac1280e30246875416621992b2244827efbf416da790b6d5383e",
-        "46901da8a5036d11553d0ec7207f941571a084ef751c2ceadb47c353a1ad67b3",
+        "415d4e9b6963d0c7407f4ef15c5acc61deb57dfad017e860c0b1f530d5919333",
+        "fa5ad33f7fb06c18656b4fec63d6e298f9e6d1f77b8c00070d9f6279f7e6db4e",
     ),
     # four equal systems of 16 particles per scale ratio
     "rate-equal": (
         "rate-study", {"study": RATE_STUDY}, 1,
-        "f73f49d1919f501873008e17a052fd4515c21858dad859a1f510406162054226",
-        "45124949176aa7df0e1078f56e54dd5edd8264d6be41d0cce8f7251daaadc49d",
+        "f9fea70a132d30e57417109029c2977ac6775f273ab865b0868d919c7cba56e7",
+        "01fec20e811ca4c6498d3de0f18fb798d7f5b36cdbd1f6c9820feebffd52dbd9",
     ),
     # systems of 17, 17, 17 and 16 particles
     "rate-unequal": (
         "rate-study", {"sim": {"M": 67, "seed": 9}, "study": RATE_STUDY}, 1,
-        "b99a16e89e9ee8ce2042d8003f70a87dbed88f1e6ec1666f4a4c1eb3689b6bc4",
-        "0a6c8bbb3ced6f9cf8c063dc4fae0618b9a70cb3e2455407112a5200474a7820",
+        "4e56684debd2affb02c9aec62a1b7e92cd1d2084c8be04df8631f032a0730d33",
+        "d7524be9674ca911dfc90fd7173a3c82a286dd90a2bd02de0d3f27d4b8f947b9",
     ),
     # the same study on two workers: the bytes may not depend on the grouping
     "rate-unequal-threads2": (
         "rate-study", {"sim": {"M": 67, "seed": 9}, "study": RATE_STUDY}, 2,
-        "b99a16e89e9ee8ce2042d8003f70a87dbed88f1e6ec1666f4a4c1eb3689b6bc4",
-        "0a6c8bbb3ced6f9cf8c063dc4fae0618b9a70cb3e2455407112a5200474a7820",
+        "4e56684debd2affb02c9aec62a1b7e92cd1d2084c8be04df8631f032a0730d33",
+        "d7524be9674ca911dfc90fd7173a3c82a286dd90a2bd02de0d3f27d4b8f947b9",
     ),
     # moment order m = 1.25 (p = 1 <= m < alpha): the delta-method error bar
     "rate-m125": (
         "rate-study", {"study": dict(RATE_STUDY, m=1.25)}, 1,
-        "31bd2446e42fea9553d70561a7ff2bade6b2a57f4f40834c80a49b3e3bae3867",
-        "740b7bb44bcaefbd87c219bc0ea6f55c89b6f434240508b7936841d6355c0377",
+        "35f4019687fbf0902b0753288abb6d37209b51a858eb3496e6784f7ac1b43d12",
+        "89ef43bb5cd47668a6fe1737a4ddee371ff2fa8dbca42ffdbdd5e8f678e19387",
     ),
     # slow-fast paths recorded for the increment regularity scan
     "hoelder": (
@@ -137,8 +134,8 @@ CASES = {
          "study": {"kind": "hoelder", "epsilon": 0.0625, "grid": [0.03125, 0.0625, 0.125],
                    "n_replicas": 2, "n_iters": None}},
         1,
-        "c6ea09da90d8eb718ca9cc54975b3b6d64956f3b9ce38d5655e704197a98f402",
-        "f8674eadb7920c2a0c31fa9a48adecf361e7372acd2bdae8ca7a8e56e1af482f",
+        "7027d20131d920033271d7bde253992b444c0cae86718bfc7e61ff4057bc47f9",
+        "d54db6b77f4b593a605833384abcd42ece315456cee5da9fa7172bf3d0ed7297",
     ),
     # the fast path against its block-frozen auxiliary twin
     "aux-gap": (
@@ -147,8 +144,8 @@ CASES = {
          "study": {"kind": "aux-gap", "epsilon": 0.0625, "grid": [0.03125, 0.0625, 0.125],
                    "n_replicas": 2, "n_iters": None}},
         1,
-        "72f764696bd25d8ec73e6b067656cae360590c3e1db8de4a3ae4ddde0428b3e4",
-        "9916506ccb5a0e97d283d182c26686e14fd5c5672892a50c4d2efae739b784af",
+        "479f93de9ef9b3f1d0d101da23a32dac4bfdf09e767c3e8cff459f7fcbf69cd0",
+        "89bf86c55e498671fd1763eca69eb3785e4131318402242d14d454c1e3ea18a8",
     ),
     # frozen-equation ensembles on the linear oracle family
     "ergodicity": (
@@ -159,15 +156,15 @@ CASES = {
          "study": {"kind": "ergodicity", "grid": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
                    "ensemble": 600, "n_iters": None}},
         1,
-        "0a63fd223288f3657e7a6c605c74a6fd9ee940caeafcd40189c2344a795e8fa1",
+        "d46539c960ae09aa0f00ef9fc2c543db79173d7e461f4f718db7e4023213b388",
         "9a5804afda498cf1538f0a0055acb89de5b78bded812e392c05ce39cf4713ed3",
     ),
     # the operator and coefficients of configs/default.json: 8 modes, K = 4,
     # eight systems of 8 particles per scale ratio
     "rate-default8": (
         "rate-study", DEFAULT8_RATE, 1,
-        "aaeca81a614bbe39dee7cb10620d3c0d00595e8cdf4ce63d9ab38430369fd03e",
-        "63e3c145f444520743d6d61e3a03e3e0624083381e516d194fe24d88326be19d",
+        "01ede91d358ff77672643144371558345cb486b374853a1314002b29adf2b516",
+        "899c3d3b616f1c9c72576bebd742d4781045a875f2f7f3e28bce1ae3a458fc12",
     ),
 }
 
@@ -225,8 +222,8 @@ def _sha256(*arrays):
 # relax_time -> sha256 of (estimate, stderr); 4,800 averaging steps cross
 # several noise blocks, and relax_time = 0 starts averaging at once
 ERGODIC_FBAR = {
-    2.0: "bb968aa1c9aaf6f5275e126f532e8403698e63a09eff62f76c101b554a96089f",
-    0.0: "a21a7ee204edb5e30847afad9b2b82eb8dd23b565238eef85cabe7d861dd2388",
+    2.0: "e407e6e2ff29ff828a18eb03c5b3a5c03596398c7e3a8191c4663808bcc4cc3f",
+    0.0: "c7cf7cec3ff2d788a3d5b115d5b1546b5c51eec7c1190c84285b884557d4e266",
 }
 
 
@@ -248,4 +245,4 @@ def test_simulate_averaged_digest():
     cfg = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-12, eta=0.1)
     ens = simulate_averaged(cfg, AveragedDrift(mode="analytic_linear"), record_every=4)
     assert _sha256(ens.paths, ens.mu_stat) == (
-        "5e31127cc8154d79e41b35c432db8e5a7683ec96f47793e89939bf1d126d5e5e")
+        "78926dc1eb6e430de6d8f86101af61594b91f91fcaac5979952eecfda42aedb4")

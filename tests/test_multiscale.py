@@ -20,8 +20,8 @@ from mvspde.multiscale import (
     slow_snapshots,
     strong_error_stats,
 )
-from mvspde import solver
-from mvspde.noise import RngStream, sample_convolution_increment
+from mvspde import multiscale, solver
+from mvspde.noise import CH_FAST, CH_SLOW, RngStream, sample_convolution_increment
 from mvspde.solver import SimConfig, simulate_mkv
 from mvspde.spectral import OperatorSpec
 
@@ -511,18 +511,31 @@ class TestReplicaBatch:
             (alone,) = strong_error_stats(cfg, drift, replicas=[replica])
             assert stats.mean_pow == alone.mean_pow
 
-    def test_head_only_fast_field_equals_full_width(self, spec8, coeffs8, monkeypatch):
-        # Y on the K = 4 modes F reads against Y on all 8 modes, two systems,
-        # 24-step blocks leaving a short last block of the 128 steps
-        assert coeffs8.y_modes == 4
-        full = dataclasses.replace(coeffs8, y_modes=None)
-        drift = AveragedDrift(mode="stationary_quadrature")
-        replicas = [(3, None), (5, range(12, 24))]
-        monkeypatch.setattr(solver, "BLOCK_STEPS", 24)
-        head = strong_error_stats(self._cfg(spec8, coeffs8), drift, m=1.25, replicas=replicas)
-        wide = strong_error_stats(self._cfg(spec8, full), drift, m=1.25, replicas=replicas)
-        assert [(s.mean_pow, s.var_pow) for s in head] == [(s.mean_pow, s.var_pow) for s in wide]
-        assert head[0].mean_pow != head[1].mean_pow
+    @pytest.mark.parametrize("y_modes, n_fast", [(4, 4), (None, 8)])
+    def test_fast_banks_open_with_the_modes_f_reads(self, spec8, coeffs8, monkeypatch,
+                                                    y_modes, n_fast):
+        # two systems on 8 modes: the fast banks hold y_modes modes (all 8
+        # when None) and draw exactly those words per step
+        opened, drawn = [], []
+
+        class SpyBank(multiscale.StableNoiseBank):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.channel = args[4]
+                opened.append((self.channel, self.n_modes))
+
+            def draw(self, n_steps, out=None):
+                block = super().draw(n_steps, out=out)
+                drawn.append((self.channel, block.shape))
+                return block
+
+        monkeypatch.setattr(multiscale, "StableNoiseBank", SpyBank)
+        co = dataclasses.replace(coeffs8, y_modes=y_modes)
+        strong_error_stats(self._cfg(spec8, co), AveragedDrift(mode="stationary_quadrature"),
+                           replicas=[(3, None), (5, range(12, 24))])
+        assert opened == [(CH_SLOW, 8)] * 2 + [(CH_FAST, n_fast)] * 2
+        # the 128 steps are one noise block
+        assert drawn == [(CH_SLOW, (12, 128, 8))] * 2 + [(CH_FAST, (12, 128, n_fast))] * 2
 
     def test_nonfinite_head_only_y_names_epsilon_replica_and_step(self, spec4):
         # F reads y on its two leading modes; G turns NaN on the third system

@@ -205,6 +205,17 @@ class TestNoiseBank:
         assert np.array_equal(bank.draw(3)[0], plain.draw(3)[0])
 
 
+def _cms_sincos(d, w, alpha):
+    """The Chambers-Mallows-Stuck transform in its sin/cos form at angle v = pi d.
+
+    cos(v) is taken as sin(pi (1/2 - |d|)), the sine of the distance to the
+    nearer pole, so the reference keeps its relative accuracy there.
+    """
+    v = np.pi * d
+    return (np.sin(alpha * v) / np.sin(np.pi * (0.5 - np.abs(d))) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha))
+
+
 class TestChunkedCms:
     """The chunked transform has the bits of the one-expression closed form."""
 
@@ -216,7 +227,7 @@ class TestChunkedCms:
     )
     def test_matches_closed_form(self, size, alpha, seed):
         gen = np.random.default_rng(seed)
-        u = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size)
+        u = gen.random(size)
         w = gen.standard_exponential(size)
         ref = _cms_closed_form(u, w, alpha)
         assert np.array_equal(_cms(u, w, alpha), ref)
@@ -226,7 +237,7 @@ class TestChunkedCms:
 
     def test_keeps_shape_and_scalars(self):
         gen = np.random.default_rng(1)
-        u = gen.uniform(-1.5, 1.5, (3, 5, 2))
+        u = gen.random((3, 5, 2))
         w = gen.standard_exponential((3, 5, 2))
         assert np.array_equal(_cms(u, w, ALPHA), _cms_closed_form(u, w, ALPHA))
         assert _cms(0.3, 1.2, ALPHA) == _cms_closed_form(0.3, 1.2, ALPHA)
@@ -237,6 +248,38 @@ class TestChunkedCms:
             _cms(u, u, ALPHA, out=np.empty((3, 4)))
         with pytest.raises(ValueError, match="C-contiguous"):
             _cms(u, u, ALPHA, out=np.empty((3, 4)).T)
+
+
+class TestTangentForm:
+    """The tangent-form transform against the sin/cos form it replaces."""
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_matches_sincos_form(self, alpha):
+        gen = np.random.default_rng(17)
+        # raw uniforms: random ones, and geometric runs into the middle and
+        # the two ends of [0, 1)
+        gaps = np.geomspace(2.0**-52, 0.25, 400)
+        u = np.concatenate([gen.random(1 << 16), gaps, 1.0 - gaps, 0.5 - gaps, 0.5 + gaps])
+        w = gen.standard_exponential(u.size)
+        d = u - (0.5 - 2.0**-54)   # the transform's angle is pi d
+        keep = np.abs(np.pi * d) <= np.pi / 2.0 - 1e-6
+        assert keep.sum() > (1 << 16)
+        ref = _cms_sincos(d[keep], w[keep], alpha)
+        rel = np.abs(_cms(u, w, alpha)[keep] - ref) / np.abs(ref)
+        assert rel.max() <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_end_uniforms_give_finite_variates(self, alpha):
+        ends = np.array([0.0, 1.0 - 2.0**-53])
+        s = _cms(ends, np.ones(2), alpha)
+        assert np.all(np.isfinite(s))
+        assert s[0] == -s[1] < 0.0
+        for u in ends:
+            assert np.isfinite(_cms(u, 1.0, alpha))
+
+    def test_zero_exponential_gives_zero(self):
+        s = _cms(np.array([0.2, 0.8]), np.zeros(2), ALPHA)
+        assert np.array_equal(s, [0.0, 0.0])
 
 
 class TestDrawInto:
@@ -259,23 +302,20 @@ class TestDrawInto:
             assert np.array_equal(buf, np.stack([b.draw(n_steps) for b in plain]))
 
     def test_out_shape_checked(self):
+        # out holds the whole block: every particle, step and mode of the bank
         bank = StableNoiseBank(1, ALPHA, 2, 3, CH_SLOW)
-        with pytest.raises(ValueError, match="shape"):
-            bank.draw(4, out=np.empty((2, 5, 3)))
-        with pytest.raises(ValueError, match="shape"):
-            bank.draw(4, out=np.empty((2, 4, 4)))
+        for shape in [(2, 5, 3), (2, 4, 4), (2, 4, 2), (1, 4, 3)]:
+            with pytest.raises(ValueError, match="shape"):
+                bank.draw(4, out=np.empty(shape))
 
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_head_draw_is_the_leading_modes_and_keeps_the_stream(self, k):
-        full = StableNoiseBank(8, ALPHA, 3, 5, CH_FAST, replica=2)
-        head = StableNoiseBank(8, ALPHA, 3, 5, CH_FAST, replica=2)
-        first, second, third = (full.draw(n) for n in (7, 4, 6))
-        out = np.empty((3, 7, k))
-        assert head.draw(7, out=out) is out
-        assert np.array_equal(out, first[..., :k])
-        # the next block, full or head-only, is where a full draw left the stream
-        assert np.array_equal(head.draw(4), second)
-        assert np.array_equal(head.draw(6, out=np.empty((3, 6, k))), third[..., :k])
+    def test_k_mode_bank_is_block_size_independent(self, k):
+        whole = StableNoiseBank(8, ALPHA, 3, k, CH_FAST, replica=2).draw(17)
+        bank = StableNoiseBank(8, ALPHA, 3, k, CH_FAST, replica=2)
+        outs = [np.empty((3, n, k)) for n in (7, 4, 6)]
+        for out in outs:
+            assert bank.draw(out.shape[1], out=out) is out
+        assert np.array_equal(np.concatenate(outs, axis=1), whole)
 
 
 class TestDensityAndQuadrature:
