@@ -19,8 +19,8 @@ tangents (``tan`` is the cheap trig ufunc):
     cos((1 - alpha) v) = (1 - c^2) / (1 + c^2),  c = tan((1 - alpha) v / 2)
 
 t is the tangent of half the distance to the nearer pole, so cos(v) keeps
-its relative accuracy next to the poles.  With A = a + 1/a, T = t + 1/t, P = W / cos((1 - alpha) v),
-the two powers fold into one:
+its relative accuracy next to the poles.  With A = a + 1/a, T = t + 1/t
+and P = W / cos((1 - alpha) v), the two powers fold into one:
 
     S = 2**((alpha - 1)/alpha) * (T / A) * (P / T)**(1 - 1/alpha),
 
