@@ -11,7 +11,6 @@ line is the manifest path of the persisted result.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import sys
 
@@ -94,10 +93,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = copy.deepcopy(cfg)
-            cfg["sim"]["seed"] = args.seed
+        cfg = load_config(args.config, seed=args.seed)
         spec = build_spec(cfg)
         coeffs = build_coeffs(cfg, spec)
     except (ConfigError, ValueError, TypeError) as exc:

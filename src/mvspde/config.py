@@ -88,7 +88,7 @@ SCHEMA = {
                 "h": _POS,
                 "h_fast": _POS,
                 "M": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
                 "xi": _FIELD,
                 "eta": _FIELD,
             },
@@ -133,11 +133,12 @@ def _pointer(error: jsonschema.ValidationError) -> str:
     return "/" + "/".join(str(tok) for tok in error.absolute_path)
 
 
-def load_config(path) -> dict:
+def load_config(path, seed: int | None = None) -> dict:
     """Read and schema-validate a JSON config, raising ConfigError on failure.
 
     The error message carries a JSON pointer to the offending key, e.g.
-    ``/operator/alpha: 2.5 is greater than ...``.
+    ``/operator/alpha: 2.5 is greater than ...``.  ``seed``, when given,
+    replaces sim.seed before the check, so an override meets the schema too.
     """
     path = Path(path)
     try:
@@ -148,6 +149,8 @@ def load_config(path) -> dict:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if seed is not None and isinstance(doc, dict) and isinstance(doc.get("sim"), dict):
+        doc["sim"]["seed"] = seed
     validator = jsonschema.Draft202012Validator(SCHEMA)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
@@ -171,21 +174,15 @@ def build_coeffs(cfg: dict, spec: OperatorSpec) -> CoefficientSet:
     ).build(spec)
 
 
-def build_sim(
-    cfg: dict,
-    spec: OperatorSpec,
-    coeffs: CoefficientSet,
-    seed_override: int | None = None,
-) -> SimConfig:
+def build_sim(cfg: dict, spec: OperatorSpec, coeffs: CoefficientSet) -> SimConfig:
     sect = cfg["sim"]
-    seed = sect["seed"] if seed_override is None else seed_override
     return SimConfig(
         spec=spec,
         coeffs=coeffs,
         T=float(sect["T"]),
         h=float(sect["h"]),
         M=int(sect["M"]),
-        seed=int(seed),
+        seed=int(sect["seed"]),
         xi=sect.get("xi", 0.0),
     )
 

@@ -46,6 +46,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, effective_constants
 from .config import describe
+from .measures import FitReport, fit_line
 from .multiscale import (
     AveragedDrift,
     MultiscaleConfig,
@@ -118,15 +119,6 @@ class ExperimentResult:
         return config_digest(self.config)
 
 
-@dataclass(frozen=True)
-class FitReport:
-    slope: float
-    intercept: float
-    slope_stderr: float
-    r2: float
-    used: tuple[int, ...]
-
-
 def _plain(obj):
     """Recursively convert numpy scalars/arrays so json round-trips evenly."""
     if isinstance(obj, dict):
@@ -166,17 +158,15 @@ def _result(kind, grid, config, seeds, t0, meta, flags=None, fit=None) -> Experi
 
 
 def fit_loglog(grid, exclude=()) -> FitReport:
-    """Weighted least-squares slope of log10(error) against log10(param).
+    """Weighted :func:`~mvspde.measures.fit_line` of log10(error) on log10(param).
 
-    Weights are inverse squared *relative* stderr (the MC stderr mapped to
-    log space), floored to keep zero-stderr points finite.  Points with
-    nonpositive param or error, plus any index in ``exclude``, are
-    dropped.  The slope standard error is the chi-square-rescaled WLS one,
-    which stays honest when the per-point error bars are misestimated;
-    it needs at least three points, below that it is reported as nan.
+    Weights are inverse *relative* stderr (the MC stderr mapped to log
+    space), floored to keep zero-stderr points finite.  Points with
+    nonpositive or non-finite param or error, plus any index in
+    ``exclude``, are dropped.
     """
     exclude = set(exclude)
-    xs, ys, ws, used = [], [], [], []
+    xs, ys, ws = [], [], []
     for i, pt in enumerate(grid):
         if i in exclude or not (pt.param > 0 and pt.error > 0):
             continue
@@ -186,32 +176,11 @@ def fit_loglog(grid, exclude=()) -> FitReport:
         xs.append(math.log10(pt.param))
         ys.append(math.log10(pt.error))
         ws.append(1.0 / rel)
-        used.append(i)
     if len(xs) < 2:
         raise ValueError(
             f"need at least 2 usable grid points for a log-log fit, have {len(xs)}"
         )
-    x = np.array(xs)
-    y = np.array(ys)
-    w = np.array(ws)
-    slope, intercept = np.polyfit(x, y, 1, w=w)
-    if len(xs) >= 3:
-        cov = np.polyfit(x, y, 1, w=w, cov=True)[1]
-        slope_stderr = float(np.sqrt(cov[0, 0]))
-    else:
-        slope_stderr = float("nan")
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum((w * resid) ** 2))
-    ybar = float(np.sum(w**2 * y) / np.sum(w**2))
-    ss_tot = float(np.sum((w * (y - ybar)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return FitReport(
-        slope=float(slope),
-        intercept=float(intercept),
-        slope_stderr=slope_stderr,
-        r2=float(r2),
-        used=tuple(used),
-    )
+    return fit_line(xs, ys, ws)
 
 
 # --------------------------------------------------------------------------
@@ -597,20 +566,17 @@ def simulate_study(
 ) -> ExperimentResult:
     """Single interacting-system run, reported as the p-moment curve.
 
-    Grid rows are (t_j, empirical p-moment, delta-method stderr); the meta
-    block carries the a-priori moment stability check at order ``m``.
+    Grid rows are (t_j, empirical p-moment, delta-method stderr), each the
+    :class:`StrongErrorStats` of the particles' p-th norm powers at t_j; the
+    meta block carries the a-priori moment stability check at order ``m``.
     """
     t0 = time.perf_counter()
     ens = simulate_mkv(cfg)
     p = cfg.spec.p
     grid = []
-    for j, t in enumerate(ens.times):
-        v = np.linalg.norm(ens.paths[:, j, :], axis=1) ** p
-        mean_v = float(v.mean())
-        se_v = float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
-        stat = mean_v ** (1.0 / p)
-        se = se_v / p * mean_v ** (1.0 / p - 1.0) if mean_v > 0 else 0.0
-        grid.append(GridPoint(param=float(t), error=stat, stderr=float(se)))
+    for t, cloud in zip(ens.times, ens.law.clouds):
+        row = StrongErrorStats.from_sample(np.linalg.norm(cloud, axis=1) ** p, p)
+        grid.append(GridPoint(param=float(t), error=row.error, stderr=row.stderr))
     check = moment_bound_check(ens, m=m if m is not None else p)
     config = describe(cfg.spec, cfg.coeffs, cfg)
     config["study"] = {"kind": "simulate", "m": m}

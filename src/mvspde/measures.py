@@ -1,7 +1,16 @@
-"""Empirical measures on mode space and Wasserstein-type distances.
+"""Empirical measures on mode space, the statistics read off them, and distances.
 
 An empirical measure is a uniform average of M point masses in R^N (N =
-number of retained modes).  Distances:
+number of retained modes).  Each statistic the package reports has one
+implementation here:
+
+* ``p_moment``, the law statistic ((1/M) sum_i |x_i|^p)^(1/p): the live
+  drift reads it and a frozen flow of laws carries it, so the two agree
+  bit for bit;
+* ``fit_line``, the weighted least-squares line behind every fitted
+  slope and rate.
+
+Distances:
 
 * ``wasserstein_exact`` solves the optimal assignment between two
   equal-size clouds (Hungarian algorithm on the cost matrix |x_i - y_j|^p)
@@ -34,6 +43,8 @@ __all__ = [
     "EmpiricalMeasure",
     "LawFlow",
     "p_moment",
+    "FitReport",
+    "fit_line",
     "wasserstein_exact",
     "wasserstein_sliced",
     "dT_metric",
@@ -84,15 +95,58 @@ class EmpiricalMeasure:
         return self.particles.shape[1]
 
     def moment(self, p: float) -> float:
-        return p_moment(self, p)
+        return p_moment(self.particles, p)
 
 
-def p_moment(mu: EmpiricalMeasure, p: float) -> float:
-    """((1/M) sum_i |x_i|^p)^(1/p), the p-th moment statistic of the cloud."""
+def p_moment(x, p: float):
+    """((1/M) sum_i |x_i|^p)^(1/p) of each cloud in x, shape (..., M, n_modes).
+
+    One cloud gives a float, a batch an array of shape x.shape[:-2].  x is
+    reduced as a C-ordered array (copied only if it is not one), each cloud
+    along its own particle axis with its root a scalar power (numpy's array
+    power can differ in the last bit), so a cloud has the same bits alone,
+    in a batch and as a strided view.  Particle norms are
+    sqrt(add.reduce(x*x)), the bits of np.linalg.norm on real input.
+    """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    norms = np.linalg.norm(mu.particles, axis=1)
-    return float(np.mean(norms**p) ** (1.0 / p))
+    x = np.ascontiguousarray(x, dtype=float)
+    means = np.mean(np.sqrt(np.add.reduce(x * x, axis=-1)) ** p, axis=-1)
+    roots = [float(v) ** (1.0 / p) for v in np.ravel(means)]
+    return roots[0] if means.ndim == 0 else np.reshape(roots, means.shape)
+
+
+@dataclass(frozen=True)
+class FitReport:
+    slope: float
+    intercept: float
+    slope_stderr: float
+    r2: float
+
+
+def fit_line(x, y, w=None) -> FitReport:
+    """Weighted least-squares line y ~ slope * x + intercept.
+
+    ``w`` multiplies each residual (numpy's polyfit convention, so 1/sigma);
+    None means unit weights.  The slope standard error is the
+    chi-square-rescaled one, which stays honest when the weights are
+    misestimated; it needs at least three points, below that it is nan.
+    ``r2`` is the weighted coefficient of determination.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    w = np.ones_like(x) if w is None else np.asarray(w, dtype=float)
+    if x.size < 2:
+        raise ValueError(f"need at least 2 points for a line fit, have {x.size}")
+    slope, intercept = np.polyfit(x, y, 1, w=w)
+    slope_stderr = float("nan")
+    if x.size >= 3:
+        slope_stderr = float(np.sqrt(np.polyfit(x, y, 1, w=w, cov=True)[1][0, 0]))
+    resid = y - (slope * x + intercept)
+    ss_res = float(np.sum((w * resid) ** 2))
+    ybar = float(np.sum(w**2 * y) / np.sum(w**2))
+    ss_tot = float(np.sum((w * (y - ybar)) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return FitReport(float(slope), float(intercept), slope_stderr, float(r2))
 
 
 def wasserstein_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
@@ -112,6 +166,14 @@ def wasserstein_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> f
     cost = np.linalg.norm(diff, axis=2) ** p
     rows, cols = assignment_solver()(cost)
     return float(np.mean(cost[rows, cols]) ** (1.0 / p))
+
+
+def _directions(rng, n_projections: int, n_modes: int) -> np.ndarray:
+    """Isotropic unit directions in R^n_modes, one per row, drawn from ``rng``."""
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    directions = gen.standard_normal((n_projections, n_modes))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return directions
 
 
 def _wasserstein_1d(x: np.ndarray, y: np.ndarray, p: float) -> float:
@@ -143,9 +205,7 @@ def wasserstein_sliced(
     if directions is None:
         if rng is None:
             raise ValueError("need rng or explicit directions")
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        directions = gen.standard_normal((n_projections, mu.n_modes))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        directions = _directions(rng, n_projections, mu.n_modes)
     else:
         directions = np.asarray(directions, dtype=float)
     proj_mu = mu.particles @ directions.T  # (M, L)
@@ -186,10 +246,6 @@ class LawFlow:
 
     def measure_at(self, j: int) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.clouds[j])
-
-    def moment_curve(self, p: float) -> np.ndarray:
-        norms = np.linalg.norm(self.clouds, axis=2)  # (n_times, M)
-        return np.mean(norms**p, axis=1) ** (1.0 / p)
 
 
 def dT_metric(
@@ -234,8 +290,8 @@ def dT_metric(
             f"flow cloud shapes differ: {mu_flow.clouds.shape} vs {nu_flow.clouds.shape}"
         )
 
-    norms = np.linalg.norm(mu_flow.clouds - nu_flow.clouds, axis=2)  # (n_times, M)
-    bound = np.exp(-lambda_weight * mu_flow.times) * np.mean(norms**p, axis=1) ** (1.0 / p)
+    bound = np.exp(-lambda_weight * mu_flow.times) * p_moment(
+        mu_flow.clouds - nu_flow.clouds, p)
     bad = np.flatnonzero(~np.isfinite(bound))
     if bad.size:
         j = int(bad[0])
@@ -252,10 +308,7 @@ def dT_metric(
                 f"M = {mu_flow.size} > {EXACT_ASSIGNMENT_LIMIT}: sliced distance "
                 "needs an rng for projection directions"
             )
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        n_modes = mu_flow.clouds.shape[2]
-        directions = gen.standard_normal((n_projections, n_modes))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        directions = _directions(rng, n_projections, mu_flow.clouds.shape[2])
 
     best = 0.0
     for j in np.argsort(-bound, kind="stable"):

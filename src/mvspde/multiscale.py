@@ -43,11 +43,11 @@ import numpy as np
 
 from .spectral import OperatorSpec
 from .coefficients import CoefficientSet, effective_constants
+from .measures import fit_line, p_moment
 from .solver import (
     NonFiniteState,
     PathEnsemble,
     SimConfig,
-    _empirical_mu_stat,
     _recorder,
     advance,
     euler_weights,
@@ -335,14 +335,14 @@ class AveragedDrift:
     ``stationary_quadrature`` exact integration of F against the frozen
                              equation's stationary law (available when the
                              family exposes it; exact up to quadrature tables)
-    ``ergodic_estimate``     long-path time average after burn-in, cached by
-                             quantized (x, mu_stat); the estimator the
-                             averaging principle itself suggests
+    ``ergodic_estimate``     long-path time average after burn-in, cached per
+                             family, stream and quantized (x, mu_stat); the
+                             estimator the averaging principle suggests
 
     ``relax_time`` / ``avg_time`` default to 8 and 64 relaxation times
     1/(lambda_1 - L_G).  Ergodic estimates are reproducible: the stream for
-    a cache key is derived from ``seed`` and a hash of the key quantized at
-    ``CACHE_RESOLUTION``, so results do not depend on evaluation order.
+    a cache key is derived from ``seed`` and a hash of (x, mu_stat) quantized
+    at ``CACHE_RESOLUTION``, so results do not depend on evaluation order.
     """
 
     mode: str = "stationary_quadrature"
@@ -393,15 +393,16 @@ def ergodic_fbar(
     Burn-in ``relax_time``, then average F(x, mu, Y_s) over ``avg_time``.
     The standard error comes from batch means (``N_BATCHES`` equal
     sub-windows), which absorbs the path's autocorrelation.  Results are
-    cached by quantized (x, mu_stat); the noise stream is derived from the
-    cache key so a cache hit and a recomputation agree.
+    cached by spec, coeffs, stream seed and replica, and quantized (x, mu_stat);
+    the particle id hashes the last alone, so a hit and a recomputation agree.
     """
-    key = _cache_key(frozen.x, frozen.mu_stat)
+    base = rng if rng is not None else RngStream(drift.seed)
+    point = _cache_key(frozen.x, frozen.mu_stat)
+    key = (spec, coeffs, base.seed, base.replica) + point
     if key in drift.cache:
         return drift.cache[key]
     t_b, t_a = drift.windows(spec, coeffs)
-    key_hash = zlib.crc32(repr(key).encode()) & 0x7FFFFFFF
-    base = rng if rng is not None else RngStream(drift.seed)
+    key_hash = zlib.crc32(repr(point).encode()) & 0x7FFFFFFF
     bank = StableNoiseBank(base.seed, spec.alpha, 1, spec.n_modes, CH_FROZEN,
                            replica=base.replica, particle_ids=[key_hash])
 
@@ -507,13 +508,13 @@ def ergodicity_decay(
 
     Runs ``n_replicas`` frozen paths from the same start, estimates
     E F(x, mu, Y_t) at the grid times, and fits log|gap| ~ -rate * t on the
-    points that sit above 3x their Monte Carlo floor, raising
-    :class:`NoSignalError` when fewer than two do.  The theoretical
+    points above 3x their Monte Carlo floor (nan stderr from two points),
+    raising :class:`NoSignalError` when fewer than two are.  The theoretical
     envelope decays at rate lambda_1 - L_G.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 2 or np.any(t_grid < 0):
-        raise ValueError("t_grid must be 1-d, nonnegative, with at least 2 points")
+    if t_grid.ndim != 1 or t_grid.size < 2 or t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be 1-d, nonnegative and increasing, with at least 2 points")
     eff = effective_constants(coeffs, spec)
     if not eff.strongly_dissipative:
         raise ValueError(f"dissipativity gap {eff.gap:.6g} <= 0")
@@ -542,14 +543,7 @@ def ergodicity_decay(
     if kept.sum() < 2:
         raise NoSignalError("fewer than 2 points above the MC floor; shrink t_grid or add replicas")
     t_k, g_k = t_grid[kept], np.log(gaps[kept])
-    design = np.vstack([t_k, np.ones_like(t_k)]).T
-    coef, res, *_ = np.linalg.lstsq(design, g_k, rcond=None)
-    rate = -float(coef[0])
-    dof = max(t_k.size - 2, 1)
-    resid_var = float(res[0]) / dof if res.size else 0.0
-    t_center = t_k - t_k.mean()
-    denom = float(np.sum(t_center**2))
-    rate_stderr = float(np.sqrt(resid_var / denom)) if denom > 0 else np.inf
+    fit = fit_line(t_k, g_k)
 
     # prefactor at the theoretical rate; envelope check with 50% headroom
     log_c = float(np.mean(g_k + eff.gap * t_k))
@@ -560,8 +554,8 @@ def ergodicity_decay(
         gaps=gaps,
         floor_levels=floors,
         kept=kept,
-        fitted_rate=rate,
-        rate_stderr=rate_stderr,
+        fitted_rate=-fit.slope,
+        rate_stderr=fit.slope_stderr,
         theory_rate=float(eff.gap),
         envelope_const=env_c,
         envelope_ok=envelope_ok,
@@ -600,13 +594,13 @@ def simulate_averaged(
 
 
 class StrongErrorStats(NamedTuple):
-    """Moments of a per-particle sample of m-th powers of an error.
+    """Moments of a per-particle sample of m-th powers of an error or a norm.
 
     ``mean_pow`` and ``var_pow`` describe the sample across its ``n``
-    particles (sup|X - Xbar|^m for the strong error; m = 1 for the
-    increment studies); ``error`` is mean_pow**(1/m) and ``stderr`` its
-    delta-method standard error.  As a tuple it leads with (mean, var, n),
-    the row that replica moments pool by.
+    particles (sup|X - Xbar|^m for the strong error, m = 1 for the
+    increment studies, |x_i|^p for the simulate curve); ``error`` is
+    mean_pow**(1/m) and ``stderr`` its delta-method standard error.  As a
+    tuple it leads with (mean, var, n), the row that replica moments pool by.
     """
 
     mean_pow: float
@@ -698,8 +692,8 @@ def strong_error_stats(
 
     def drift_at(j, fields):
         x, y, xb = fields
-        m_x = _empirical_mu_stat(x, spec.p)[:, None, None]
-        m_b = _empirical_mu_stat(xb, spec.p)[:, None, None]
+        m_x = p_moment(x, spec.p)[:, None, None]
+        m_b = p_moment(xb, spec.p)[:, None, None]
         return coeffs.F(x, m_x, y), coeffs.G(x, m_x, y), fbar(xb, m_b)
 
     def track_sup(j, fields):

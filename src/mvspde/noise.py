@@ -73,8 +73,6 @@ __all__ = [
     "CH_PROBE",
 ]
 
-_MASK64 = (1 << 64) - 1
-
 # Channel ids. Multiplicative layout: channel c uses spawn slots (2c, 2c+1)
 # for the uniform / exponential halves of the CMS transform.
 CH_SLOW = 0
@@ -102,14 +100,14 @@ class RngStream:
     channel: int = 0
 
     def __post_init__(self):
-        for name in ("replica", "particle", "channel"):
+        for name in ("seed", "replica", "particle", "channel"):
             v = getattr(self, name)
             if int(v) != v or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {v}")
 
     def _open(self, slot: int) -> np.random.Generator:
         ss = np.random.SeedSequence(
-            entropy=self.seed & _MASK64,
+            entropy=self.seed,
             spawn_key=(self.replica, self.particle, slot),
         )
         return np.random.Generator(np.random.Philox(ss))
@@ -302,8 +300,8 @@ def tail_slope(
     keep = ccdf > 0
     if keep.sum() < 2:
         raise ValueError("tail too sparse for a slope fit; need more samples")
-    slope, _ = np.polyfit(np.log(xs[keep]), np.log(ccdf[keep]), 1)
-    return float(slope)
+    from .measures import fit_line  # measures imports this module
+    return fit_line(np.log(xs[keep]), np.log(ccdf[keep])).slope
 
 
 # rows per block of a quadrature matrix: a block of 2400 nodes is ~5 MB

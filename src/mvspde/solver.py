@@ -45,6 +45,8 @@ from .measures import (
     LawFlow,
     assignment_solver,
     dT_metric,
+    fit_line,
+    p_moment,
 )
 from .noise import RngStream, StableNoiseBank, convolution_scales, CH_PROJECTION, CH_SLOW
 
@@ -143,22 +145,6 @@ class PathEnsemble:
         return EmpiricalMeasure(self.paths[:, j])
 
 
-def _empirical_mu_stat(x: np.ndarray, p: float):
-    """Empirical p-moment statistic of each system in x, shape (..., M, n_modes).
-
-    Every system reduces along its own contiguous particle axis, and its
-    root is taken as a scalar power (numpy's array power loop can differ in
-    the last bit), so a system's statistic has the same bits alone as in a
-    batch.  A single system, x of shape (M, n_modes), gives a float; a
-    batch gives an array of shape x.shape[:-2].  The particle norms are
-    sqrt(add.reduce(x*x)), the bits of np.linalg.norm on real input
-    without its dispatch.
-    """
-    means = np.mean(np.sqrt(np.add.reduce(x * x, axis=-1)) ** p, axis=-1)
-    roots = [float(v) ** (1.0 / p) for v in np.ravel(means)]
-    return roots[0] if means.ndim == 0 else np.reshape(roots, means.shape)
-
-
 def euler_weights(spec: OperatorSpec, h: float, epsilon: float = 1.0):
     """(decay, drift weight) of one exponential Euler step on the clock 1/epsilon.
 
@@ -254,7 +240,7 @@ def _recorder(n_steps: int, every: int, shape, n_fields: int = 1, p: float | Non
 
     def observe(j, fields):
         if p is not None:
-            mu[j] = _empirical_mu_stat(fields[0], p)
+            mu[j] = p_moment(fields[0], p)
         if j % every == 0:
             for path, f in zip(paths, fields):
                 path[:, j // every] = f
@@ -360,7 +346,10 @@ def picard_law_iteration(
     the law map's contraction, not noise resampling; it is drawn once and
     handed to every stage.  Flows of more than ``EXACT_ASSIGNMENT_LIMIT``
     particles are compared in sliced W_p, with projection directions from
-    the ``CH_PROJECTION`` stream of the seed.
+    the ``CH_PROJECTION`` stream of the seed.  A flow is frozen as
+    :func:`~mvspde.measures.p_moment` of its clouds, the statistic the live
+    drift reads, so past n_steps + 1 stages the flow is :func:`simulate_mkv`'s
+    bit for bit, at distance 0.
     """
     if n_iters < 2:
         raise ValueError(f"need at least two iterations to report a ratio, got {n_iters}")
@@ -387,7 +376,7 @@ def picard_law_iteration(
             dT_metric(flow, prev_flow, lambda_weight, spec.p, rng=projections)
         )
         prev_flow = flow
-        prev_stat = flow.moment_curve(spec.p)
+        prev_stat = p_moment(flow.clouds, spec.p)
 
     distances = np.asarray(distances)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -429,25 +418,11 @@ def moment_bound_check(ensemble: PathEnsemble, m: float) -> MomentReport:
     alpha, p = ensemble.spec.alpha, ensemble.spec.p
     if not (p <= m < alpha):
         raise ValueError(f"moment order must lie in [p, alpha) = [{p}, {alpha}), got {m}")
-    norms = np.linalg.norm(ensemble.paths, axis=2)  # (M, n_times)
-    moments = np.mean(norms**m, axis=0) ** (1.0 / m)
+    moments = p_moment(ensemble.law.clouds, m)
     half = moments.size // 2
-    t = ensemble.times[half:]
-    y = moments[half:]
-    if t.size >= 3:
-        design = np.vstack([t - t.mean(), np.ones_like(t)]).T
-        coef, res, *_ = np.linalg.lstsq(design, y, rcond=None)
-        slope = float(coef[0])
-        dof = max(t.size - 2, 1)
-        resid_var = float(res[0]) / dof if res.size else 0.0
-        stderr = float(np.sqrt(resid_var / np.sum((t - t.mean()) ** 2)))
-    else:
-        slope, stderr = 0.0, 0.0
+    slope, stderr = 0.0, 0.0
+    if moments.size - half >= 3:
+        fit = fit_line(ensemble.times[half:], moments[half:])
+        slope, stderr = fit.slope, fit.slope_stderr
     stable = slope <= 3.0 * stderr + 1e-12
-    return MomentReport(
-        moments=moments,
-        sup_moment=float(moments.max()),
-        trend_slope=slope,
-        trend_stderr=stderr,
-        stable=stable,
-    )
+    return MomentReport(moments, float(moments.max()), slope, stderr, stable)

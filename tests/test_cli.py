@@ -284,12 +284,22 @@ class TestConfigBuilders:
         assert base.M == 16 and base.seed == 5
         assert base.xi[0] == 0.5
 
-    def test_seed_override_plumbed(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path))
-        spec = build_spec(cfg)
-        coeffs = build_coeffs(cfg, spec)
-        base = build_sim(cfg, spec, coeffs, seed_override=77)
-        assert base.seed == 77
+    def test_seed_override_plumbed(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, sim={"M": 8}, study={"kind": "picard", "grid": None,
+                                                       "n_iters": 2})
+        assert run(["picard", "--config", cfg, "--seed", "77",
+                    "--out", str(tmp_path / "o")]) == 0
+        meta = json.loads((manifest_of(capsys).parent / "meta.json").read_text())
+        assert meta["config"]["sim"]["seed"] == 77
+        assert meta["seeds"] == [77]  # the simulation ran on the override
+
+    @pytest.mark.parametrize("seed", ["-3", str(2**64)])
+    def test_out_of_range_seed_override_rejected_at_pointer(self, tmp_path, capsys, seed):
+        # an override meets the schema, so it cannot alias another seed's stream
+        assert run(["rate-study", "--config", write_cfg(tmp_path), "--seed", seed,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert "/sim/seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_multiscale_pointer_errors(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))

@@ -16,8 +16,25 @@ noise bit and, at rounding level, the averaged-drift quadrature:
 The law statistic's move from np.linalg.norm to sqrt(add.reduce(x*x)),
 bit-equal on real input, landed before that change with every pin
 unchanged.  Of all the digests, only the ergodicity case's meta.json
-stayed as it was.  A change that alters these bytes must say so
-and re-record them.
+stayed as it was.
+
+A later change, which made ``measures.p_moment`` the one law statistic
+and ``measures.fit_line`` the one line fit, re-recorded four cases once:
+
+- ``picard-exact`` and ``picard-p125`` (result.csv and meta.json): each
+  stage freezes ``p_moment`` of the previous flow, the statistic the
+  interacting system's drift reads, in place of a moment curve summed
+  along a strided axis with an array root; the distances moved by up to
+  4.7e-8 relative, in the late iterations near the noise floor;
+- ``simulate`` (meta.json only): the moment check reads ``p_moment`` at
+  order m and fits its trend with ``fit_line`` (np.polyfit in place of a
+  centred lstsq), so ``trend_slope`` and ``trend_stderr`` moved at 1e-15;
+  the curve's rows, now ``StrongErrorStats`` of the particles' p-th norm
+  powers, keep their bits at M = 16, a power of 4;
+- ``ergodicity`` (result.csv only): the mixing rate and its stderr come
+  from ``fit_line`` in place of lstsq, within 7.5e-15 relative.
+
+A change that alters these bytes must say so and re-record them.
 
 Each case runs the CLI in a fresh interpreter with the BLAS thread pools
 pinned to one thread.  No BLAS call remains on any pinned path (the
@@ -77,8 +94,8 @@ CASES = {
     # exact assignment path of the flow distance
     "picard-exact": (
         "picard", {}, 1,
-        "ce5d14d489b8bf0affa77c4cbacdabff2ad9ff37639394814fd560ea58142fec",
-        "a93714fbdb1c5f3c5c443788c97ebe2ef0ca4503fb6e1df55456f61f7c6582df",
+        "5f3581cd0915c40d9965efda5b7b91fcbdb6dc3414f99b863a543423ae3f5392",
+        "c61354665e85c7102af61410d30fe9b11fdc6186219eac6e0f6db47168b2906d",
     ),
     # more steps than one noise block of simulate_mkv
     "picard-long": (
@@ -92,8 +109,8 @@ CASES = {
         "picard",
         {"operator": {"p": 1.25},
          "sim": {"M": 32, "T": 0.5, "h": 0.03125, "seed": 11}, "study": {"n_iters": 6}}, 1,
-        "8ebe4d18469addb705576760c4ff5bd0f6e1d8d1fea86fcc2f7123008cf857c2",
-        "aa26df031268d72d8f0ecf7794674fea329c0dafc99dffee62dd21923dbd1b06",
+        "450652eb688a19b3b711c224bd71747ffca81ff0192c44d0e64e77e2af2c4f75",
+        "239d10c86b0b39ed19de2eb3a5f8d37ec2db930716fdc7e44cba46e91353a687",
     ),
     # the interacting system, on simulate_mkv's self-drawing noise path
     "simulate": (
@@ -101,7 +118,7 @@ CASES = {
         {"sim": {"T": 0.5, "h": 1 / 1200, "M": 16}, "study": {"kind": "simulate", "n_iters": None}},
         1,
         "415d4e9b6963d0c7407f4ef15c5acc61deb57dfad017e860c0b1f530d5919333",
-        "fa5ad33f7fb06c18656b4fec63d6e298f9e6d1f77b8c00070d9f6279f7e6db4e",
+        "20c3d0f1dcc89771e7c04947f542cc573a0024ed85274a8c24eb34311b110c2f",
     ),
     # four equal systems of 16 particles per scale ratio
     "rate-equal": (
@@ -156,7 +173,7 @@ CASES = {
          "study": {"kind": "ergodicity", "grid": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
                    "ensemble": 600, "n_iters": None}},
         1,
-        "d46539c960ae09aa0f00ef9fc2c543db79173d7e461f4f718db7e4023213b388",
+        "8a490abccce314b6abbf06bee76f98572d51ba7e47ab637a6babc9e579a75c02",
         "9a5804afda498cf1538f0a0055acb89de5b78bded812e392c05ce39cf4713ed3",
     ),
     # the operator and coefficients of configs/default.json: 8 modes, K = 4,

@@ -340,6 +340,25 @@ class TestAveragedDriftEstimation:
         again = ergodic_fbar(d2, frozen, spec2, linear2)
         assert np.array_equal(first[0], again[0])
 
+    def test_cache_keeps_coefficients_and_streams_apart(self, spec2, linear2):
+        # one drift object reused across families and streams must answer
+        # each as a fresh drift would, not from another's cache entry
+        smooth = build_family("bounded_smooth", spec2)
+        frozen = FrozenInput(x=np.array([1.0, 0.5]), mu_stat=1.0, y0=np.zeros(2))
+
+        def drift():
+            return AveragedDrift(mode="ergodic_estimate", seed=7, relax_time=2.0,
+                                 avg_time=8.0)
+
+        shared = drift()
+        ergodic_fbar(shared, frozen, spec2, linear2)
+        for coeffs, rng in ((smooth, None), (linear2, RngStream(7, replica=3)),
+                            (linear2, RngStream(8))):
+            got = ergodic_fbar(shared, frozen, spec2, coeffs, rng)
+            fresh = ergodic_fbar(drift(), frozen, spec2, coeffs, rng)
+            assert np.array_equal(got[0], fresh[0]) and got[1] == fresh[1]
+        assert len(shared.cache) == 4
+
     def test_fbar_lipschitz_and_envelope_probes(self, spec4, coeffs4, rng):
         eff = effective_constants(coeffs4, spec4)
         fbar = coeffs4.fbar_factory(spec4)
@@ -381,6 +400,13 @@ class TestErgodicityDecay:
                              y0=np.zeros(2))
         with pytest.raises(ValueError, match="grid"):
             ergodicity_decay(frozen, spec2, linear2, np.array([0.505, 1.0]),
+                             100, RngStream(0))
+
+    def test_repeated_times_rejected(self, spec2, linear2):
+        # the rate is a line fit in t, which needs distinct times
+        frozen = FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0, y0=np.zeros(2))
+        with pytest.raises(ValueError, match="increasing"):
+            ergodicity_decay(frozen, spec2, linear2, np.array([0.5, 0.5]),
                              100, RngStream(0))
 
 

@@ -4,6 +4,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from mvspde import noise
+from mvspde.measures import fit_line
 from mvspde.noise import (
     CH_FAST,
     CH_SLOW,
@@ -32,6 +33,11 @@ class TestRngStream:
         g = a.generator().random(8)
         u, _ = a.pair()
         assert np.array_equal(u.random(8), g)
+
+    @pytest.mark.parametrize("coords", [{"seed": -1}, {"seed": 1.5}, {"replica": -1}])
+    def test_coordinates_are_non_negative_integers(self, coords):
+        with pytest.raises(ValueError, match=next(iter(coords))):
+            RngStream(**{"seed": 0, **coords})
 
     def test_deterministic_replay(self):
         s1 = RngStream(42, replica=2, particle=9, channel=CH_SLOW)
@@ -147,31 +153,29 @@ class TestConvolutionIncrements:
         assert stat.pvalue > 1e-3
 
     def test_moment_envelope_nonexploding(self, spec4):
-        # run the pure stochastic convolution for a long horizon; its mean
-        # modulus must stay under a fixed multiple of (sum beta^a/lambda)^{1/a}
+        # run the pure stochastic convolution for a long horizon, with fresh
+        # noise at every step from one bank; its mean modulus must stay under
+        # a fixed multiple of (sum beta^a/lambda)^{1/a}
         h, n_steps, m = 0.25, 40, 2000
         decay = np.exp(-spec4.eigenvalues * h)
         sig = convolution_scales(spec4, h, process="slow")
+        s = StableNoiseBank(77, spec4.alpha, m, spec4.n_modes, CH_SLOW).draw(n_steps)
         x = np.zeros((m, spec4.n_modes))
-        rng = RngStream(77)
         curve = []
         for j in range(n_steps):
-            s = sample_standard_stable(rng, spec4.alpha, size=(m, spec4.n_modes))
-            x = decay * x + sig * s
+            x = decay * x + sig * s[:, j]
             curve.append(np.linalg.norm(x, axis=1).mean())
         curve = np.array(curve)
         scale = float(np.sum(spec4.slow_amplitudes**spec4.alpha
                              / spec4.eigenvalues)) ** (1 / spec4.alpha)
-        # envelope constant calibrated once on this config and frozen: the
-        # stationary level sits near 2.8x the series scale
+        # envelope constant frozen with headroom: over bank seeds 77-81 the
+        # curve's maximum came out at 1.37-1.79x the series scale and its
+        # second half averaged 1.24-1.40x
         assert curve.max() < 4.0 * scale
         # stationarity: second-half trend consistent with zero slope
         half = curve[n_steps // 2:]
-        t = np.arange(half.size, dtype=float)
-        slope, intercept = np.polyfit(t, half, 1)
-        resid = half - (slope * t + intercept)
-        se = resid.std(ddof=2) / np.sqrt(np.sum((t - t.mean()) ** 2))
-        assert abs(slope) < 3 * se + 1e-3
+        fit = fit_line(np.arange(half.size, dtype=float), half)
+        assert abs(fit.slope) < 3 * fit.slope_stderr + 1e-3
 
 
 class TestNoiseBank:

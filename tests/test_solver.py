@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvspde.coefficients import CoefficientSet, bounded_smooth
-from mvspde.measures import EXACT_ASSIGNMENT_LIMIT, wasserstein_exact
+from mvspde.measures import EXACT_ASSIGNMENT_LIMIT, p_moment, wasserstein_exact
 from mvspde.noise import (
     CH_SLOW,
     RngStream,
@@ -17,7 +17,6 @@ from mvspde import solver
 from mvspde.solver import (
     PicardReport,
     SimConfig,
-    _empirical_mu_stat,
     advance,
     euler_weights,
     moment_bound_check,
@@ -274,17 +273,25 @@ class TestEmpiricalMuStat:
     def test_batched_rows_equal_single_system_calls(self, n_systems, n_particles,
                                                     n_modes, p, seed):
         x = np.random.default_rng(seed).standard_cauchy((n_systems, n_particles, n_modes))
-        batched = _empirical_mu_stat(x, p)
+        batched = p_moment(x, p)
         assert batched.shape == (n_systems,)
         for r in range(n_systems):
-            single = _empirical_mu_stat(x[r].copy(), p)
+            single = p_moment(x[r].copy(), p)
             assert isinstance(single, float)
             assert batched[r] == single
 
+    @pytest.mark.parametrize("p", [1.0, 1.25])
+    def test_strided_view_has_the_bits_of_its_copy(self, p):
+        # a flow's clouds are a swapped view of the (M, n_times, n_modes) paths
+        paths = np.random.default_rng(3).standard_cauchy((32, 33, 8))
+        view = paths.swapaxes(0, 1)
+        assert not view.flags.c_contiguous
+        assert p_moment(view, p).tobytes() == p_moment(view.copy(), p).tobytes()
+
     def test_single_system_value(self):
         x = np.array([[3.0, 4.0], [0.0, 1.0]])
-        assert _empirical_mu_stat(x, 1.0) == 3.0
-        assert _empirical_mu_stat(x, 1.25) == pytest.approx(
+        assert p_moment(x, 1.0) == 3.0
+        assert p_moment(x, 1.25) == pytest.approx(
             ((5.0**1.25 + 1.0) / 2.0) ** 0.8, rel=1e-15)
 
 
@@ -336,6 +343,23 @@ class TestPicardIteration:
         d1 = picard_law_iteration(cfg, n_iters=4).distances
         d2 = picard_law_iteration(cfg, n_iters=4).distances
         assert np.array_equal(d1, d2)
+
+    @pytest.mark.parametrize("M", [8, 67])
+    @pytest.mark.parametrize("p", [1.0, 1.25])
+    def test_fixed_point_is_the_interacting_system(self, p, M):
+        # stage n freezes the statistic the live drift reads at times
+        # 0 .. n - 1, so past J + 1 stages the flow is simulate_mkv's, bit
+        # for bit; |xi| < 1 keeps the drift's min(1, mu) law-dependent
+        spec = OperatorSpec(n_modes=4, a=2.0, b=1.0, g=1.0, alpha=1.5, theta=1.0, p=p)
+        J = 16
+        cfg = SimConfig(spec=spec, coeffs=bounded_smooth(spec), T=J / 32, h=1 / 32,
+                        M=M, seed=13, xi=[0.3, -0.2, 0.1, 0.0])
+        rep = picard_law_iteration(cfg, n_iters=J + 3)
+        live = simulate_mkv(cfg).paths.swapaxes(0, 1)
+        assert rep.final_flow.clouds.shape == live.shape
+        assert np.ascontiguousarray(rep.final_flow.clouds).tobytes() == \
+            np.ascontiguousarray(live).tobytes()
+        assert rep.distances[-1] == 0.0
 
     def test_needs_two_iterations(self, spec4, coeffs4):
         cfg = SimConfig(spec=spec4, coeffs=coeffs4, T=0.25, h=0.125, M=4,
