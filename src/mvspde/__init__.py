@@ -7,7 +7,7 @@ averaged equation that the slow component converges to.
 
 Modules
 -------
-spectral      operator/spectrum description, semigroup, fractional norms
+spectral      operator/spectrum description, semigroup, admissibility guards
 noise         alpha-stable sampling and exact stochastic-convolution increments
 measures      empirical measures, Wasserstein distances, weighted flow metric
 coefficients  drift coefficient families and Lipschitz probing
@@ -18,7 +18,7 @@ config        config-file schema, loading, and object construction
 cli           command-line entry point
 """
 
-from .spectral import OperatorSpec, validate_spec, apply_semigroup, sobolev_norm
+from .spectral import OperatorSpec, validate_spec, apply_semigroup
 from .noise import RngStream, sample_standard_stable, sample_convolution_increment
 from .measures import EmpiricalMeasure, LawFlow, wasserstein_exact, dT_metric
 from .coefficients import CoefficientSet, bounded_smooth, linear_test
@@ -28,7 +28,7 @@ from .experiments import ExperimentResult, rate_study, hoelder_study, persist, l
 from .config import load_config
 
 __all__ = [
-    "OperatorSpec", "validate_spec", "apply_semigroup", "sobolev_norm",
+    "OperatorSpec", "validate_spec", "apply_semigroup",
     "RngStream", "sample_standard_stable", "sample_convolution_increment",
     "EmpiricalMeasure", "LawFlow", "wasserstein_exact", "dT_metric",
     "CoefficientSet", "bounded_smooth", "linear_test",

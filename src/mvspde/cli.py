@@ -3,9 +3,12 @@
 Every subcommand loads and schema-checks the config, rebuilds the
 operator and coefficient family, and runs the admissibility report
 before any simulation starts; a failed assumption is a config problem,
-not a runtime one, and exits with code 2 naming the check.  Exit code 1
-is reserved for genuine runtime failures.  On success the last stdout
-line is the manifest path of the persisted result.
+not a runtime one, and exits with code 2 naming the check.  The studies'
+guards (whole step counts, moment order, grids, bounded drift, h_fast,
+Picard weight) raise ConfigError before the first step, which exits 2 at
+the key's JSON pointer.  Exit code 1 is reserved for genuine runtime
+failures, such as a non-finite field or law statistic.  On success the
+last stdout line is the manifest path of the persisted result.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import OperatorSpec, AssumptionCheck, ValidationReport, validate_spec
+from .spectral import AssumptionCheck, ConfigError, OperatorSpec, ValidationReport, validate_spec
 from .noise import RngStream, CH_PROBE, stable_quadrature_rule, weighted_row_sums
 from .measures import EmpiricalMeasure, wasserstein_exact
 
@@ -55,6 +55,8 @@ __all__ = [
     "probe_lipschitz",
     "EffectiveConstants",
     "effective_constants",
+    "dissipativity_gap",
+    "check_bounded_drift",
     "assumption_report",
 ]
 
@@ -447,6 +449,23 @@ def effective_constants(coeffs: CoefficientSet, spec: OperatorSpec) -> Effective
         fbar_lip=float(fbar_lip),
         contraction_lambda=4.0 * coeffs.lip_C,
     )
+
+
+def dissipativity_gap(coeffs: CoefficientSet, spec: OperatorSpec) -> float:
+    """lambda_1 - L_G, raising at /coefficients/c unless positive (B3)."""
+    eff = effective_constants(coeffs, spec)
+    if not eff.strongly_dissipative:
+        raise ConfigError(f"dissipativity gap lambda_1 - L_G = {eff.gap:.6g} <= 0: "
+                          "the frozen equation does not mix", "/coefficients/c")
+    return eff.gap
+
+
+def check_bounded_drift(coeffs: CoefficientSet) -> None:
+    """Raise at /coefficients/variant unless F is bounded, as sup-in-time errors need."""
+    if not coeffs.F_bounded:
+        raise ConfigError(f"family '{coeffs.variant}' has unbounded slow drift: sup-error "
+                          "tails are uncontrolled; use a bounded family",
+                          "/coefficients/variant")
 
 
 def assumption_report(spec: OperatorSpec, coeffs: CoefficientSet) -> ValidationReport:

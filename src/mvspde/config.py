@@ -21,7 +21,7 @@ import jsonschema
 from .coefficients import BuiltinFamily, CoefficientSet
 from .multiscale import MultiscaleConfig
 from .solver import SimConfig
-from .spectral import OperatorSpec
+from .spectral import ConfigError, OperatorSpec
 
 __all__ = [
     "SCHEMA",
@@ -121,14 +121,6 @@ SCHEMA = {
 }
 
 
-class ConfigError(ValueError):
-    """A config file failed schema validation or could not be read."""
-
-    def __init__(self, message: str, pointer: str = ""):
-        super().__init__(f"{pointer}: {message}" if pointer else message)
-        self.pointer = pointer
-
-
 def _pointer(error: jsonschema.ValidationError) -> str:
     return "/" + "/".join(str(tok) for tok in error.absolute_path)
 
@@ -198,12 +190,15 @@ def build_multiscale(cfg: dict, base: SimConfig) -> MultiscaleConfig:
         raise ConfigError("this study needs a fast step", pointer="/sim/h_fast")
     if "epsilon" not in study:
         raise ConfigError("this study needs a timescale ratio", pointer="/study/epsilon")
-    return MultiscaleConfig(
-        base=base,
-        epsilon=float(study["epsilon"]),
-        h_fast=float(sect["h_fast"]),
-        eta=sect.get("eta", 0.0),
-    )
+    try:
+        return MultiscaleConfig(
+            base=base,
+            epsilon=float(study["epsilon"]),
+            h_fast=float(sect["h_fast"]),
+            eta=sect.get("eta", 0.0),
+        )
+    except ConfigError as exc:  # the h_fast rules raise without a pointer
+        raise exc.at("/sim/h_fast") from None
 
 
 def build_replicas(cfg: dict, default: int) -> int:

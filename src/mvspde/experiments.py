@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CoefficientSet, effective_constants
+from .coefficients import CoefficientSet, check_bounded_drift, dissipativity_gap
 from .config import describe
 from .measures import FitReport, fit_line
 from .multiscale import (
@@ -61,7 +61,7 @@ from .multiscale import (
 )
 from .noise import CH_FROZEN, RngStream
 from .solver import SimConfig, picard_law_iteration, moment_bound_check, simulate_mkv
-from .spectral import OperatorSpec
+from .spectral import ConfigError, OperatorSpec, check_moment_order, whole_steps
 
 __all__ = [
     "GridPoint",
@@ -119,17 +119,18 @@ class ExperimentResult:
         return config_digest(self.config)
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json round-trips evenly."""
+def _plain(obj, strict: bool = False):
+    """Recursively convert numpy scalars/arrays so json round-trips evenly;
+    ``strict`` also turns each NaN or inf into None (null in strict JSON)."""
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        return {str(k): _plain(v, strict) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return [_plain(v, strict) for v in obj]
     if isinstance(obj, np.bool_):
         return bool(obj)
-    return obj
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    return None if strict and isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def canonical_json(obj) -> str:
@@ -309,20 +310,24 @@ def rate_study(
     the error curve, to be compared against the theoretical order
     theta / (2 (1 + theta)); :func:`_power_law_curve` flags the points at
     the noise floor.  The averaged drift is the family's default one.
+    Every config fault raises before the first worker starts.
     """
     t0 = time.perf_counter()
     eps = [float(e) for e in eps_grid]
-    if len(eps) < 4:
-        raise ValueError(f"rate study needs >= 4 grid points, got {len(eps)}")
-    if any(e <= 0 for e in eps) or any(b <= a for a, b in zip(eps[1:], eps)):
-        raise ValueError("eps grid must be positive and strictly decreasing")
+    if len(eps) < 4 or any(e <= 0 for e in eps) or any(b <= a for a, b in zip(eps[1:], eps)):
+        raise ConfigError(f"rate study needs >= 4 positive, strictly decreasing grid points, "
+                          f"got {eps}", "/study/grid")
     spec, coeffs = base.spec, base.coeffs
+    check_moment_order(m, spec)
+    check_bounded_drift(coeffs)
+    try:  # one config per grid point validates its steps up front
+        cfgs = [MultiscaleConfig(base=base, epsilon=e, h_fast=e * h_fast_ratio, eta=eta)
+                for e in eps]
+    except ConfigError as exc:
+        raise exc.at("/study/h_fast_ratio") from None
     drift = _default_drift(coeffs)
     if coeffs.fbar_factory is not None:
         coeffs.fbar_factory(spec)  # warm shared tables before any fork
-    # one config per grid point validates its steps up front
-    cfgs = [MultiscaleConfig(base=base, epsilon=e, h_fast=e * h_fast_ratio, eta=eta)
-            for e in eps]
 
     chunks = _split_counts(base.M, n_replicas)
     steps = [c.n_steps for c in cfgs]
@@ -401,14 +406,10 @@ def _increment_study(cfg, delta_grid, kind, arm, n_replicas, n_workers):
     t0 = time.perf_counter()
     deltas = [float(d) for d in delta_grid]
     if len(deltas) < 2:
-        raise ValueError("delta grid needs at least 2 points")
+        raise ConfigError("delta grid needs at least 2 points", "/study/grid")
     for d in deltas:
-        s = d / cfg.h_fast
-        if d <= 0 or d > cfg.base.T or abs(s - round(s)) > 1e-9 * max(1.0, s):
-            raise ValueError(
-                f"delta={d:.6g} must be a positive multiple of h_fast={cfg.h_fast:.6g} "
-                f"and at most T={cfg.base.T:.6g}"
-            )
+        if whole_steps(d, cfg.h_fast, "delta", "/study/grid") > cfg.n_steps:
+            raise ConfigError(f"delta = {d:.6g} exceeds T = {cfg.base.T:.6g}", "/study/grid")
     base = cfg.base
     tasks = [(replace(cfg, base=replace(base, M=count)), arm, deltas, offset, r)
              for r, (offset, count) in enumerate(_split_counts(base.M, n_replicas))]
@@ -493,7 +494,7 @@ def ergodicity_study(
     if not probes:
         raise ValueError("need at least one probe input")
     drift = _default_drift(coeffs)
-    eff = effective_constants(coeffs, spec)
+    gap = dissipativity_gap(coeffs, spec)
     grid, flags, reports = [], {}, []
     for i, probe in enumerate(probes):
         rng = RngStream(seed, replica=i, channel=CH_FROZEN)
@@ -519,7 +520,7 @@ def ergodicity_study(
                        "probes": [{"x": p.x, "mu_stat": p.mu_stat, "y0": p.y0}
                                   for p in probes]}
     return _result("ergodicity", grid, config, (seed,) + tuple(range(len(probes))), t0,
-                   {"theory_rate": eff.gap, "probes": reports,
+                   {"theory_rate": gap, "probes": reports,
                     "error_kind": "mixing-rate"}, flags)
 
 
@@ -571,13 +572,15 @@ def simulate_study(
     meta block carries the a-priori moment stability check at order ``m``.
     """
     t0 = time.perf_counter()
-    ens = simulate_mkv(cfg)
     p = cfg.spec.p
+    order = p if m is None else m
+    check_moment_order(order, cfg.spec)
+    ens = simulate_mkv(cfg)
     grid = []
     for t, cloud in zip(ens.times, ens.law.clouds):
         row = StrongErrorStats.from_sample(np.linalg.norm(cloud, axis=1) ** p, p)
         grid.append(GridPoint(param=float(t), error=row.error, stderr=row.stderr))
-    check = moment_bound_check(ens, m=m if m is not None else p)
+    check = moment_bound_check(ens, m=order)
     config = describe(cfg.spec, cfg.coeffs, cfg)
     config["study"] = {"kind": "simulate", "m": m}
     return _result("simulate", grid, config, (cfg.seed,), t0, {
@@ -585,7 +588,7 @@ def simulate_study(
         "trend_slope": check.trend_slope,
         "trend_stderr": check.trend_stderr,
         "stable": bool(check.stable),
-        "moment_order": m if m is not None else p,
+        "moment_order": order,
         "error_kind": "p-moment",
     })
 
@@ -596,6 +599,12 @@ def simulate_study(
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_json(path: Path, obj) -> None:
+    """Strict JSON, stable key order: a NaN or inf is written as null."""
+    text = json.dumps(_plain(obj, strict=True), sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _peak_rss_mb() -> float:
@@ -613,7 +622,8 @@ def persist(result: ExperimentResult, out_dir) -> Path:
     Emits result.csv (param,error,stderr rows), meta.json (config, seeds,
     fit, flags — stable key order, no timestamps), loglog.dat (log10
     columns for plotting) and manifest.json listing the files with sha256
-    digests.  Identical (config, seeds) runs produce byte-identical
+    digests; both JSON files are strict, with null for each NaN or inf.
+    Identical (config, seeds) runs produce byte-identical
     csv/json/dat; only the manifest's runtime_s and peak_rss_mb fields vary.
     """
     if not result.grid:
@@ -641,9 +651,7 @@ def persist(result: ExperimentResult, out_dir) -> Path:
         "meta": result.meta,
     }
     meta_path = root / "meta.json"
-    meta_path.write_text(
-        json.dumps(meta_payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(meta_path, meta_payload)
 
     dat_rows = ["# log10_param log10_error dlog10_error"]
     for pt in result.grid:
@@ -663,9 +671,7 @@ def persist(result: ExperimentResult, out_dir) -> Path:
         "peak_rss_mb": _peak_rss_mb(),
     }
     manifest_path = root / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(manifest_path, manifest)
     return manifest_path
 
 

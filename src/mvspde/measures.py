@@ -33,7 +33,6 @@ assignment solver computes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
@@ -48,8 +47,6 @@ __all__ = [
     "wasserstein_exact",
     "wasserstein_sliced",
     "dT_metric",
-    "save_measure",
-    "load_measure",
     "EXACT_ASSIGNMENT_LIMIT",
 ]
 
@@ -323,18 +320,3 @@ def dT_metric(
         best = max(best, float(np.exp(-lambda_weight * mu_flow.times[j])) * w)
     return best
 
-
-def save_measure(mu: EmpiricalMeasure, path, header: dict | None = None) -> None:
-    """Persist a cloud with a JSON header (npz container)."""
-    np.savez_compressed(
-        path,
-        particles=mu.particles,
-        header=np.array(json.dumps(header or {}, sort_keys=True)),
-    )
-
-
-def load_measure(path) -> tuple[EmpiricalMeasure, dict]:
-    with np.load(path, allow_pickle=False) as data:
-        mu = EmpiricalMeasure(data["particles"])
-        header = json.loads(str(data["header"]))
-    return mu, header

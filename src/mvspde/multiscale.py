@@ -41,8 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import OperatorSpec
-from .coefficients import CoefficientSet, effective_constants
+from .spectral import ConfigError, OperatorSpec, check_moment_order, whole_steps
+from .coefficients import CoefficientSet, check_bounded_drift, dissipativity_gap
 from .measures import fit_line, p_moment
 from .solver import (
     NonFiniteState,
@@ -83,6 +83,7 @@ class MultiscaleConfig:
     resolve the fast relaxation: h_fast <= epsilon / 10.  ``delta`` is the
     block length of the auxiliary construction; when omitted it defaults to
     the balancing choice epsilon**(1/(1+theta)) snapped to the fast grid.
+    The h_fast rules raise ConfigError without a pointer: the key varies.
     """
 
     base: SimConfig
@@ -94,33 +95,17 @@ class MultiscaleConfig:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.h_fast <= 0:
-            raise ValueError(f"h_fast must be positive, got {self.h_fast}")
         if self.h_fast > self.epsilon / 10.0 + 1e-12:
-            raise ValueError(
+            raise ConfigError(
                 f"h_fast = {self.h_fast} too coarse: need h_fast <= epsilon/10 "
                 f"= {self.epsilon / 10.0}"
             )
-        n = self.base.T / self.h_fast
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
-            raise ValueError(f"T/h_fast = {n} is not a positive integer step count")
-        eff = effective_constants(self.base.coeffs, self.base.spec)
-        if not eff.strongly_dissipative:
-            raise ValueError(
-                f"dissipativity gap lambda_1 - L_G = {eff.gap:.6g} <= 0: "
-                "the frozen equation does not mix"
-            )
+        whole_steps(self.base.T, self.h_fast, "T")
+        dissipativity_gap(self.base.coeffs, self.base.spec)
         if self.delta is not None:
-            d = self.delta
-            if not (self.h_fast < d <= self.base.T + 1e-12):
+            if not 1 < whole_steps(self.delta, self.h_fast, "delta") <= self.n_steps:
                 raise ValueError(
-                    f"delta = {d} outside (h_fast, T] = ({self.h_fast}, {self.base.T}]"
-                )
-            ratio = d / self.h_fast
-            if abs(ratio - round(ratio)) > 1e-6:
-                raise ValueError(
-                    f"delta = {d} is not aligned to the fast grid (delta/h_fast = {ratio})"
-                )
+                    f"delta = {self.delta} outside (h_fast, T] = ({self.h_fast}, {self.base.T}]")
         object.__setattr__(self, "eta", self.base.spec.as_field(self.eta))
 
     @property
@@ -214,24 +199,18 @@ class SlowSnapshots:
 def slow_snapshots(slow: PathEnsemble, delta: float) -> SlowSnapshots:
     """Extract block-start snapshots from a recorded slow ensemble.
 
-    Requires every block start l*delta (l = 0, 1, ...) strictly below the
-    final time to be present on the ensemble's recorded grid, and the
-    moment track to have been recorded alongside.
+    Requires delta to be a whole number of the ensemble's recorded steps,
+    so that every block start l*delta (l = 0, 1, ...) strictly below the
+    final time is a recorded time, and the moment track to have been
+    recorded alongside.
     """
     if slow.mu_stat is None:
         raise ValueError("slow ensemble lacks the recorded moment track")
-    t_end = slow.times[-1]
-    n_blocks = int(np.ceil(t_end / delta - 1e-9))
-    starts = delta * np.arange(n_blocks)
-    idx = np.searchsorted(slow.times, starts - 1e-9)
-    if np.any(np.abs(slow.times[idx] - starts) > 1e-9):
-        missing = starts[np.abs(slow.times[idx] - starts) > 1e-9]
-        raise ValueError(
-            f"block starts not on the recorded grid (delta = {delta}): e.g. t = {missing[0]}"
-        )
+    n_blocks = int(np.ceil(slow.times[-1] / delta - 1e-9))
+    idx = whole_steps(delta, slow.times[1], "delta") * np.arange(n_blocks)
     return SlowSnapshots(
         delta=delta,
-        times=starts,
+        times=delta * np.arange(n_blocks),
         x=slow.paths[:, idx].swapaxes(0, 1).copy(),
         mu_stat=slow.mu_stat[idx].copy(),
     )
@@ -254,13 +233,7 @@ def simulate_auxiliary(
     base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
     J = cfg.n_steps
     (ys,), _, observe = _recorder(J, record_every, (base.M, spec.n_modes))
-    steps_per_block = snapshots.delta / cfg.h_fast
-    if abs(steps_per_block - round(steps_per_block)) > 1e-6:
-        raise ValueError(
-            f"delta = {snapshots.delta} not aligned to the fast grid "
-            f"(delta/h_fast = {steps_per_block})"
-        )
-    steps_per_block = round(steps_per_block)
+    steps_per_block = whole_steps(snapshots.delta, cfg.h_fast, "delta")
     n_needed = int(np.ceil(J / steps_per_block))
     if snapshots.x.shape[0] < n_needed:
         raise ValueError(
@@ -299,16 +272,8 @@ def simulate_frozen(
     rate on a dedicated channel of ``rng``'s address; particle i of the
     ensemble uses particle id rng.particle + i.
     """
-    eff = effective_constants(coeffs, spec)
-    if not eff.strongly_dissipative:
-        raise ValueError(
-            f"dissipativity gap lambda_1 - L_G = {eff.gap:.6g} <= 0: frozen equation "
-            "has no invariant regime to sample"
-        )
-    J = T_end / h_fast
-    if abs(J - round(J)) > 1e-9 or round(J) < 1:
-        raise ValueError(f"T_end/h_fast = {J} is not a positive integer step count")
-    J = round(J)
+    dissipativity_gap(coeffs, spec)
+    J = whole_steps(T_end, h_fast, "T_end")
     (ys,), _, observe = _recorder(J, record_every, (n_particles, spec.n_modes))
     bank = StableNoiseBank(
         rng.seed, spec.alpha, n_particles, spec.n_modes, CH_FROZEN,
@@ -359,9 +324,7 @@ class AveragedDrift:
             raise ValueError(f"mode must be one of {self._MODES}, got {self.mode!r}")
 
     def windows(self, spec: OperatorSpec, coeffs: CoefficientSet) -> tuple[float, float]:
-        gap = effective_constants(coeffs, spec).gap
-        if gap <= 0:
-            raise ValueError(f"dissipativity gap {gap:.6g} <= 0")
+        gap = dissipativity_gap(coeffs, spec)
         t_b = 8.0 / gap if self.relax_time is None else self.relax_time
         t_a = 64.0 / gap if self.avg_time is None else self.avg_time
         return t_b, t_a
@@ -514,19 +477,17 @@ def ergodicity_decay(
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be 1-d, nonnegative and increasing, with at least 2 points")
-    eff = effective_constants(coeffs, spec)
-    if not eff.strongly_dissipative:
-        raise ValueError(f"dissipativity gap {eff.gap:.6g} <= 0")
+        raise ConfigError("t_grid must be 1-d, nonnegative and increasing, "
+                          "with at least 2 points", "/study/grid")
+    gap = dissipativity_gap(coeffs, spec)
     if fbar_ref is None:
         if coeffs.fbar_factory is None:
             raise ValueError("no closed-form Fbar available; pass fbar_ref explicitly")
         fbar_ref = coeffs.fbar_factory(spec)(frozen.x, frozen.mu_stat)
 
-    # snap grid times onto the step grid
-    idx = np.round(t_grid / h_step).astype(int)
-    if np.any(np.abs(idx * h_step - t_grid) > 1e-9):
-        raise ValueError(f"t_grid must lie on the h_step = {h_step} grid")
+    # grid times as step counts; t = 0 reads the start
+    idx = np.array([whole_steps(t, h_step, "t", "/study/grid") if t > 0 else 0
+                    for t in t_grid])
     T_end = float(idx.max() * h_step)
     ens = simulate_frozen(
         frozen, T_end, h_step, spec, coeffs, rng, n_particles=n_replicas
@@ -546,9 +507,9 @@ def ergodicity_decay(
     fit = fit_line(t_k, g_k)
 
     # prefactor at the theoretical rate; envelope check with 50% headroom
-    log_c = float(np.mean(g_k + eff.gap * t_k))
+    log_c = float(np.mean(g_k + gap * t_k))
     env_c = float(np.exp(log_c))
-    envelope_ok = bool(np.all(gaps[kept] <= 1.5 * env_c * np.exp(-eff.gap * t_grid[kept])))
+    envelope_ok = bool(np.all(gaps[kept] <= 1.5 * env_c * np.exp(-gap * t_grid[kept])))
     return DecayReport(
         t_grid=t_grid,
         gaps=gaps,
@@ -556,7 +517,7 @@ def ergodicity_decay(
         kept=kept,
         fitted_rate=-fit.slope,
         rate_stderr=fit.slope_stderr,
-        theory_rate=float(eff.gap),
+        theory_rate=float(gap),
         envelope_const=env_c,
         envelope_ok=envelope_ok,
     )
@@ -648,10 +609,10 @@ def strong_error_stats(
     every reduction runs along one system's particle or mode axis, so a
     system's result has the same bits whatever else shares its batch.
     Returns one :class:`StrongErrorStats` per system, in order.  A NaN or
-    inf in X, Y or Xbar raises FloatingPointError naming epsilon, the
-    replica and the step.  Y holds only the ``coeffs.y_modes`` leading
-    modes, the ones F reads (all modes when None), and the fast banks draw
-    those modes alone.
+    inf in X, Y, Xbar or the law statistic the drift reads raises
+    FloatingPointError naming it, epsilon, the replica and the step.  Y
+    holds only the ``coeffs.y_modes`` leading modes, the ones F reads (all
+    modes when None), and the fast banks draw those modes alone.
 
     Requires p <= m < alpha (heavy tails: higher moments of the sup do not
     exist) and a coefficient family with bounded slow drift — with
@@ -661,13 +622,8 @@ def strong_error_stats(
     base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
     if m is None:
         m = spec.p
-    if not (spec.p <= m < spec.alpha):
-        raise ValueError(f"moment order must lie in [p, alpha) = [{spec.p}, {spec.alpha}), got {m}")
-    if not coeffs.F_bounded:
-        raise ValueError(
-            f"family '{coeffs.variant}' has unbounded slow drift: sup-error tails "
-            "are uncontrolled; use a bounded family"
-        )
+    check_moment_order(m, spec)
+    check_bounded_drift(coeffs)
     if len(replicas) == 0:
         raise ValueError("need at least one replica")
     fbar = averaged_drift_evaluator(drift, spec, coeffs)
@@ -692,8 +648,10 @@ def strong_error_stats(
 
     def drift_at(j, fields):
         x, y, xb = fields
-        m_x = p_moment(x, spec.p)[:, None, None]
-        m_b = p_moment(xb, spec.p)[:, None, None]
+        m_x, m_b = p_moment(x, spec.p)[:, None, None], p_moment(xb, spec.p)[:, None, None]
+        finite = np.isfinite(m_x) & np.isfinite(m_b)
+        if not finite.all():
+            raise NonFiniteState("law statistic", j, J, int(np.argmin(finite)))
         return coeffs.F(x, m_x, y), coeffs.G(x, m_x, y), fbar(xb, m_b)
 
     def track_sup(j, fields):
@@ -714,7 +672,7 @@ def strong_error_stats(
         )
     except NonFiniteState as exc:
         raise FloatingPointError(
-            f"non-finite coupling error at epsilon = {cfg.epsilon:.6g}, "
+            f"non-finite {exc.name} at epsilon = {cfg.epsilon:.6g}, "
             f"replica {replicas[exc.system][0]}, step {exc.step} of {J}"
         ) from exc
     return tuple(StrongErrorStats.from_sample(row, float(m)) for row in sup**m)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import OperatorSpec, validate_spec
+from .spectral import ConfigError, OperatorSpec, check_moment_order, validate_spec, whole_steps
 from .coefficients import CoefficientSet, effective_constants
 from .measures import (
     EXACT_ASSIGNMENT_LIMIT,
@@ -72,8 +72,8 @@ class SimConfig:
     """Single-scale simulation setup.
 
     ``xi`` may be a scalar, a short vector (zero-padded), or a full field;
-    it is normalised to shape (n_modes,).  ``T / h`` must be an integer
-    number of steps.
+    it is normalised to shape (n_modes,).  ``T / h`` must be a whole
+    number of steps (:func:`~mvspde.spectral.whole_steps`, at /sim/h).
     """
 
     spec: OperatorSpec
@@ -85,11 +85,7 @@ class SimConfig:
     xi: np.ndarray = 0.0
 
     def __post_init__(self):
-        if self.T <= 0 or self.h <= 0:
-            raise ValueError(f"need T > 0 and h > 0, got T={self.T}, h={self.h}")
-        n = self.T / self.h
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
-            raise ValueError(f"T/h = {n} is not a positive integer step count")
+        whole_steps(self.T, self.h, "T", "/sim/h")
         if self.M < 1:
             raise ValueError(f"need at least one particle, got M={self.M}")
         if self.coeffs.p != self.spec.p:
@@ -158,13 +154,14 @@ def euler_weights(spec: OperatorSpec, h: float, epsilon: float = 1.0):
 
 
 class NonFiniteState(FloatingPointError):
-    """A field turned NaN or inf at 1-based ``step``; ``system`` is the flat
-    index over the field's leading axes (None for an (M, n_modes) field)."""
+    """A field, or the law statistic read off one, turned NaN or inf after
+    ``step`` steps; ``system`` is the flat index over the field's leading
+    axes (None for an (M, n_modes) field)."""
 
     def __init__(self, name: str, step: int, n_steps: int, system: int | None):
         where = "" if system is None else f", system {system}"
         super().__init__(f"non-finite {name} at step {step} of {n_steps}{where}")
-        self.step, self.system = step, system
+        self.name, self.step, self.system = name, step, system
 
 
 def _noise_block(source, j0: int, n: int, buf):
@@ -232,7 +229,8 @@ def advance(states: dict, weights, noise, drift, n_steps: int, observe) -> list:
 def _recorder(n_steps: int, every: int, shape, n_fields: int = 1, p: float | None = None):
     """(paths, mu, observe): an :func:`advance` hook recording the first
     ``n_fields`` fields (each of ``shape``) at every ``every``-th grid time
-    and, when ``p`` is given, field 0's p-moment statistic at every time."""
+    and, when ``p`` is given, field 0's p-moment statistic at every time;
+    a non-finite statistic raises :class:`NonFiniteState` at its time."""
     if n_steps % every != 0:
         raise ValueError(f"record_every = {every} does not divide {n_steps} steps")
     paths = [np.empty((shape[0], n_steps // every + 1, shape[1])) for _ in range(n_fields)]
@@ -241,6 +239,8 @@ def _recorder(n_steps: int, every: int, shape, n_fields: int = 1, p: float | Non
     def observe(j, fields):
         if p is not None:
             mu[j] = p_moment(fields[0], p)
+            if not np.isfinite(mu[j]):
+                raise NonFiniteState("law statistic", j, n_steps, None)
         if j % every == 0:
             for path, f in zip(paths, fields):
                 path[:, j // every] = f
@@ -355,6 +355,9 @@ def picard_law_iteration(
         raise ValueError(f"need at least two iterations to report a ratio, got {n_iters}")
     if lambda_weight is None:
         lambda_weight = effective_constants(config.coeffs, config.spec).contraction_lambda
+    if np.exp(-lambda_weight * config.h) == 0.0:
+        raise ConfigError(f"weight {lambda_weight:.6g} makes exp(-lambda h) underflow to 0: "
+                          "every flow distance past t = 0 would read 0", "/study/lambda_weight")
 
     if config.M <= EXACT_ASSIGNMENT_LIMIT:
         assignment_solver()  # load scipy's solver now, not inside the first distance
@@ -415,9 +418,7 @@ def moment_bound_check(ensemble: PathEnsemble, m: float) -> MomentReport:
     ``stable`` means the fitted linear trend of the second half of the
     moment curve is not significantly positive (one-sided, 3 sigma).
     """
-    alpha, p = ensemble.spec.alpha, ensemble.spec.p
-    if not (p <= m < alpha):
-        raise ValueError(f"moment order must lie in [p, alpha) = [{p}, {alpha}), got {m}")
+    check_moment_order(m, ensemble.spec)
     moments = p_moment(ensemble.law.clouds, m)
     half = moments.size // 2
     slope, stderr = 0.0, 0.0

@@ -1,9 +1,8 @@
 """Spectral truncation, semigroup action, and admissibility checks.
 
 All state lives in the eigenbasis of a diagonal negative-definite operator:
-a field is the vector of its first ``n_modes`` eigen-coordinates, the
-semigroup acts mode-by-mode as ``exp(-lambda_k * t)``, and the fractional
-norm of order ``sigma`` weights mode ``k`` by ``lambda_k ** (sigma / 2)``.
+a field is the vector of its first ``n_modes`` eigen-coordinates, and the
+semigroup acts mode-by-mode as ``exp(-lambda_k * t)``.
 
 Spectra are restricted to power laws,
 
@@ -29,24 +28,51 @@ Conditions checked by :func:`validate_spec` (series are over k >= 1):
 The dissipativity condition B3 (spectral gap minus the fast drift's
 Lipschitz constant must be positive) involves the coefficients, not just
 the spectrum; see :func:`mvspde.coefficients.effective_constants`.
+
+Each admissibility rule has one guard, raising :class:`ConfigError` (a
+ValueError) at its key's JSON pointer: :func:`whole_steps` and
+:func:`check_moment_order` here, the gap and bounded F in coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 __all__ = [
+    "ConfigError",
+    "whole_steps",
+    "check_moment_order",
     "OperatorSpec",
     "AssumptionCheck",
     "ValidationReport",
     "validate_spec",
     "apply_semigroup",
-    "sobolev_norm",
-    "smoothing_constant",
 ]
+
+
+class ConfigError(ValueError):
+    """Unreadable or off-schema config, or a broken rule, at ``pointer`` ("" if unknown)."""
+
+    def __init__(self, message: str, pointer: str = ""):
+        super().__init__(f"{pointer}: {message}" if pointer else message)
+        self.pointer = pointer
+
+    def at(self, pointer: str) -> ConfigError:
+        """This error, or a copy of it at ``pointer`` when it has no pointer."""
+        return self if self.pointer else ConfigError(str(self), pointer)
+
+
+def whole_steps(span: float, h: float, name: str, pointer: str = "") -> int:
+    """Step count s = span / h, a whole number >= 1 to within 1e-9 max(1, s)."""
+    s = span / h if h > 0 else math.nan
+    if not (0.5 <= s < math.inf and abs(s - round(s)) <= 1e-9 * max(1.0, s)):
+        raise ConfigError(f"{name} = {span:.6g} is not a positive whole multiple of the step "
+                          f"{h:.6g} (step count {s:.10g}): not aligned to the step grid", pointer)
+    return round(s)
 
 
 @dataclass(frozen=True)
@@ -158,6 +184,13 @@ class ValidationReport:
         ]
 
 
+def check_moment_order(m: float, spec: OperatorSpec) -> None:
+    """Raise at /study/m unless p <= m < alpha, where heavy-tailed moments exist."""
+    if not (spec.p <= m < spec.alpha):
+        raise ConfigError(f"moment order must lie in [p, alpha) = [{spec.p}, {spec.alpha}), "
+                          f"got {m}", "/study/m")
+
+
 def validate_spec(spec: OperatorSpec) -> ValidationReport:
     """Check the exponent inequalities behind the summability assumptions.
 
@@ -205,29 +238,3 @@ def apply_semigroup(u, t: float, spec: OperatorSpec) -> np.ndarray:
         raise ValueError(f"semigroup time must be >= 0, got {t}")
     u = np.asarray(u, dtype=float)
     return u * np.exp(-spec.eigenvalues * t)
-
-
-def sobolev_norm(u, sigma: float, spec: OperatorSpec) -> float:
-    """Fractional norm of order ``sigma``: sqrt(sum lambda_k**sigma * u_k**2).
-
-    sigma = 0 recovers the plain Euclidean norm of the coordinate vector.
-    """
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite coordinates in field")
-    return float(np.sqrt(np.sum(spec.eigenvalues**sigma * u**2, axis=-1)))
-
-
-def smoothing_constant(sigma: float) -> float:
-    """Sharp constant in the smoothing bound ||S(t) u||_sigma <= C t**(-sigma/2) |u|.
-
-    Mode-wise, lambda**(sigma/2) * exp(-lambda t) is maximised over lambda > 0
-    at lambda = sigma / (2 t), giving C = (sigma / (2 e))**(sigma / 2).  The
-    bound holds for every spectrum, with equality approached when some
-    eigenvalue sits at the maximiser.
-    """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0:
-        return 1.0
-    return float((sigma / (2.0 * np.e)) ** (sigma / 2.0))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mvspde import cli, coefficients, experiments, measures, noise, solver
@@ -153,6 +154,89 @@ class TestComputeGuards:
         assert "runtime error" in capsys.readouterr().err
 
 
+
+# Schema-admitted configs that an admissibility rule rejects before the
+# first step: (subcommand, write_cfg overrides, JSON pointer of the fault).
+_NO_RATE_KEYS = {"grid": None, "h_fast_ratio": None, "n_replicas": None}
+_HOELDER = {"kind": "hoelder", "epsilon": 0.03125, "h_fast_ratio": None, "m": None}
+_ERGODIC = dict(
+    operator={"n_modes": 2},
+    coefficients={"variant": "linear_test", "a": 1.0, "c": 0.5, "K": None},
+    sim={"xi": [2.0, 0.0]},
+)
+CONFIG_FAULTS = {
+    "T-over-h-not-whole": ("simulate", dict(
+        sim={"T": 0.5, "h": 0.03}, study={"kind": "simulate", **_NO_RATE_KEYS}), "/sim/h"),
+    "simulate-m-at-alpha": ("simulate", dict(
+        study={"kind": "simulate", "m": 1.6, **_NO_RATE_KEYS}), "/study/m"),
+    "rate-m-at-alpha": ("rate-study", dict(study={"m": 1.6}), "/study/m"),
+    "rate-3-point-grid": ("rate-study", dict(
+        study={"grid": [0.125, 0.0625, 0.03125]}), "/study/grid"),
+    "rate-grid-not-decreasing": ("rate-study", dict(
+        study={"grid": [0.0625, 0.125, 0.03125, 0.015625]}), "/study/grid"),
+    "rate-h-fast-ratio": ("rate-study", dict(
+        study={"h_fast_ratio": 0.5}), "/study/h_fast_ratio"),
+    "rate-linear-family": ("rate-study", dict(
+        coefficients={"variant": "linear_test", "K": None}), "/coefficients/variant"),
+    "hoelder-delta-off-grid": ("hoelder-study", dict(
+        sim={"h_fast": 2**-9}, study={**_HOELDER, "grid": [0.125, 1e-4]}), "/study/grid"),
+    "hoelder-1-point-grid": ("hoelder-study", dict(
+        sim={"h_fast": 2**-9}, study={**_HOELDER, "grid": [0.125]}), "/study/grid"),
+    "hoelder-h-fast-coarse": ("hoelder-study", dict(
+        sim={"h_fast": 0.01}, study={**_HOELDER, "grid": [0.125, 0.0625]}), "/sim/h_fast"),
+    "ergodicity-grid-not-increasing": ("ergodicity", dict(
+        **_ERGODIC, study={**_NO_RATE_KEYS, "kind": "ergodicity", "grid": [1.0, 0.5],
+                           "ensemble": 100, "m": None}), "/study/grid"),
+    "ergodicity-t-off-step-grid": ("ergodicity", dict(
+        **_ERGODIC, study={**_NO_RATE_KEYS, "kind": "ergodicity", "grid": [0.5, 1.0005],
+                           "ensemble": 100, "m": None}), "/study/grid"),
+    "picard-weight-underflows": ("picard", dict(
+        sim={"M": 8}, study={"kind": "picard", "lambda_weight": 1e300, "n_iters": 2,
+                             **_NO_RATE_KEYS}), "/study/lambda_weight"),
+}
+
+
+class TestConfigFaults:
+    @pytest.mark.parametrize("fault", list(CONFIG_FAULTS))
+    def test_fault_exits_2_at_pointer(self, tmp_path, capsys, fault):
+        command, overrides, pointer = CONFIG_FAULTS[fault]
+        cfg = write_cfg(tmp_path, **copy.deepcopy(overrides))
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and pointer in err
+        assert not (tmp_path / "o").exists()
+
+    def test_parallel_rate_study_checks_moment_order_first(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, study={"m": 1.6})
+        assert run(["rate-study", "--config", cfg, "--threads", "2",
+                    "--out", str(tmp_path / "o")]) == 2
+        assert "/study/m" in capsys.readouterr().err
+
+    def test_moment_order_checked_before_any_bank_opens(self, tmp_path, capsys,
+                                                         monkeypatch):
+        opened = []
+        real = noise.StableNoiseBank.__init__
+
+        def spy(self, *args, **kwargs):
+            opened.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(noise.StableNoiseBank, "__init__", spy)
+        cfg = write_cfg(tmp_path, study={"kind": "simulate", "m": 1.6, **_NO_RATE_KEYS})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert opened == []
+
+    def test_overflowing_law_statistic_is_runtime_error(self, tmp_path, capsys):
+        # the fields stay finite, but |x|^p of the initial state overflows
+        cfg = write_cfg(tmp_path, sim={"xi": [1e300, 0.0, 0.0, 0.0]},
+                        study={"kind": "simulate", **_NO_RATE_KEYS})
+        with np.errstate(over="ignore"):
+            code = run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "runtime error" in err and "law statistic at step 0 of 4" in err
+        assert not (tmp_path / "o").exists()
+
 class TestSmokeRuns:
     def test_shipped_smoke_rate_study(self, tmp_path, capsys):
         code = run(["rate-study", "--config", str(REPO / "configs/smoke.json"),
@@ -188,6 +272,23 @@ class TestSmokeRuns:
                     str(tmp_path / "o")]) == 0
         meta = json.loads((manifest_of(capsys).parent / "meta.json").read_text())
         assert meta["meta"]["contracting"] is True
+
+    def test_picard_fixed_point_meta_is_strict_json(self, tmp_path, capsys):
+        # past n_steps + 1 iterations every distance is exactly 0 and the
+        # ratios 0/0; meta.json writes them as null, never as NaN
+        cfg = write_cfg(tmp_path, sim={"M": 8, "T": 0.125},
+                        study={"kind": "picard", "grid": None, "n_iters": 20,
+                               "h_fast_ratio": None, "n_replicas": None})
+        assert run(["picard", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        root = manifest_of(capsys).parent
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        for name in ("meta.json", "manifest.json"):
+            json.loads((root / name).read_text(), parse_constant=reject)
+        meta = json.loads((root / "meta.json").read_text())
+        assert None in meta["meta"]["ratios"]
 
     def test_ergodicity(self, tmp_path, capsys):
         cfg = write_cfg(

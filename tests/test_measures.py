@@ -10,8 +10,6 @@ from mvspde.measures import (
     EmpiricalMeasure,
     LawFlow,
     dT_metric,
-    load_measure,
-    save_measure,
     wasserstein_exact,
     wasserstein_sliced,
 )
@@ -317,12 +315,3 @@ class TestPrunedSup:
         with pytest.raises(ValueError, match="shapes differ"):
             dT_metric(f1, f2, lambda_weight=1.0, p=1.0)
 
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path, rng):
-        mu = EmpiricalMeasure(rng.normal(size=(12, 3)))
-        path = tmp_path / "law.npz"
-        save_measure(mu, path, header={"seed": 3})
-        back, header = load_measure(path)
-        assert np.array_equal(back.particles, mu.particles)
-        assert header == {"seed": 3}

@@ -481,15 +481,15 @@ class TestAveragedEquationAndStrongError:
         assert s1.mean_pow == s2.mean_pow and s1.var_pow == s2.var_pow
 
 
-def blowup_coeffs(n, after_calls, row):
-    """Bounded-looking F that turns infinite on one system after some calls."""
+def blowup_coeffs(n, after_calls, row, value=np.inf):
+    """Bounded-looking F that turns to ``value`` on one system after some calls."""
     calls = []
 
     def F(x, s, y):
         calls.append(None)
         out = 0.5 * np.tanh(y) + np.zeros_like(x)
         if len(calls) > after_calls:
-            out[row] = np.inf
+            out[row] = value
         return out
 
     return CoefficientSet(
@@ -590,6 +590,16 @@ class TestReplicaBatch:
         with pytest.raises(ValueError, match="at least one replica"):
             strong_error_stats(self._cfg(spec4, coeffs4),
                                AveragedDrift(mode="stationary_quadrature"), replicas=[])
+
+    def test_overflowing_law_statistic_names_replica_and_step(self, spec4):
+        # a finite drift of 1e300 keeps the fields finite, but |x|^2 overflows
+        cfg = self._cfg(spec4, blowup_coeffs(4, after_calls=5, row=1, value=1e300), M=4)
+        replicas = [(10, None), (11, range(4, 8)), (12, range(8, 12))]
+        with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError,
+                match=r"law statistic at epsilon = 0\.03125, replica 11, step 6 of 128"):
+            strong_error_stats(cfg, AveragedDrift(mode="stationary_quadrature"),
+                               replicas=replicas)
 
     def test_nonfinite_error_names_epsilon_replica_and_step(self, spec4):
         cfg = self._cfg(spec4, blowup_coeffs(4, after_calls=5, row=1), M=4)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mvspde.spectral import (
+    ConfigError,
     OperatorSpec,
     apply_semigroup,
-    smoothing_constant,
-    sobolev_norm,
+    check_moment_order,
     validate_spec,
+    whole_steps,
 )
 
 finite_coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -131,46 +132,36 @@ class TestSemigroup:
         rhs = math.exp(-spec.lambda_1 * t) * np.linalg.norm(u)
         assert lhs <= rhs * (1 + 1e-12)
 
-    @given(
-        u=st.lists(finite_coeff, min_size=6, max_size=6),
-        t=st.floats(1e-3, 3.0),
-        sigma=st.sampled_from([0.5, 1.0]),
-    )
-    def test_smoothing_envelope(self, u, t, sigma):
-        spec = make_spec(n_modes=6)
-        u = np.array(u)
-        lhs = sobolev_norm(apply_semigroup(u, t, spec), sigma, spec)
-        rhs = smoothing_constant(sigma) * t ** (-sigma / 2) * np.linalg.norm(u)
-        assert lhs <= rhs * (1 + 1e-12)
 
+class TestGuards:
+    def test_whole_steps_returns_the_count(self):
+        assert whole_steps(1.0, 2**-6, "T") == 64
+        assert whole_steps(0.3, 0.1, "T") == 3  # 2.9999999999999996 steps
 
-class TestSobolevNorm:
-    def test_hand_sum(self):
-        spec = make_spec(n_modes=3, a=2.0)  # lambda = (1, 4, 9)
-        val = sobolev_norm(np.array([1.0, 0.5, 0.25]), 1.0, spec)
-        assert val == pytest.approx(math.sqrt(2.5625), abs=1e-10)
-        assert val == pytest.approx(1.60078, abs=1e-5)
+    def test_whole_steps_tolerance_scales_with_the_count(self):
+        # 1e-9 relative at 1e6 steps, where an absolute 1e-9 would reject
+        assert whole_steps(1e6 * (1 + 5e-10), 1.0, "T") == 10**6
+        with pytest.raises(ConfigError, match="step count"):
+            whole_steps(1e6 * (1 + 2e-9), 1.0, "T")
 
-    def test_sigma_zero_is_euclidean(self):
-        spec = make_spec(n_modes=2)
-        assert sobolev_norm(np.array([3.0, 4.0]), 0.0, spec) == pytest.approx(5.0)
+    @pytest.mark.parametrize("span, h", [(0.0, 0.5), (-0.5, 0.5), (0.25, 1.0),
+                                         (1.2, 0.5), (math.inf, 0.5)])
+    def test_whole_steps_rejects_at_pointer(self, span, h):
+        with pytest.raises(ConfigError, match="not aligned") as exc:
+            whole_steps(span, h, "delta", "/study/grid")
+        assert exc.value.pointer == "/study/grid"
+        assert str(exc.value).startswith("/study/grid: delta = ")
 
-    def test_zero_field(self):
-        spec = make_spec(n_modes=2)
-        assert sobolev_norm(np.zeros(2), 1.0, spec) == 0.0
+    def test_moment_order_window(self):
+        spec = make_spec(alpha=1.5, p=1.2)
+        for m in (1.2, 1.49):
+            check_moment_order(m, spec)
+        for m in (1.1, 1.5):
+            with pytest.raises(ConfigError, match="moment order") as exc:
+                check_moment_order(m, spec)
+            assert exc.value.pointer == "/study/m"
 
-    def test_non_finite_rejected(self):
-        spec = make_spec(n_modes=2)
-        with pytest.raises(ValueError):
-            sobolev_norm(np.array([np.inf, 0.0]), 1.0, spec)
-
-    @given(
-        u=st.lists(finite_coeff, min_size=4, max_size=4),
-        sigmas=st.tuples(st.floats(0, 2), st.floats(0, 2)),
-    )
-    def test_monotone_in_sigma(self, u, sigmas):
-        # lambda_1 = 1 >= 1, so higher sigma can only grow the norm
-        spec = make_spec(n_modes=4)
-        lo, hi = sorted(sigmas)
-        u = np.array(u)
-        assert sobolev_norm(u, lo, spec) <= sobolev_norm(u, hi, spec) * (1 + 1e-12)
+    def test_pointer_attached_only_where_missing(self):
+        bare, placed = ConfigError("too coarse"), ConfigError("gap", "/coefficients/c")
+        assert str(bare.at("/sim/h_fast")) == "/sim/h_fast: too coarse"
+        assert placed.at("/sim/h_fast") is placed
