@@ -23,6 +23,7 @@ from .coefficients import assumption_report
 from .config import (
     ConfigError,
     build_coeffs,
+    build_eta,
     build_multiscale,
     build_replicas,
     build_sim,
@@ -133,7 +134,7 @@ def run(argv=None) -> int:
             )
         elif args.command == "ergodicity":
             t_grid = _require_grid(study)
-            eta = spec.as_field(cfg["sim"].get("eta", 0.0))
+            eta = build_eta(cfg, spec)
             probes = [
                 FrozenInput(
                     x=s * base.xi,
@@ -153,7 +154,7 @@ def run(argv=None) -> int:
             result = rate_study(
                 base, eps_grid,
                 m=study.get("m", 1.0),
-                eta=cfg["sim"].get("eta", 0.0),
+                eta=build_eta(cfg, spec),
                 h_fast_ratio=study.get("h_fast_ratio", 1.0 / 16),
                 n_replicas=build_replicas(cfg, 8),
                 n_workers=args.threads,

@@ -36,6 +36,7 @@ exact averaged drift through ``fbar_factory``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -150,16 +151,20 @@ def bounded_smooth(
     def F(x, mu_stat, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        head = a * np.tanh(x[..., :k_act] + (y[..., :k_act] if y.ndim else y))
-        out = np.zeros(head.shape[:-1] + e1.shape)
-        out[..., :k_act] = head
-        return out + (b_mu * np.minimum(1.0, mu_stat)) * e1
+        out = np.add(x[..., :k_act], y[..., :k_act] if y.ndim else y)
+        np.tanh(out, out=out)
+        out *= a
+        return _first_modes(out, e1, b_mu, mu_stat)
 
     def G(x, mu_stat, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         n = y.shape[-1] if y.ndim else None
-        return a * np.tanh(x[..., :n]) * active[:n] + c * y
+        out = np.tanh(x[..., :n])
+        out *= a
+        if out.shape[-1] > k_act:  # the all-ones mask of a head-only y is skipped
+            out *= active[:n]
+        return out + c * y
 
     def B(x, mu_stat):
         return F(x, mu_stat, 0.0)
@@ -231,43 +236,68 @@ def linear_test(spec: OperatorSpec, a: float = 1.0, c: float = 0.5) -> Coefficie
     )
 
 
+def _first_modes(head, e1, b_mu, mu_stat):
+    """A field of len(e1) modes: ``head`` on the leading ones, +0.0 on the
+    rest, plus b_mu min(1, mu_stat) e1 on every mode, summed in place."""
+    out = np.zeros(head.shape[:-1] + e1.shape)
+    out[..., :head.shape[-1]] = head
+    out += (b_mu * np.minimum(1.0, mu_stat)) * e1
+    return out
+
+
+def _tiler(vec):
+    """shape -> ``vec`` broadcast along the mode axis to that shape, as a
+    read-only C-ordered array built once per shape: a full-shape operand
+    keeps a per-step product elementwise, with no short vector per row."""
+    @functools.lru_cache(maxsize=8)
+    def tile(shape):
+        out = np.broadcast_to(vec, shape).copy()
+        out.flags.writeable = False
+        return out
+
+    return tile
+
+
 class StackedInterp:
-    """``np.interp`` of K tables on one uniform grid, as one gather per call.
+    """Linear interpolation of K tables on one uniform grid, as one gather per call.
 
     ``tables[k]`` holds values on ``grid``; called with u of shape (..., K),
-    it interpolates u[..., k] in table k.  The node index comes from
-    arithmetic on the uniform grid, corrected by one node either way
-    against the grid itself, so every value reproduces np.interp bit for
-    bit: the same node j, the slope (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]),
-    slope * (u - xp[j]) + fp[j], fp[j] on a node, the end values at and
-    beyond the grid ends, and NaN for NaN.
+    it interpolates u[..., k] in table k as slope[j] * u + icept[j], with
+    the segment j read off the uniform grid by arithmetic.  Beyond either
+    end a flat segment returns that end value exactly, and NaN gives NaN.
+    Inside the grid the value is np.interp's up to rounding: the intercept
+    form, and a segment picked one off where u sits on a node, move it by
+    a few ulp of the terms slope * u and icept.
     """
 
     def __init__(self, grid, tables):
         grid = np.asarray(grid, dtype=float)
         table = np.asarray(tables, dtype=float)
         n = grid.size
-        self.lo, self.hi = grid[0], grid[-1]
-        self.inv_step = (n - 1) / (self.hi - self.lo)
-        # a sentinel node past the end lets the upward correction read xp[j + 1]
-        self.nodes = np.append(grid, np.inf)
-        self.values = table.reshape(-1)
-        slope = np.zeros_like(table)  # the last node starts no segment
-        slope[:, :-1] = np.diff(table, axis=1) / np.diff(grid)
-        self.slopes = slope.reshape(-1)
-        self.offsets = n * np.arange(table.shape[0])
+        step = (grid[-1] - grid[0]) / (n - 1)
+        # u is clipped to one step beyond either end, and t = (u - origin) / step
+        # lies in [0, n + 1]: flat segment 0 below the grid, interior segment i
+        # at t in [i + 1, i + 2), flat segments n and n + 1 above the grid
+        self.origin, self.top = grid[0] - step, grid[-1] + step
+        self.inv_step = 1.0 / step
+        slope = np.diff(table, axis=1) / np.diff(grid)
+        flat = np.zeros((table.shape[0], 1))
+        self.slopes = np.hstack([flat, slope, flat, flat]).reshape(-1)
+        self.icepts = np.hstack([table[:, :1], table[:, :-1] - slope * grid[:-1],
+                                 table[:, -1:], table[:, -1:]]).reshape(-1)
+        self.offsets = _tiler((n + 2) * np.arange(table.shape[0]))
 
     def __call__(self, u):
-        # clipping keeps in-grid values and sends the outside (and +-inf) to
-        # the end nodes, where the on-node rule returns the end values
-        u = np.clip(u, self.lo, self.hi)
-        j = np.fmax((u - self.lo) * self.inv_step, 0.0).astype(np.intp)  # NaN -> 0
-        j -= self.nodes.take(j) > u
-        j += self.nodes.take(j + 1) <= u
-        xj = self.nodes.take(j)
-        j += self.offsets
-        fj = self.values.take(j)
-        return np.where(xj == u, fj, self.slopes.take(j) * (u - xj) + fj)
+        u = np.clip(u, self.origin, self.top)
+        t = np.subtract(u, self.origin)
+        t *= self.inv_step
+        np.fmax(t, 0.0, out=t)  # NaN -> 0, whose 0 * NaN + end value is NaN
+        j = t.astype(np.intp)
+        j += self.offsets(j.shape)
+        out = self.slopes.take(j)
+        out *= u
+        out += self.icepts.take(j)
+        return out
 
 
 # fbar evaluators keyed by (spectrum, family) parameters: building the
@@ -313,13 +343,18 @@ def _tanh_fbar(spec: OperatorSpec, a: float, b_mu: float, c: float, k_act: int):
     e1 = np.zeros(spec.n_modes)
     e1[0] = 1.0
     gather = StackedInterp(u_grid, [tables[z] for z in keys])
+    kappa_at = _tiler(kappa[:k_act])
 
     def fbar(x, mu_stat):
         x = np.asarray(x, dtype=float)
         xa = x[..., :k_act]
-        out = np.zeros_like(x)
-        out[..., :k_act] = a * gather(xa + a * np.tanh(xa) / kappa[:k_act])
-        return out + (b_mu * np.minimum(1.0, mu_stat)) * e1
+        u = np.tanh(xa)
+        u *= a
+        u /= kappa_at(u.shape)
+        u += xa
+        head = gather(u)
+        head *= a
+        return _first_modes(head, e1, b_mu, mu_stat)
 
     _FBAR_TABLE_CACHE[cache_key] = fbar
     return fbar

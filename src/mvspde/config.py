@@ -17,6 +17,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
 from .coefficients import BuiltinFamily, CoefficientSet
 from .multiscale import MultiscaleConfig
@@ -31,6 +32,7 @@ __all__ = [
     "build_coeffs",
     "build_sim",
     "build_multiscale",
+    "build_eta",
     "build_replicas",
     "describe",
 ]
@@ -168,15 +170,26 @@ def build_coeffs(cfg: dict, spec: OperatorSpec) -> CoefficientSet:
 
 def build_sim(cfg: dict, spec: OperatorSpec, coeffs: CoefficientSet) -> SimConfig:
     sect = cfg["sim"]
-    return SimConfig(
-        spec=spec,
-        coeffs=coeffs,
-        T=float(sect["T"]),
-        h=float(sect["h"]),
-        M=int(sect["M"]),
-        seed=int(sect["seed"]),
-        xi=sect.get("xi", 0.0),
-    )
+    try:
+        return SimConfig(
+            spec=spec,
+            coeffs=coeffs,
+            T=float(sect["T"]),
+            h=float(sect["h"]),
+            M=int(sect["M"]),
+            seed=int(sect["seed"]),
+            xi=sect.get("xi", 0.0),
+        )
+    except ConfigError as exc:  # placing xi is the one rule without a pointer
+        raise exc.at("/sim/xi") from None
+
+
+def build_eta(cfg: dict, spec: OperatorSpec) -> np.ndarray:
+    """sim.eta (0 when absent) as a field of ``spec.n_modes`` modes."""
+    try:
+        return spec.as_field(cfg["sim"].get("eta", 0.0))
+    except ConfigError as exc:
+        raise exc.at("/sim/eta") from None
 
 
 def build_multiscale(cfg: dict, base: SimConfig) -> MultiscaleConfig:
@@ -190,12 +203,13 @@ def build_multiscale(cfg: dict, base: SimConfig) -> MultiscaleConfig:
         raise ConfigError("this study needs a fast step", pointer="/sim/h_fast")
     if "epsilon" not in study:
         raise ConfigError("this study needs a timescale ratio", pointer="/study/epsilon")
+    eta = build_eta(cfg, base.spec)
     try:
         return MultiscaleConfig(
             base=base,
             epsilon=float(study["epsilon"]),
             h_fast=float(sect["h_fast"]),
-            eta=sect.get("eta", 0.0),
+            eta=eta,
         )
     except ConfigError as exc:  # the h_fast rules raise without a pointer
         raise exc.at("/sim/h_fast") from None

@@ -54,6 +54,7 @@ from .multiscale import (
     StrongErrorStats,
     ergodicity_decay,
     estimate_fbar,
+    grid_steps,
     simulate_auxiliary,
     simulate_slow_fast,
     slow_snapshots,
@@ -320,6 +321,7 @@ def rate_study(
     spec, coeffs = base.spec, base.coeffs
     check_moment_order(m, spec)
     check_bounded_drift(coeffs)
+    eta = spec.as_field(eta)  # a length fault is not an h_fast_ratio fault
     try:  # one config per grid point validates its steps up front
         cfgs = [MultiscaleConfig(base=base, epsilon=e, h_fast=e * h_fast_ratio, eta=eta)
                 for e in eps]
@@ -487,12 +489,15 @@ def ergodicity_study(
     (i + 1, fitted rate, rate stderr).  Probes whose decay curve never
     rises above the Monte Carlo floor (e.g. started at the stationary
     mean) are flagged ``no-signal`` and reported as nan.  The reference
-    Fbar comes from the family's default averaged drift.
+    Fbar comes from the family's default averaged drift.  The time grid
+    is checked once, by :func:`~mvspde.multiscale.grid_steps`, before the
+    first probe's reference Fbar.
     """
     t0 = time.perf_counter()
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe input")
+    grid_steps(t_grid, h_step)  # the grid is checked before any probe's Fbar
     drift = _default_drift(coeffs)
     gap = dissipativity_gap(coeffs, spec)
     grid, flags, reports = [], {}, []

@@ -42,6 +42,7 @@ __all__ = [
     "EmpiricalMeasure",
     "LawFlow",
     "p_moment",
+    "sum_squares",
     "FitReport",
     "fit_line",
     "wasserstein_exact",
@@ -95,20 +96,59 @@ class EmpiricalMeasure:
         return p_moment(self.particles, p)
 
 
+# longest axis that np.add.reduce sums in one block of eight lanes
+PAIRWISE_BLOCK = 128
+
+
+def sum_squares(x) -> np.ndarray:
+    """np.add.reduce(x * x, axis=-1) bit for bit, by adds of whole columns.
+
+    Along a contiguous axis of n <= ``PAIRWISE_BLOCK`` elements numpy adds
+    in a fixed order: below 8 one element after another; from 8 on in eight
+    lanes, lane j summing elements j, j + 8, ..., the lanes combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and the remainder
+    added last.  Here each add is one pass over a column of x * x, so no
+    short vector is reduced per row, and neither the bits nor the C order
+    of the result depend on the layout of x.  Longer (and empty) axes go
+    to add.reduce on a C-ordered copy.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    if not 0 < n <= PAIRWISE_BLOCK:
+        x = np.ascontiguousarray(x)
+        return np.add.reduce(x * x, axis=-1)
+    sq = np.multiply(x, x, order="C")
+    cols = [sq[..., k] for k in range(n)]
+    if n < 8:
+        out = cols[0].copy()
+        for col in cols[1:]:
+            out += col
+        return out
+    full = n - n % 8
+    r = cols[:8]
+    for i in range(8, full, 8):
+        r = [lane + col for lane, col in zip(r, cols[i:i + 8])]
+    out = (r[0] + r[1]) + (r[2] + r[3])
+    out += (r[4] + r[5]) + (r[6] + r[7])
+    for col in cols[full:]:
+        out += col
+    return out
+
+
 def p_moment(x, p: float):
     """((1/M) sum_i |x_i|^p)^(1/p) of each cloud in x, shape (..., M, n_modes).
 
-    One cloud gives a float, a batch an array of shape x.shape[:-2].  x is
-    reduced as a C-ordered array (copied only if it is not one), each cloud
-    along its own particle axis with its root a scalar power (numpy's array
-    power can differ in the last bit), so a cloud has the same bits alone,
-    in a batch and as a strided view.  Particle norms are
-    sqrt(add.reduce(x*x)), the bits of np.linalg.norm on real input.
+    One cloud gives a float, a batch an array of shape x.shape[:-2].  Each
+    cloud is reduced along its own particle axis with its root a scalar
+    power (numpy's array power can differ in the last bit), so a cloud has
+    the same bits alone, in a batch and as a strided view.  Particle norms
+    are sqrt(:func:`sum_squares`), the bits of np.linalg.norm on real input.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    x = np.ascontiguousarray(x, dtype=float)
-    means = np.mean(np.sqrt(np.add.reduce(x * x, axis=-1)) ** p, axis=-1)
+    norms = sum_squares(x)
+    np.sqrt(norms, out=norms)
+    means = np.mean(norms ** p, axis=-1)
     roots = [float(v) ** (1.0 / p) for v in np.ravel(means)]
     return roots[0] if means.ndim == 0 else np.reshape(roots, means.shape)
 

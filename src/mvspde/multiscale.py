@@ -43,7 +43,7 @@ import numpy as np
 
 from .spectral import ConfigError, OperatorSpec, check_moment_order, whole_steps
 from .coefficients import CoefficientSet, check_bounded_drift, dissipativity_gap
-from .measures import fit_line, p_moment
+from .measures import fit_line, p_moment, sum_squares
 from .solver import (
     NonFiniteState,
     PathEnsemble,
@@ -68,6 +68,7 @@ __all__ = [
     "ergodic_fbar",
     "DecayReport",
     "NoSignalError",
+    "grid_steps",
     "ergodicity_decay",
     "simulate_averaged",
     "StrongErrorStats",
@@ -457,6 +458,21 @@ class NoSignalError(ValueError):
     """The decay curve never rises far enough above its Monte Carlo floor to fit."""
 
 
+def grid_steps(t_grid, h_step: float) -> np.ndarray:
+    """Step counts of the decay grid's times on the step ``h_step``.
+
+    The grid must be 1-d, non-negative and increasing, with at least two
+    points, and each positive time a whole number of steps (t = 0 reads
+    the start); otherwise :class:`ConfigError` at /study/grid.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size < 2 or t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
+        raise ConfigError("t_grid must be 1-d, nonnegative and increasing, "
+                          "with at least 2 points", "/study/grid")
+    return np.array([whole_steps(t, h_step, "t", "/study/grid") if t > 0 else 0
+                     for t in t_grid])
+
+
 def ergodicity_decay(
     frozen: FrozenInput,
     spec: OperatorSpec,
@@ -476,18 +492,13 @@ def ergodicity_decay(
     envelope decays at rate lambda_1 - L_G.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 2 or t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
-        raise ConfigError("t_grid must be 1-d, nonnegative and increasing, "
-                          "with at least 2 points", "/study/grid")
+    idx = grid_steps(t_grid, h_step)
     gap = dissipativity_gap(coeffs, spec)
     if fbar_ref is None:
         if coeffs.fbar_factory is None:
             raise ValueError("no closed-form Fbar available; pass fbar_ref explicitly")
         fbar_ref = coeffs.fbar_factory(spec)(frozen.x, frozen.mu_stat)
 
-    # grid times as step counts; t = 0 reads the start
-    idx = np.array([whole_steps(t, h_step, "t", "/study/grid") if t > 0 else 0
-                    for t in t_grid])
     T_end = float(idx.max() * h_step)
     ens = simulate_frozen(
         frozen, T_end, h_step, spec, coeffs, rng, n_particles=n_replicas
@@ -643,7 +654,6 @@ def strong_error_stats(
 
     shape = (len(replicas), base.M, spec.n_modes)
     diff = np.empty(shape)
-    dist = np.empty(shape[:2])
     sup = np.zeros(shape[:2])
 
     def drift_at(j, fields):
@@ -657,8 +667,8 @@ def strong_error_stats(
     def track_sup(j, fields):
         # |x - xb| per particle, as np.linalg.norm sums it
         np.subtract(fields[0], fields[2], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.sqrt(np.add.reduce(diff, axis=-1, out=dist), out=dist)
+        dist = sum_squares(diff)
+        np.sqrt(dist, out=dist)
         np.maximum(sup, dist, out=sup)
 
     try:

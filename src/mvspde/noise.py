@@ -43,7 +43,8 @@ SeedSequence spawn keys onto independent Philox counters.  Each particle
 owns its own streams, and each conceptual noise channel keeps *separate*
 streams for the uniform and exponential inputs of the CMS transform, so
 that draws are bitwise independent of how the time axis is chunked into
-blocks.
+blocks.  The transform is elementwise, so neither do they depend on the
+particle groups a bank fills and transforms together.
 """
 
 from __future__ import annotations
@@ -128,9 +129,10 @@ class RngStream:
         return self._open(2 * self.channel), self._open(2 * self.channel + 1)
 
 
-# elements per chunk of the CMS transform: the chunk and its scratch buffers
-# stay in cache across the ufunc passes of the closed form
-CMS_CHUNK = 1 << 15
+# words per particle group that a draw fills and transforms before filling
+# the next: the group's uniform and exponential words (256 KB) and the
+# transform's scratch stay in the L2 cache across the ufunc passes
+GROUP_WORDS = 1 << 15
 
 # U - _HALF = U + 2**-54 - 1/2, exact for U a multiple of 2**-53 in [0, 1)
 _HALF = 0.5 - 2.0**-54
@@ -156,12 +158,11 @@ def _cms_closed_form(u, w, alpha: float):
 def _cms(u, w, alpha: float, out: np.ndarray | None = None):
     """Chambers-Mallows-Stuck transform of raw uniform/exponential inputs.
 
-    Array inputs are transformed in chunks of ``CMS_CHUNK`` elements, with
-    the ufuncs of :func:`_cms_closed_form` applied in the same order, so
-    each element has the bits of the one-expression form.  ``out``, when
-    given, is a C-contiguous array of the inputs' shape and is returned.
-    Scalars take the closed form itself (numpy's scalar power is not the
-    array loop).
+    The ufuncs of :func:`_cms_closed_form` run in the same order, pass by
+    pass over the whole array, so each element has the bits of the
+    one-expression form.  ``out``, when given, is a C-contiguous array of
+    the inputs' shape and is returned.  Scalars take the closed form
+    itself (numpy's scalar power is not the array loop).
     """
     if np.ndim(u) == 0:
         return _cms_closed_form(u, w, alpha)
@@ -170,36 +171,52 @@ def _cms(u, w, alpha: float, out: np.ndarray | None = None):
         out = np.empty(shape)
     elif out.shape != shape or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous array of shape {shape}")
-    u, w, flat = np.ravel(u), np.ravel(w), out.reshape(-1)
-    scratch = np.empty((3, min(CMS_CHUNK, u.size)))
+    d, p, q = np.empty((3,) + shape)
     k_a, k_c = alpha * np.pi / 2.0, (1.0 - alpha) * np.pi / 2.0
     e_pow, k_out = 1.0 - 1.0 / alpha, 2.0 ** ((alpha - 1.0) / alpha)
-    for i in range(0, u.size, CMS_CHUNK):
-        uc, wc, oc = u[i:i + CMS_CHUNK], w[i:i + CMS_CHUNK], flat[i:i + CMS_CHUNK]
-        d, p, q = scratch[:, :uc.size]
-        np.subtract(uc, _HALF, out=d)
-        np.multiply(k_a, d, out=oc)
-        np.tan(oc, out=oc)
-        np.divide(1.0, oc, out=q)
-        oc += q                             # a + 1/a
-        np.multiply(k_c, d, out=p)
-        np.tan(p, out=p)
-        np.multiply(p, p, out=p)
-        np.subtract(1.0, p, out=q)
-        p += 1.0
-        p *= wc
-        p /= q                              # P
-        np.abs(d, out=d)
-        np.subtract(0.5, d, out=d)
-        d *= np.pi / 2.0
-        np.tan(d, out=d)
-        np.divide(1.0, d, out=q)
-        d += q                              # T = t + 1/t
-        p /= d
-        np.power(p, e_pow, out=p)
-        np.divide(d, oc, out=oc)
-        oc *= p
-        oc *= k_out
+    np.subtract(u, _HALF, out=d)
+    np.multiply(k_a, d, out=out)
+    np.tan(out, out=out)
+    np.divide(1.0, out, out=q)
+    out += q                            # a + 1/a
+    np.multiply(k_c, d, out=p)
+    np.tan(p, out=p)
+    np.multiply(p, p, out=p)
+    np.subtract(1.0, p, out=q)
+    p += 1.0
+    p *= w
+    p /= q                              # P
+    np.abs(d, out=d)
+    np.subtract(0.5, d, out=d)
+    d *= np.pi / 2.0
+    np.tan(d, out=d)
+    np.divide(1.0, d, out=q)
+    d += q                              # T = t + 1/t
+    p /= d
+    np.power(p, e_pow, out=p)
+    np.divide(d, out, out=out)
+    out *= p
+    out *= k_out
+    return out
+
+
+def _draw_groups(pairs, alpha: float, out: np.ndarray) -> np.ndarray:
+    """Fill out[i], shape (n_steps, n_modes), with stable draws from pairs[i].
+
+    pairs[i] is a (uniform, exponential) generator pair.  The particles go
+    in groups of about ``GROUP_WORDS`` words, each group's words filled
+    into one pair of scratch buffers and transformed before the next group
+    is filled; the transform is elementwise, so the group size never
+    enters the bits.
+    """
+    group = max(1, GROUP_WORDS // max(1, 2 * out.shape[1] * out.shape[2]))
+    u, w = np.empty((2, min(group, len(pairs))) + out.shape[1:])
+    for i in range(0, len(pairs), group):
+        gens = pairs[i:i + group]
+        for (gen_u, gen_w), u_rows, w_rows in zip(gens, u, w):
+            gen_u.random(out=u_rows)
+            gen_w.standard_exponential(out=w_rows)
+        _cms(u[:len(gens)], w[:len(gens)], alpha, out=out[i:i + len(gens)])
     return out
 
 
@@ -213,14 +230,14 @@ def sample_standard_stable(rng, alpha: float, size=None) -> np.ndarray | float:
     if not (1.0 < alpha < 2.0):
         raise ValueError(f"alpha out of range (1, 2): {alpha}")
     if isinstance(rng, RngStream):
-        gen_u, gen_w = rng.pair()
+        pair = rng.pair()
     elif isinstance(rng, np.random.Generator):
-        gen_u = gen_w = rng
+        pair = (rng, rng)
     else:
         raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
-    u = gen_u.random(size)
-    w = gen_w.standard_exponential(size)
-    out = _cms(u, w, alpha)
+    out = np.empty(() if size is None else size)
+    if out.size:
+        _draw_groups([pair], alpha, out.reshape(1, -1, out.shape[-1] if out.ndim else 1))
     return out if size is not None else float(out)
 
 
@@ -427,10 +444,9 @@ class StableNoiseBank:
         receives the block and is returned; a batch of banks can so fill
         the rows of one preallocated array.
         """
-        shape = (n_steps, self.n_modes)
-        u = np.empty((self.n_particles,) + shape)
-        w = np.empty_like(u)
-        for i, (gu, gw) in enumerate(self._pairs):
-            gu.random(out=u[i])
-            gw.standard_exponential(out=w[i])
-        return _cms(u, w, self.alpha, out=out)
+        shape = (self.n_particles, n_steps, self.n_modes)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+        return _draw_groups(self._pairs, self.alpha, out)

@@ -165,18 +165,29 @@ class NonFiniteState(FloatingPointError):
 
 
 def _noise_block(source, j0: int, n: int, buf):
-    """Steps j0 .. j0 + n - 1 of a noise source, time on axis -2."""
+    """Steps j0 .. j0 + n - 1 of a noise source, time on axis 0.
+
+    Each bank draws its block into one scratch array, which is copied out
+    step-major into ``buf`` (a particle's modes at one step move as one
+    item), so that each step's increments are one contiguous slice; the
+    scale multiply then runs over ``buf`` in place.
+    """
     if isinstance(source, np.ndarray):
-        return source[..., j0:j0 + n, :]
+        return np.moveaxis(source[..., j0:j0 + n, :], -2, 0)
     banks, scale = source
     lead = () if isinstance(banks, StableNoiseBank) else (len(banks),)
     banks = banks if lead else [banks]
-    shape = lead + (banks[0].n_particles, n, banks[0].n_modes)
+    n_particles, n_modes = banks[0].n_particles, banks[0].n_modes
+    shape = (n,) + lead + (n_particles, n_modes)
     if buf is None or buf.shape != shape:
         buf = np.empty(shape)
-    for bank, rows in zip(banks, buf.reshape((-1,) + shape[-3:])):
-        bank.draw(n, out=rows)
-    buf *= scale
+    draws = np.empty((n_particles, n, n_modes))
+    row = np.dtype((np.void, draws.itemsize * n_modes))
+    steps = buf.reshape((n, -1, n_particles, n_modes)).view(row)[..., 0]
+    for bank, dest in zip(banks, steps.swapaxes(0, 1)):
+        bank.draw(n, out=draws)
+        dest[...] = draws.view(row)[..., 0].T
+    buf *= np.broadcast_to(scale, shape[1:]).copy()  # full-shape, so the multiply runs flat
     return buf
 
 
@@ -201,6 +212,10 @@ def advance(states: dict, weights, noise, drift, n_steps: int, observe) -> list:
     names = list(states)
     fields = [np.array(v, dtype=float, order="C") for v in states.values()]
     spare, scratch = [np.empty_like(f) for f in fields], [np.empty_like(f) for f in fields]
+    # each (decay, weight) pair at its field's full shape: per step, every
+    # product is then elementwise, with no short vector broadcast per row
+    weights = [[np.broadcast_to(w, f.shape).copy() for w in pair]
+               for pair, f in zip(weights, fields)]
     sources = {id(src): src for src in noise}
     blocks = dict.fromkeys(sources)
     block_steps = BLOCK_STEPS
@@ -215,7 +230,7 @@ def advance(states: dict, weights, noise, drift, n_steps: int, observe) -> list:
                 np.multiply(weights[k][0], fields[k], out=spare[k])
                 np.multiply(weights[k][1], d, out=scratch[k])
                 spare[k] += scratch[k]
-                spare[k] += rows[k][..., j - j0, :]
+                spare[k] += rows[k][j - j0]
             fields, spare = spare, fields
             for name, f in zip(names, fields):
                 if not np.isfinite(f).all():

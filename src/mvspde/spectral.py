@@ -151,11 +151,13 @@ class OperatorSpec:
         """Coerce a scalar or short vector to a length-``n_modes`` coordinate array.
 
         A scalar loads the first mode only; a shorter vector is zero-padded.
+        Anything else raises :class:`ConfigError` without a pointer; the
+        caller knows the key.
         """
         out = np.zeros(self.n_modes)
         vals = np.atleast_1d(np.asarray(values, dtype=float))
         if vals.ndim != 1 or vals.size > self.n_modes:
-            raise ValueError(f"cannot place shape {vals.shape} into {self.n_modes} modes")
+            raise ConfigError(f"cannot place shape {vals.shape} into {self.n_modes} modes")
         out[: vals.size] = vals
         return out
 

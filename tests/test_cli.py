@@ -190,6 +190,13 @@ CONFIG_FAULTS = {
     "ergodicity-t-off-step-grid": ("ergodicity", dict(
         **_ERGODIC, study={**_NO_RATE_KEYS, "kind": "ergodicity", "grid": [0.5, 1.0005],
                            "ensemble": 100, "m": None}), "/study/grid"),
+    "picard-xi-too-long": ("picard", dict(
+        sim={"M": 8, "xi": [0.1] * 5}, study={"kind": "picard", "n_iters": 2,
+                                             **_NO_RATE_KEYS}), "/sim/xi"),
+    "rate-eta-too-long": ("rate-study", dict(sim={"eta": [0.0] * 5}), "/sim/eta"),
+    "hoelder-eta-too-long": ("hoelder-study", dict(
+        sim={"h_fast": 2**-9, "eta": [0.0] * 5}, study={**_HOELDER, "grid": [0.125, 0.0625]}),
+        "/sim/eta"),
     "picard-weight-underflows": ("picard", dict(
         sim={"M": 8}, study={"kind": "picard", "lambda_weight": 1e300, "n_iters": 2,
                              **_NO_RATE_KEYS}), "/study/lambda_weight"),

@@ -75,6 +75,24 @@ class TestBoundedSmoothFamily:
         assert co.G(x, mu, y).tobytes() == (np.tanh(x) * active + 0.5 * y).tobytes()
         assert linear_test(spec8).y_modes is None
 
+    def test_batched_maps_keep_one_expression_bits(self, spec8):
+        # a batch of systems on Cauchy fields with signed zeros and infinities,
+        # against the one-expression forms of F, G and B
+        co = bounded_smooth(spec8, a=0.7, b_mu=0.5, c=0.5, n_active=4)
+        gen = np.random.default_rng(6)
+        x, y = gen.standard_cauchy((3, 9, 8)), gen.standard_cauchy((3, 9, 8))
+        x[0, :3, :3] = [[0.0, -0.0, np.inf], [-np.inf, -0.0, 0.0], [-0.0, -0.0, -0.0]]
+        y[0, :3, :3] = [[-0.0, -0.0, 1.0], [2.0, 0.0, -0.0], [-0.0, 0.0, -0.0]]
+        mu = np.array([0.0, 0.4, 3.0])[:, None, None]
+        active, e1 = (np.arange(8) < 4).astype(float), np.eye(8)[0]
+        law = (0.5 * np.minimum(1.0, mu)) * e1
+        assert co.F(x, mu, y[..., :4]).tobytes() == (
+            0.7 * np.tanh(x + y) * active + law).tobytes()
+        assert co.B(x, mu).tobytes() == (0.7 * np.tanh(x + 0.0) * active + law).tobytes()
+        assert co.G(x, mu, y[..., :4]).tobytes() == (
+            0.7 * np.tanh(x[..., :4]) + 0.5 * y[..., :4]).tobytes()
+        assert co.G(x, mu, y).tobytes() == (0.7 * np.tanh(x) * active + 0.5 * y).tobytes()
+
     def test_law_dependence_saturates(self, coeffs4):
         x = np.zeros(4)
         small = coeffs4.F(x, 0.25, x)
@@ -178,9 +196,8 @@ class TestQuadratureFbar:
         assert peak <= 16 * 2**20
 
 
-# the averaged drift's interpolation grid and two tables on it; the second
-# holds -0.0 on the negative half, where only the on-node rule gives np.interp's
-# sign of zero
+# the averaged drift's interpolation grid and two tables on it, the second
+# flat at -0.0 on the negative half
 INTERP_GRID = np.arange(-40.0, 40.0 + 1e-12, 0.02)
 INTERP_TABLES = np.stack([
     np.tanh(INTERP_GRID),
@@ -197,33 +214,52 @@ u_values = st.one_of(
     st.floats(-41.0, 41.0),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+# the intercept form slope * u + icept rounds apart from np.interp's
+# slope * (u - x_j) + f_j by at most this much on tables bounded by 1
+INTERP_TOL = 2.2e-16
+
+
+def assert_interp_close(got, u, table):
+    ref = np.interp(u, INTERP_GRID, table)
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    finite = ~np.isnan(ref)
+    assert np.all(np.abs(got[finite] - ref[finite]) <= INTERP_TOL)
+    outside = finite & ((u < INTERP_GRID[0]) | (u > INTERP_GRID[-1]))
+    assert np.array_equal(got[outside], ref[outside])
 
 
 class TestStackedInterp:
     @settings(max_examples=60)
     @given(st.lists(st.tuples(u_values, u_values), min_size=1, max_size=24))
-    def test_bitwise_np_interp(self, rows):
+    def test_within_rounding_of_np_interp(self, rows):
         u = np.array(rows)
         got = StackedInterp(INTERP_GRID, INTERP_TABLES)(u)
         for k in range(2):
-            ref = np.interp(u[:, k], INTERP_GRID, INTERP_TABLES[k])
-            assert np.array_equal(got[:, k], ref, equal_nan=True)
-            assert np.array_equal(np.signbit(got[:, k]), np.signbit(ref))
+            assert_interp_close(got[:, k], u[:, k], INTERP_TABLES[k])
 
     def test_every_node_and_midpoint(self):
         u = np.concatenate([INTERP_GRID, 0.5 * (INTERP_GRID[1:] + INTERP_GRID[:-1])])
         u = np.stack([u, u[::-1]], axis=-1)
         got = StackedInterp(INTERP_GRID, INTERP_TABLES)(u)
         for k in range(2):
-            assert np.array_equal(got[:, k], np.interp(u[:, k], INTERP_GRID, INTERP_TABLES[k]))
+            assert_interp_close(got[:, k], u[:, k], INTERP_TABLES[k])
 
     def test_special_values(self):
         u = np.array(SPECIAL_U)
         got = StackedInterp(INTERP_GRID, INTERP_TABLES[:1])(u[:, None])[:, 0]
-        assert np.array_equal(got, np.interp(u, INTERP_GRID, INTERP_TABLES[0]), equal_nan=True)
+        assert_interp_close(got, u, INTERP_TABLES[0])
         assert got[0] == got[1] == got[2] == INTERP_TABLES[0, 0]
         assert got[4] == got[5] == got[6] == got[7] == INTERP_TABLES[0, -1]
         assert np.isnan(got[8])
+
+    def test_large_sample_within_rounding(self):
+        # uniform on the grid and past it, and Cauchy, in both tables
+        gen = np.random.default_rng(8)
+        u = np.concatenate([gen.uniform(-45.0, 45.0, (50_000, 2)),
+                            5.0 * gen.standard_cauchy((50_000, 2))])
+        got = StackedInterp(INTERP_GRID, INTERP_TABLES)(u)
+        for k in range(2):
+            assert_interp_close(got[:, k], u[:, k], INTERP_TABLES[k])
 
     def test_batched_fbar_rows_equal_single_system_calls(self, spec8, coeffs8):
         # a batch of systems, each with its own law statistic, against one

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mvspde import experiments as ex
+from mvspde import noise
 from mvspde.coefficients import BuiltinFamily, CoefficientSet
 from mvspde.config import build_coeffs, build_multiscale, build_sim, build_spec
 from mvspde.experiments import (
@@ -24,7 +25,7 @@ from mvspde.experiments import (
 )
 from mvspde.multiscale import FrozenInput, MultiscaleConfig, NoSignalError
 from mvspde.solver import SimConfig
-from mvspde.spectral import OperatorSpec
+from mvspde.spectral import ConfigError, OperatorSpec
 
 
 def law_blind_f_coeffs(n):
@@ -330,6 +331,27 @@ class TestErgodicityStudy:
         assert res.flags.get("1") == "no-signal"
         assert math.isnan(res.grid[1].error)
         assert res.fitted_slope is None
+
+    @pytest.mark.parametrize("t_grid", [[0.5, 1.0005], [1.0, 0.5], [1.0], [[0.5, 1.0]]])
+    def test_grid_checked_before_any_fbar_or_bank(self, spec2, linear2, monkeypatch, t_grid):
+        calls = []
+        real_fbar, real_bank = ex.estimate_fbar, noise.StableNoiseBank.__init__
+
+        def fbar_spy(*args, **kwargs):
+            calls.append("estimate_fbar")
+            return real_fbar(*args, **kwargs)
+
+        def bank_spy(self, *args, **kwargs):
+            calls.append("bank")
+            real_bank(self, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "estimate_fbar", fbar_spy)
+        monkeypatch.setattr(noise.StableNoiseBank, "__init__", bank_spy)
+        probes = [FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0, y0=np.zeros(2))] * 2
+        with pytest.raises(ConfigError) as info:
+            ergodicity_study(probes, spec2, linear2, t_grid, ensemble=50, h_step=0.01)
+        assert info.value.pointer == "/study/grid"
+        assert calls == []
 
     def test_stiff_gap(self):
         spec = OperatorSpec(n_modes=2, a=2.0, b=1.0, g=1.0, c_lambda=4.0,

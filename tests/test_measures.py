@@ -10,6 +10,7 @@ from mvspde.measures import (
     EmpiricalMeasure,
     LawFlow,
     dT_metric,
+    sum_squares,
     wasserstein_exact,
     wasserstein_sliced,
 )
@@ -27,6 +28,33 @@ small_cloud = st.integers(2, 5).flatmap(
         max_size=m,
     )
 )
+
+
+class TestSumSquares:
+    """Column adds in numpy's own order give np.add.reduce(x * x, axis=-1)."""
+
+    @settings(max_examples=60)
+    @given(
+        n_modes=st.sampled_from(list(range(1, 18)) + [129]),
+        lead=st.sampled_from([(7,), (3, 5), (2, 3, 4)]),
+        layout=st.sampled_from(["C", "head", "every-other", "swapped"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_add_reduce(self, n_modes, lead, layout, seed):
+        gen = np.random.default_rng(seed)
+        if layout == "C":
+            x = gen.standard_cauchy(lead + (n_modes,))
+        elif layout == "head":      # the leading modes of a wider field
+            x = gen.standard_cauchy(lead + (n_modes + 3,))[..., :n_modes]
+        elif layout == "every-other":
+            x = gen.standard_cauchy((2 * lead[0],) + lead[1:] + (n_modes,))[::2]
+        else:                       # a flow's clouds: a swapped view
+            x = gen.standard_cauchy(lead[::-1] + (n_modes,)).swapaxes(0, -2)
+        x[(0,) * (x.ndim - 1)] = np.resize([-0.0, 1e150, np.inf], n_modes)
+        got = sum_squares(x)
+        assert got.tobytes() == np.add.reduce(np.ascontiguousarray(x) ** 2, axis=-1).tobytes()
+        assert got.tobytes() == np.add.reduce(x * x, axis=-1).tobytes()
+        assert got.flags.c_contiguous
 
 
 class TestEmpiricalMeasure:

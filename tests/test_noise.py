@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -8,7 +10,7 @@ from mvspde.measures import fit_line
 from mvspde.noise import (
     CH_FAST,
     CH_SLOW,
-    CMS_CHUNK,
+    GROUP_WORDS,
     RngStream,
     StableNoiseBank,
     chf_estimate,
@@ -201,6 +203,28 @@ class TestNoiseBank:
         direct = sample_standard_stable(stream, ALPHA, size=(4, 3))
         assert np.array_equal(row, direct)
 
+    @pytest.mark.parametrize("group_words", [1, 40, 100, 1 << 15])
+    def test_group_size_never_enters_the_bits(self, monkeypatch, group_words):
+        # 7 particles of 4 steps x 2 modes, 16 words each, in groups of 1, 2, 6 and 7
+        whole = StableNoiseBank(5, ALPHA, 7, 2, CH_SLOW, replica=3).draw(4)
+        monkeypatch.setattr(noise, "GROUP_WORDS", group_words)
+        assert np.array_equal(StableNoiseBank(5, ALPHA, 7, 2, CH_SLOW, replica=3).draw(4), whole)
+        for i in range(7):
+            stream = RngStream(5, replica=3, particle=i, channel=CH_SLOW)
+            assert np.array_equal(sample_standard_stable(stream, ALPHA, size=(4, 2)), whole[i])
+
+    def test_draw_memory_is_output_plus_one_group(self):
+        # words and transform scratch for one particle group, never a copy
+        # of the whole block: a rate-study slow bank, 1 MB of output
+        bank = StableNoiseBank(1, ALPHA, 125, 8, CH_SLOW)
+        tracemalloc.start()
+        try:
+            out = bank.draw(128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 2**20
+
     def test_particle_ids_relabel_streams(self):
         bank = StableNoiseBank(3, ALPHA, n_particles=2, n_modes=3,
                                channel=CH_SLOW, particle_ids=[5, 0])
@@ -221,11 +245,11 @@ def _cms_sincos(d, w, alpha):
 
 
 class TestChunkedCms:
-    """The chunked transform has the bits of the one-expression closed form."""
+    """The pass-by-pass transform has the bits of the one-expression closed form."""
 
     @settings(max_examples=10)
     @given(
-        size=st.sampled_from([1, CMS_CHUNK - 1, CMS_CHUNK, CMS_CHUNK + 1, 3 * CMS_CHUNK + 7]),
+        size=st.sampled_from([1, 7, GROUP_WORDS // 2 - 1, GROUP_WORDS // 2, GROUP_WORDS + 1]),
         alpha=st.floats(1.05, 1.95),
         seed=st.integers(0, 2**16),
     )
