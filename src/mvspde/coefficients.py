@@ -288,7 +288,8 @@ class StackedInterp:
         self.offsets = _tiler((n + 2) * np.arange(table.shape[0]))
 
     def __call__(self, u):
-        u = np.clip(u, self.origin, self.top)
+        u = np.maximum(u, self.origin)
+        np.minimum(u, self.top, out=u)  # np.clip's bits, NaN kept, without its wrapper
         t = np.subtract(u, self.origin)
         t *= self.inv_step
         np.fmax(t, 0.0, out=t)  # NaN -> 0, whose 0 * NaN + end value is NaN

@@ -100,17 +100,45 @@ class EmpiricalMeasure:
 PAIRWISE_BLOCK = 128
 
 
+def _add_columns(cols, n: int) -> np.ndarray:
+    """The sum of n same-shape arrays in np.add.reduce's order along an axis of n.
+
+    For 0 < n <= ``PAIRWISE_BLOCK`` numpy adds a contiguous axis in a fixed
+    order: below 8 one element after another; from 8 on in eight lanes,
+    lane j summing elements j, j + 8, ..., the lanes combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and the remainder
+    added last.  Here the elements are whole arrays, taken in turn from
+    the iterable ``cols``, and each add is one pass.  None is written to,
+    and each is dropped once added, so arrays made on demand are freed as
+    the sum goes.  The result is a new C-ordered array.
+    """
+    take = iter(cols).__next__
+    if n < 8:
+        out = take().copy() if n == 1 else take() + take()
+        for _ in range(n - 2):
+            out += take()
+        return out
+    lanes = [take() for _ in range(8)]
+    for _ in range(n // 8 - 1):
+        for j in range(8):
+            lanes[j] = lanes[j] + take()
+    lanes.reverse()
+    lane = lanes.pop
+    out = lane() + lane()
+    out += lane() + lane()
+    out += (lane() + lane()) + (lane() + lane())
+    for _ in range(n % 8):
+        out += take()
+    return out
+
+
 def sum_squares(x) -> np.ndarray:
     """np.add.reduce(x * x, axis=-1) bit for bit, by adds of whole columns.
 
-    Along a contiguous axis of n <= ``PAIRWISE_BLOCK`` elements numpy adds
-    in a fixed order: below 8 one element after another; from 8 on in eight
-    lanes, lane j summing elements j, j + 8, ..., the lanes combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and the remainder
-    added last.  Here each add is one pass over a column of x * x, so no
-    short vector is reduced per row, and neither the bits nor the C order
-    of the result depend on the layout of x.  Longer (and empty) axes go
-    to add.reduce on a C-ordered copy.
+    The columns of x * x are added by :func:`_add_columns`, so no short
+    vector is reduced per row, and neither the bits nor the C order of the
+    result depend on the layout of x.  Longer (and empty) axes go to
+    add.reduce on a C-ordered copy.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
@@ -118,37 +146,30 @@ def sum_squares(x) -> np.ndarray:
         x = np.ascontiguousarray(x)
         return np.add.reduce(x * x, axis=-1)
     sq = np.multiply(x, x, order="C")
-    cols = [sq[..., k] for k in range(n)]
-    if n < 8:
-        out = cols[0].copy()
-        for col in cols[1:]:
-            out += col
-        return out
-    full = n - n % 8
-    r = cols[:8]
-    for i in range(8, full, 8):
-        r = [lane + col for lane, col in zip(r, cols[i:i + 8])]
-    out = (r[0] + r[1]) + (r[2] + r[3])
-    out += (r[4] + r[5]) + (r[6] + r[7])
-    for col in cols[full:]:
-        out += col
-    return out
+    return _add_columns((sq[..., k] for k in range(n)), n)
 
 
 def p_moment(x, p: float):
     """((1/M) sum_i |x_i|^p)^(1/p) of each cloud in x, shape (..., M, n_modes).
 
     One cloud gives a float, a batch an array of shape x.shape[:-2].  Each
-    cloud is reduced along its own particle axis with its root a scalar
-    power (numpy's array power can differ in the last bit), so a cloud has
-    the same bits alone, in a batch and as a strided view.  Particle norms
-    are sqrt(:func:`sum_squares`), the bits of np.linalg.norm on real input.
+    cloud is reduced along its own particle axis (np.mean's sum and
+    divide) with its root a scalar power (numpy's array power can differ in
+    the last bit), so a cloud has the same bits alone, in a batch and as a
+    strided view.  At p = 1 the power and the root are the identity and
+    are skipped.  Particle norms are sqrt(:func:`sum_squares`), the bits of
+    np.linalg.norm on real input.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     norms = sum_squares(x)
     np.sqrt(norms, out=norms)
-    means = np.mean(norms ** p, axis=-1)
+    if p != 1:
+        norms **= p
+    means = np.add.reduce(norms, axis=-1)
+    means /= norms.shape[-1]
+    if p == 1:
+        return float(means) if means.ndim == 0 else means
     roots = [float(v) ** (1.0 / p) for v in np.ravel(means)]
     return roots[0] if means.ndim == 0 else np.reshape(roots, means.shape)
 
@@ -186,6 +207,30 @@ def fit_line(x, y, w=None) -> FitReport:
     return FitReport(float(slope), float(intercept), slope_stderr, float(r2))
 
 
+def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
+    """|x_i - y_j|^p, bit for bit np.linalg.norm(x[:, None] - y[None], axis=2) ** p.
+
+    Built one mode at a time: each mode's outer difference is squared in
+    place, and the squares are added in np.add.reduce's order by
+    :func:`_add_columns` as they are made, so the (M, M, N) differences
+    never exist as one tensor.  Mode counts past ``PAIRWISE_BLOCK`` (and
+    zero) take the tensor.
+    """
+    n = x.shape[1]
+    if not 0 < n <= PAIRWISE_BLOCK:
+        cost = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+    else:
+        def squares():
+            for k in range(n):
+                d = np.subtract.outer(x[:, k], y[:, k])
+                d *= d
+                yield d
+
+        cost = _add_columns(squares(), n)
+        np.sqrt(cost, out=cost)
+    return cost if p == 1 else cost ** p
+
+
 def wasserstein_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
     """Exact W_p between equal-size uniform clouds via optimal assignment."""
     if p < 1:
@@ -199,8 +244,7 @@ def wasserstein_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> f
             f"exact assignment limited to M <= {EXACT_ASSIGNMENT_LIMIT}, got {mu.size}; "
             "use wasserstein_sliced"
         )
-    diff = mu.particles[:, None, :] - nu.particles[None, :, :]
-    cost = np.linalg.norm(diff, axis=2) ** p
+    cost = _cost_matrix(mu.particles, nu.particles, p)
     rows, cols = assignment_solver()(cost)
     return float(np.mean(cost[rows, cols]) ** (1.0 / p))
 

@@ -490,6 +490,12 @@ def ergodicity_decay(
     points above 3x their Monte Carlo floor (nan stderr from two points),
     raising :class:`NoSignalError` when fewer than two are.  The theoretical
     envelope decays at rate lambda_1 - L_G.
+
+    ``rate_stderr`` is the line fit's slope stderr, which treats the grid
+    points as independent; they are read off the same paths, so it
+    understates the rate's spread between seeds.  On the linear oracle at
+    ensemble 2500 it reads 0.010-0.031 where the rate's std over seeds 0-29
+    is 0.051.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     idx = grid_steps(t_grid, h_step)

@@ -39,7 +39,11 @@ stochastic integrals: int f(r) dL_r is stable with scale (int |f|^alpha dr)^(1/a
 
 Reproducibility is organised around :class:`RngStream`: a stream is a
 (seed, replica, particle, channel) address mapped through numpy's
-SeedSequence spawn keys onto independent Philox counters.  Each particle
+SeedSequence spawn keys onto independent Philox counters.  The key of each
+Philox is SeedSequence's, computed by :func:`philox_keys`, which runs the
+SeedSequence hash over all of a bank's addresses in one vectorised pass
+(numpy's ``mix_entropy`` and ``generate_state`` as uint32 column
+operations), so opening a stream builds no SeedSequence.  Each particle
 owns its own streams, and each conceptual noise channel keeps *separate*
 streams for the uniform and exponential inputs of the CMS transform, so
 that draws are bitwise independent of how the time axis is chunked into
@@ -50,13 +54,16 @@ particle groups a bank fills and transforms together.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .spectral import OperatorSpec
 
 __all__ = [
     "RngStream",
+    "philox_keys",
     "ConvolutionIncrement",
     "sample_standard_stable",
     "convolution_scales",
@@ -83,6 +90,154 @@ CH_PROJECTION = 3
 CH_PROBE = 4
 
 
+def _coordinate(name: str, v) -> int:
+    """A stream coordinate as an int; negative or non-integer ones raise."""
+    if int(v) != v or v < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {v}")
+    return int(v)
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+# The hash below runs on 32-bit words that are either Python ints (shared
+# by every address) or uint32 arrays (one entry per address, wrapping mod
+# 2**32); an int meeting an array becomes an array.
+
+
+def _mul32(x, c: int):
+    return (x * c) & _MASK32 if isinstance(x, int) else x * np.uint32(c)
+
+
+def _hashmix(value, hash_const: int):
+    """SeedSequence's hashmix: (hashed value, next hash constant)."""
+    value = value ^ hash_const
+    hash_const = hash_const * _MULT_A & _MASK32
+    value = _mul32(value, hash_const)
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    r = _mul32(x, _MIX_MULT_L) - _mul32(y, _MIX_MULT_R)
+    if isinstance(r, int):
+        r &= _MASK32
+    return r ^ (r >> 16)
+
+
+def _absorb(pool: list, hash_const: int, words) -> tuple[list, int]:
+    """Mix entropy words past the pool's first fill into it, as mix_entropy does."""
+    pool = list(pool)
+    for word in words:
+        for i in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[i] = _mix(pool[i], value)
+    return pool, hash_const
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(words: tuple[int, ...]) -> tuple[list, int]:
+    """SeedSequence.mix_entropy over at least ``_POOL_SIZE`` entropy words (ints).
+
+    Cached: every stream of a (seed, replica) starts from the same pool.
+    """
+    hash_const, pool = _INIT_A, []
+    for word in words[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                value, hash_const = _hashmix(pool[i_src], hash_const)
+                pool[i_dst] = _mix(pool[i_dst], value)
+    return _absorb(pool, hash_const, words[_POOL_SIZE:])
+
+
+def _generate_key(pool: list) -> np.ndarray:
+    """generate_state(2, np.uint64) of a mixed pool, key words on the last axis."""
+    state = np.empty(np.broadcast_shapes(*map(np.shape, pool)) + (_POOL_SIZE,), dtype="<u4")
+    hash_const = _INIT_B
+    for i, word in enumerate(pool):
+        word = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = _mul32(word, hash_const)
+        state[..., i] = word ^ (word >> 16)
+    return state.view("<u8").astype(np.uint64)
+
+
+def _n_words(v: int) -> int:
+    return (v.bit_length() + 31) // 32 or 1
+
+
+def _words(v: int) -> list[int]:
+    """SeedSequence's entropy words of an int: 32 bits each, low word first."""
+    return [(v >> (32 * i)) & _MASK32 for i in range(_n_words(v))]
+
+
+def _word_groups(values: list[int], axis: int):
+    """(indices, words) per group of values with equal word counts.
+
+    A group's words are uint32 arrays laid along ``axis`` of a 2-d address
+    grid, or Python ints for a group of one.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, v in enumerate(values):
+        groups.setdefault(_n_words(v), []).append(i)
+    shape = (-1, 1) if axis == 0 else (1, -1)
+    for n, idx in groups.items():
+        if len(idx) == 1:
+            yield idx, _words(values[idx[0]])
+        else:
+            raw = b"".join(values[i].to_bytes(4 * n, "little") for i in idx)
+            words = np.frombuffer(raw, "<u4").reshape(len(idx), n).astype(np.uint32)
+            yield idx, [words[:, k].reshape(shape) for k in range(n)]
+
+
+def philox_keys(seed: int, replica: int, particles, slots) -> np.ndarray:
+    """Philox keys of streams (seed, replica, particle, slot), shape (P, S, 2).
+
+    keys[i, j] is ``np.random.SeedSequence(seed, spawn_key=(replica,
+    particles[i], slots[j])).generate_state(2, np.uint64)``, the key a
+    Philox seeded by that SeedSequence takes, for any non-negative integer
+    coordinates.  SeedSequence hashes the 32-bit words of the seed (padded
+    to its pool of 4) and then of each spawn-key entry.  The seed's and the
+    replica's words are hashed once as ints; each particle's and slot's
+    words are hashed as arrays over the whole (particle, slot) grid, one
+    numpy operation per step of the hash.
+    """
+    head = _words(_coordinate("seed", seed))
+    head += [0] * (_POOL_SIZE - len(head)) + _words(_coordinate("replica", replica))
+    particles = [_coordinate("particle", v) for v in particles]
+    slots = [_coordinate("slot", v) for v in slots]
+    pool, hash_const = _seed_pool(tuple(head))
+    keys = np.empty((len(particles), len(slots), 2), dtype=np.uint64)
+    for rows, pid_words in _word_groups(particles, axis=0):
+        for cols, slot_words in _word_groups(slots, axis=1):
+            mixed, _ = _absorb(pool, hash_const, pid_words + slot_words)
+            if len(rows) * len(cols) == len(particles) * len(slots):
+                keys[...] = _generate_key(mixed)    # one group each: the whole grid
+            else:
+                keys[np.ix_(rows, cols)] = _generate_key(mixed)
+    return keys
+
+
+class _PhiloxKey(ISeedSequence):
+    """A seed that hands Philox a precomputed key (no SeedSequence, no OS entropy)."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def _philox(key: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Addressable random stream: (seed, replica, particle, channel).
@@ -102,16 +257,10 @@ class RngStream:
 
     def __post_init__(self):
         for name in ("seed", "replica", "particle", "channel"):
-            v = getattr(self, name)
-            if int(v) != v or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {v}")
+            _coordinate(name, getattr(self, name))
 
     def _open(self, slot: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=self.seed,
-            spawn_key=(self.replica, self.particle, slot),
-        )
-        return np.random.Generator(np.random.Philox(ss))
+        return _philox(philox_keys(self.seed, self.replica, [self.particle], [slot])[0, 0])
 
     def generator(self) -> np.random.Generator:
         return self._open(2 * self.channel)
@@ -432,10 +581,10 @@ class StableNoiseBank:
         self.alpha = alpha
         self.n_particles = n_particles
         self.n_modes = n_modes
-        self._pairs = [
-            RngStream(seed, replica=replica, particle=pid, channel=channel).pair()
-            for pid in particle_ids
-        ]
+        # RngStream(seed, replica, pid, channel).pair() for every pid, keyed in one pass
+        slot = 2 * _coordinate("channel", channel)
+        self._pairs = [(_philox(u), _philox(w))
+                       for u, w in philox_keys(seed, replica, particle_ids, [slot, slot + 1])]
 
     def draw(self, n_steps: int, out: np.ndarray | None = None) -> np.ndarray:
         """Next (n_particles, n_steps, n_modes) block of standard stable draws.

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,64 @@ class TestSumSquares:
         assert got.tobytes() == np.add.reduce(np.ascontiguousarray(x) ** 2, axis=-1).tobytes()
         assert got.tobytes() == np.add.reduce(x * x, axis=-1).tobytes()
         assert got.flags.c_contiguous
+
+
+def tensor_cost(x, y, p):
+    """The cost matrix through the (M, M, N) difference tensor."""
+    return np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2) ** p
+
+
+class TestModeByModeCost:
+    """The cost matrix built one mode at a time has the tensor's bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.one_of(st.integers(1, 40), st.just(256)),
+        n_modes=st.sampled_from(list(range(1, 18)) + [129]),
+        p=st.sampled_from([1.0, 1.25, 1.5, 2.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_tensor_reference(self, m, n_modes, p, seed):
+        gen = np.random.default_rng(seed)
+        x, y = gen.standard_cauchy((2, m, n_modes))
+        ref = tensor_cost(x, y, p)
+        assert measures._cost_matrix(x, y, p).tobytes() == ref.tobytes()
+        rows, cols = measures.assignment_solver()(ref)
+        want = float(np.mean(ref[rows, cols]) ** (1.0 / p))
+        assert wasserstein_exact(EmpiricalMeasure(x), EmpiricalMeasure(y), p) == want
+
+    @pytest.mark.parametrize("p", [1.0, 1.25])
+    def test_memory_below_mode_count_plus_two_matrices(self, p):
+        # the tensor path peaks at two (M, M, N) arrays, 9 MB here
+        m, n_modes = EXACT_ASSIGNMENT_LIMIT, 8
+        mu, nu = (EmpiricalMeasure(c) for c in np.random.default_rng(5).normal(size=(2, m, n_modes)))
+        wasserstein_exact(mu, nu, p)  # scipy imported outside the trace
+        tracemalloc.start()
+        try:
+            wasserstein_exact(mu, nu, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n_modes + 2) * m * m * 8
+
+
+def p_moment_reference(x, p):
+    """The law statistic through np.linalg.norm, np.mean and scalar roots."""
+    means = np.mean(np.linalg.norm(x, axis=-1) ** p, axis=-1)
+    roots = [float(v) ** (1.0 / p) for v in np.ravel(means)]
+    return roots[0] if means.ndim == 0 else np.reshape(roots, means.shape)
+
+
+class TestPMoment:
+    @pytest.mark.parametrize("shape", [(1, 1), (125, 8), (8, 125, 8), (2, 30, 3),
+                                       (9, 129), (3, 4, 17, 5)])
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5])
+    def test_bitwise_mean_and_root_reference(self, shape, p):
+        x = np.random.default_rng(len(shape)).standard_cauchy(shape)
+        for view in (x, x[..., ::2, :]):
+            got, want = measures.p_moment(view, p), p_moment_reference(view, p)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestEmpiricalMeasure:

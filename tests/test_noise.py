@@ -233,6 +233,68 @@ class TestNoiseBank:
         assert np.array_equal(bank.draw(3)[0], plain.draw(3)[0])
 
 
+KEY_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+KEY_COORDS = [0, 2**31, 2**32, 2**40]
+
+
+def seed_sequence_philox(seed, replica, particle, slot):
+    ss = np.random.SeedSequence(seed, spawn_key=(replica, particle, slot))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+class TestKeySchedule:
+    """Philox keys from the vectorised hash are numpy SeedSequence's."""
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    @pytest.mark.parametrize("replica", KEY_COORDS)
+    def test_keys_equal_seed_sequence(self, seed, replica):
+        slots = list(range(10))       # channels 0-4, both halves
+        keys = noise.philox_keys(seed, replica, KEY_COORDS, slots)
+        assert keys.shape == (len(KEY_COORDS), len(slots), 2) and keys.dtype == np.uint64
+        for i, pid in enumerate(KEY_COORDS):
+            for j, slot in enumerate(slots):
+                ss = np.random.SeedSequence(seed, spawn_key=(replica, pid, slot))
+                assert np.array_equal(keys[i, j], ss.generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    @pytest.mark.parametrize("channel", range(5))
+    def test_bank_draws_equal_seed_sequence_streams(self, seed, channel):
+        pids = [2**40, 7, 2**32, 0, 2**31]   # non-contiguous, mixed word counts
+        bank = StableNoiseBank(seed, ALPHA, len(pids), 3, channel, replica=2**32,
+                               particle_ids=pids)
+        block = bank.draw(4)
+        for i, pid in enumerate(pids):
+            gen_u = seed_sequence_philox(seed, 2**32, pid, 2 * channel)
+            gen_w = seed_sequence_philox(seed, 2**32, pid, 2 * channel + 1)
+            want = _cms(gen_u.random((4, 3)), gen_w.standard_exponential((4, 3)), ALPHA)
+            assert np.array_equal(block[i], want)
+            u, w = RngStream(seed, replica=2**32, particle=pid, channel=channel).pair()
+            assert np.array_equal(u.random(8), seed_sequence_philox(
+                seed, 2**32, pid, 2 * channel).random(8))
+            assert np.array_equal(w.random(8), seed_sequence_philox(
+                seed, 2**32, pid, 2 * channel + 1).random(8))
+
+    def test_bank_opens_no_seed_sequence(self, monkeypatch):
+        made = []
+
+        class Spy(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Spy)
+        bank = StableNoiseBank(3, ALPHA, 4, 2, CH_SLOW, replica=1)
+        assert made == []
+        for pair in bank._pairs:
+            for gen in pair:
+                assert not isinstance(gen.bit_generator.seed_seq, np.random.bit_generator.SeedSequence)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_bad_particle_id_named(self, bad):
+        with pytest.raises(ValueError, match="particle"):
+            StableNoiseBank(3, ALPHA, 2, 2, CH_SLOW, particle_ids=[0, bad])
+
+
 def _cms_sincos(d, w, alpha):
     """The Chambers-Mallows-Stuck transform in its sin/cos form at angle v = pi d.
 
