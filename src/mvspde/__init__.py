@@ -9,9 +9,9 @@ Modules
 -------
 spectral      operator/spectrum description, semigroup, admissibility guards
 noise         alpha-stable sampling and exact stochastic-convolution increments
-measures      empirical measures, Wasserstein distances, weighted flow metric
+measures      particle clouds and law flows, Wasserstein distances, weighted flow metric
 coefficients  drift coefficient families and Lipschitz probing
-solver        exponential Euler particle solver and law iteration
+solver        exponential Euler kernel, particle solver and law iteration
 multiscale    slow-fast system, frozen equation, averaged equation, errors
 experiments   convergence-rate studies and persistence
 config        config-file schema, loading, and object construction
@@ -20,7 +20,7 @@ cli           command-line entry point
 
 from .spectral import OperatorSpec, validate_spec, apply_semigroup
 from .noise import RngStream, sample_standard_stable, sample_convolution_increment
-from .measures import EmpiricalMeasure, LawFlow, wasserstein_exact, dT_metric
+from .measures import LawFlow, wasserstein_exact, dT_metric
 from .coefficients import CoefficientSet, bounded_smooth, linear_test
 from .solver import SimConfig, simulate_mkv, picard_law_iteration
 from .multiscale import MultiscaleConfig, simulate_slow_fast, strong_error_stats
@@ -30,7 +30,7 @@ from .config import load_config
 __all__ = [
     "OperatorSpec", "validate_spec", "apply_semigroup",
     "RngStream", "sample_standard_stable", "sample_convolution_increment",
-    "EmpiricalMeasure", "LawFlow", "wasserstein_exact", "dT_metric",
+    "LawFlow", "wasserstein_exact", "dT_metric",
     "CoefficientSet", "bounded_smooth", "linear_test",
     "SimConfig", "simulate_mkv", "picard_law_iteration",
     "MultiscaleConfig", "simulate_slow_fast", "strong_error_stats",

@@ -83,6 +83,11 @@ def _study_section(cfg: dict, expected_kind: str) -> dict:
     return study
 
 
+def _given(study: dict, *keys) -> dict:
+    """The ``keys`` the study section sets; each default lives in its study's signature."""
+    return {key: study[key] for key in keys if key in study}
+
+
 def _require_grid(study: dict):
     if "grid" not in study:
         raise ConfigError("this study needs a grid", pointer="/study/grid")
@@ -125,13 +130,9 @@ def run(argv=None) -> int:
         out_dir = args.out or study.get("out_dir", "out")
 
         if args.command == "simulate":
-            result = simulate_study(base, m=study.get("m"))
+            result = simulate_study(base, **_given(study, "m"))
         elif args.command == "picard":
-            result = picard_study(
-                base,
-                n_iters=study.get("n_iters", 8),
-                lambda_weight=study.get("lambda_weight"),
-            )
+            result = picard_study(base, **_given(study, "n_iters", "lambda_weight"))
         elif args.command == "ergodicity":
             t_grid = _require_grid(study)
             eta = build_eta(cfg, spec)
@@ -144,20 +145,17 @@ def run(argv=None) -> int:
                 for s in PROBE_SCALES
             ]
             result = ergodicity_study(
-                probes, spec, coeffs, t_grid,
-                ensemble=study.get("ensemble", 4000),
-                seed=base.seed,
-                h_step=study.get("h_step", 0.01),
+                probes, spec, coeffs, t_grid, seed=base.seed,
+                **_given(study, "ensemble", "h_step"),
             )
         elif args.command == "rate-study":
             eps_grid = _require_grid(study)
             result = rate_study(
                 base, eps_grid,
-                m=study.get("m", 1.0),
                 eta=build_eta(cfg, spec),
-                h_fast_ratio=study.get("h_fast_ratio", 1.0 / 16),
                 n_replicas=build_replicas(cfg, 8),
                 n_workers=args.threads,
+                **_given(study, "m", "h_fast_ratio"),
             )
         else:  # hoelder-study, aux-gap
             delta_grid = _require_grid(study)

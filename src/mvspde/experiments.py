@@ -258,8 +258,6 @@ def _run_tasks(fn, tasks, n_workers: int):
 
 
 def _default_drift(coeffs: CoefficientSet) -> AveragedDrift:
-    if coeffs.variant == "linear_test":
-        return AveragedDrift(mode="analytic_linear")
     if coeffs.fbar_factory is not None:
         return AveragedDrift(mode="stationary_quadrature")
     return AveragedDrift(mode="ergodic_estimate")
@@ -373,19 +371,21 @@ def rate_study(
 def _increment_rows(x, h_fast, delta_grid):
     """Moments of the per-particle time-averaged |path - block-frozen path| per delta.
 
-    The integral over (t_j, t_{j+1}] is approximated at its right endpoint
+    ``x`` holds the clouds of a flow, shape (n_times, M, n_modes).  The
+    integral over (t_j, t_{j+1}] is approximated at its right endpoint
     against the block active on that interval, so the block starts (where
     the raw integrand vanishes) do not anchor spurious zeros; with
-    delta = h_fast this reduces to the mean single-step displacement.
+    delta = h_fast this reduces to the mean single-step displacement.  Each
+    time mean adds the times one after another, down axis 0, the order
+    the hoelder pins were recorded in.
     """
-    n_rec = x.shape[1]
-    j = np.arange(1, n_rec)
+    j = np.arange(1, x.shape[0])
     rows = []
     for d in delta_grid:
         s = int(round(d / h_fast))
         idx = ((j - 1) // s) * s
-        gap = np.linalg.norm(x[:, j] - x[:, idx], axis=2)  # (M, n_rec-1)
-        rows.append(StrongErrorStats.from_sample(gap.mean(axis=1), 1.0))
+        gap = np.linalg.norm(x[j] - x[idx], axis=2)  # (n_rec-1, M)
+        rows.append(StrongErrorStats.from_sample(gap.mean(axis=0), 1.0))
     return rows
 
 
@@ -394,13 +394,14 @@ def _path_task(cfg, arm, deltas, offset, replica):
     ids = range(offset, offset + cfg.base.M)
     sf = simulate_slow_fast(cfg, particle_ids=ids, replica=replica)
     if arm == "slow":
-        return _increment_rows(sf.slow.paths, cfg.h_fast, deltas)
+        return _increment_rows(sf.slow.clouds, cfg.h_fast, deltas)
     rows = []
     for d in deltas:
-        snaps = slow_snapshots(sf.slow, d)
-        aux = simulate_auxiliary(cfg, snaps, particle_ids=ids, replica=replica)
-        gap = np.linalg.norm(sf.fast.paths - aux.paths, axis=2)
-        rows.append(StrongErrorStats.from_sample(gap.mean(axis=1), 1.0))
+        aux = simulate_auxiliary(cfg, slow_snapshots(sf.slow, d), particle_ids=ids,
+                                 replica=replica)
+        gap = np.linalg.norm(sf.fast.clouds - aux.clouds, axis=2)  # (n_rec, M)
+        # pairwise along a contiguous time axis, the order of the aux-gap pins
+        rows.append(StrongErrorStats.from_sample(np.ascontiguousarray(gap.T).mean(axis=1), 1.0))
     return rows
 
 
@@ -580,12 +581,12 @@ def simulate_study(
     p = cfg.spec.p
     order = p if m is None else m
     check_moment_order(order, cfg.spec)
-    ens = simulate_mkv(cfg)
+    flow = simulate_mkv(cfg)
     grid = []
-    for t, cloud in zip(ens.times, ens.law.clouds):
+    for t, cloud in zip(flow.times, flow.clouds):
         row = StrongErrorStats.from_sample(np.linalg.norm(cloud, axis=1) ** p, p)
         grid.append(GridPoint(param=float(t), error=row.error, stderr=row.stderr))
-    check = moment_bound_check(ens, m=order)
+    check = moment_bound_check(flow, cfg.spec, order)
     config = describe(cfg.spec, cfg.coeffs, cfg)
     config["study"] = {"kind": "simulate", "m": m}
     return _result("simulate", grid, config, (cfg.seed,), t0, {

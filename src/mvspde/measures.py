@@ -1,7 +1,10 @@
-"""Empirical measures on mode space, the statistics read off them, and distances.
+"""Particle clouds on mode space, the statistics read off them, and distances.
 
-An empirical measure is a uniform average of M point masses in R^N (N =
-number of retained modes).  Each statistic the package reports has one
+A cloud is an (M, n_modes) array whose rows are the atoms of a uniform
+empirical measure in R^N (N = number of retained modes).  A
+:class:`LawFlow` is the one record of a stepped ensemble: its clouds on a
+time grid, time-major, shape (n_times, M, n_modes), so each time's cloud
+is one contiguous block.  Each statistic the package reports has one
 implementation here:
 
 * ``p_moment``, the law statistic ((1/M) sum_i |x_i|^p)^(1/p): the live
@@ -39,7 +42,6 @@ import numpy as np
 from .noise import RngStream
 
 __all__ = [
-    "EmpiricalMeasure",
     "LawFlow",
     "p_moment",
     "sum_squares",
@@ -70,30 +72,6 @@ def assignment_solver():
     from scipy.optimize import linear_sum_assignment
 
     return linear_sum_assignment
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Uniform empirical measure: rows of ``particles`` are the atoms."""
-
-    particles: np.ndarray  # shape (M, n_modes)
-
-    def __post_init__(self):
-        pts = np.asarray(self.particles, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError(f"particles must be (M, n_modes) with M >= 1, got {pts.shape}")
-        object.__setattr__(self, "particles", pts)
-
-    @property
-    def size(self) -> int:
-        return self.particles.shape[0]
-
-    @property
-    def n_modes(self) -> int:
-        return self.particles.shape[1]
-
-    def moment(self, p: float) -> float:
-        return p_moment(self.particles, p)
 
 
 # longest axis that np.add.reduce sums in one block of eight lanes
@@ -231,20 +209,30 @@ def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     return cost if p == 1 else cost ** p
 
 
-def wasserstein_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> float:
-    """Exact W_p between equal-size uniform clouds via optimal assignment."""
+def _cloud_pair(x, y, p: float):
+    """x and y as float (M, n_modes) clouds of one shape, M >= 1, and p >= 1."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if mu.size != nu.size:
-        raise ValueError(f"cloud sizes differ: {mu.size} vs {nu.size}")
-    if mu.n_modes != nu.n_modes:
-        raise ValueError(f"mode counts differ: {mu.n_modes} vs {nu.n_modes}")
-    if mu.size > EXACT_ASSIGNMENT_LIMIT:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    for c in (x, y):
+        if c.ndim != 2 or c.shape[0] < 1:
+            raise ValueError(f"particles must be (M, n_modes) with M >= 1, got {c.shape}")
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"cloud sizes differ: {x.shape[0]} vs {y.shape[0]}")
+    if x.shape[1] != y.shape[1]:
+        raise ValueError(f"mode counts differ: {x.shape[1]} vs {y.shape[1]}")
+    return x, y
+
+
+def wasserstein_exact(x, y, p: float) -> float:
+    """Exact W_p between equal-size uniform clouds via optimal assignment."""
+    x, y = _cloud_pair(x, y, p)
+    if x.shape[0] > EXACT_ASSIGNMENT_LIMIT:
         raise ValueError(
-            f"exact assignment limited to M <= {EXACT_ASSIGNMENT_LIMIT}, got {mu.size}; "
+            f"exact assignment limited to M <= {EXACT_ASSIGNMENT_LIMIT}, got {x.shape[0]}; "
             "use wasserstein_sliced"
         )
-    cost = _cost_matrix(mu.particles, nu.particles, p)
+    cost = _cost_matrix(x, y, p)
     rows, cols = assignment_solver()(cost)
     return float(np.mean(cost[rows, cols]) ** (1.0 / p))
 
@@ -265,8 +253,8 @@ def _wasserstein_1d(x: np.ndarray, y: np.ndarray, p: float) -> float:
 
 
 def wasserstein_sliced(
-    mu: EmpiricalMeasure,
-    nu: EmpiricalMeasure,
+    x,
+    y,
     p: float,
     n_projections: int = 64,
     rng=None,
@@ -279,18 +267,15 @@ def wasserstein_sliced(
     a lower bound on W_p in distribution but shares its contraction and
     convergence behaviour, which is what the flow diagnostics need.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if mu.size != nu.size:
-        raise ValueError(f"cloud sizes differ: {mu.size} vs {nu.size}")
+    x, y = _cloud_pair(x, y, p)
     if directions is None:
         if rng is None:
             raise ValueError("need rng or explicit directions")
-        directions = _directions(rng, n_projections, mu.n_modes)
+        directions = _directions(rng, n_projections, x.shape[1])
     else:
         directions = np.asarray(directions, dtype=float)
-    proj_mu = mu.particles @ directions.T  # (M, L)
-    proj_nu = nu.particles @ directions.T
+    proj_mu = x @ directions.T  # (M, L)
+    proj_nu = y @ directions.T
     costs = [
         _wasserstein_1d(proj_mu[:, ell], proj_nu[:, ell], p) ** p
         for ell in range(directions.shape[0])
@@ -303,7 +288,9 @@ class LawFlow:
     """A time-indexed flow of empirical measures on a shared grid.
 
     ``clouds`` has shape (n_times, M, n_modes); time j's measure is the
-    uniform law of clouds[j].
+    uniform law of clouds[j].  Every stepping function of the package
+    returns one; the law statistic its drift read at a recorded time is
+    :func:`p_moment` of that time's cloud, bit for bit.
     """
 
     times: np.ndarray    # (n_times,)
@@ -324,9 +311,6 @@ class LawFlow:
     @property
     def size(self) -> int:
         return self.clouds.shape[1]
-
-    def measure_at(self, j: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.clouds[j])
 
 
 def dT_metric(
@@ -395,8 +379,7 @@ def dT_metric(
     for j in np.argsort(-bound, kind="stable"):
         if bound[j] * (1.0 + PRUNE_MARGIN) <= best:
             break
-        mu_j = mu_flow.measure_at(j)
-        nu_j = nu_flow.measure_at(j)
+        mu_j, nu_j = mu_flow.clouds[j], nu_flow.clouds[j]
         if use_exact:
             w = wasserstein_exact(mu_j, nu_j, p)
         else:

@@ -28,9 +28,10 @@ Supporting objects:
   sup-in-time strong errors can be measured per particle.
 
 Every loop here is one call of :func:`mvspde.solver.advance`, the
-exponential-Euler kernel; ``strong_error_stats`` steps the coupled pair and
-the averaged equation together, so that no trajectory storage is needed at
-production sizes.
+exponential-Euler kernel, and every recorded run comes back as a
+time-major :class:`~mvspde.measures.LawFlow`; ``strong_error_stats`` steps
+the coupled pair and the averaged equation together, so that no trajectory
+storage is needed at production sizes.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ import numpy as np
 
 from .spectral import ConfigError, OperatorSpec, check_moment_order, whole_steps
 from .coefficients import CoefficientSet, check_bounded_drift, dissipativity_gap
-from .measures import fit_line, p_moment, sum_squares
+from .measures import LawFlow, fit_line, p_moment, sum_squares
 from .solver import (
     NonFiniteState,
-    PathEnsemble,
     SimConfig,
     _recorder,
     advance,
@@ -145,8 +145,8 @@ class FrozenInput:
 
 @dataclass(frozen=True)
 class SlowFastPaths:
-    slow: PathEnsemble
-    fast: PathEnsemble
+    slow: LawFlow
+    fast: LawFlow
 
 
 def simulate_slow_fast(
@@ -180,41 +180,29 @@ def simulate_slow_fast(
         lambda j, f: [coeffs.F(f[0], mu[j], f[1]), coeffs.G(f[0], mu[j], f[1])],
         J, observe,
     )
-    mu_track = mu[::record_every]
     times = cfg.times[::record_every]
-    slow = PathEnsemble(times=times, paths=xs, spec=spec, mu_stat=mu_track)
-    fast = PathEnsemble(times=times, paths=ys, spec=spec, mu_stat=mu_track)
-    return SlowFastPaths(slow=slow, fast=fast)
+    return SlowFastPaths(slow=LawFlow(times, xs), fast=LawFlow(times, ys))
 
 
 @dataclass(frozen=True)
 class SlowSnapshots:
-    """Slow states and moment statistics at auxiliary block starts l*delta."""
+    """Slow states at auxiliary block starts l*delta."""
 
     delta: float
     times: np.ndarray      # (n_blocks,) block start times
     x: np.ndarray          # (n_blocks, M, n_modes)
-    mu_stat: np.ndarray    # (n_blocks,)
 
 
-def slow_snapshots(slow: PathEnsemble, delta: float) -> SlowSnapshots:
-    """Extract block-start snapshots from a recorded slow ensemble.
+def slow_snapshots(slow: LawFlow, delta: float) -> SlowSnapshots:
+    """Extract block-start snapshots from a recorded slow flow.
 
-    Requires delta to be a whole number of the ensemble's recorded steps,
-    so that every block start l*delta (l = 0, 1, ...) strictly below the
-    final time is a recorded time, and the moment track to have been
-    recorded alongside.
+    Requires delta to be a whole number of the flow's recorded steps, so
+    that every block start l*delta (l = 0, 1, ...) strictly below the final
+    time is a recorded time.
     """
-    if slow.mu_stat is None:
-        raise ValueError("slow ensemble lacks the recorded moment track")
     n_blocks = int(np.ceil(slow.times[-1] / delta - 1e-9))
     idx = whole_steps(delta, slow.times[1], "delta") * np.arange(n_blocks)
-    return SlowSnapshots(
-        delta=delta,
-        times=delta * np.arange(n_blocks),
-        x=slow.paths[:, idx].swapaxes(0, 1).copy(),
-        mu_stat=slow.mu_stat[idx].copy(),
-    )
+    return SlowSnapshots(delta=delta, times=delta * np.arange(n_blocks), x=slow.clouds[idx])
 
 
 def simulate_auxiliary(
@@ -223,11 +211,12 @@ def simulate_auxiliary(
     particle_ids=None,
     replica: int = 0,
     record_every: int = 1,
-) -> PathEnsemble:
+) -> LawFlow:
     """Fast component with slow inputs frozen at block starts (same noise).
 
     Between times l*delta and (l+1)*delta the drift G sees the slow state
-    and moment statistic sampled at l*delta.  The noise streams are the
+    sampled at l*delta and its :func:`~mvspde.measures.p_moment`, the
+    statistic the slow drift read there.  The noise streams are the
     ones the true fast component uses, so when G ignores its slow
     arguments the result coincides with the true fast path bitwise.
     """
@@ -242,10 +231,11 @@ def simulate_auxiliary(
         )
     bank_f = StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, CH_FAST,
                              replica=replica, particle_ids=particle_ids)
+    mu = p_moment(snapshots.x, spec.p)
 
     def drift(j, fields):
         blk = j // steps_per_block
-        return [coeffs.G(snapshots.x[blk], snapshots.mu_stat[blk], fields[0])]
+        return [coeffs.G(snapshots.x[blk], mu[blk], fields[0])]
 
     advance(
         {"auxiliary fast component": np.broadcast_to(cfg.eta, (base.M, spec.n_modes))},
@@ -253,7 +243,7 @@ def simulate_auxiliary(
         [(bank_f, convolution_scales(spec, cfg.h_fast, "fast", cfg.epsilon))],
         drift, J, observe,
     )
-    return PathEnsemble(times=cfg.times[::record_every], paths=ys, spec=spec)
+    return LawFlow(cfg.times[::record_every], ys)
 
 
 def simulate_frozen(
@@ -265,7 +255,7 @@ def simulate_frozen(
     rng: RngStream,
     n_particles: int = 1,
     record_every: int = 1,
-) -> PathEnsemble:
+) -> LawFlow:
     """Frozen equation at scale one: fast dynamics with (x, mu_stat) pinned.
 
     Requires a positive dissipativity gap (the equation mixes at rate
@@ -287,8 +277,7 @@ def simulate_frozen(
         [euler_weights(spec, h_fast)], [(bank, convolution_scales(spec, h_fast, "fast", 1.0))],
         lambda j, fields: [coeffs.G(x_row, frozen.mu_stat, fields[0])], J, observe,
     )
-    times = h_fast * record_every * np.arange(ys.shape[1])
-    return PathEnsemble(times=times, paths=ys, spec=spec)
+    return LawFlow(h_fast * record_every * np.arange(ys.shape[0]), ys)
 
 
 @dataclass
@@ -297,10 +286,10 @@ class AveragedDrift:
 
     modes
     -----
-    ``analytic_linear``      closed form; only valid for the linear oracle family
-    ``stationary_quadrature`` exact integration of F against the frozen
-                             equation's stationary law (available when the
-                             family exposes it; exact up to quadrature tables)
+    ``stationary_quadrature`` the family's own Fbar, F integrated against the
+                             frozen equation's stationary law (available when
+                             the family exposes it: closed form for the linear
+                             oracle, quadrature tables for bounded_smooth)
     ``ergodic_estimate``     long-path time average after burn-in, cached per
                              family, stream and quantized (x, mu_stat); the
                              estimator the averaging principle suggests
@@ -318,7 +307,7 @@ class AveragedDrift:
     seed: int = 2**20
     cache: dict = field(default_factory=dict)
 
-    _MODES = ("analytic_linear", "stationary_quadrature", "ergodic_estimate")
+    _MODES = ("stationary_quadrature", "ergodic_estimate")
 
     def __post_init__(self):
         if self.mode not in self._MODES:
@@ -417,10 +406,7 @@ def averaged_drift_evaluator(drift: AveragedDrift, spec: OperatorSpec, coeffs: C
     and systems directly; the ergodic mode falls back to a per-particle loop
     through the cache and is only meant for small ensembles.
     """
-    if drift.mode in ("analytic_linear", "stationary_quadrature"):
-        if drift.mode == "analytic_linear" and coeffs.variant != "linear_test":
-            raise ValueError(f"analytic_linear is only valid for the linear oracle family, "
-                             f"coefficients are '{coeffs.variant}'")
+    if drift.mode == "stationary_quadrature":
         if coeffs.fbar_factory is None:
             raise ValueError(f"family '{coeffs.variant}' exposes no closed-form Fbar")
         return coeffs.fbar_factory(spec)
@@ -506,13 +492,13 @@ def ergodicity_decay(
         fbar_ref = coeffs.fbar_factory(spec)(frozen.x, frozen.mu_stat)
 
     T_end = float(idx.max() * h_step)
-    ens = simulate_frozen(
+    flow = simulate_frozen(
         frozen, T_end, h_step, spec, coeffs, rng, n_particles=n_replicas
     )
     gaps = np.empty(t_grid.size)
     floors = np.empty(t_grid.size)
     for i, j in enumerate(idx):
-        fvals = coeffs.F(frozen.x[None, :], frozen.mu_stat, ens.paths[:, j])
+        fvals = coeffs.F(frozen.x[None, :], frozen.mu_stat, flow.clouds[j])
         mean_f = fvals.mean(axis=0)
         gaps[i] = np.linalg.norm(mean_f - fbar_ref)
         floors[i] = np.linalg.norm(fvals.std(axis=0, ddof=1) / np.sqrt(n_replicas))
@@ -546,7 +532,7 @@ def simulate_averaged(
     particle_ids=None,
     replica: int = 0,
     record_every: int = 1,
-) -> PathEnsemble:
+) -> LawFlow:
     """Averaged slow equation driven by the *same* slow noise as the paired run.
 
     This is the single-scale solver with B replaced by Fbar, stepped on the
@@ -566,9 +552,7 @@ def simulate_averaged(
         [(bank_s, convolution_scales(spec, cfg.h_fast, "slow"))],
         lambda j, fields: [fbar(fields[0], mu[j])], J, observe,
     )
-    mu_track = mu[::record_every]
-    times = cfg.times[::record_every]
-    return PathEnsemble(times=times, paths=xs, spec=spec, mu_stat=mu_track)
+    return LawFlow(cfg.times[::record_every], xs)
 
 
 class StrongErrorStats(NamedTuple):

@@ -21,7 +21,8 @@ over the step (see :mod:`mvspde.noise`).  There is therefore no
 discretisation error in the linear or noise parts — only in holding the
 drift and the law constant across a step.  :func:`advance` is the one
 implementation of that step; every stepping loop of the package, here and
-in :mod:`mvspde.multiscale`, is a call of it.
+in :mod:`mvspde.multiscale`, is a call of it, and every recorded run comes
+back as a time-major :class:`~mvspde.measures.LawFlow`.
 
 :func:`picard_law_iteration` reproduces the fixed-point construction of the
 solution law: freeze a candidate flow of laws, solve the now law-free
@@ -41,7 +42,6 @@ from .spectral import ConfigError, OperatorSpec, check_moment_order, validate_sp
 from .coefficients import CoefficientSet, effective_constants
 from .measures import (
     EXACT_ASSIGNMENT_LIMIT,
-    EmpiricalMeasure,
     LawFlow,
     assignment_solver,
     dT_metric,
@@ -52,7 +52,6 @@ from .noise import RngStream, StableNoiseBank, convolution_scales, CH_PROJECTION
 
 __all__ = [
     "SimConfig",
-    "PathEnsemble",
     "euler_weights",
     "NonFiniteState",
     "advance",
@@ -106,39 +105,6 @@ class SimConfig:
     @property
     def times(self) -> np.ndarray:
         return self.h * np.arange(self.n_steps + 1)
-
-
-@dataclass(frozen=True)
-class PathEnsemble:
-    """Recorded particle trajectories on a shared time grid.
-
-    ``paths`` has shape (M, n_times, n_modes).  ``mu_stat`` tracks the
-    empirical moment statistic that the drift actually saw at each recorded
-    time (useful for freezing the law in later runs).
-    """
-
-    times: np.ndarray
-    paths: np.ndarray
-    spec: OperatorSpec
-    mu_stat: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.paths.ndim != 3 or self.paths.shape[1] != self.times.size:
-            raise ValueError(
-                f"paths shape {self.paths.shape} does not match {self.times.size} times"
-            )
-
-    @property
-    def n_particles(self) -> int:
-        return self.paths.shape[0]
-
-    @property
-    def law(self) -> LawFlow:
-        # swapaxes gives a view; LawFlow stores (n_times, M, n_modes)
-        return LawFlow(self.times, self.paths.swapaxes(0, 1))
-
-    def measure_at(self, j: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.paths[:, j])
 
 
 def euler_weights(spec: OperatorSpec, h: float, epsilon: float = 1.0):
@@ -242,13 +208,15 @@ def advance(states: dict, weights, noise, drift, n_steps: int, observe) -> list:
 
 
 def _recorder(n_steps: int, every: int, shape, n_fields: int = 1, p: float | None = None):
-    """(paths, mu, observe): an :func:`advance` hook recording the first
-    ``n_fields`` fields (each of ``shape``) at every ``every``-th grid time
-    and, when ``p`` is given, field 0's p-moment statistic at every time;
-    a non-finite statistic raises :class:`NonFiniteState` at its time."""
+    """(clouds, mu, observe): an :func:`advance` hook recording the first
+    ``n_fields`` fields (each of ``shape``) at every ``every``-th grid time,
+    time-major, and, when ``p`` is given, field 0's p-moment statistic at
+    every time into ``mu`` for the drift to read; a non-finite statistic
+    raises :class:`NonFiniteState` at its time.  A recorded time's
+    statistic is :func:`~mvspde.measures.p_moment` of its recorded cloud."""
     if n_steps % every != 0:
         raise ValueError(f"record_every = {every} does not divide {n_steps} steps")
-    paths = [np.empty((shape[0], n_steps // every + 1, shape[1])) for _ in range(n_fields)]
+    clouds = [np.empty((n_steps // every + 1,) + tuple(shape)) for _ in range(n_fields)]
     mu = np.empty(n_steps + 1)
 
     def observe(j, fields):
@@ -257,10 +225,10 @@ def _recorder(n_steps: int, every: int, shape, n_fields: int = 1, p: float | Non
             if not np.isfinite(mu[j]):
                 raise NonFiniteState("law statistic", j, n_steps, None)
         if j % every == 0:
-            for path, f in zip(paths, fields):
-                path[:, j // every] = f
+            for path, f in zip(clouds, fields):
+                path[j // every] = f
 
-    return paths, mu, observe
+    return clouds, mu, observe
 
 
 def simulate_mkv(
@@ -269,13 +237,14 @@ def simulate_mkv(
     replica: int = 0,
     law_override: np.ndarray | None = None,
     noise: np.ndarray | None = None,
-) -> PathEnsemble:
+) -> LawFlow:
     """Simulate the interacting particle system (or a frozen-law system).
 
     When ``law_override`` is given (an array of mu_stat values on the step
     grid, length n_steps + 1) the particles do not interact: each one solves
     the equation driven by that frozen flow of laws.  Otherwise the shared
-    statistic is read from the live ensemble each step.
+    statistic is read from the live ensemble each step.  The result is the
+    :class:`~mvspde.measures.LawFlow` of the particles at every grid time.
 
     Noise draws are addressed by (seed, replica, particle_id, channel), so
     a given particle id sees the same noise whatever the ensemble around it,
@@ -306,7 +275,7 @@ def simulate_mkv(
             )
 
     shape = (config.M, spec.n_modes)
-    (paths,), mu_track, observe = _recorder(
+    (clouds,), mu_track, observe = _recorder(
         J, 1, shape, p=spec.p if law_override is None else None
     )
     if law_override is not None:
@@ -316,7 +285,7 @@ def simulate_mkv(
         [euler_weights(spec, config.h)], [noise],
         lambda j, fields: [coeffs.B(fields[0], mu_track[j])], J, observe,
     )
-    return PathEnsemble(times=config.times, paths=paths, spec=spec, mu_stat=mu_track)
+    return LawFlow(config.times, clouds)
 
 
 @dataclass(frozen=True)
@@ -389,7 +358,7 @@ def picard_law_iteration(
 
     distances = []
     for _ in range(n_iters):
-        flow = simulate_mkv(config, law_override=prev_stat, noise=noise).law
+        flow = simulate_mkv(config, law_override=prev_stat, noise=noise)
         distances.append(
             dT_metric(flow, prev_flow, lambda_weight, spec.p, rng=projections)
         )
@@ -425,20 +394,20 @@ class MomentReport:
         return self.stable
 
 
-def moment_bound_check(ensemble: PathEnsemble, m: float) -> MomentReport:
-    """Check the uniform-in-time m-th moment of an ensemble for growth.
+def moment_bound_check(flow: LawFlow, spec: OperatorSpec, m: float) -> MomentReport:
+    """Check the uniform-in-time m-th moment of a flow stepped under ``spec`` for growth.
 
     The moment order must sit in [p, alpha): above alpha the statistic has
     no population counterpart and the test would reject noise, not drift.
     ``stable`` means the fitted linear trend of the second half of the
     moment curve is not significantly positive (one-sided, 3 sigma).
     """
-    check_moment_order(m, ensemble.spec)
-    moments = p_moment(ensemble.law.clouds, m)
+    check_moment_order(m, spec)
+    moments = p_moment(flow.clouds, m)
     half = moments.size // 2
     slope, stderr = 0.0, 0.0
     if moments.size - half >= 3:
-        fit = fit_line(ensemble.times[half:], moments[half:])
+        fit = fit_line(flow.times[half:], moments[half:])
         slope, stderr = fit.slope, fit.slope_stderr
     stable = slope <= 3.0 * stderr + 1e-12
     return MomentReport(moments, float(moments.max()), slope, stderr, stable)

@@ -133,7 +133,7 @@ class TestAcceptance:
                              y0=np.zeros(spec.n_modes))
         ens = simulate_frozen(frozen, 2.0, 0.01, spec, coeffs, RngStream(11),
                               n_particles=10_000, record_every=200)
-        term = ens.paths[:, -1, 0]
+        term = ens.clouds[-1, :, 0]
         mean = term.mean()
         se = term.std(ddof=1) / np.sqrt(term.size)
         oracle = 4.0 * (1.0 - np.exp(-1.0))  # 2.5285
@@ -164,7 +164,7 @@ class TestAcceptance:
         coeffs = linear_test(spec, a=1.0, c=0.5)
         frozen = FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0,
                              y0=np.zeros(2))
-        analytic = estimate_fbar(AveragedDrift(mode="analytic_linear"),
+        analytic = estimate_fbar(AveragedDrift(mode="stationary_quadrature"),
                                  frozen, spec, coeffs)
         assert analytic[0] == pytest.approx(4.0)
         est, stderr = ergodic_fbar(AveragedDrift(mode="ergodic_estimate"),

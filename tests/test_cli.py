@@ -349,6 +349,48 @@ class TestSmokeRuns:
         assert meta["meta"]["error_kind"] == "aux"
 
 
+ERGODICITY_SECTIONS = {
+    "operator": {"n_modes": 2},
+    "coefficients": {"variant": "linear_test", "a": 1.0, "c": 0.5, "K": None},
+    "sim": {"xi": [2.0, 0.0]},
+}
+
+
+class TestStudyDefaults:
+    # (subcommand, study function, keys it defaults, other config changes)
+    CASES = {
+        "picard": ("picard", experiments.picard_study, ("n_iters",),
+                   {"study": {"kind": "picard", "grid": None, "h_fast_ratio": None,
+                              "n_replicas": None, "m": None}}),
+        "ergodicity": ("ergodicity", experiments.ergodicity_study, ("ensemble", "h_step"),
+                       dict(ERGODICITY_SECTIONS, study={
+                           "kind": "ergodicity", "grid": [0.5, 1.0, 1.5],
+                           "h_fast_ratio": None, "n_replicas": None, "m": None})),
+        "rate": ("rate-study", experiments.rate_study, ("m", "h_fast_ratio"), {}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_omitted_keys_run_at_the_signature_defaults(self, tmp_path, capsys, case):
+        command, study_fn, keys, changes = self.CASES[case]
+        params = inspect.signature(study_fn).parameters
+        runs = {}
+        for name, values in (("omitted", dict.fromkeys(keys)),
+                             ("set", {k: params[k].default for k in keys})):
+            sections = copy.deepcopy(changes)
+            sections.setdefault("study", {}).update(values)
+            cfg = write_cfg(tmp_path, name=f"{name}.json", **sections)
+            assert run([command, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            runs[name] = manifest_of(capsys).parent
+        omitted, given = runs["omitted"], runs["set"]
+        assert (omitted / "result.csv").read_bytes() == (given / "result.csv").read_bytes()
+        # meta.json records the config file itself, so only its own section
+        # and hash tell the two runs apart
+        metas = [json.loads((d / "meta.json").read_text()) for d in (omitted, given)]
+        for meta in metas:
+            del meta["config"], meta["config_hash"]
+        assert metas[0] == metas[1]
+
+
 class TestDeterminismFlags:
     def test_threads_do_not_change_results(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

@@ -141,7 +141,7 @@ class TestConfigDigest:
 
 class TestIncrementRows:
     def test_hand_values(self):
-        x = np.array([[0.0, 1.0, 3.0, 6.0, 10.0]]).reshape(1, 5, 1)
+        x = np.array([[0.0, 1.0, 3.0, 6.0, 10.0]]).reshape(5, 1, 1)
         rows = ex._increment_rows(x, 1.0, [1.0, 2.0])
         # one-step blocks: mean of |1|,|2|,|3|,|4|
         assert rows[0][0] == pytest.approx(2.5)

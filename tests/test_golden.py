@@ -65,6 +65,7 @@ import numpy as np
 import pytest
 
 from mvspde.coefficients import bounded_smooth, linear_test
+from mvspde.measures import p_moment
 from mvspde.multiscale import (
     AveragedDrift,
     FrozenInput,
@@ -271,6 +272,7 @@ def test_simulate_averaged_digest():
     base = SimConfig(spec=spec, coeffs=linear_test(spec, a=1.0, c=0.5), T=0.5,
                      h=0.125, M=16, seed=3, xi=[0.5, -0.3, 0.2, 0.0])
     cfg = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-12, eta=0.1)
-    ens = simulate_averaged(cfg, AveragedDrift(mode="analytic_linear"), record_every=4)
-    assert _sha256(ens.paths, ens.mu_stat) == (
+    flow = simulate_averaged(cfg, AveragedDrift(mode="stationary_quadrature"), record_every=4)
+    # particle-major paths and the law statistic the drift read, as first pinned
+    assert _sha256(flow.clouds.swapaxes(0, 1), p_moment(flow.clouds, spec.p)) == (
         "78926dc1eb6e430de6d8f86101af61594b91f91fcaac5979952eecfda42aedb4")

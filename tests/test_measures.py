@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from mvspde import measures
 from mvspde.measures import (
     EXACT_ASSIGNMENT_LIMIT,
-    EmpiricalMeasure,
     LawFlow,
     dT_metric,
+    p_moment,
     sum_squares,
     wasserstein_exact,
     wasserstein_sliced,
@@ -19,7 +19,7 @@ from mvspde.noise import CH_PROJECTION, RngStream
 
 
 def cloud(rows):
-    return EmpiricalMeasure(np.asarray(rows, dtype=float))
+    return np.asarray(rows, dtype=float)
 
 
 small_cloud = st.integers(2, 5).flatmap(
@@ -80,13 +80,13 @@ class TestModeByModeCost:
         assert measures._cost_matrix(x, y, p).tobytes() == ref.tobytes()
         rows, cols = measures.assignment_solver()(ref)
         want = float(np.mean(ref[rows, cols]) ** (1.0 / p))
-        assert wasserstein_exact(EmpiricalMeasure(x), EmpiricalMeasure(y), p) == want
+        assert wasserstein_exact(x, y, p) == want
 
     @pytest.mark.parametrize("p", [1.0, 1.25])
     def test_memory_below_mode_count_plus_two_matrices(self, p):
         # the tensor path peaks at two (M, M, N) arrays, 9 MB here
         m, n_modes = EXACT_ASSIGNMENT_LIMIT, 8
-        mu, nu = (EmpiricalMeasure(c) for c in np.random.default_rng(5).normal(size=(2, m, n_modes)))
+        mu, nu = np.random.default_rng(5).normal(size=(2, m, n_modes))
         wasserstein_exact(mu, nu, p)  # scipy imported outside the trace
         tracemalloc.start()
         try:
@@ -116,25 +116,18 @@ class TestPMoment:
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-class TestEmpiricalMeasure:
+class TestCloudMoment:
     def test_p_moment_hand_sum(self):
-        mu = cloud([[1.0, 0.0], [0.0, 2.0]])
-        assert mu.moment(1.0) == pytest.approx(1.5)
+        assert p_moment(cloud([[1.0, 0.0], [0.0, 2.0]]), 1.0) == pytest.approx(1.5)
 
     def test_point_mass_at_zero(self):
-        assert cloud([[0.0, 0.0]]).moment(1.0) == 0.0
+        assert p_moment(cloud([[0.0, 0.0]]), 1.0) == 0.0
 
     def test_constant_cloud_moment_is_norm(self):
         u = np.array([0.6, -0.8])
         mu = cloud([u, u, u])
         for p in (1.0, 1.3):
-            assert mu.moment(p) == pytest.approx(1.0)
-
-    def test_shape_validated(self):
-        with pytest.raises(ValueError):
-            EmpiricalMeasure(np.zeros(3))
-        with pytest.raises(ValueError):
-            EmpiricalMeasure(np.zeros((0, 2)))
+            assert p_moment(mu, p) == pytest.approx(1.0)
 
 
 class TestWassersteinExact:
@@ -159,7 +152,7 @@ class TestWassersteinExact:
             wasserstein_exact(cloud([[0.0]]), cloud([[0.0], [1.0]]), 1.0)
 
     def test_size_cap(self):
-        big = EmpiricalMeasure(np.zeros((EXACT_ASSIGNMENT_LIMIT + 1, 1)))
+        big = np.zeros((EXACT_ASSIGNMENT_LIMIT + 1, 1))
         with pytest.raises(ValueError):
             wasserstein_exact(big, big, 1.0)
 
@@ -171,20 +164,18 @@ class TestWassersteinExact:
             p = float(rng.uniform(1.0, 1.45))
             x = rng.normal(size=(m, 2))
             y = rng.normal(size=(m, 2))
-            mu, nu = EmpiricalMeasure(x), EmpiricalMeasure(y)
             best = min(
                 np.mean(np.linalg.norm(x - y[list(perm)], axis=1) ** p)
                 for perm in itertools.permutations(range(m))
             ) ** (1.0 / p)
-            assert wasserstein_exact(mu, nu, p) == pytest.approx(best, rel=1e-10)
+            assert wasserstein_exact(x, y, p) == pytest.approx(best, rel=1e-10)
 
     @given(a=small_cloud, b=small_cloud)
     def test_symmetry_and_index_bound(self, a, b):
         m = min(len(a), len(b))
         x, y = np.array(a[:m]), np.array(b[:m])
-        mu, nu = EmpiricalMeasure(x), EmpiricalMeasure(y)
-        d_ab = wasserstein_exact(mu, nu, 1.0)
-        assert d_ab == pytest.approx(wasserstein_exact(nu, mu, 1.0), abs=1e-12)
+        d_ab = wasserstein_exact(x, y, 1.0)
+        assert d_ab == pytest.approx(wasserstein_exact(y, x, 1.0), abs=1e-12)
         index_coupling = float(np.mean(np.linalg.norm(x - y, axis=1)))
         assert d_ab <= index_coupling + 1e-12
 
@@ -192,44 +183,41 @@ class TestWassersteinExact:
     @settings(max_examples=50)
     def test_triangle_inequality(self, a, b, c):
         m = min(len(a), len(b), len(c))
-        mu, nu, rho = (EmpiricalMeasure(np.array(v[:m])) for v in (a, b, c))
+        mu, nu, rho = (np.array(v[:m]) for v in (a, b, c))
         d = lambda s, t: wasserstein_exact(s, t, 1.0)
         assert d(mu, rho) <= d(mu, nu) + d(nu, rho) + 1e-9
 
     @given(a=small_cloud, b=small_cloud)
     def test_w1_below_wp(self, a, b):
         m = min(len(a), len(b))
-        mu, nu = (EmpiricalMeasure(np.array(v[:m])) for v in (a, b))
+        mu, nu = (np.array(v[:m]) for v in (a, b))
         assert wasserstein_exact(mu, nu, 1.0) <= wasserstein_exact(mu, nu, 1.4) + 1e-9
 
 
 class TestWassersteinSliced:
     def test_identical_clouds(self, rng):
         x = rng.normal(size=(40, 3))
-        mu = EmpiricalMeasure(x)
-        assert wasserstein_sliced(mu, mu, 1.0, rng=np.random.default_rng(1)) == 0.0
+        assert wasserstein_sliced(x, x, 1.0, rng=np.random.default_rng(1)) == 0.0
 
     def test_one_mode_matches_exact(self, rng):
         x = rng.normal(size=(30, 1))
         y = rng.normal(size=(30, 1))
-        mu, nu = EmpiricalMeasure(x), EmpiricalMeasure(y)
-        sliced = wasserstein_sliced(mu, nu, 1.0, n_projections=5,
+        sliced = wasserstein_sliced(x, y, 1.0, n_projections=5,
                                     rng=np.random.default_rng(3))
-        assert sliced == pytest.approx(wasserstein_exact(mu, nu, 1.0), rel=1e-9)
+        assert sliced == pytest.approx(wasserstein_exact(x, y, 1.0), rel=1e-9)
 
     def test_translation_single_projection(self):
         u = np.array([0.0, 2.0])
-        mu = EmpiricalMeasure(np.zeros((10, 2)))
-        nu = EmpiricalMeasure(np.tile(u, (10, 1)))
+        mu = np.zeros((10, 2))
+        nu = np.tile(u, (10, 1))
         val = wasserstein_sliced(mu, nu, 1.0,
                                  directions=(u / np.linalg.norm(u))[None, :])
         assert val == pytest.approx(2.0)
 
     def test_deterministic_given_rng(self, rng):
         x, y = rng.normal(size=(25, 3)), rng.normal(size=(25, 3))
-        mu, nu = EmpiricalMeasure(x), EmpiricalMeasure(y)
         vals = [
-            wasserstein_sliced(mu, nu, 1.0, rng=np.random.default_rng(7))
+            wasserstein_sliced(x, y, 1.0, rng=np.random.default_rng(7))
             for _ in range(2)
         ]
         assert vals[0] == vals[1]
@@ -237,10 +225,9 @@ class TestWassersteinSliced:
     def test_lower_bounds_exact(self, rng):
         # projections contract distances, so the sliced value sits below exact
         x, y = rng.normal(size=(20, 3)), rng.normal(size=(20, 3))
-        mu, nu = EmpiricalMeasure(x), EmpiricalMeasure(y)
-        sliced = wasserstein_sliced(mu, nu, 1.0, n_projections=64,
+        sliced = wasserstein_sliced(x, y, 1.0, n_projections=64,
                                     rng=np.random.default_rng(5))
-        assert sliced <= wasserstein_exact(mu, nu, 1.0) + 1e-9
+        assert sliced <= wasserstein_exact(x, y, 1.0) + 1e-9
 
 
 class TestLawFlowMetric:
@@ -283,7 +270,7 @@ def exhaustive_dT(mu_flow, nu_flow, lambda_weight, p, directions=None):
     """Reference sup: solve every grid time, no pruning."""
     best = 0.0
     for j in range(mu_flow.n_times):
-        mu_j, nu_j = mu_flow.measure_at(j), nu_flow.measure_at(j)
+        mu_j, nu_j = mu_flow.clouds[j], nu_flow.clouds[j]
         if directions is None:
             w = wasserstein_exact(mu_j, nu_j, p)
         else:
@@ -366,7 +353,7 @@ class TestPrunedSup:
         calls = self.counting_exact(monkeypatch)
         got = dT_metric(LawFlow(times, a), LawFlow(times, b), lambda_weight=1.0, p=1.0)
         assert len(calls) == 1
-        assert got == wasserstein_exact(EmpiricalMeasure(a[0]), EmpiricalMeasure(b[0]), 1.0)
+        assert got == wasserstein_exact(a[0], b[0], 1.0)
 
     def test_sup_below_the_largest_bound(self, monkeypatch):
         # t=0: relabelled atoms, bound 10 but W = 0.995; t=1: a unit shift,

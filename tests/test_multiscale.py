@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mvspde.coefficients import CoefficientSet, build_family, effective_constants
+from mvspde.coefficients import CoefficientSet, bounded_smooth, build_family, effective_constants
+from mvspde.measures import p_moment, wasserstein_exact, wasserstein_sliced
 from mvspde.multiscale import (
     AveragedDrift,
     FrozenInput,
@@ -80,6 +81,79 @@ def linear1_pair(eps, h_fast, T=0.5, c=0.5):
     return spec, MultiscaleConfig(base=base, epsilon=eps, h_fast=h_fast, eta=1.0)
 
 
+def spied(fn, seen):
+    """``fn``, appending the law statistic it receives (its second argument) to ``seen``."""
+    def spy(x, mu, *rest):
+        seen.append(np.array(mu, dtype=float))
+        return fn(x, mu, *rest)
+    return spy
+
+
+def stepped(name, p, seen):
+    """(flows, law, every) of one stepping function on a small bounded_smooth setup.
+
+    Its drift appends the statistic it reads at each step to ``seen``;
+    ``law`` is what steps 0, every, 2 every, ... should have read, taken off
+    recorded clouds with p_moment (the frozen equation's is pinned).
+    """
+    spec = OperatorSpec(n_modes=4, a=2.0, b=1.0, g=1.0, alpha=1.5, theta=1.0, p=p)
+    co = bounded_smooth(spec)
+    base = SimConfig(spec=spec, coeffs=co, T=1 / 16, h=1 / 32, M=6, seed=5,
+                     xi=[0.3, -0.2, 0.1, 0.0])
+    cfg = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9, eta=0.1)
+
+    def spying(**fns):
+        return dataclasses.replace(cfg, base=dataclasses.replace(
+            base, coeffs=dataclasses.replace(co, **fns)))
+
+    if name == "mkv":
+        flow = simulate_mkv(spying(B=spied(co.B, seen)).base)
+        return [flow], p_moment(flow.clouds, p)[:-1], 1
+    if name == "slow_fast":
+        sf = simulate_slow_fast(spying(F=spied(co.F, seen)), record_every=2)
+        return [sf.slow, sf.fast], p_moment(sf.slow.clouds, p)[:-1], 2
+    if name == "auxiliary":
+        sf = simulate_slow_fast(cfg)
+        snaps = slow_snapshots(sf.slow, 4 * cfg.h_fast)
+        flow = simulate_auxiliary(spying(G=spied(co.G, seen)), snaps, record_every=2)
+        starts = np.arange(0, cfg.n_steps, 2) // 4 * 4
+        return [flow], p_moment(sf.slow.clouds, p)[starts], 2
+    if name == "frozen":
+        frozen = FrozenInput(x=np.array([0.3, -0.2, 0.1, 0.0]), mu_stat=0.6, y0=np.zeros(4))
+        flow = simulate_frozen(frozen, 1 / 16, 2**-9, spec, dataclasses.replace(
+            co, G=spied(co.G, seen)), RngStream(5), n_particles=6, record_every=2)
+        return [flow], np.full(flow.n_times - 1, 0.6), 2
+    fbar = co.fbar_factory
+    flow = simulate_averaged(spying(fbar_factory=lambda sp: spied(fbar(sp), seen)),
+                             AveragedDrift(), record_every=2)
+    return [flow], p_moment(flow.clouds, p)[:-1], 2
+
+
+class TestLawFlowRecord:
+    @pytest.mark.parametrize("p", [1.0, 1.25])
+    @pytest.mark.parametrize("name", ["mkv", "slow_fast", "auxiliary", "frozen", "averaged"])
+    def test_time_major_clouds_carry_the_law_read(self, name, p):
+        seen = []
+        flows, law, every = stepped(name, p, seen)
+        for flow in flows:
+            assert flow.clouds.flags.c_contiguous
+            assert flow.clouds.shape == (flow.n_times, 6, 4)
+        # the drift read each recorded time's statistic off that time's cloud
+        assert len(seen) == every * (flows[0].n_times - 1)
+        assert np.asarray(seen)[::every].tobytes() == law.tobytes()
+
+        # the distances take such clouds as plain arrays and check them first
+        cloud = flows[0].clouds[-1]
+        for distance in (wasserstein_exact, lambda x, y, p: wasserstein_sliced(
+                x, y, p, rng=np.random.default_rng(0))):
+            for bad in (cloud[0], cloud[:0]):
+                with pytest.raises(ValueError, match="M >= 1"):
+                    distance(bad, bad, p)
+            for other in (cloud[1:], cloud[:, 1:]):
+                with pytest.raises(ValueError, match="differ"):
+                    distance(cloud, other, p)
+
+
 class TestMultiscaleConfig:
     def _base(self, spec4, coeffs4):
         return SimConfig(spec=spec4, coeffs=coeffs4, T=0.5, h=0.25, M=4,
@@ -136,9 +210,9 @@ class TestSimulateSlowFast:
         sf = simulate_slow_fast(cfg)
         single = simulate_mkv(SimConfig(spec=spec4, coeffs=co, T=0.5,
                                         h=1 / 128, M=8, seed=21, xi=base.xi))
-        assert np.array_equal(sf.slow.paths, single.paths)
-        assert np.array_equal(sf.slow.paths[:, 0, :], np.tile(base.xi, (8, 1)))
-        assert np.array_equal(sf.fast.paths[:, 0, :], np.zeros((8, 4)))
+        assert np.array_equal(sf.slow.clouds, single.clouds)
+        assert np.array_equal(sf.slow.clouds[0], np.tile(base.xi, (8, 1)))
+        assert np.array_equal(sf.fast.clouds[0], np.zeros((8, 4)))
         assert np.allclose(sf.slow.times, cfg.times)
 
     def test_nonfinite_fast_component_raises_naming_the_step(self, spec4):
@@ -166,11 +240,11 @@ class TestSimulateSlowFast:
         for eps in (1e-1, 1e-2, 1e-3):
             cfg = MultiscaleConfig(base=base, epsilon=eps, h_fast=1e-4)
             fast = simulate_slow_fast(cfg, record_every=30).fast
-            norms = np.linalg.norm(fast.paths, axis=2)       # (M, n_rec)
-            curve = norms.mean(axis=0)
+            norms = np.linalg.norm(fast.clouds, axis=2)      # (n_rec, M)
+            curve = norms.mean(axis=1)
             j = int(np.argmax(curve))
             sups.append(curve[j])
-            ses.append(norms[:, j].std(ddof=1) / np.sqrt(base.M))
+            ses.append(norms[j].std(ddof=1) / np.sqrt(base.M))
         for i in range(3):
             for k in range(i + 1, 3):
                 tol = 3.0 * np.hypot(ses[i], ses[k])
@@ -184,7 +258,7 @@ class TestSimulateSlowFast:
         for h in (0.005, 0.0025):
             _, cfg = linear1_pair(eps, h, T=T, c=c)
             sf = simulate_slow_fast(cfg)
-            got = np.array([sf.slow.paths[0, -1, 0], sf.fast.paths[0, -1, 0]])
+            got = np.array([sf.slow.clouds[-1, 0, 0], sf.fast.clouds[-1, 0, 0]])
             errs.append(np.linalg.norm(got - ref))
         assert errs[0] < 0.1
         assert 1.6 < errs[0] / errs[1] < 2.6  # first order in h_fast
@@ -204,28 +278,27 @@ class TestAuxiliaryProcess:
         sf = simulate_slow_fast(cfg)
         snaps = slow_snapshots(sf.slow, cfg.h_fast)
         aux = simulate_auxiliary(cfg, snaps)
-        assert np.array_equal(aux.paths, sf.fast.paths)
+        assert np.array_equal(aux.clouds, sf.fast.clouds)
 
     def test_freezing_noop_when_g_ignores_slow(self):
         cfg = self._cfg(y_blind_g_coeffs(4))
         sf = simulate_slow_fast(cfg)
         for delta in (2**-6, 0.125):
             aux = simulate_auxiliary(cfg, slow_snapshots(sf.slow, delta))
-            assert np.array_equal(aux.paths, sf.fast.paths)
+            assert np.array_equal(aux.clouds, sf.fast.clouds)
 
     def test_frozen_inputs_actually_freeze(self, coeffs4):
         # with a slow-sensitive G the auxiliary path must differ
         cfg = self._cfg(coeffs4)
         sf = simulate_slow_fast(cfg)
         aux = simulate_auxiliary(cfg, slow_snapshots(sf.slow, 0.125))
-        assert not np.array_equal(aux.paths, sf.fast.paths)
+        assert not np.array_equal(aux.clouds, sf.fast.clouds)
 
     def test_misaligned_delta_rejected(self, coeffs4):
         cfg = self._cfg(coeffs4)
         sf = simulate_slow_fast(cfg)
         good = slow_snapshots(sf.slow, 0.125)
-        bad = SlowSnapshots(delta=0.1, times=good.times, x=good.x,
-                            mu_stat=good.mu_stat)
+        bad = SlowSnapshots(delta=0.1, times=good.times, x=good.x)
         with pytest.raises(ValueError, match="aligned"):
             simulate_auxiliary(cfg, bad)
 
@@ -233,8 +306,7 @@ class TestAuxiliaryProcess:
         cfg = self._cfg(coeffs4)
         sf = simulate_slow_fast(cfg)
         good = slow_snapshots(sf.slow, 0.125)
-        starved = SlowSnapshots(delta=good.delta, times=good.times[:1],
-                                x=good.x[:1], mu_stat=good.mu_stat[:1])
+        starved = SlowSnapshots(delta=good.delta, times=good.times[:1], x=good.x[:1])
         with pytest.raises(ValueError, match="snapshots"):
             simulate_auxiliary(cfg, starved)
 
@@ -245,7 +317,7 @@ class TestFrozenEquation:
                              y0=np.zeros(2))
         ens = simulate_frozen(frozen, 2.0, 0.01, spec2, linear2,
                               RngStream(11), n_particles=4000)
-        first = ens.paths[:, -1, 0]
+        first = ens.clouds[-1, :, 0]
         se = first.std(ddof=1) / np.sqrt(first.size)
         # mean ODE: m(2) = 4 (1 - e^{-1}) = 2.5285
         assert abs(first.mean() - 2.5285) < 3 * se
@@ -256,7 +328,7 @@ class TestFrozenEquation:
         frozen = FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0,
                              y0=np.array([4.0, 0.0]))
         ens = simulate_frozen(frozen, 1.0, 0.01, spec, co, RngStream(0))
-        assert np.allclose(ens.paths, np.array([4.0, 0.0]), atol=1e-12)
+        assert np.allclose(ens.clouds, np.array([4.0, 0.0]), atol=1e-12)
 
     def test_g_zero_stationary_matches_convolution_family(self, spec2):
         # with G = 0 the frozen path at T has exactly the law of a single
@@ -264,7 +336,7 @@ class TestFrozenEquation:
         frozen = FrozenInput(x=np.zeros(2), mu_stat=0.0, y0=np.zeros(2))
         ens = simulate_frozen(frozen, 2.0, 0.02, spec2, zero_coeffs(2),
                               RngStream(3), n_particles=3000)
-        mine = np.linalg.norm(ens.paths[:, -1, :], axis=1)
+        mine = np.linalg.norm(ens.clouds[-1], axis=1)
         inc = sample_convolution_increment(spec2, 2.0, RngStream(77), size=3000)
         ref = np.linalg.norm(inc.field, axis=1)
         tol = 3.0 * np.hypot(mine.std(ddof=1) / np.sqrt(mine.size),
@@ -287,16 +359,10 @@ class TestAveragedDriftEstimation:
     def test_analytic_linear_value(self, spec2, linear2):
         frozen = FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0,
                              y0=np.zeros(2))
-        drift = AveragedDrift(mode="analytic_linear")
+        drift = AveragedDrift(mode="stationary_quadrature")
         fbar = estimate_fbar(drift, frozen, spec2, linear2)
         assert fbar[0] == pytest.approx(4.0, abs=1e-12)
         assert fbar[1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_analytic_mode_guarded(self, spec4, coeffs4):
-        frozen = FrozenInput(x=np.zeros(4), mu_stat=0.0, y0=np.zeros(4))
-        with pytest.raises(ValueError, match="linear"):
-            estimate_fbar(AveragedDrift(mode="analytic_linear"), frozen,
-                          spec4, coeffs4)
 
     def test_ergodic_matches_analytic(self, spec2, linear2):
         frozen = FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0,
@@ -319,7 +385,7 @@ class TestAveragedDriftEstimation:
     def test_odd_symmetry_vanishes_at_origin(self, spec2, linear2):
         frozen = FrozenInput(x=np.zeros(2), mu_stat=0.0, y0=np.zeros(2))
         assert np.allclose(
-            estimate_fbar(AveragedDrift(mode="analytic_linear"), frozen,
+            estimate_fbar(AveragedDrift(mode="stationary_quadrature"), frozen,
                           spec2, linear2), 0.0)
         drift = AveragedDrift(mode="ergodic_estimate", seed=9)
         est, se = ergodic_fbar(drift, frozen, spec2, linear2)
@@ -422,7 +488,7 @@ class TestAveragedEquationAndStrongError:
         cfg = self._cfg(co, spec4)
         avg = simulate_averaged(cfg, AveragedDrift(mode="stationary_quadrature"))
         sf = simulate_slow_fast(cfg)
-        assert np.array_equal(avg.paths, sf.slow.paths)
+        assert np.array_equal(avg.clouds, sf.slow.clouds)
 
     def test_seed_moves_paths_not_law(self, spec4, coeffs4):
         drift = AveragedDrift(mode="stationary_quadrature")
@@ -430,10 +496,10 @@ class TestAveragedEquationAndStrongError:
         for seed in (31, 32):
             cfg = self._cfg(coeffs4, spec4, M=384, seed=seed)
             ens = simulate_averaged(cfg, drift)
-            term = np.linalg.norm(ens.paths[:, -1, :], axis=1)
+            term = np.linalg.norm(ens.clouds[-1], axis=1)
             moms.append(term.mean())
             ses.append(term.std(ddof=1) / np.sqrt(term.size))
-            paths.append(ens.paths)
+            paths.append(ens.clouds)
         assert not np.array_equal(paths[0], paths[1])
         assert abs(moms[0] - moms[1]) < 3.0 * np.hypot(*ses)
 
@@ -449,7 +515,7 @@ class TestAveragedEquationAndStrongError:
                          seed=0, xi=0.3)
         cfg = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9)
         with pytest.raises(ValueError, match="unbounded"):
-            strong_error_stats(cfg, AveragedDrift(mode="analytic_linear"))
+            strong_error_stats(cfg, AveragedDrift(mode="stationary_quadrature"))
 
     def test_moment_order_bounds(self, spec4, coeffs4):
         cfg = self._cfg(coeffs4, spec4, M=8)

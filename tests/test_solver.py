@@ -140,18 +140,18 @@ class TestSimulateMkv:
         spec = quiet_spec()
         cfg = SimConfig(spec=spec, coeffs=zero_coeffs(4), T=1.0, h=0.125,
                         M=3, seed=1, xi=[1.0, -0.5, 0.25, 2.0])
-        ens = simulate_mkv(cfg)
-        for j, t in enumerate(ens.times):
+        flow = simulate_mkv(cfg)
+        for j, t in enumerate(flow.times):
             ref = apply_semigroup(cfg.xi, t, spec)
-            assert np.allclose(ens.paths[:, j, :], ref, atol=1e-12)
+            assert np.allclose(flow.clouds[j], ref, atol=1e-12)
 
     def test_pure_convolution_cross_module(self, spec4):
         # multi-step solver at T vs a single exact increment over [0, T]:
         # both sample the same stationary-integrand law
         cfg = SimConfig(spec=spec4, coeffs=zero_coeffs(4), T=1.0, h=0.25,
                         M=2000, seed=3, xi=0.0)
-        ens = simulate_mkv(cfg)
-        solver_mom = float(np.linalg.norm(ens.paths[:, -1, :], axis=1).mean())
+        flow = simulate_mkv(cfg)
+        solver_mom = float(np.linalg.norm(flow.clouds[-1], axis=1).mean())
         inc = sample_convolution_increment(spec4, 1.0, RngStream(99), size=2000)
         direct = np.linalg.norm(inc.field, axis=1)
         se = direct.std(ddof=1) / np.sqrt(direct.size)
@@ -169,8 +169,8 @@ class TestSimulateMkv:
         )
         cfg = SimConfig(spec=spec, coeffs=mean_pull, T=1.0, h=0.125, M=1,
                         seed=0, xi=0.0)
-        ens = simulate_mkv(cfg)
-        assert np.allclose(ens.paths, 0.0, atol=1e-200)
+        flow = simulate_mkv(cfg)
+        assert np.allclose(flow.clouds, 0.0, atol=1e-200)
 
     def test_drift_order_one_in_h(self):
         # noise off, B = 0.8 x: exponential-Euler error vs the exact linear
@@ -183,8 +183,8 @@ class TestSimulateMkv:
             h = 1.0 / 2**k
             cfg = SimConfig(spec=spec, coeffs=linear_drift_coeffs(4, a), T=1.0,
                             h=h, M=1, seed=0, xi=[1.0, 1.0, 1.0, 1.0])
-            ens = simulate_mkv(cfg)
-            errs.append(np.linalg.norm(ens.paths[0, -1, :] - exact))
+            flow = simulate_mkv(cfg)
+            errs.append(np.linalg.norm(flow.clouds[-1, 0] - exact))
             hs.append(h)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.15)
@@ -193,7 +193,7 @@ class TestSimulateMkv:
         cfg = SimConfig(spec=spec4, coeffs=coeffs4, T=0.5, h=0.125, M=8,
                         seed=11, xi=0.2)
         a, b = simulate_mkv(cfg), simulate_mkv(cfg)
-        assert np.array_equal(a.paths, b.paths)
+        assert np.array_equal(a.clouds, b.clouds)
 
     def test_particle_exchangeability(self, spec4, coeffs4):
         cfg = SimConfig(spec=spec4, coeffs=coeffs4, T=0.5, h=0.125, M=3,
@@ -202,10 +202,10 @@ class TestSimulateMkv:
         perm = simulate_mkv(cfg, particle_ids=[2, 0, 1])
         # the shared law statistic is a reordered fp sum, so equality is up
         # to roundoff, not bitwise
-        assert np.allclose(perm.paths[0], plain.paths[2], rtol=1e-10, atol=1e-13)
-        assert np.allclose(perm.paths[1], plain.paths[0], rtol=1e-10, atol=1e-13)
-        for j in range(plain.paths.shape[1]):
-            d = wasserstein_exact(plain.measure_at(j), perm.measure_at(j), 1.0)
+        assert np.allclose(perm.clouds[:, 0], plain.clouds[:, 2], rtol=1e-10, atol=1e-13)
+        assert np.allclose(perm.clouds[:, 1], plain.clouds[:, 0], rtol=1e-10, atol=1e-13)
+        for j in range(plain.n_times):
+            d = wasserstein_exact(plain.clouds[j], perm.clouds[j], 1.0)
             assert d == pytest.approx(0.0, abs=1e-10)
 
     def test_translation_coupling_bound(self):
@@ -217,8 +217,7 @@ class TestSimulateMkv:
                             M=16, seed=7, xi=start)
             runs.append(simulate_mkv(cfg))
         for j, t in enumerate(runs[0].times):
-            gap = wasserstein_exact(runs[0].measure_at(j),
-                                    runs[1].measure_at(j), 1.0)
+            gap = wasserstein_exact(runs[0].clouds[j], runs[1].clouds[j], 1.0)
             ref = np.linalg.norm(apply_semigroup(xi, t, spec))
             assert gap == pytest.approx(ref, abs=1e-12)
             assert gap <= math.exp(-spec.lambda_1 * t) * np.linalg.norm(xi) + 1e-12
@@ -233,8 +232,7 @@ class TestSimulateMkv:
             patch.setattr(solver, "BLOCK_STEPS", 7)
             drawn = simulate_mkv(cfg)
         given_noise = simulate_mkv(cfg, noise=noise)
-        assert np.array_equal(drawn.paths, given_noise.paths)
-        assert np.array_equal(drawn.mu_stat, given_noise.mu_stat)
+        assert np.array_equal(drawn.clouds, given_noise.clouds)
 
     def test_nonfinite_drift_raises_naming_the_step(self, spec4):
         calls = []
@@ -282,7 +280,7 @@ class TestEmpiricalMuStat:
 
     @pytest.mark.parametrize("p", [1.0, 1.25])
     def test_strided_view_has_the_bits_of_its_copy(self, p):
-        # a flow's clouds are a swapped view of the (M, n_times, n_modes) paths
+        # a swapped view of particle-major (M, n_times, n_modes) paths
         paths = np.random.default_rng(3).standard_cauchy((32, 33, 8))
         view = paths.swapaxes(0, 1)
         assert not view.flags.c_contiguous
@@ -355,10 +353,9 @@ class TestPicardIteration:
         cfg = SimConfig(spec=spec, coeffs=bounded_smooth(spec), T=J / 32, h=1 / 32,
                         M=M, seed=13, xi=[0.3, -0.2, 0.1, 0.0])
         rep = picard_law_iteration(cfg, n_iters=J + 3)
-        live = simulate_mkv(cfg).paths.swapaxes(0, 1)
+        live = simulate_mkv(cfg).clouds
         assert rep.final_flow.clouds.shape == live.shape
-        assert np.ascontiguousarray(rep.final_flow.clouds).tobytes() == \
-            np.ascontiguousarray(live).tobytes()
+        assert rep.final_flow.clouds.tobytes() == live.tobytes()
         assert rep.distances[-1] == 0.0
 
     def test_needs_two_iterations(self, spec4, coeffs4):
@@ -374,23 +371,23 @@ class TestMomentBoundCheck:
         xi = [1.5, 0.0, 0.0, 0.0]
         cfg = SimConfig(spec=spec, coeffs=zero_coeffs(4), T=1.0, h=0.25, M=4,
                         seed=0, xi=xi)
-        rep = moment_bound_check(simulate_mkv(cfg), m=1.0)
+        rep = moment_bound_check(simulate_mkv(cfg), spec, m=1.0)
         assert rep.sup_moment == pytest.approx(1.5, abs=1e-12)
         assert rep.stable
 
     def test_order_boundaries_rejected(self, spec4, coeffs4):
         cfg = SimConfig(spec=spec4, coeffs=coeffs4, T=0.5, h=0.25, M=8,
                         seed=1, xi=0.1)
-        ens = simulate_mkv(cfg)
+        flow = simulate_mkv(cfg)
         with pytest.raises(ValueError):
-            moment_bound_check(ens, m=spec4.alpha)  # m = alpha boundary
+            moment_bound_check(flow, spec4, m=spec4.alpha)  # m = alpha boundary
         with pytest.raises(ValueError):
-            moment_bound_check(ens, m=0.5)  # below p
+            moment_bound_check(flow, spec4, m=0.5)  # below p
 
     def test_sup_stable_under_particle_doubling(self, spec8, coeffs8):
         sups = []
         for m_particles in (1500, 3000):
             cfg = SimConfig(spec=spec8, coeffs=coeffs8, T=1.0, h=1 / 16,
                             M=m_particles, seed=6, xi=0.4)
-            sups.append(moment_bound_check(simulate_mkv(cfg), m=1.0).sup_moment)
+            sups.append(moment_bound_check(simulate_mkv(cfg), spec8, m=1.0).sup_moment)
         assert abs(sups[1] - sups[0]) / sups[0] < 0.10
