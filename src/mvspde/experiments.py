@@ -2,11 +2,12 @@
 
 The curve-producing studies live here: the strong-convergence rate scan
 over the timescale ratio, the slow-path increment regularity and
-auxiliary-gap scans over block lengths, the frozen-equation mixing-rate
-scan over probe inputs, the fixed-point contraction trace and the moment
-curve.  Each returns an :class:`ExperimentResult`, built by ``_result``
-alone, whose grid is a list of (parameter, error, stderr) points and
-whose ``config_hash`` is derived from its ``config``.  The three
+auxiliary-gap scans over block lengths (one streaming pass per replica),
+the frozen-equation mixing-rate scan over probe inputs, the fixed-point
+contraction trace and the moment curve.  Each returns an
+:class:`ExperimentResult`, built by ``_result`` alone, whose grid is a
+list of (parameter, error, stderr) points and whose ``config_hash`` is
+derived from its ``config``.  The three
 power-law studies pool per-replica :class:`StrongErrorStats` through one
 step, ``_power_law_curve``, which also flags the noise floor and fits
 the weighted log-log slope.
@@ -55,9 +56,7 @@ from .multiscale import (
     ergodicity_decay,
     estimate_fbar,
     grid_steps,
-    simulate_auxiliary,
-    simulate_slow_fast,
-    slow_snapshots,
+    increment_stats,
     strong_error_stats,
 )
 from .noise import CH_FROZEN, RngStream
@@ -368,44 +367,8 @@ def rate_study(
 # slow-path increment regularity against the block length
 
 
-def _increment_rows(x, h_fast, delta_grid):
-    """Moments of the per-particle time-averaged |path - block-frozen path| per delta.
-
-    ``x`` holds the clouds of a flow, shape (n_times, M, n_modes).  The
-    integral over (t_j, t_{j+1}] is approximated at its right endpoint
-    against the block active on that interval, so the block starts (where
-    the raw integrand vanishes) do not anchor spurious zeros; with
-    delta = h_fast this reduces to the mean single-step displacement.  Each
-    time mean adds the times one after another, down axis 0, the order
-    the hoelder pins were recorded in.
-    """
-    j = np.arange(1, x.shape[0])
-    rows = []
-    for d in delta_grid:
-        s = int(round(d / h_fast))
-        idx = ((j - 1) // s) * s
-        gap = np.linalg.norm(x[j] - x[idx], axis=2)  # (n_rec-1, M)
-        rows.append(StrongErrorStats.from_sample(gap.mean(axis=0), 1.0))
-    return rows
-
-
-def _path_task(cfg, arm, deltas, offset, replica):
-    """Per-delta StrongErrorStats (m = 1) of one replica of cfg.base.M particles."""
-    ids = range(offset, offset + cfg.base.M)
-    sf = simulate_slow_fast(cfg, particle_ids=ids, replica=replica)
-    if arm == "slow":
-        return _increment_rows(sf.slow.clouds, cfg.h_fast, deltas)
-    rows = []
-    for d in deltas:
-        aux = simulate_auxiliary(cfg, slow_snapshots(sf.slow, d), particle_ids=ids,
-                                 replica=replica)
-        gap = np.linalg.norm(sf.fast.clouds - aux.clouds, axis=2)  # (n_rec, M)
-        # pairwise along a contiguous time axis, the order of the aux-gap pins
-        rows.append(StrongErrorStats.from_sample(np.ascontiguousarray(gap.T).mean(axis=1), 1.0))
-    return rows
-
-
 def _increment_study(cfg, delta_grid, kind, arm, n_replicas, n_workers):
+    """One :func:`increment_stats` task per replica, pooled into a curve over delta."""
     t0 = time.perf_counter()
     deltas = [float(d) for d in delta_grid]
     if len(deltas) < 2:
@@ -414,9 +377,10 @@ def _increment_study(cfg, delta_grid, kind, arm, n_replicas, n_workers):
         if whole_steps(d, cfg.h_fast, "delta", "/study/grid") > cfg.n_steps:
             raise ConfigError(f"delta = {d:.6g} exceeds T = {cfg.base.T:.6g}", "/study/grid")
     base = cfg.base
-    tasks = [(replace(cfg, base=replace(base, M=count)), arm, deltas, offset, r)
+    tasks = [(replace(cfg, base=replace(base, M=count)), deltas, arm,
+              range(offset, offset + count), r)
              for r, (offset, count) in enumerate(_split_counts(base.M, n_replicas))]
-    raw = _run_tasks(_path_task, tasks, n_workers)
+    raw = _run_tasks(increment_stats, tasks, n_workers)
     grid, flags, fit = _power_law_curve(deltas, list(zip(*raw)), 1.0)
     # both arms shrink at the slow path's regularity order theta / 2; the
     # rate is an upper bound, and a markedly steeper fit means another term
@@ -442,11 +406,11 @@ def hoelder_study(
 ) -> ExperimentResult:
     """Time-averaged slow increment (1/T) int E|X_t - X_{t(delta)}| dt vs delta.
 
-    All block lengths are evaluated on the same trajectories (the grid is
-    pure post-processing), so there is no fresh-noise jitter between grid
-    points.  The fitted slope is compared against theta/2 from below;
-    deterministic drift-dominated regimes come out near slope 1 and are
-    flagged ``above-envelope``.
+    All block lengths are measured in one pass along the same trajectories,
+    so there is no fresh-noise jitter between grid points.  The fitted
+    slope is compared against theta/2 from below; deterministic
+    drift-dominated regimes come out near slope 1 and are flagged
+    ``above-envelope``.
     """
     return _increment_study(cfg, delta_grid, kind="hoelder", arm="slow",
                             n_replicas=n_replicas, n_workers=n_workers)
@@ -459,7 +423,7 @@ def aux_gap_study(
     n_replicas: int = 4,
     n_workers: int = 1,
 ) -> ExperimentResult:
-    """Time-averaged gap between the fast path and its block-frozen twin.
+    """Time-averaged gap between the fast path and its block-frozen twin, vs delta.
 
     The auxiliary path re-reads the slow input only at block starts while
     sharing every noise increment with the true fast path, so the gap is

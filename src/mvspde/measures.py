@@ -362,7 +362,7 @@ def dT_metric(
         j = int(bad[0])
         raise ValueError(
             f"non-finite flow distance bound at time index {j} "
-            f"(t = {mu_flow.times[j]!r}): {bound[j]!r}"
+            f"(t = {float(mu_flow.times[j])!r}): {float(bound[j])!r}"
         )
 
     use_exact = mu_flow.size <= EXACT_ASSIGNMENT_LIMIT

@@ -20,18 +20,19 @@ Supporting objects:
   measure defines the averaged drift Fbar(x, mu) = int F(x, mu, y) d(inv).
 * the *auxiliary process*: the fast component re-driven with slow inputs
   frozen at the starts of blocks of length delta, sharing the true fast
-  component's noise streams bitwise.  It interpolates between the coupled
-  system and the frozen equation and is the measurable face of the
-  averaging argument.
+  component's noise increments bitwise.  It interpolates between the
+  coupled system and the frozen equation and is the measurable face of
+  the averaging argument (Khasminskii's time discretization).
 * the *averaged equation*: the slow equation with F replaced by Fbar,
   driven by the *same* slow noise streams (synchronous coupling), so that
   sup-in-time strong errors can be measured per particle.
 
 Every loop here is one call of :func:`mvspde.solver.advance`, the
 exponential-Euler kernel, and every recorded run comes back as a
-time-major :class:`~mvspde.measures.LawFlow`; ``strong_error_stats`` steps
-the coupled pair and the averaged equation together, so that no trajectory
-storage is needed at production sizes.
+time-major :class:`~mvspde.measures.LawFlow`.  The study loops record
+nothing, so their memory does not grow with T: ``strong_error_stats``
+steps the coupled pair beside the averaged equation, ``increment_stats``
+beside one auxiliary twin per block length.
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ __all__ = [
     "FrozenInput",
     "SlowFastPaths",
     "simulate_slow_fast",
-    "SlowSnapshots",
-    "slow_snapshots",
-    "simulate_auxiliary",
     "simulate_frozen",
     "AveragedDrift",
     "estimate_fbar",
@@ -73,6 +71,7 @@ __all__ = [
     "simulate_averaged",
     "StrongErrorStats",
     "strong_error_stats",
+    "increment_stats",
 ]
 
 
@@ -81,17 +80,14 @@ class MultiscaleConfig:
     """Two-scale setup on top of a single-scale :class:`SimConfig`.
 
     ``h_fast`` is the shared integrator step in slow time units and must
-    resolve the fast relaxation: h_fast <= epsilon / 10.  ``delta`` is the
-    block length of the auxiliary construction; when omitted it defaults to
-    the balancing choice epsilon**(1/(1+theta)) snapped to the fast grid.
-    The h_fast rules raise ConfigError without a pointer: the key varies.
+    resolve the fast relaxation: h_fast <= epsilon / 10.  The h_fast rules
+    raise ConfigError without a pointer: the key varies.
     """
 
     base: SimConfig
     epsilon: float
     h_fast: float
     eta: np.ndarray = 0.0
-    delta: float | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -103,10 +99,6 @@ class MultiscaleConfig:
             )
         whole_steps(self.base.T, self.h_fast, "T")
         dissipativity_gap(self.base.coeffs, self.base.spec)
-        if self.delta is not None:
-            if not 1 < whole_steps(self.delta, self.h_fast, "delta") <= self.n_steps:
-                raise ValueError(
-                    f"delta = {self.delta} outside (h_fast, T] = ({self.h_fast}, {self.base.T}]")
         object.__setattr__(self, "eta", self.base.spec.as_field(self.eta))
 
     @property
@@ -119,9 +111,7 @@ class MultiscaleConfig:
 
     @property
     def delta_resolved(self) -> float:
-        """Explicit delta, or the balancing default snapped to the fast grid."""
-        if self.delta is not None:
-            return self.delta
+        """The balancing block length epsilon**(1/(1+theta)), snapped to the fast grid."""
         theta = self.base.spec.theta
         raw = self.epsilon ** (1.0 / (1.0 + theta))
         steps = max(2, round(raw / self.h_fast))
@@ -160,7 +150,7 @@ def simulate_slow_fast(
     The two components share the step grid; the fast one gets the
     epsilon-rescaled exponents.  Slow and fast noise live on disjoint
     channels of the same per-particle streams, so reruns (and the paired
-    auxiliary / averaged runs) can reproduce either component bitwise.
+    averaged run and increment gaps) can reproduce either component bitwise.
     """
     base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
     J = cfg.n_steps
@@ -182,68 +172,6 @@ def simulate_slow_fast(
     )
     times = cfg.times[::record_every]
     return SlowFastPaths(slow=LawFlow(times, xs), fast=LawFlow(times, ys))
-
-
-@dataclass(frozen=True)
-class SlowSnapshots:
-    """Slow states at auxiliary block starts l*delta."""
-
-    delta: float
-    times: np.ndarray      # (n_blocks,) block start times
-    x: np.ndarray          # (n_blocks, M, n_modes)
-
-
-def slow_snapshots(slow: LawFlow, delta: float) -> SlowSnapshots:
-    """Extract block-start snapshots from a recorded slow flow.
-
-    Requires delta to be a whole number of the flow's recorded steps, so
-    that every block start l*delta (l = 0, 1, ...) strictly below the final
-    time is a recorded time.
-    """
-    n_blocks = int(np.ceil(slow.times[-1] / delta - 1e-9))
-    idx = whole_steps(delta, slow.times[1], "delta") * np.arange(n_blocks)
-    return SlowSnapshots(delta=delta, times=delta * np.arange(n_blocks), x=slow.clouds[idx])
-
-
-def simulate_auxiliary(
-    cfg: MultiscaleConfig,
-    snapshots: SlowSnapshots,
-    particle_ids=None,
-    replica: int = 0,
-    record_every: int = 1,
-) -> LawFlow:
-    """Fast component with slow inputs frozen at block starts (same noise).
-
-    Between times l*delta and (l+1)*delta the drift G sees the slow state
-    sampled at l*delta and its :func:`~mvspde.measures.p_moment`, the
-    statistic the slow drift read there.  The noise streams are the
-    ones the true fast component uses, so when G ignores its slow
-    arguments the result coincides with the true fast path bitwise.
-    """
-    base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
-    J = cfg.n_steps
-    (ys,), _, observe = _recorder(J, record_every, (base.M, spec.n_modes))
-    steps_per_block = whole_steps(snapshots.delta, cfg.h_fast, "delta")
-    n_needed = int(np.ceil(J / steps_per_block))
-    if snapshots.x.shape[0] < n_needed:
-        raise ValueError(
-            f"need {n_needed} block snapshots to cover {J} steps, got {snapshots.x.shape[0]}"
-        )
-    bank_f = StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, CH_FAST,
-                             replica=replica, particle_ids=particle_ids)
-    mu = p_moment(snapshots.x, spec.p)
-
-    def drift(j, fields):
-        blk = j // steps_per_block
-        return [coeffs.G(snapshots.x[blk], mu[blk], fields[0])]
-
-    advance(
-        {"auxiliary fast component": np.broadcast_to(cfg.eta, (base.M, spec.n_modes))},
-        [euler_weights(spec, cfg.h_fast, cfg.epsilon)],
-        [(bank_f, convolution_scales(spec, cfg.h_fast, "fast", cfg.epsilon))],
-        drift, J, observe,
-    )
-    return LawFlow(cfg.times[::record_every], ys)
 
 
 def simulate_frozen(
@@ -677,3 +605,109 @@ def strong_error_stats(
         ) from exc
     return tuple(StrongErrorStats.from_sample(row, float(m)) for row in sup**m)
 
+
+
+class _BlockGaps:
+    """:func:`increment_stats`' observe hook, per distinct block length of ``steps`` steps.
+
+    It keeps the slow state at the last block start and its law statistic,
+    which that length's twin drift reads, and each particle's running sum of
+    its gap at grid times j >= 1: |X_j - X_{t(j)}| (``slow`` arm; t(j) starts
+    the block holding (t_{j-1}, t_j], so no block start anchors a spurious
+    zero) or |Y_j - A_j| (``aux`` arm).  ``mu`` is the live slow statistic.
+    """
+
+    def __init__(self, steps, arm: str, n_steps: int, shape, p: float):
+        self.steps, self.arm, self.n_steps, self.p = steps, arm, n_steps, p
+        self.start = np.empty((len(steps),) + tuple(shape))
+        self.mu_start = [0.0] * len(steps)
+        self.mu = 0.0
+        self.sums = np.zeros((len(steps), shape[0]))
+        self._diff = np.empty(self.start.shape)
+
+    def __call__(self, j, fields):
+        x = fields[0]
+        self.mu = p_moment(x, self.p)
+        if not np.isfinite(self.mu):
+            raise NonFiniteState("law statistic", j, self.n_steps, None)
+        if j > 0:
+            if self.arm == "slow":
+                np.subtract(x, self.start, out=self._diff)
+            else:
+                for diff, twin in zip(self._diff, fields[2:]):
+                    np.subtract(fields[1], twin, out=diff)
+            dist = sum_squares(self._diff)  # |.| per particle, as np.linalg.norm sums it
+            np.sqrt(dist, out=dist)
+            self.sums += dist
+        for k, s in enumerate(self.steps):
+            if j % s == 0:
+                self.start[k] = x
+                self.mu_start[k] = self.mu
+
+    def stats(self) -> list[StrongErrorStats]:
+        """StrongErrorStats (m = 1) of the time-mean gaps: over the n_steps right
+        endpoints (slow), or all n_steps + 1 grid times, the gap at t = 0 being 0 (aux)."""
+        count = self.n_steps if self.arm == "slow" else self.n_steps + 1
+        return [StrongErrorStats.from_sample(row / count, 1.0) for row in self.sums]
+
+
+def increment_stats(
+    cfg: MultiscaleConfig,
+    deltas,
+    arm: str,
+    particle_ids=None,
+    replica: int = 0,
+) -> tuple[StrongErrorStats, ...]:
+    """Per-delta moments of each particle's time-mean block-increment gap, streamed.
+
+    One :func:`advance` call steps (X, Y) with :func:`simulate_slow_fast`'s
+    bits and, for the ``aux`` arm, one auxiliary twin A per block length:
+    the fast component with G reading the slow state at the last block
+    start l*delta and its :func:`~mvspde.measures.p_moment`, on Y's own
+    noise increments (so A is Y bitwise when G ignores its slow inputs).
+    The ``slow`` arm averages |X_t - X_{t(delta)}|, the ``aux`` arm
+    |Y_t - A_t|; nothing is recorded, so memory does not grow with T.  A
+    NaN or inf raises FloatingPointError naming the field (a twin by its
+    delta), epsilon, the replica and the step.
+    """
+    if arm not in ("slow", "aux"):
+        raise ValueError(f"arm must be 'slow' or 'aux', got {arm!r}")
+    base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
+    J = cfg.n_steps
+    shape = (base.M, spec.n_modes)
+    deltas = [float(d) for d in deltas]
+    steps = [whole_steps(d, cfg.h_fast, "delta") for d in deltas]
+    blocks = list(dict.fromkeys(steps))  # each distinct block length once
+    gaps = _BlockGaps(blocks, arm, J, shape, spec.p)
+
+    def source(channel, scale):
+        return (StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, channel,
+                                replica=replica, particle_ids=particle_ids), scale)
+
+    slow = source(CH_SLOW, convolution_scales(spec, cfg.h_fast, "slow"))
+    fast = source(CH_FAST, convolution_scales(spec, cfg.h_fast, "fast", cfg.epsilon))
+    twins = [] if arm == "slow" else [
+        f"auxiliary fast component (delta = {deltas[steps.index(s)]!r})" for s in blocks]
+    w_fast = euler_weights(spec, cfg.h_fast, cfg.epsilon)
+
+    def drift(j, fields):
+        x, y = fields[:2]
+        return [coeffs.F(x, gaps.mu, y), coeffs.G(x, gaps.mu, y)] + [
+            coeffs.G(gaps.start[k], gaps.mu_start[k], a) for k, a in enumerate(fields[2:])]
+
+    try:
+        advance(
+            {"slow component X": np.broadcast_to(base.xi, shape),
+             "fast component Y": np.broadcast_to(cfg.eta, shape),
+             **{name: np.broadcast_to(cfg.eta, shape) for name in twins}},
+            [euler_weights(spec, cfg.h_fast), w_fast] + [w_fast] * len(twins),
+            [slow, fast] + [fast] * len(twins),
+            drift, J, gaps,
+        )
+    except NonFiniteState as exc:
+        raise FloatingPointError(
+            f"non-finite {exc.name} at epsilon = {cfg.epsilon:.6g}, "
+            f"replica {replica}, step {exc.step} of {J}"
+        ) from exc
+    rows = dict(zip(blocks, gaps.stats()))
+    return tuple(rows[s] for s in steps)

@@ -23,7 +23,7 @@ from mvspde.experiments import (
     rate_study,
     simulate_study,
 )
-from mvspde.multiscale import FrozenInput, MultiscaleConfig, NoSignalError
+from mvspde.multiscale import FrozenInput, MultiscaleConfig, NoSignalError, _BlockGaps
 from mvspde.solver import SimConfig
 from mvspde.spectral import ConfigError, OperatorSpec
 
@@ -141,8 +141,12 @@ class TestConfigDigest:
 
 class TestIncrementRows:
     def test_hand_values(self):
+        # the slow-arm hook of increment_stats, fed a hand path on a unit grid
         x = np.array([[0.0, 1.0, 3.0, 6.0, 10.0]]).reshape(5, 1, 1)
-        rows = ex._increment_rows(x, 1.0, [1.0, 2.0])
+        gaps = _BlockGaps([1, 2], "slow", 4, (1, 1), 1.0)
+        for j, cloud in enumerate(x):
+            gaps(j, [cloud])
+        rows = gaps.stats()
         # one-step blocks: mean of |1|,|2|,|3|,|4|
         assert rows[0][0] == pytest.approx(2.5)
         # two-step blocks: |1-0|,|3-0|,|6-3|,|10-3|
@@ -306,6 +310,25 @@ class TestIncrementStudies:
         assert res.kind == "aux-gap"
         assert all(g.error == 0.0 for g in res.grid)
         assert res.flags["fit"] == "degenerate"
+
+    def test_nonfinite_twin_names_delta_replica_and_step(self, spec4, coeffs4):
+        # per step G drives Y, then the twins of 2**-6 and 2**-5; its
+        # 3 * 128 calls of replica 0 stay finite, and the second twin's drift
+        # at step 5 of replica 1 turns inf
+        calls = []
+
+        def G(x, s, y):
+            calls.append(None)
+            out = coeffs4.G(x, s, y)
+            if len(calls) == 3 * 128 + 3 * 5 + 3:
+                out[1] = np.inf
+            return out
+
+        cfg = self._cfg(spec4, dataclasses.replace(coeffs4, G=G))
+        with pytest.raises(FloatingPointError, match=(
+                r"non-finite auxiliary fast component \(delta = 0\.03125\) "
+                r"at epsilon = 0\.03125, replica 1, step 6 of 128")):
+            aux_gap_study(cfg, (2**-6, 2**-5), n_replicas=2)
 
     def test_aux_gap_positive_and_shrinking(self, spec4, coeffs4):
         cfg = self._cfg(spec4, coeffs4, M=16)

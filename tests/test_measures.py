@@ -378,7 +378,7 @@ class TestPrunedSup:
         b[5, 0, 0] = np.inf
         times = np.linspace(0.0, 1.0, 6)
         calls = self.counting_exact(monkeypatch)
-        with pytest.raises(ValueError, match="time index 4"):
+        with pytest.raises(ValueError, match=r"time index 4 \(t = 0\.8\): nan$"):
             dT_metric(LawFlow(times, a), LawFlow(times, b), lambda_weight=1.0, p=1.0)
         assert calls == []
 

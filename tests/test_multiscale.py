@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,15 +11,13 @@ from mvspde.multiscale import (
     AveragedDrift,
     FrozenInput,
     MultiscaleConfig,
-    SlowSnapshots,
     ergodic_fbar,
     ergodicity_decay,
     estimate_fbar,
-    simulate_auxiliary,
+    increment_stats,
     simulate_averaged,
     simulate_frozen,
     simulate_slow_fast,
-    slow_snapshots,
     strong_error_stats,
 )
 from mvspde import multiscale, solver
@@ -90,10 +89,11 @@ def spied(fn, seen):
 
 
 def stepped(name, p, seen):
-    """(flows, law, every) of one stepping function on a small bounded_smooth setup.
+    """(flows, law, calls) of one stepping function on a small bounded_smooth setup.
 
-    Its drift appends the statistic it reads at each step to ``seen``;
-    ``law`` is what steps 0, every, 2 every, ... should have read, taken off
+    Its spied drift appends the statistic it reads at each call to ``seen``,
+    ``calls`` times per recorded interval of ``flows``; ``law`` holds what
+    the first len(law[i]) calls of interval i should have read, taken off
     recorded clouds with p_moment (the frozen equation's is pinned).
     """
     spec = OperatorSpec(n_modes=4, a=2.0, b=1.0, g=1.0, alpha=1.5, theta=1.0, p=p)
@@ -113,11 +113,13 @@ def stepped(name, p, seen):
         sf = simulate_slow_fast(spying(F=spied(co.F, seen)), record_every=2)
         return [sf.slow, sf.fast], p_moment(sf.slow.clouds, p)[:-1], 2
     if name == "auxiliary":
+        # per step, G drives Y at X_j, then one twin per block length at its
+        # block start; increment_stats steps the pair as simulate_slow_fast does
         sf = simulate_slow_fast(cfg)
-        snaps = slow_snapshots(sf.slow, 4 * cfg.h_fast)
-        flow = simulate_auxiliary(spying(G=spied(co.G, seen)), snaps, record_every=2)
-        starts = np.arange(0, cfg.n_steps, 2) // 4 * 4
-        return [flow], p_moment(sf.slow.clouds, p)[starts], 2
+        increment_stats(spying(G=spied(co.G, seen)), [2 * cfg.h_fast, 4 * cfg.h_fast], "aux")
+        j = np.arange(cfg.n_steps)
+        law = p_moment(sf.slow.clouds, p)
+        return [sf.slow, sf.fast], np.stack([law[j], law[j // 2 * 2], law[j // 4 * 4]], 1), 3
     if name == "frozen":
         frozen = FrozenInput(x=np.array([0.3, -0.2, 0.1, 0.0]), mu_stat=0.6, y0=np.zeros(4))
         flow = simulate_frozen(frozen, 1 / 16, 2**-9, spec, dataclasses.replace(
@@ -134,13 +136,15 @@ class TestLawFlowRecord:
     @pytest.mark.parametrize("name", ["mkv", "slow_fast", "auxiliary", "frozen", "averaged"])
     def test_time_major_clouds_carry_the_law_read(self, name, p):
         seen = []
-        flows, law, every = stepped(name, p, seen)
+        flows, law, calls = stepped(name, p, seen)
         for flow in flows:
             assert flow.clouds.flags.c_contiguous
             assert flow.clouds.shape == (flow.n_times, 6, 4)
         # the drift read each recorded time's statistic off that time's cloud
-        assert len(seen) == every * (flows[0].n_times - 1)
-        assert np.asarray(seen)[::every].tobytes() == law.tobytes()
+        assert len(seen) == calls * (flows[0].n_times - 1)
+        law = law.reshape(flows[0].n_times - 1, -1)
+        reads = np.asarray(seen).reshape(-1, calls)[:, :law.shape[1]]
+        assert reads.tobytes() == law.tobytes()
 
         # the distances take such clouds as plain arrays and check them first
         cloud = flows[0].clouds[-1]
@@ -167,12 +171,6 @@ class TestMultiscaleConfig:
             MultiscaleConfig(base=base, epsilon=1 / 32, h_fast=1 / 64)
         with pytest.raises(ValueError, match="step count"):
             MultiscaleConfig(base=base, epsilon=0.125, h_fast=0.3 / 32)
-        with pytest.raises(ValueError, match="aligned"):
-            MultiscaleConfig(base=base, epsilon=0.125, h_fast=1 / 128,
-                             delta=0.1)
-        with pytest.raises(ValueError, match="outside"):
-            MultiscaleConfig(base=base, epsilon=0.125, h_fast=1 / 128,
-                             delta=1.0)
 
     def test_dissipativity_gap_required(self, spec4):
         marginal = CoefficientSet(
@@ -193,12 +191,6 @@ class TestMultiscaleConfig:
         assert cfg.delta_resolved == pytest.approx(0.125, abs=1e-15)
         capped = MultiscaleConfig(base=base, epsilon=0.25, h_fast=1 / 64)
         assert capped.delta_resolved == base.T  # eps**0.5 = 0.5 > T
-
-    def test_explicit_delta_wins(self, spec4, coeffs4):
-        base = self._base(spec4, coeffs4)
-        cfg = MultiscaleConfig(base=base, epsilon=2**-6, h_fast=2**-10,
-                               delta=2**-5)
-        assert cfg.delta_resolved == 2**-5
 
 
 class TestSimulateSlowFast:
@@ -265,50 +257,65 @@ class TestSimulateSlowFast:
 
 
 class TestAuxiliaryProcess:
-    def _cfg(self, coeffs, M=32, seed=13):
+    """The block-frozen twins and the increment gaps of :func:`increment_stats`."""
+
+    def _cfg(self, coeffs, M=32, seed=13, T=0.25, h_fast=2**-9, epsilon=2**-5):
         spec = OperatorSpec(n_modes=4, a=2.0, b=1.0, g=1.0, alpha=1.5,
                             theta=1.0, p=1.0)
-        base = SimConfig(spec=spec, coeffs=coeffs, T=0.25, h=0.125, M=M,
+        base = SimConfig(spec=spec, coeffs=coeffs, T=T, h=T / 2, M=M,
                          seed=seed, xi=0.3)
-        return MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9,
+        return MultiscaleConfig(base=base, epsilon=epsilon, h_fast=h_fast,
                                 eta=0.1)
 
     def test_single_step_blocks_degenerate(self, coeffs4):
+        # delta = h_fast: each twin reads X_j at step j, as Y does
         cfg = self._cfg(coeffs4)
-        sf = simulate_slow_fast(cfg)
-        snaps = slow_snapshots(sf.slow, cfg.h_fast)
-        aux = simulate_auxiliary(cfg, snaps)
-        assert np.array_equal(aux.clouds, sf.fast.clouds)
+        (row,) = increment_stats(cfg, [cfg.h_fast], "aux")
+        assert (row.mean_pow, row.var_pow, row.n) == (0.0, 0.0, 32)
 
     def test_freezing_noop_when_g_ignores_slow(self):
         cfg = self._cfg(y_blind_g_coeffs(4))
-        sf = simulate_slow_fast(cfg)
-        for delta in (2**-6, 0.125):
-            aux = simulate_auxiliary(cfg, slow_snapshots(sf.slow, delta))
-            assert np.array_equal(aux.clouds, sf.fast.clouds)
+        rows = increment_stats(cfg, [2**-6, 0.125], "aux")
+        assert [(r.mean_pow, r.var_pow) for r in rows] == [(0.0, 0.0)] * 2
 
     def test_frozen_inputs_actually_freeze(self, coeffs4):
         # with a slow-sensitive G the auxiliary path must differ
         cfg = self._cfg(coeffs4)
-        sf = simulate_slow_fast(cfg)
-        aux = simulate_auxiliary(cfg, slow_snapshots(sf.slow, 0.125))
-        assert not np.array_equal(aux.clouds, sf.fast.clouds)
+        (row,) = increment_stats(cfg, [0.125], "aux")
+        assert row.mean_pow > 0.0
 
     def test_misaligned_delta_rejected(self, coeffs4):
         cfg = self._cfg(coeffs4)
-        sf = simulate_slow_fast(cfg)
-        good = slow_snapshots(sf.slow, 0.125)
-        bad = SlowSnapshots(delta=0.1, times=good.times, x=good.x)
         with pytest.raises(ValueError, match="aligned"):
-            simulate_auxiliary(cfg, bad)
+            increment_stats(cfg, [0.1], "aux")
+        with pytest.raises(ValueError, match="arm"):
+            increment_stats(cfg, [0.125], "fast")
 
-    def test_snapshot_undersupply_rejected(self, coeffs4):
+    def test_slow_arm_is_the_recorded_flows_time_mean(self, coeffs4):
+        # right-endpoint gaps |X_j - X_(block start of (t_{j-1}, t_j])|,
+        # added time after time, as a recorded flow's axis-0 mean adds them
         cfg = self._cfg(coeffs4)
-        sf = simulate_slow_fast(cfg)
-        good = slow_snapshots(sf.slow, 0.125)
-        starved = SlowSnapshots(delta=good.delta, times=good.times[:1], x=good.x[:1])
-        with pytest.raises(ValueError, match="snapshots"):
-            simulate_auxiliary(cfg, starved)
+        x = simulate_slow_fast(cfg).slow.clouds
+        j = np.arange(1, x.shape[0])
+        deltas = [2**-8, 2**-5, 2**-5, 0.125]
+        rows = increment_stats(cfg, deltas, "slow")
+        for d, row in zip(deltas, rows):
+            s = round(d / cfg.h_fast)
+            gap = np.linalg.norm(x[j] - x[(j - 1) // s * s], axis=2)
+            assert row == multiscale.StrongErrorStats.from_sample(gap.mean(axis=0), 1.0)
+
+    @pytest.mark.parametrize("arm", ["slow", "aux"])
+    def test_memory_does_not_grow_with_T(self, coeffs4, arm):
+        peaks = []
+        for T in (1.0, 8.0):
+            cfg = self._cfg(coeffs4, M=16, T=T, h_fast=2**-8, epsilon=2**-4)
+            tracemalloc.start()
+            try:
+                increment_stats(cfg, [2**-6, 2**-4, 2**-2], arm)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestFrozenEquation:
@@ -523,18 +530,6 @@ class TestAveragedEquationAndStrongError:
         for bad_m in (1.5, 0.5):
             with pytest.raises(ValueError, match="moment order"):
                 strong_error_stats(cfg, drift, m=bad_m)
-
-    def test_estimator_independent_of_delta(self, spec4, coeffs4):
-        drift = AveragedDrift(mode="stationary_quadrature")
-        stats = []
-        for delta in (2**-6, 2**-4):
-            base = SimConfig(spec=spec4, coeffs=coeffs4, T=0.25, h=0.125,
-                             M=32, seed=2, xi=0.3)
-            cfg = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9,
-                                   delta=delta)
-            stats += strong_error_stats(cfg, drift)
-        # the coupling goes through Fbar itself; delta is only bookkeeping
-        assert stats[0].mean_pow == stats[1].mean_pow
 
     def test_error_positive_and_replayable(self, spec8, coeffs8):
         base = SimConfig(spec=spec8, coeffs=coeffs8, T=0.25, h=0.125, M=32,
