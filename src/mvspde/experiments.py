@@ -373,9 +373,15 @@ def _increment_study(cfg, delta_grid, kind, arm, n_replicas, n_workers):
     deltas = [float(d) for d in delta_grid]
     if len(deltas) < 2:
         raise ConfigError("delta grid needs at least 2 points", "/study/grid")
+    seen = set()
     for d in deltas:
-        if whole_steps(d, cfg.h_fast, "delta", "/study/grid") > cfg.n_steps:
+        steps = whole_steps(d, cfg.h_fast, "delta", "/study/grid")
+        if steps > cfg.n_steps:
             raise ConfigError(f"delta = {d:.6g} exceeds T = {cfg.base.T:.6g}", "/study/grid")
+        if steps in seen:
+            raise ConfigError(f"delta = {d:.6g} repeats a grid point: a repeat would count "
+                              "twice in the fitted slope", "/study/grid")
+        seen.add(steps)
     base = cfg.base
     tasks = [(replace(cfg, base=replace(base, M=count)), deltas, arm,
               range(offset, offset + count), r)

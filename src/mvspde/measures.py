@@ -16,8 +16,9 @@ implementation here:
 Distances:
 
 * ``wasserstein_exact`` solves the optimal assignment between two
-  equal-size clouds (Hungarian algorithm on the cost matrix |x_i - y_j|^p)
-  and is the reference implementation, used up to M = 256.
+  equal-size clouds (SciPy's compiled LSAP kernel, see
+  :func:`assignment_solver`, on the cost matrix |x_i - y_j|^p) and is the
+  reference implementation, used up to M = 256.
 * ``wasserstein_sliced`` averages one-dimensional transport costs of random
   projections; the 1-d cost is closed-form (sorted samples matched in
   order).  It is a biased-low surrogate that scales to large M.
@@ -35,6 +36,10 @@ assignment solver computes.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +58,7 @@ __all__ = [
     "EXACT_ASSIGNMENT_LIMIT",
 ]
 
-# Hungarian assignment is O(M^3); past this size callers should slice.
+# exact assignment is O(M^3); past this size callers should slice.
 EXACT_ASSIGNMENT_LIMIT = 256
 
 # Relative slack on the index-coupling bound before dT_metric stops visiting
@@ -63,12 +68,31 @@ EXACT_ASSIGNMENT_LIMIT = 256
 PRUNE_MARGIN = 1e-9
 
 
+@functools.cache
 def assignment_solver():
-    """scipy's ``linear_sum_assignment``, imported on first use.
+    """SciPy's compiled ``linear_sum_assignment``, loaded once on first use.
 
-    Loading scipy.optimize takes about half a second, most of the package's
-    import time, and only exact W_p needs it.
+    The solver is D. F. Crouse's rectangular LSAP ("On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 52(4), 2016), which SciPy
+    ships as the extension module ``scipy/optimize/_lsap``.  That file is
+    loaded on its own, in about a millisecond: importing the
+    ``scipy.optimize`` package to reach it takes about half a second (it
+    pulls in ``scipy.linalg``, ``scipy.sparse`` and ``scipy.fft``) and is
+    skipped, so ``scipy.optimize`` stays out of ``sys.modules``.  Nothing here registers
+    the module; CPython itself records a single-phase extension under its
+    name, and a later ``import scipy.optimize`` reuses it, so its
+    ``linear_sum_assignment`` is this same function.  Only where that file
+    is missing is the package imported.
     """
+    scipy = importlib.util.find_spec("scipy")
+    for directory in (scipy and scipy.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "optimize", "_lsap" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location("scipy.optimize._lsap", path)
+                kernel = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(kernel)
+                return kernel.linear_sum_assignment
     from scipy.optimize import linear_sum_assignment
 
     return linear_sum_assignment

@@ -139,11 +139,13 @@ def _absorb(pool: list, hash_const: int, words) -> tuple[list, int]:
 
 
 @lru_cache(maxsize=64)
-def _seed_pool(words: tuple[int, ...]) -> tuple[list, int]:
-    """SeedSequence.mix_entropy over at least ``_POOL_SIZE`` entropy words (ints).
+def _seed_pool(seed: int, replica: int) -> tuple[list, int]:
+    """SeedSequence.mix_entropy over the seed's words (padded to the pool) and the replica's.
 
     Cached: every stream of a (seed, replica) starts from the same pool.
     """
+    words = _words(seed)
+    words += [0] * (_POOL_SIZE - len(words)) + _words(replica)
     hash_const, pool = _INIT_A, []
     for word in words[:_POOL_SIZE]:
         value, hash_const = _hashmix(word, hash_const)
@@ -204,15 +206,13 @@ def philox_keys(seed: int, replica: int, particles, slots) -> np.ndarray:
     Philox seeded by that SeedSequence takes, for any non-negative integer
     coordinates.  SeedSequence hashes the 32-bit words of the seed (padded
     to its pool of 4) and then of each spawn-key entry.  The seed's and the
-    replica's words are hashed once as ints; each particle's and slot's
-    words are hashed as arrays over the whole (particle, slot) grid, one
-    numpy operation per step of the hash.
+    replica's words are hashed once as ints (cached per pair); each
+    particle's and slot's words are hashed as arrays over the whole
+    (particle, slot) grid, one numpy operation per step of the hash.
     """
-    head = _words(_coordinate("seed", seed))
-    head += [0] * (_POOL_SIZE - len(head)) + _words(_coordinate("replica", replica))
     particles = [_coordinate("particle", v) for v in particles]
     slots = [_coordinate("slot", v) for v in slots]
-    pool, hash_const = _seed_pool(tuple(head))
+    pool, hash_const = _seed_pool(_coordinate("seed", seed), _coordinate("replica", replica))
     keys = np.empty((len(particles), len(slots), 2), dtype=np.uint64)
     for rows, pid_words in _word_groups(particles, axis=0):
         for cols, slot_words in _word_groups(slots, axis=1):

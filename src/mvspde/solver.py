@@ -344,7 +344,7 @@ def picard_law_iteration(
                           "every flow distance past t = 0 would read 0", "/study/lambda_weight")
 
     if config.M <= EXACT_ASSIGNMENT_LIMIT:
-        assignment_solver()  # load scipy's solver now, not inside the first distance
+        assignment_solver()  # load the LSAP kernel now, not inside the first distance
 
     spec = config.spec
     J = config.n_steps

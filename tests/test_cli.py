@@ -180,6 +180,9 @@ CONFIG_FAULTS = {
         coefficients={"variant": "linear_test", "K": None}), "/coefficients/variant"),
     "hoelder-delta-off-grid": ("hoelder-study", dict(
         sim={"h_fast": 2**-9}, study={**_HOELDER, "grid": [0.125, 1e-4]}), "/study/grid"),
+    "aux-gap-delta-repeated": ("aux-gap", dict(
+        sim={"h_fast": 2**-9}, study={**_HOELDER, "kind": "aux-gap",
+                                      "grid": [0.125, 0.0625, 0.0625, 0.03125]}), "/study/grid"),
     "hoelder-1-point-grid": ("hoelder-study", dict(
         sim={"h_fast": 2**-9}, study={**_HOELDER, "grid": [0.125]}), "/study/grid"),
     "hoelder-h-fast-coarse": ("hoelder-study", dict(
@@ -521,11 +524,22 @@ class TestBenchmarkHooks:
         assert stepped and all(co is built[0] for co in stepped)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only exact W_p needs scipy's assignment solver; loading it costs ~0.5 s
-    code = "import sys, mvspde.cli; print('scipy.optimize' in sys.modules)"
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # importing the scipy.optimize package costs about half a second; exact
+    # W_p loads only its compiled assignment kernel, so neither importing
+    # the CLI nor a picard run on the exact path imports the package; a
+    # later import of the package hands out that same loaded function
+    cfg = write_cfg(tmp_path, sim={"M": 8},
+                    study={"kind": "picard", "grid": None, "n_iters": 2})
+    code = ("import sys, mvspde.cli; print('scipy.optimize' in sys.modules); "
+            "print(mvspde.cli.run(sys.argv[1:])); print('scipy.optimize' in sys.modules); "
+            "import scipy.optimize, mvspde.measures as m; "
+            "print(scipy.optimize.linear_sum_assignment is m.assignment_solver()); "
+            "print(m.assignment_solver.cache_info().misses)")
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, "picard", "--config", cfg,
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.strip().splitlines()
+    assert [lines[0], *lines[-4:]] == ["False", "0", "False", "True", "1"]

@@ -296,6 +296,9 @@ class TestIncrementStudies:
             hoelder_study(cfg, (0.1, 0.2), n_replicas=2)
         with pytest.raises(ValueError, match="at least 2"):
             hoelder_study(cfg, (2**-5,), n_replicas=2)
+        with pytest.raises(ConfigError, match="repeats") as err:
+            hoelder_study(cfg, (2**-4, 2**-5, 2**-5, 2**-6), n_replicas=2)
+        assert err.value.pointer == "/study/grid"
 
     def test_aux_gap_zero_when_g_ignores_slow(self, spec4):
         blind = CoefficientSet(

@@ -1,9 +1,12 @@
+import importlib.machinery
+import importlib.util
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from mvspde import measures
 from mvspde.measures import (
@@ -78,7 +81,7 @@ class TestModeByModeCost:
         x, y = gen.standard_cauchy((2, m, n_modes))
         ref = tensor_cost(x, y, p)
         assert measures._cost_matrix(x, y, p).tobytes() == ref.tobytes()
-        rows, cols = measures.assignment_solver()(ref)
+        rows, cols = linear_sum_assignment(ref)
         want = float(np.mean(ref[rows, cols]) ** (1.0 / p))
         assert wasserstein_exact(x, y, p) == want
 
@@ -95,6 +98,76 @@ class TestModeByModeCost:
         finally:
             tracemalloc.stop()
         assert peak < (n_modes + 2) * m * m * 8
+
+
+def tie_costs():
+    """Cost matrices whose optimal assignment is far from unique."""
+    gen = np.random.default_rng(11)
+    xi = np.array([0.5, -0.3, 0.2])
+    y = gen.normal(size=(16, 3))
+    dup = np.repeat(gen.normal(size=(4, 3)), 4, axis=0)
+    return {
+        "constant-cloud": measures._cost_matrix(np.tile(xi, (16, 1)), y, 1.0),
+        "duplicate-atoms": measures._cost_matrix(dup, dup[::-1], 1.25),
+        "rectangular": gen.integers(0, 3, size=(5, 8)).astype(float),
+    }
+
+
+class TestAssignmentKernel:
+    """The kernel loaded from its file is scipy.optimize's function."""
+
+    @pytest.mark.parametrize("case", list(tie_costs()))
+    def test_same_assignment_as_scipy_on_ties(self, case):
+        cost = tie_costs()[case]
+        for c in (cost, cost.T):
+            got, want = measures.assignment_solver()(c), linear_sum_assignment(c)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_nan_cost_raises_scipys_error(self):
+        cost = np.ones((3, 3))
+        cost[1, 2] = np.nan
+        errors = []
+        for solve in (measures.assignment_solver(), linear_sum_assignment):
+            with pytest.raises(ValueError) as info:
+                solve(cost)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_loaded_once_per_process(self, monkeypatch):
+        loads = []
+        real = importlib.util.spec_from_file_location
+
+        def spy(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(importlib.util, "spec_from_file_location", spy)
+        measures.assignment_solver.cache_clear()
+        try:
+            x, y = np.random.default_rng(2).normal(size=(2, 6, 3))
+            for _ in range(3):
+                wasserstein_exact(x, y, 1.0)
+            assert measures.assignment_solver() is linear_sum_assignment
+        finally:
+            measures.assignment_solver.cache_clear()
+        assert len(loads) == 1 and loads[0][0] == "scipy.optimize._lsap"
+
+    def test_package_import_where_kernel_file_missing(self, monkeypatch):
+        def no_load(*args, **kwargs):
+            raise AssertionError("the kernel file was found")
+
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        monkeypatch.setattr(importlib.util, "spec_from_file_location", no_load)
+        measures.assignment_solver.cache_clear()
+        try:
+            assert measures.assignment_solver() is linear_sum_assignment
+            x, y = np.random.default_rng(3).normal(size=(2, 6, 3))
+            cost = measures._cost_matrix(x, y, 1.0)
+            rows, cols = linear_sum_assignment(cost)
+            assert wasserstein_exact(x, y, 1.0) == float(np.mean(cost[rows, cols]))
+        finally:
+            measures.assignment_solver.cache_clear()
 
 
 def p_moment_reference(x, p):

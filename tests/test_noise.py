@@ -255,6 +255,9 @@ class TestKeySchedule:
             for j, slot in enumerate(slots):
                 ss = np.random.SeedSequence(seed, spawn_key=(replica, pid, slot))
                 assert np.array_equal(keys[i, j], ss.generate_state(2, np.uint64))
+                # a lone address, hashed in Python ints
+                lone = noise.philox_keys(seed, replica, [pid], [slot])
+                assert lone.shape == (1, 1, 2) and np.array_equal(lone[0, 0], keys[i, j])
 
     @pytest.mark.parametrize("seed", KEY_SEEDS)
     @pytest.mark.parametrize("channel", range(5))
