@@ -44,6 +44,17 @@ from .multiscale import FrozenInput
 # frozen-equation probes scan the initial state at these multiples
 PROBE_SCALES = (0.5, 1.0, 2.0)
 
+# subcommand -> (study kind its config may declare, help blurb), in --help order
+_COMMANDS = {
+    "validate": (None, "check operator and coefficient assumptions, then stop"),
+    "simulate": ("simulate", "run the interacting system; persist the moment curve"),
+    "picard": ("picard", "trace the law fixed-point iteration distances"),
+    "ergodicity": ("ergodicity", "fit frozen-equation mixing rates on probe inputs"),
+    "rate-study": ("rate", "strong averaging error against the timescale ratio"),
+    "hoelder-study": ("hoelder", "slow-path increment regularity against block length"),
+    "aux-gap": ("aux-gap", "fast-path gap to its block-frozen twin against block length"),
+}
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -51,15 +62,7 @@ def _parser() -> argparse.ArgumentParser:
         description="two-timescale interacting-system simulations and studies",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("validate", "check operator and coefficient assumptions, then stop"),
-        ("simulate", "run the interacting system; persist the moment curve"),
-        ("picard", "trace the law fixed-point iteration distances"),
-        ("ergodicity", "fit frozen-equation mixing rates on probe inputs"),
-        ("rate-study", "strong averaging error against the timescale ratio"),
-        ("hoelder-study", "slow-path increment regularity against block length"),
-        ("aux-gap", "fast-path gap to its block-frozen twin against block length"),
-    ):
+    for name, (_, blurb) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--seed", type=int, default=None,
@@ -125,7 +128,7 @@ def run(argv=None) -> int:
         return 2
 
     try:
-        study = _study_section(cfg, _KIND_BY_COMMAND[args.command])
+        study = _study_section(cfg, _COMMANDS[args.command][0])
         base = build_sim(cfg, spec, coeffs)
         out_dir = args.out or study.get("out_dir", "out")
 
@@ -187,16 +190,6 @@ def run(argv=None) -> int:
         return 1
     print(manifest)
     return 0
-
-
-_KIND_BY_COMMAND = {
-    "simulate": "simulate",
-    "picard": "picard",
-    "ergodicity": "ergodicity",
-    "rate-study": "rate",
-    "hoelder-study": "hoelder",
-    "aux-gap": "aux-gap",
-}
 
 
 def main() -> None:

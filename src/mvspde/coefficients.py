@@ -58,6 +58,7 @@ __all__ = [
     "effective_constants",
     "dissipativity_gap",
     "check_bounded_drift",
+    "averaged_drift",
     "assumption_report",
 ]
 
@@ -502,6 +503,16 @@ def check_bounded_drift(coeffs: CoefficientSet) -> None:
         raise ConfigError(f"family '{coeffs.variant}' has unbounded slow drift: sup-error "
                           "tails are uncontrolled; use a bounded family",
                           "/coefficients/variant")
+
+
+def averaged_drift(coeffs: CoefficientSet, spec: OperatorSpec) -> Callable:
+    """The family's exact Fbar, ``coeffs.fbar_factory(spec)``; raise at
+    /coefficients/variant for a family that exposes none."""
+    if coeffs.fbar_factory is None:
+        raise ConfigError(f"family '{coeffs.variant}' exposes no averaged drift: "
+                          "the averaged equation needs its fbar_factory",
+                          "/coefficients/variant")
+    return coeffs.fbar_factory(spec)
 
 
 def assumption_report(spec: OperatorSpec, coeffs: CoefficientSet) -> ValidationReport:

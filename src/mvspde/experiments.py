@@ -45,16 +45,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CoefficientSet, check_bounded_drift, dissipativity_gap
+from .coefficients import CoefficientSet, averaged_drift, check_bounded_drift, dissipativity_gap
 from .config import describe
 from .measures import FitReport, fit_line
 from .multiscale import (
-    AveragedDrift,
     MultiscaleConfig,
     NoSignalError,
     StrongErrorStats,
     ergodicity_decay,
-    estimate_fbar,
     grid_steps,
     increment_stats,
     strong_error_stats,
@@ -256,21 +254,15 @@ def _run_tasks(fn, tasks, n_workers: int):
         return list(pool.map(fn, *zip(*tasks), chunksize=1))
 
 
-def _default_drift(coeffs: CoefficientSet) -> AveragedDrift:
-    if coeffs.fbar_factory is not None:
-        return AveragedDrift(mode="stationary_quadrature")
-    return AveragedDrift(mode="ergodic_estimate")
-
-
 # --------------------------------------------------------------------------
 # rate study: strong coupling error against the timescale ratio
 
 
-def _rate_task(cfg, drift, m, replicas):
+def _rate_task(cfg, m, replicas):
     """Per-replica StrongErrorStats of one batch of systems of cfg.base.M particles."""
     count = cfg.base.M
     return strong_error_stats(
-        cfg, drift, m=m,
+        cfg, m=m,
         replicas=[(rep, range(offset, offset + count)) for rep, offset in replicas],
     )
 
@@ -307,7 +299,7 @@ def rate_study(
     grid (fast step ``eps * h_fast_ratio``) and fits the log-log slope of
     the error curve, to be compared against the theoretical order
     theta / (2 (1 + theta)); :func:`_power_law_curve` flags the points at
-    the noise floor.  The averaged drift is the family's default one.
+    the noise floor.  The averaged drift is the family's ``fbar_factory``.
     Every config fault raises before the first worker starts.
     """
     t0 = time.perf_counter()
@@ -324,9 +316,7 @@ def rate_study(
                 for e in eps]
     except ConfigError as exc:
         raise exc.at("/study/h_fast_ratio") from None
-    drift = _default_drift(coeffs)
-    if coeffs.fbar_factory is not None:
-        coeffs.fbar_factory(spec)  # warm shared tables before any fork
+    averaged_drift(coeffs, spec)  # warm shared tables before any fork
 
     chunks = _split_counts(base.M, n_replicas)
     steps = [c.n_steps for c in cfgs]
@@ -338,12 +328,12 @@ def rate_study(
         for batch in _replica_batches(chunks, n_parts):
             batch_cfg = replace(cfg, base=replace(base, M=chunks[batch[0]][1]))
             replicas = [(gi * n_replicas + r, chunks[r][0]) for r in batch]
-            tasks.append((batch_cfg, drift, m, replicas))
+            tasks.append((batch_cfg, m, replicas))
     # costliest batches first, so that workers finish together
-    tasks.sort(key=lambda t: -t[0].base.M * len(t[3]) / t[0].h_fast)
+    tasks.sort(key=lambda t: -t[0].base.M * len(t[2]) / t[0].h_fast)
     moments = {}
     for task, rows in zip(tasks, _run_tasks(_rate_task, tasks, n_workers)):
-        moments.update(zip((rep for rep, _ in task[3]), rows))
+        moments.update(zip((rep for rep, _ in task[2]), rows))
 
     grid, flags, fit = _power_law_curve(
         eps, [[moments[gi * n_replicas + r] for r in range(n_replicas)]
@@ -352,7 +342,7 @@ def rate_study(
     config = describe(spec, coeffs, base)
     config["sim"]["eta"] = cfgs[0].eta
     config["study"] = {"kind": "rate", "grid": eps, "m": m, "h_fast_ratio": h_fast_ratio,
-                       "n_replicas": n_replicas, "drift_mode": drift.mode}
+                       "n_replicas": n_replicas}
     seeds = (base.seed,) + tuple(range(len(eps) * n_replicas))
     return _result("rate", grid, config, seeds, t0, {
         "theory_slope": theta / (2.0 * (1.0 + theta)),
@@ -460,25 +450,23 @@ def ergodicity_study(
     (i + 1, fitted rate, rate stderr).  Probes whose decay curve never
     rises above the Monte Carlo floor (e.g. started at the stationary
     mean) are flagged ``no-signal`` and reported as nan.  The reference
-    Fbar comes from the family's default averaged drift.  The time grid
-    is checked once, by :func:`~mvspde.multiscale.grid_steps`, before the
-    first probe's reference Fbar.
+    Fbar is the family's ``fbar_factory``.  The time grid is checked once,
+    by :func:`~mvspde.multiscale.grid_steps`, before Fbar is built.
     """
     t0 = time.perf_counter()
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe input")
-    grid_steps(t_grid, h_step)  # the grid is checked before any probe's Fbar
-    drift = _default_drift(coeffs)
+    grid_steps(t_grid, h_step)  # the grid is checked before Fbar
+    fbar = averaged_drift(coeffs, spec)
     gap = dissipativity_gap(coeffs, spec)
     grid, flags, reports = [], {}, []
     for i, probe in enumerate(probes):
         rng = RngStream(seed, replica=i, channel=CH_FROZEN)
-        fbar_ref = estimate_fbar(drift, probe, spec, coeffs)
         try:
             rep = ergodicity_decay(
                 probe, spec, coeffs, np.asarray(t_grid, dtype=float),
-                ensemble, rng, h_step=h_step, fbar_ref=fbar_ref,
+                ensemble, rng, h_step=h_step, fbar_ref=fbar(probe.x, probe.mu_stat),
             )
         except NoSignalError:
             flags[str(i)] = "no-signal"

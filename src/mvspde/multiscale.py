@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral import ConfigError, OperatorSpec, check_moment_order, whole_steps
-from .coefficients import CoefficientSet, check_bounded_drift, dissipativity_gap
+from .coefficients import CoefficientSet, averaged_drift, check_bounded_drift, dissipativity_gap
 from .measures import LawFlow, fit_line, p_moment, sum_squares
 from .solver import (
     NonFiniteState,
@@ -62,7 +62,6 @@ __all__ = [
     "simulate_slow_fast",
     "simulate_frozen",
     "AveragedDrift",
-    "estimate_fbar",
     "ergodic_fbar",
     "DecayReport",
     "NoSignalError",
@@ -139,28 +138,21 @@ class SlowFastPaths:
     fast: LawFlow
 
 
-def simulate_slow_fast(
-    cfg: MultiscaleConfig,
-    particle_ids=None,
-    replica: int = 0,
-    record_every: int = 1,
-) -> SlowFastPaths:
+def simulate_slow_fast(cfg: MultiscaleConfig, record_every: int = 1) -> SlowFastPaths:
     """Advance the coupled system; record both components every ``record_every`` steps.
 
     The two components share the step grid; the fast one gets the
     epsilon-rescaled exponents.  Slow and fast noise live on disjoint
-    channels of the same per-particle streams, so reruns (and the paired
-    averaged run and increment gaps) can reproduce either component bitwise.
+    channels of the same per-particle streams (replica 0, particles
+    0..M-1), so reruns (and the paired averaged run and increment gaps)
+    can reproduce either component bitwise.
     """
     base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
     J = cfg.n_steps
     shape = (base.M, spec.n_modes)
     (xs, ys), mu, observe = _recorder(J, record_every, shape, 2, spec.p)
-    banks = [
-        StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, channel,
-                        replica=replica, particle_ids=particle_ids)
-        for channel in (CH_SLOW, CH_FAST)
-    ]
+    banks = [StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, channel)
+             for channel in (CH_SLOW, CH_FAST)]
     advance(
         {"slow component X": np.broadcast_to(base.xi, shape),
          "fast component Y": np.broadcast_to(cfg.eta, shape)},
@@ -210,42 +202,25 @@ def simulate_frozen(
 
 @dataclass
 class AveragedDrift:
-    """How to evaluate the averaged slow drift Fbar.
+    """Settings of :func:`ergodic_fbar`, the ergodic time-average estimate of Fbar.
 
-    modes
-    -----
-    ``stationary_quadrature`` the family's own Fbar, F integrated against the
-                             frozen equation's stationary law (available when
-                             the family exposes it: closed form for the linear
-                             oracle, quadrature tables for bounded_smooth)
-    ``ergodic_estimate``     long-path time average after burn-in, cached per
-                             family, stream and quantized (x, mu_stat); the
-                             estimator the averaging principle suggests
+    The averaged drift Fbar(x, mu) is F integrated against the frozen
+    equation's stationary law.  Studies read it from the family's
+    ``fbar_factory`` (through :func:`~mvspde.coefficients.averaged_drift`);
+    the ergodic estimate is the estimator the averaging principle suggests,
+    kept as the reference that closed form is checked against.
 
     ``relax_time`` / ``avg_time`` default to 8 and 64 relaxation times
-    1/(lambda_1 - L_G).  Ergodic estimates are reproducible: the stream for
-    a cache key is derived from ``seed`` and a hash of (x, mu_stat) quantized
-    at ``CACHE_RESOLUTION``, so results do not depend on evaluation order.
+    1/(lambda_1 - L_G).  Estimates are reproducible: the stream for a cache
+    key is derived from ``seed`` and a hash of (x, mu_stat) quantized at
+    ``CACHE_RESOLUTION``, so results do not depend on evaluation order.
     """
 
-    mode: str = "stationary_quadrature"
     relax_time: float | None = None
     avg_time: float | None = None
     h_step: float = 0.005
     seed: int = 2**20
     cache: dict = field(default_factory=dict)
-
-    _MODES = ("stationary_quadrature", "ergodic_estimate")
-
-    def __post_init__(self):
-        if self.mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}, got {self.mode!r}")
-
-    def windows(self, spec: OperatorSpec, coeffs: CoefficientSet) -> tuple[float, float]:
-        gap = dissipativity_gap(coeffs, spec)
-        t_b = 8.0 / gap if self.relax_time is None else self.relax_time
-        t_a = 64.0 / gap if self.avg_time is None else self.avg_time
-        return t_b, t_a
 
 
 # relative quantum of the ergodic-estimate cache key, and the number of
@@ -282,7 +257,9 @@ def ergodic_fbar(
     key = (spec, coeffs, base.seed, base.replica) + point
     if key in drift.cache:
         return drift.cache[key]
-    t_b, t_a = drift.windows(spec, coeffs)
+    gap = dissipativity_gap(coeffs, spec)
+    t_b = 8.0 / gap if drift.relax_time is None else drift.relax_time
+    t_a = 64.0 / gap if drift.avg_time is None else drift.avg_time
     key_hash = zlib.crc32(repr(point).encode()) & 0x7FFFFFFF
     bank = StableNoiseBank(base.seed, spec.alpha, 1, spec.n_modes, CH_FROZEN,
                            replica=base.replica, particle_ids=[key_hash])
@@ -311,46 +288,6 @@ def ergodic_fbar(
     stderr = float(np.linalg.norm(stderr_vec))
     drift.cache[key] = (est, stderr)
     return est, stderr
-
-
-def estimate_fbar(
-    drift: AveragedDrift,
-    frozen: FrozenInput,
-    spec: OperatorSpec,
-    coeffs: CoefficientSet,
-    rng: RngStream | None = None,
-) -> np.ndarray:
-    """Averaged slow drift at a frozen input, by the drift's chosen mode."""
-    if drift.mode == "ergodic_estimate":
-        return ergodic_fbar(drift, frozen, spec, coeffs, rng)[0]
-    return averaged_drift_evaluator(drift, spec, coeffs)(frozen.x, frozen.mu_stat)
-
-
-def averaged_drift_evaluator(drift: AveragedDrift, spec: OperatorSpec, coeffs: CoefficientSet):
-    """Vectorised (x, mu_stat) -> Fbar evaluator for the averaged solver.
-
-    ``mu_stat`` is a float or, for a batch x of shape (R, M, n_modes), an
-    array of shape (R, 1, 1).  Closed-form modes vectorise over particles
-    and systems directly; the ergodic mode falls back to a per-particle loop
-    through the cache and is only meant for small ensembles.
-    """
-    if drift.mode == "stationary_quadrature":
-        if coeffs.fbar_factory is None:
-            raise ValueError(f"family '{coeffs.variant}' exposes no closed-form Fbar")
-        return coeffs.fbar_factory(spec)
-
-    def evaluate(x, mu_stat):
-        x = np.atleast_2d(x)
-        mu = np.broadcast_to(mu_stat, x.shape)[..., 0]
-        out = np.empty_like(x)
-        for i in np.ndindex(x.shape[:-1]):
-            out[i] = estimate_fbar(
-                drift, FrozenInput(x=x[i], mu_stat=float(mu[i]), y0=np.zeros(spec.n_modes)),
-                spec, coeffs,
-            )
-        return out
-
-    return evaluate
 
 
 @dataclass(frozen=True)
@@ -403,7 +340,8 @@ def ergodicity_decay(
     E F(x, mu, Y_t) at the grid times, and fits log|gap| ~ -rate * t on the
     points above 3x their Monte Carlo floor (nan stderr from two points),
     raising :class:`NoSignalError` when fewer than two are.  The theoretical
-    envelope decays at rate lambda_1 - L_G.
+    envelope decays at rate lambda_1 - L_G.  ``fbar_ref`` defaults to the
+    family's Fbar at the probe.
 
     ``rate_stderr`` is the line fit's slope stderr, which treats the grid
     points as independent; they are read off the same paths, so it
@@ -415,9 +353,7 @@ def ergodicity_decay(
     idx = grid_steps(t_grid, h_step)
     gap = dissipativity_gap(coeffs, spec)
     if fbar_ref is None:
-        if coeffs.fbar_factory is None:
-            raise ValueError("no closed-form Fbar available; pass fbar_ref explicitly")
-        fbar_ref = coeffs.fbar_factory(spec)(frozen.x, frozen.mu_stat)
+        fbar_ref = averaged_drift(coeffs, spec)(frozen.x, frozen.mu_stat)
 
     T_end = float(idx.max() * h_step)
     flow = simulate_frozen(
@@ -454,26 +390,19 @@ def ergodicity_decay(
     )
 
 
-def simulate_averaged(
-    cfg: MultiscaleConfig,
-    drift: AveragedDrift,
-    particle_ids=None,
-    replica: int = 0,
-    record_every: int = 1,
-) -> LawFlow:
+def simulate_averaged(cfg: MultiscaleConfig, record_every: int = 1) -> LawFlow:
     """Averaged slow equation driven by the *same* slow noise as the paired run.
 
-    This is the single-scale solver with B replaced by Fbar, stepped on the
-    fast grid and fed from the slow channel of the same (seed, replica,
-    particle) streams that :func:`simulate_slow_fast` uses — synchronous
-    coupling by construction.
+    This is the single-scale solver with B replaced by the family's Fbar,
+    stepped on the fast grid and fed from the slow channel of the same
+    (seed, replica, particle) streams that :func:`simulate_slow_fast` uses —
+    synchronous coupling by construction.
     """
     base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
     J = cfg.n_steps
     (xs,), mu, observe = _recorder(J, record_every, (base.M, spec.n_modes), p=spec.p)
-    fbar = averaged_drift_evaluator(drift, spec, coeffs)
-    bank_s = StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, CH_SLOW,
-                             replica=replica, particle_ids=particle_ids)
+    fbar = averaged_drift(coeffs, spec)
+    bank_s = StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, CH_SLOW)
     advance(
         {"averaged slow component": np.broadcast_to(base.xi, (base.M, spec.n_modes))},
         [euler_weights(spec, cfg.h_fast)],
@@ -519,7 +448,6 @@ class StrongErrorStats(NamedTuple):
 
 def strong_error_stats(
     cfg: MultiscaleConfig,
-    drift: AveragedDrift,
     m: float | None = None,
     replicas=((0, None),),
 ) -> tuple[StrongErrorStats, ...]:
@@ -546,7 +474,7 @@ def strong_error_stats(
     Requires p <= m < alpha (heavy tails: higher moments of the sup do not
     exist) and a coefficient family with bounded slow drift — with
     unbounded F the sup of the error has uncontrolled tails and the
-    estimator is meaningless.
+    estimator is meaningless — whose ``fbar_factory`` gives Xbar's drift.
     """
     base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
     if m is None:
@@ -555,7 +483,7 @@ def strong_error_stats(
     check_bounded_drift(coeffs)
     if len(replicas) == 0:
         raise ValueError("need at least one replica")
-    fbar = averaged_drift_evaluator(drift, spec, coeffs)
+    fbar = averaged_drift(coeffs, spec)
     J = cfg.n_steps
 
     def source(channel, scale):

@@ -53,7 +53,7 @@ particle groups a bank fills and transforms together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -64,7 +64,6 @@ from .spectral import OperatorSpec
 __all__ = [
     "RngStream",
     "philox_keys",
-    "ConvolutionIncrement",
     "sample_standard_stable",
     "convolution_scales",
     "sample_convolution_increment",
@@ -265,10 +264,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return self._open(2 * self.channel)
 
-    def derived(self, **coords) -> "RngStream":
-        """New stream with some coordinates replaced (seed kept)."""
-        return replace(self, **coords)
-
     def pair(self) -> tuple[np.random.Generator, np.random.Generator]:
         """The (uniform, exponential) generator pair for CMS sampling.
 
@@ -390,15 +385,6 @@ def sample_standard_stable(rng, alpha: float, size=None) -> np.ndarray | float:
     return out if size is not None else float(out)
 
 
-@dataclass(frozen=True)
-class ConvolutionIncrement:
-    """One exact window of the stochastic convolution, all modes at once."""
-
-    field: np.ndarray          # shape (..., n_modes)
-    h: float                   # window length (slow clock)
-    process: str               # "slow" or "fast"
-
-
 def convolution_scales(
     spec: OperatorSpec, h: float, process: str = "slow", epsilon: float | None = None
 ) -> np.ndarray:
@@ -432,12 +418,11 @@ def sample_convolution_increment(
     process: str = "slow",
     epsilon: float | None = None,
     size: int | None = None,
-) -> ConvolutionIncrement:
-    """Sample exact convolution increments; field shape (n_modes,) or (size, n_modes)."""
+) -> np.ndarray:
+    """Sample exact convolution increments, of shape (n_modes,) or (size, n_modes)."""
     sig = convolution_scales(spec, h, process, epsilon)
     n = (size, spec.n_modes) if size is not None else spec.n_modes
-    s = sample_standard_stable(rng, spec.alpha, size=n)
-    return ConvolutionIncrement(field=sig * s, h=h, process=process)
+    return sig * sample_standard_stable(rng, spec.alpha, size=n)
 
 
 def chf_estimate(samples: np.ndarray, h: float) -> float:

@@ -26,6 +26,7 @@ from scipy import stats
 from mvspde.cli import PROBE_SCALES, run
 from mvspde.coefficients import (
     CoefficientSet,
+    averaged_drift,
     bounded_smooth,
     effective_constants,
     linear_test,
@@ -42,9 +43,7 @@ from mvspde.multiscale import (
     AveragedDrift,
     FrozenInput,
     MultiscaleConfig,
-    averaged_drift_evaluator,
     ergodic_fbar,
-    estimate_fbar,
     simulate_frozen,
 )
 from mvspde.noise import (
@@ -111,8 +110,7 @@ class TestAcceptance:
         sig = convolution_scales(spec, 1.0)
         assert sig[0] == pytest.approx(0.6449182519666063, abs=1e-12)
         n = 100_000
-        inc = sample_convolution_increment(spec, 1.0, RngStream(41),
-                                           size=n).field
+        inc = sample_convolution_increment(spec, 1.0, RngStream(41), size=n)
         for k in range(spec.n_modes):
             ref = sig[k] * sample_standard_stable(RngStream(42 + k), 1.5, n)
             ks = stats.ks_2samp(inc[:, k], ref)
@@ -164,11 +162,10 @@ class TestAcceptance:
         coeffs = linear_test(spec, a=1.0, c=0.5)
         frozen = FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0,
                              y0=np.zeros(2))
-        analytic = estimate_fbar(AveragedDrift(mode="stationary_quadrature"),
-                                 frozen, spec, coeffs)
+        analytic = averaged_drift(coeffs, spec)(frozen.x, frozen.mu_stat)
         assert analytic[0] == pytest.approx(4.0)
-        est, stderr = ergodic_fbar(AveragedDrift(mode="ergodic_estimate"),
-                                   frozen, spec, coeffs, rng=RngStream(17))
+        est, stderr = ergodic_fbar(AveragedDrift(), frozen, spec, coeffs,
+                                   rng=RngStream(17))
         print(f"ergodic {est[0]:.4f} vs analytic {analytic[0]:.1f} "
               f"(3 se = {3 * stderr:.4f})")
         assert abs(est[0] - analytic[0]) <= 3.0 * stderr
@@ -177,8 +174,7 @@ class TestAcceptance:
                              theta=1.0, p=1.0)
         smooth = bounded_smooth(spec8, n_active=4)
         eff = effective_constants(smooth, spec8)
-        fbar = averaged_drift_evaluator(
-            AveragedDrift(mode="stationary_quadrature"), spec8, smooth)
+        fbar = averaged_drift(smooth, spec8)
         gen = RngStream(271, channel=3).generator()
         worst = 0.0
         for _ in range(50):

@@ -23,7 +23,14 @@ from mvspde.experiments import (
     rate_study,
     simulate_study,
 )
-from mvspde.multiscale import FrozenInput, MultiscaleConfig, NoSignalError, _BlockGaps
+from mvspde.multiscale import (
+    FrozenInput,
+    MultiscaleConfig,
+    NoSignalError,
+    _BlockGaps,
+    simulate_averaged,
+    strong_error_stats,
+)
 from mvspde.solver import SimConfig
 from mvspde.spectral import ConfigError, OperatorSpec
 
@@ -361,17 +368,17 @@ class TestErgodicityStudy:
     @pytest.mark.parametrize("t_grid", [[0.5, 1.0005], [1.0, 0.5], [1.0], [[0.5, 1.0]]])
     def test_grid_checked_before_any_fbar_or_bank(self, spec2, linear2, monkeypatch, t_grid):
         calls = []
-        real_fbar, real_bank = ex.estimate_fbar, noise.StableNoiseBank.__init__
+        real_fbar, real_bank = ex.averaged_drift, noise.StableNoiseBank.__init__
 
         def fbar_spy(*args, **kwargs):
-            calls.append("estimate_fbar")
+            calls.append("averaged_drift")
             return real_fbar(*args, **kwargs)
 
         def bank_spy(self, *args, **kwargs):
             calls.append("bank")
             real_bank(self, *args, **kwargs)
 
-        monkeypatch.setattr(ex, "estimate_fbar", fbar_spy)
+        monkeypatch.setattr(ex, "averaged_drift", fbar_spy)
         monkeypatch.setattr(noise.StableNoiseBank, "__init__", bank_spy)
         probes = [FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0, y0=np.zeros(2))] * 2
         with pytest.raises(ConfigError) as info:
@@ -423,6 +430,33 @@ class TestErgodicityStudy:
         monkeypatch.setattr(ex, "ergodicity_decay", raising(ValueError("MC floor")))
         with pytest.raises(ValueError, match="MC floor"):
             ergodicity_study([probe], spec2, linear2, grid, ensemble=10)
+
+
+class TestFamilyWithoutFbar:
+    """Every averaged-drift reader takes Fbar from the family's fbar_factory."""
+
+    @pytest.mark.parametrize("entry", ["rate_study", "strong_error_stats",
+                                       "simulate_averaged", "ergodicity_study"])
+    def test_refused_at_variant_before_any_bank(self, spec4, monkeypatch, entry):
+        co = dataclasses.replace(law_blind_f_coeffs(4), fbar_factory=None)
+        base = SimConfig(spec=spec4, coeffs=co, T=0.25, h=0.125, M=8, seed=5, xi=0.3)
+        cfg = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9)
+        probe = FrozenInput(x=np.full(4, 0.3), mu_stat=0.6, y0=np.zeros(4))
+        run = {
+            "rate_study": lambda: rate_study(base, EPS_GRID, n_replicas=2),
+            "strong_error_stats": lambda: strong_error_stats(cfg),
+            "simulate_averaged": lambda: simulate_averaged(cfg),
+            "ergodicity_study": lambda: ergodicity_study([probe], spec4, co, [0.5, 1.0],
+                                                         ensemble=50),
+        }[entry]
+
+        def bank_spy(self, *args, **kwargs):
+            raise AssertionError("a noise bank opened before the family was refused")
+
+        monkeypatch.setattr(noise.StableNoiseBank, "__init__", bank_spy)
+        with pytest.raises(ConfigError) as info:
+            run()
+        assert info.value.pointer == "/coefficients/variant"
 
 
 class TestStudyWrappers:

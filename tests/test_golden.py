@@ -272,8 +272,7 @@ def test_ergodic_fbar_digest(relax_time):
     spec = OperatorSpec(n_modes=4, a=2.0, b=1.0, g=1.0, alpha=1.5, theta=1.0, p=1.0)
     frozen = FrozenInput(x=np.array([0.5, -0.3, 0.2, 0.0]), mu_stat=0.6,
                          y0=np.array([0.1, 0.0, -0.2, 0.0]))
-    drift = AveragedDrift(mode="ergodic_estimate", seed=7, relax_time=relax_time,
-                          avg_time=24.0)
+    drift = AveragedDrift(seed=7, relax_time=relax_time, avg_time=24.0)
     est, stderr = ergodic_fbar(drift, frozen, spec, bounded_smooth(spec))
     assert _sha256(est, [stderr]) == ERGODIC_FBAR[relax_time]
 
@@ -283,7 +282,7 @@ def test_simulate_averaged_digest():
     base = SimConfig(spec=spec, coeffs=linear_test(spec, a=1.0, c=0.5), T=0.5,
                      h=0.125, M=16, seed=3, xi=[0.5, -0.3, 0.2, 0.0])
     cfg = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-12, eta=0.1)
-    flow = simulate_averaged(cfg, AveragedDrift(mode="stationary_quadrature"), record_every=4)
+    flow = simulate_averaged(cfg, record_every=4)
     # particle-major paths and the law statistic the drift read, as first pinned
     assert _sha256(flow.clouds.swapaxes(0, 1), p_moment(flow.clouds, spec.p)) == (
         "78926dc1eb6e430de6d8f86101af61594b91f91fcaac5979952eecfda42aedb4")

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mvspde.coefficients import CoefficientSet, bounded_smooth, build_family, effective_constants
+from mvspde.coefficients import (
+    CoefficientSet, averaged_drift, bounded_smooth, build_family, effective_constants,
+)
 from mvspde.measures import p_moment, wasserstein_exact, wasserstein_sliced
 from mvspde.multiscale import (
     AveragedDrift,
@@ -13,7 +15,6 @@ from mvspde.multiscale import (
     MultiscaleConfig,
     ergodic_fbar,
     ergodicity_decay,
-    estimate_fbar,
     increment_stats,
     simulate_averaged,
     simulate_frozen,
@@ -127,7 +128,7 @@ def stepped(name, p, seen):
         return [flow], np.full(flow.n_times - 1, 0.6), 2
     fbar = co.fbar_factory
     flow = simulate_averaged(spying(fbar_factory=lambda sp: spied(fbar(sp), seen)),
-                             AveragedDrift(), record_every=2)
+                             record_every=2)
     return [flow], p_moment(flow.clouds, p)[:-1], 2
 
 
@@ -345,7 +346,7 @@ class TestFrozenEquation:
                               RngStream(3), n_particles=3000)
         mine = np.linalg.norm(ens.clouds[-1], axis=1)
         inc = sample_convolution_increment(spec2, 2.0, RngStream(77), size=3000)
-        ref = np.linalg.norm(inc.field, axis=1)
+        ref = np.linalg.norm(inc, axis=1)
         tol = 3.0 * np.hypot(mine.std(ddof=1) / np.sqrt(mine.size),
                              ref.std(ddof=1) / np.sqrt(ref.size))
         assert abs(mine.mean() - ref.mean()) < tol
@@ -366,15 +367,14 @@ class TestAveragedDriftEstimation:
     def test_analytic_linear_value(self, spec2, linear2):
         frozen = FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0,
                              y0=np.zeros(2))
-        drift = AveragedDrift(mode="stationary_quadrature")
-        fbar = estimate_fbar(drift, frozen, spec2, linear2)
+        fbar = averaged_drift(linear2, spec2)(frozen.x, frozen.mu_stat)
         assert fbar[0] == pytest.approx(4.0, abs=1e-12)
         assert fbar[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_ergodic_matches_analytic(self, spec2, linear2):
         frozen = FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0,
                              y0=np.zeros(2))
-        drift = AveragedDrift(mode="ergodic_estimate", seed=41)
+        drift = AveragedDrift(seed=41)
         est, se = ergodic_fbar(drift, frozen, spec2, linear2)
         assert np.linalg.norm(est - np.array([4.0, 0.0])) < 3 * se + 1e-3
 
@@ -384,32 +384,27 @@ class TestAveragedDriftEstimation:
                             theta=1.0, p=1.0)
         frozen = FrozenInput(x=np.array([0.7, -0.4]), mu_stat=1.0,
                              y0=np.zeros(2))
-        drift = AveragedDrift(mode="ergodic_estimate", relax_time=2.0,
-                              avg_time=8.0)
-        est = estimate_fbar(drift, frozen, spec, co)
+        drift = AveragedDrift(relax_time=2.0, avg_time=8.0)
+        est = ergodic_fbar(drift, frozen, spec, co)[0]
         assert np.allclose(est, 0.5 * np.tanh(frozen.x), rtol=1e-12)
 
     def test_odd_symmetry_vanishes_at_origin(self, spec2, linear2):
         frozen = FrozenInput(x=np.zeros(2), mu_stat=0.0, y0=np.zeros(2))
-        assert np.allclose(
-            estimate_fbar(AveragedDrift(mode="stationary_quadrature"), frozen,
-                          spec2, linear2), 0.0)
-        drift = AveragedDrift(mode="ergodic_estimate", seed=9)
+        assert np.allclose(averaged_drift(linear2, spec2)(frozen.x, frozen.mu_stat), 0.0)
+        drift = AveragedDrift(seed=9)
         est, se = ergodic_fbar(drift, frozen, spec2, linear2)
         assert np.linalg.norm(est) < 3 * se + 1e-3
 
     def test_cache_hit_and_seeded_reproducibility(self, spec2, linear2):
         frozen = FrozenInput(x=np.array([1.0, 0.5]), mu_stat=1.0,
                              y0=np.zeros(2))
-        d1 = AveragedDrift(mode="ergodic_estimate", seed=7, relax_time=2.0,
-                           avg_time=8.0)
+        d1 = AveragedDrift(seed=7, relax_time=2.0, avg_time=8.0)
         first = ergodic_fbar(d1, frozen, spec2, linear2)
         assert len(d1.cache) == 1
         second = ergodic_fbar(d1, frozen, spec2, linear2)
         assert second[0] is first[0]  # served from the cache, not recomputed
         assert len(d1.cache) == 1
-        d2 = AveragedDrift(mode="ergodic_estimate", seed=7, relax_time=2.0,
-                           avg_time=8.0)
+        d2 = AveragedDrift(seed=7, relax_time=2.0, avg_time=8.0)
         again = ergodic_fbar(d2, frozen, spec2, linear2)
         assert np.array_equal(first[0], again[0])
 
@@ -420,8 +415,7 @@ class TestAveragedDriftEstimation:
         frozen = FrozenInput(x=np.array([1.0, 0.5]), mu_stat=1.0, y0=np.zeros(2))
 
         def drift():
-            return AveragedDrift(mode="ergodic_estimate", seed=7, relax_time=2.0,
-                                 avg_time=8.0)
+            return AveragedDrift(seed=7, relax_time=2.0, avg_time=8.0)
 
         shared = drift()
         ergodic_fbar(shared, frozen, spec2, linear2)
@@ -493,16 +487,15 @@ class TestAveragedEquationAndStrongError:
     def test_zero_fbar_couples_exactly(self, spec4):
         co = zero_coeffs(4, fbar_zero=True)
         cfg = self._cfg(co, spec4)
-        avg = simulate_averaged(cfg, AveragedDrift(mode="stationary_quadrature"))
+        avg = simulate_averaged(cfg)
         sf = simulate_slow_fast(cfg)
         assert np.array_equal(avg.clouds, sf.slow.clouds)
 
     def test_seed_moves_paths_not_law(self, spec4, coeffs4):
-        drift = AveragedDrift(mode="stationary_quadrature")
         moms, ses, paths = [], [], []
         for seed in (31, 32):
             cfg = self._cfg(coeffs4, spec4, M=384, seed=seed)
-            ens = simulate_averaged(cfg, drift)
+            ens = simulate_averaged(cfg)
             term = np.linalg.norm(ens.clouds[-1], axis=1)
             moms.append(term.mean())
             ses.append(term.std(ddof=1) / np.sqrt(term.size))
@@ -513,7 +506,7 @@ class TestAveragedEquationAndStrongError:
     def test_synchronous_zero_error(self, spec4):
         co = law_blind_f_coeffs(4)
         cfg = self._cfg(co, spec4)
-        (stats,) = strong_error_stats(cfg, AveragedDrift(mode="stationary_quadrature"))
+        (stats,) = strong_error_stats(cfg)
         assert stats.error == 0.0
         assert stats.stderr == 0.0
 
@@ -522,22 +515,20 @@ class TestAveragedEquationAndStrongError:
                          seed=0, xi=0.3)
         cfg = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9)
         with pytest.raises(ValueError, match="unbounded"):
-            strong_error_stats(cfg, AveragedDrift(mode="stationary_quadrature"))
+            strong_error_stats(cfg)
 
     def test_moment_order_bounds(self, spec4, coeffs4):
         cfg = self._cfg(coeffs4, spec4, M=8)
-        drift = AveragedDrift(mode="stationary_quadrature")
         for bad_m in (1.5, 0.5):
             with pytest.raises(ValueError, match="moment order"):
-                strong_error_stats(cfg, drift, m=bad_m)
+                strong_error_stats(cfg, m=bad_m)
 
     def test_error_positive_and_replayable(self, spec8, coeffs8):
         base = SimConfig(spec=spec8, coeffs=coeffs8, T=0.25, h=0.125, M=32,
                          seed=17, xi=0.3)
         cfg = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9)
-        drift = AveragedDrift(mode="stationary_quadrature")
-        (s1,) = strong_error_stats(cfg, drift)
-        (s2,) = strong_error_stats(cfg, drift)
+        (s1,) = strong_error_stats(cfg)
+        (s2,) = strong_error_stats(cfg)
         assert s1.error > 0.0
         assert s1.mean_pow == s2.mean_pow and s1.var_pow == s2.var_pow
 
@@ -572,31 +563,18 @@ class TestReplicaBatch:
     @pytest.mark.parametrize("m", [1.0, 1.25])
     def test_batch_rows_equal_single_systems(self, spec8, coeffs8, m, monkeypatch):
         cfg = self._cfg(spec8, coeffs8)
-        drift = AveragedDrift(mode="stationary_quadrature")
         replicas = [(3, range(0, 12)), (4, range(12, 24)), (9, range(24, 36))]
         # 24-step blocks leave a short last block of the 128 steps
         with monkeypatch.context() as patch:
             patch.setattr(solver, "BLOCK_STEPS", 24)
-            batch = strong_error_stats(cfg, drift, m=m, replicas=replicas)
+            batch = strong_error_stats(cfg, m=m, replicas=replicas)
         assert len(batch) == 3
         for stats, replica in zip(batch, replicas):
-            (alone,) = strong_error_stats(cfg, drift, m=m, replicas=[replica])
+            (alone,) = strong_error_stats(cfg, m=m, replicas=[replica])
             assert (stats.mean_pow, stats.var_pow, stats.n) == \
                 (alone.mean_pow, alone.var_pow, alone.n)
             assert stats.mean_pow > 0.0
         assert batch[0].mean_pow != batch[1].mean_pow
-
-    def test_ergodic_drift_batch(self, spec2):
-        co = law_blind_f_coeffs(2)
-        base = SimConfig(spec=spec2, coeffs=co, T=0.0625, h=0.03125, M=2, seed=3, xi=0.3)
-        cfg = MultiscaleConfig(base=base, epsilon=2**-4, h_fast=2**-8)
-        drift = AveragedDrift(mode="ergodic_estimate", relax_time=0.05, avg_time=0.16,
-                              h_step=0.01)
-        replicas = [(0, None), (1, [5, 6])]
-        batch = strong_error_stats(cfg, drift, replicas=replicas)
-        for stats, replica in zip(batch, replicas):
-            (alone,) = strong_error_stats(cfg, drift, replicas=[replica])
-            assert stats.mean_pow == alone.mean_pow
 
     @pytest.mark.parametrize("y_modes, n_fast", [(4, 4), (None, 8)])
     def test_fast_banks_open_with_the_modes_f_reads(self, spec8, coeffs8, monkeypatch,
@@ -618,8 +596,7 @@ class TestReplicaBatch:
 
         monkeypatch.setattr(multiscale, "StableNoiseBank", SpyBank)
         co = dataclasses.replace(coeffs8, y_modes=y_modes)
-        strong_error_stats(self._cfg(spec8, co), AveragedDrift(mode="stationary_quadrature"),
-                           replicas=[(3, None), (5, range(12, 24))])
+        strong_error_stats(self._cfg(spec8, co), replicas=[(3, None), (5, range(12, 24))])
         assert opened == [(CH_SLOW, 8)] * 2 + [(CH_FAST, n_fast)] * 2
         # the 128 steps are one noise block
         assert drawn == [(CH_SLOW, (12, 128, 8))] * 2 + [(CH_FAST, (12, 128, n_fast))] * 2
@@ -644,13 +621,11 @@ class TestReplicaBatch:
         replicas = [(10, None), (11, range(4, 8)), (12, range(8, 12))]
         with pytest.raises(FloatingPointError,
                            match=r"epsilon = 0\.03125, replica 12, step 4 of 128"):
-            strong_error_stats(self._cfg(spec4, co, M=4),
-                               AveragedDrift(mode="stationary_quadrature"), replicas=replicas)
+            strong_error_stats(self._cfg(spec4, co, M=4), replicas=replicas)
 
     def test_needs_a_replica(self, spec4, coeffs4):
         with pytest.raises(ValueError, match="at least one replica"):
-            strong_error_stats(self._cfg(spec4, coeffs4),
-                               AveragedDrift(mode="stationary_quadrature"), replicas=[])
+            strong_error_stats(self._cfg(spec4, coeffs4), replicas=[])
 
     def test_overflowing_law_statistic_names_replica_and_step(self, spec4):
         # a finite drift of 1e300 keeps the fields finite, but |x|^2 overflows
@@ -659,13 +634,11 @@ class TestReplicaBatch:
         with np.errstate(over="ignore"), pytest.raises(
                 FloatingPointError,
                 match=r"law statistic at epsilon = 0\.03125, replica 11, step 6 of 128"):
-            strong_error_stats(cfg, AveragedDrift(mode="stationary_quadrature"),
-                               replicas=replicas)
+            strong_error_stats(cfg, replicas=replicas)
 
     def test_nonfinite_error_names_epsilon_replica_and_step(self, spec4):
         cfg = self._cfg(spec4, blowup_coeffs(4, after_calls=5, row=1), M=4)
         replicas = [(10, None), (11, range(4, 8)), (12, range(8, 12))]
         with pytest.raises(FloatingPointError,
                            match=r"epsilon = 0\.03125, replica 11, step 6 of 128"):
-            strong_error_stats(cfg, AveragedDrift(mode="stationary_quadrature"),
-                               replicas=replicas)
+            strong_error_stats(cfg, replicas=replicas)

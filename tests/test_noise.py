@@ -63,7 +63,7 @@ class TestRngStream:
 
     def test_distinct_channels_distinct_draws(self):
         base = RngStream(0, replica=0, particle=0, channel=CH_SLOW)
-        other = base.derived(channel=CH_FAST)
+        other = RngStream(0, replica=0, particle=0, channel=CH_FAST)
         assert not np.array_equal(base.generator().random(8),
                                   other.generator().random(8))
 
@@ -151,7 +151,7 @@ class TestConvolutionIncrements:
         inc = sample_convolution_increment(spec2, 0.5, RngStream(9), size=n)
         sig = convolution_scales(spec2, 0.5, process="slow")
         ref = sig[0] * sample_standard_stable(RngStream(10), ALPHA, size=n)
-        stat = scipy.stats.ks_2samp(inc.field[:, 0], ref)
+        stat = scipy.stats.ks_2samp(inc[:, 0], ref)
         assert stat.pvalue > 1e-3
 
     def test_moment_envelope_nonexploding(self, spec4):

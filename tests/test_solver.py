@@ -153,7 +153,7 @@ class TestSimulateMkv:
         flow = simulate_mkv(cfg)
         solver_mom = float(np.linalg.norm(flow.clouds[-1], axis=1).mean())
         inc = sample_convolution_increment(spec4, 1.0, RngStream(99), size=2000)
-        direct = np.linalg.norm(inc.field, axis=1)
+        direct = np.linalg.norm(inc, axis=1)
         se = direct.std(ddof=1) / np.sqrt(direct.size)
         assert abs(solver_mom - direct.mean()) < 3 * se + 3 * se  # both sides MC
 
