@@ -97,11 +97,8 @@ class CoefficientSet:
     lip_C: float
     lip_G_y: float
     p: float
-    F_bounded: bool
     bound_const: float
     fbar_factory: Callable | None = None
-    # slope of G in y when affine (frozen equation is then exactly soluble)
-    g_y_slope: float | None = None
     y_modes: int | None = None
     recipe: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -112,6 +109,11 @@ class CoefficientSet:
                 "its closures cannot cross process boundaries"
             )
         return BuiltinFamily.build, self.recipe
+
+    @property
+    def F_bounded(self) -> bool:
+        """Whether the slow drift F is bounded: ``bound_const`` is finite."""
+        return bool(np.isfinite(self.bound_const))
 
 
 def bounded_smooth(
@@ -181,10 +183,8 @@ def bounded_smooth(
         lip_C=max(a, b_mu),
         lip_G_y=abs(c),
         p=spec.p,
-        F_bounded=True,
         bound_const=a * np.sqrt(k_act) + b_mu,
         fbar_factory=fbar_factory,
-        g_y_slope=c,
         y_modes=k_act,
     )
 
@@ -230,10 +230,8 @@ def linear_test(spec: OperatorSpec, a: float = 1.0, c: float = 0.5) -> Coefficie
         lip_C=max(1.0, abs(a)),
         lip_G_y=abs(c),
         p=spec.p,
-        F_bounded=False,
         bound_const=np.inf,
         fbar_factory=fbar_factory,
-        g_y_slope=c,
     )
 
 

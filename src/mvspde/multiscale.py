@@ -18,6 +18,10 @@ Supporting objects:
   arguments (x, mu_stat) held fixed.  Strong dissipativity
   (lambda_1 - L_G > 0) makes it exponentially ergodic; its invariant
   measure defines the averaged drift Fbar(x, mu) = int F(x, mu, y) d(inv).
+  One loop steps it; its callers differ only in what they observe:
+  ``simulate_frozen`` records the paths, ``ergodic_fbar`` time-averages F
+  along one path, ``ergodicity_decay`` reads ensemble means of F at grid
+  times.
 * the *auxiliary process*: the fast component re-driven with slow inputs
   frozen at the starts of blocks of length delta, sharing the true fast
   component's noise increments bitwise.  It interpolates between the
@@ -32,13 +36,14 @@ exponential-Euler kernel, and every recorded run comes back as a
 time-major :class:`~mvspde.measures.LawFlow`.  The study loops record
 nothing, so their memory does not grow with T: ``strong_error_stats``
 steps the coupled pair beside the averaged equation, ``increment_stats``
-beside one auxiliary twin per block length.
+beside one auxiliary twin per block length, and ``ergodicity_decay``
+reads its grid times as the frozen paths pass them.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +66,6 @@ __all__ = [
     "SlowFastPaths",
     "simulate_slow_fast",
     "simulate_frozen",
-    "AveragedDrift",
     "ergodic_fbar",
     "DecayReport",
     "NoSignalError",
@@ -166,6 +170,28 @@ def simulate_slow_fast(cfg: MultiscaleConfig, record_every: int = 1) -> SlowFast
     return SlowFastPaths(slow=LawFlow(times, xs), fast=LawFlow(times, ys))
 
 
+def _frozen_loop(frozen: FrozenInput, n_steps: int, h: float, spec: OperatorSpec,
+                 coeffs: CoefficientSet, rng: RngStream, n_particles: int, observe) -> None:
+    """Step the frozen equation ``n_steps`` steps of ``h`` from ``frozen.y0``.
+
+    Particle i draws its noise on the stream (rng.seed, rng.replica,
+    rng.particle + i, CH_FROZEN) with the fast amplitudes at unit clock
+    rate; ``observe(j, fields)`` sees the (n_particles, n_modes) state at
+    every grid time j, as in :func:`advance`.
+    """
+    bank = StableNoiseBank(
+        rng.seed, spec.alpha, n_particles, spec.n_modes, CH_FROZEN,
+        replica=rng.replica,
+        particle_ids=[rng.particle + i for i in range(n_particles)],
+    )
+    x_row = frozen.x[None, :]
+    advance(
+        {"frozen-equation state": np.broadcast_to(frozen.y0, (n_particles, spec.n_modes))},
+        [euler_weights(spec, h)], [(bank, convolution_scales(spec, h, "fast", 1.0))],
+        lambda j, fields: [coeffs.G(x_row, frozen.mu_stat, fields[0])], n_steps, observe,
+    )
+
+
 def simulate_frozen(
     frozen: FrozenInput,
     T_end: float,
@@ -186,86 +212,53 @@ def simulate_frozen(
     dissipativity_gap(coeffs, spec)
     J = whole_steps(T_end, h_fast, "T_end")
     (ys,), _, observe = _recorder(J, record_every, (n_particles, spec.n_modes))
-    bank = StableNoiseBank(
-        rng.seed, spec.alpha, n_particles, spec.n_modes, CH_FROZEN,
-        replica=rng.replica,
-        particle_ids=[rng.particle + i for i in range(n_particles)],
-    )
-    x_row = frozen.x[None, :]
-    advance(
-        {"frozen-equation state": np.broadcast_to(frozen.y0, (n_particles, spec.n_modes))},
-        [euler_weights(spec, h_fast)], [(bank, convolution_scales(spec, h_fast, "fast", 1.0))],
-        lambda j, fields: [coeffs.G(x_row, frozen.mu_stat, fields[0])], J, observe,
-    )
+    _frozen_loop(frozen, J, h_fast, spec, coeffs, rng, n_particles, observe)
     return LawFlow(h_fast * record_every * np.arange(ys.shape[0]), ys)
 
 
-@dataclass
-class AveragedDrift:
-    """Settings of :func:`ergodic_fbar`, the ergodic time-average estimate of Fbar.
-
-    The averaged drift Fbar(x, mu) is F integrated against the frozen
-    equation's stationary law.  Studies read it from the family's
-    ``fbar_factory`` (through :func:`~mvspde.coefficients.averaged_drift`);
-    the ergodic estimate is the estimator the averaging principle suggests,
-    kept as the reference that closed form is checked against.
-
-    ``relax_time`` / ``avg_time`` default to 8 and 64 relaxation times
-    1/(lambda_1 - L_G).  Estimates are reproducible: the stream for a cache
-    key is derived from ``seed`` and a hash of (x, mu_stat) quantized at
-    ``CACHE_RESOLUTION``, so results do not depend on evaluation order.
-    """
-
-    relax_time: float | None = None
-    avg_time: float | None = None
-    h_step: float = 0.005
-    seed: int = 2**20
-    cache: dict = field(default_factory=dict)
-
-
-# relative quantum of the ergodic-estimate cache key, and the number of
-# batch-mean windows its standard error is taken over
-CACHE_RESOLUTION = 1e-3
+# relative quantum of the (x, mu_stat) that names ergodic_fbar's stream, and
+# the number of batch-mean windows its standard error is taken over
+PROBE_RESOLUTION = 1e-3
 N_BATCHES = 16
 
 
-def _cache_key(x: np.ndarray, mu_stat: float) -> tuple:
+def _probe_particle(x: np.ndarray, mu_stat: float) -> int:
+    """Particle id of the probe (x, mu_stat): a crc32 of it quantized at
+    ``PROBE_RESOLUTION`` relative to its size."""
     scale = max(1.0, float(np.max(np.abs(x))), abs(mu_stat))
-    q = CACHE_RESOLUTION * scale
-    return tuple(np.round(np.asarray(x, dtype=float) / q).astype(np.int64)) + (
+    q = PROBE_RESOLUTION * scale
+    point = tuple(np.round(np.asarray(x, dtype=float) / q).astype(np.int64)) + (
         int(round(mu_stat / q)),
     )
+    return zlib.crc32(repr(point).encode()) & 0x7FFFFFFF
 
 
 def ergodic_fbar(
-    drift: AveragedDrift,
     frozen: FrozenInput,
     spec: OperatorSpec,
     coeffs: CoefficientSet,
-    rng: RngStream | None = None,
+    rng: RngStream,
+    *,
+    relax_time: float | None = None,
+    avg_time: float | None = None,
+    h_step: float = 0.005,
 ) -> tuple[np.ndarray, float]:
     """Time-average F along one long frozen path; returns (field, stderr).
 
-    Burn-in ``relax_time``, then average F(x, mu, Y_s) over ``avg_time``.
-    The standard error comes from batch means (``N_BATCHES`` equal
-    sub-windows), which absorbs the path's autocorrelation.  Results are
-    cached by spec, coeffs, stream seed and replica, and quantized (x, mu_stat);
-    the particle id hashes the last alone, so a hit and a recomputation agree.
+    This is the ergodic estimate of the averaged drift Fbar(x, mu), the
+    reference the family's closed-form ``fbar_factory`` is checked against.
+    Burn-in ``relax_time``, then average F(x, mu, Y_s) over ``avg_time``;
+    they default to 8 and 64 relaxation times 1/(lambda_1 - L_G).  The
+    standard error comes from batch means (``N_BATCHES`` equal
+    sub-windows), which absorbs the path's autocorrelation.  The path's
+    stream is (rng.seed, rng.replica, a hash of (x, mu_stat), CH_FROZEN),
+    so an estimate does not depend on what was evaluated before it.
     """
-    base = rng if rng is not None else RngStream(drift.seed)
-    point = _cache_key(frozen.x, frozen.mu_stat)
-    key = (spec, coeffs, base.seed, base.replica) + point
-    if key in drift.cache:
-        return drift.cache[key]
     gap = dissipativity_gap(coeffs, spec)
-    t_b = 8.0 / gap if drift.relax_time is None else drift.relax_time
-    t_a = 64.0 / gap if drift.avg_time is None else drift.avg_time
-    key_hash = zlib.crc32(repr(point).encode()) & 0x7FFFFFFF
-    bank = StableNoiseBank(base.seed, spec.alpha, 1, spec.n_modes, CH_FROZEN,
-                           replica=base.replica, particle_ids=[key_hash])
-
-    n_relax = int(np.ceil(t_b / drift.h_step))
-    n_avg = int(np.ceil(t_a / drift.h_step))
+    t_b = 8.0 / gap if relax_time is None else relax_time
+    t_a = 64.0 / gap if avg_time is None else avg_time
+    n_relax = int(np.ceil(t_b / h_step))
+    n_avg = int(np.ceil(t_a / h_step))
     n_avg -= n_avg % N_BATCHES  # equal batches
     per_batch = n_avg // N_BATCHES
     x_row = frozen.x[None, :]
@@ -275,19 +268,12 @@ def ergodic_fbar(
         if n_relax <= j < n_relax + n_avg:
             sums[(j - n_relax) // per_batch] += coeffs.F(x_row, frozen.mu_stat, fields[0])[0]
 
-    advance(
-        {"frozen-equation state": frozen.y0[None, :]},
-        [euler_weights(spec, drift.h_step)],
-        [(bank, convolution_scales(spec, drift.h_step, "fast", 1.0))],
-        lambda j, fields: [coeffs.G(x_row, frozen.mu_stat, fields[0])],
-        n_relax + n_avg, observe,
-    )
+    probe = RngStream(rng.seed, rng.replica, _probe_particle(frozen.x, frozen.mu_stat))
+    _frozen_loop(frozen, n_relax + n_avg, h_step, spec, coeffs, probe, 1, observe)
     batch_means = sums / per_batch
     est = batch_means.mean(axis=0)
     stderr_vec = batch_means.std(axis=0, ddof=1) / np.sqrt(N_BATCHES)
-    stderr = float(np.linalg.norm(stderr_vec))
-    drift.cache[key] = (est, stderr)
-    return est, stderr
+    return est, float(np.linalg.norm(stderr_vec))
 
 
 @dataclass(frozen=True)
@@ -337,11 +323,12 @@ def ergodicity_decay(
     """Measure the frozen equation's mixing rate toward the averaged drift.
 
     Runs ``n_replicas`` frozen paths from the same start, estimates
-    E F(x, mu, Y_t) at the grid times, and fits log|gap| ~ -rate * t on the
-    points above 3x their Monte Carlo floor (nan stderr from two points),
-    raising :class:`NoSignalError` when fewer than two are.  The theoretical
-    envelope decays at rate lambda_1 - L_G.  ``fbar_ref`` defaults to the
-    family's Fbar at the probe.
+    E F(x, mu, Y_t) at the grid times as the paths pass them (nothing is
+    recorded, so memory does not grow with the grid's end), and fits
+    log|gap| ~ -rate * t on the points above 3x their Monte Carlo floor
+    (nan stderr from two points), raising :class:`NoSignalError` when fewer
+    than two are.  The theoretical envelope decays at rate lambda_1 - L_G.
+    ``fbar_ref`` defaults to the family's Fbar at the probe.
 
     ``rate_stderr`` is the line fit's slope stderr, which treats the grid
     points as independent; they are read off the same paths, so it
@@ -355,17 +342,18 @@ def ergodicity_decay(
     if fbar_ref is None:
         fbar_ref = averaged_drift(coeffs, spec)(frozen.x, frozen.mu_stat)
 
-    T_end = float(idx.max() * h_step)
-    flow = simulate_frozen(
-        frozen, T_end, h_step, spec, coeffs, rng, n_particles=n_replicas
-    )
     gaps = np.empty(t_grid.size)
     floors = np.empty(t_grid.size)
-    for i, j in enumerate(idx):
-        fvals = coeffs.F(frozen.x[None, :], frozen.mu_stat, flow.clouds[j])
-        mean_f = fvals.mean(axis=0)
-        gaps[i] = np.linalg.norm(mean_f - fbar_ref)
-        floors[i] = np.linalg.norm(fvals.std(axis=0, ddof=1) / np.sqrt(n_replicas))
+    at_step = {int(j): i for i, j in enumerate(idx)}
+
+    def read_gap(j, fields):
+        i = at_step.get(j)
+        if i is not None:
+            fvals = coeffs.F(frozen.x[None, :], frozen.mu_stat, fields[0])
+            gaps[i] = np.linalg.norm(fvals.mean(axis=0) - fbar_ref)
+            floors[i] = np.linalg.norm(fvals.std(axis=0, ddof=1) / np.sqrt(n_replicas))
+
+    _frozen_loop(frozen, int(idx.max()), h_step, spec, coeffs, rng, n_replicas, read_gap)
 
     kept = gaps > 3.0 * floors
     if kept.sum() < 2:

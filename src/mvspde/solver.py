@@ -233,8 +233,6 @@ def _recorder(n_steps: int, every: int, shape, n_fields: int = 1, p: float | Non
 
 def simulate_mkv(
     config: SimConfig,
-    particle_ids=None,
-    replica: int = 0,
     law_override: np.ndarray | None = None,
     noise: np.ndarray | None = None,
 ) -> LawFlow:
@@ -246,12 +244,10 @@ def simulate_mkv(
     statistic is read from the live ensemble each step.  The result is the
     :class:`~mvspde.measures.LawFlow` of the particles at every grid time.
 
-    Noise draws are addressed by (seed, replica, particle_id, channel), so
-    a given particle id sees the same noise whatever the ensemble around it,
-    and reruns reproduce trajectories bitwise.  ``noise``, if given, holds
-    the scaled convolution increments of every particle and step, shape
-    (M, n_steps, n_modes); no noise bank is opened then, so ``particle_ids``
-    and ``replica`` play no part.
+    Particle i draws its noise on the stream (seed, 0, i, CH_SLOW), so
+    reruns reproduce trajectories bitwise.  ``noise``, if given, holds the
+    scaled convolution increments of every particle and step, shape
+    (M, n_steps, n_modes), and no noise bank is opened.
     """
     spec, coeffs = config.spec, config.coeffs
     J = config.n_steps
@@ -262,10 +258,7 @@ def simulate_mkv(
                 f"law_override must have shape ({J + 1},), got {law_override.shape}"
             )
     if noise is None:
-        bank = StableNoiseBank(
-            config.seed, spec.alpha, config.M, spec.n_modes, CH_SLOW,
-            replica=replica, particle_ids=particle_ids,
-        )
+        bank = StableNoiseBank(config.seed, spec.alpha, config.M, spec.n_modes, CH_SLOW)
         noise = (bank, convolution_scales(spec, config.h, "slow"))
     else:
         noise = np.asarray(noise, dtype=float)

@@ -40,7 +40,6 @@ from mvspde.config import (
 )
 from mvspde.experiments import aux_gap_study, ergodicity_study, hoelder_study
 from mvspde.multiscale import (
-    AveragedDrift,
     FrozenInput,
     MultiscaleConfig,
     ergodic_fbar,
@@ -164,8 +163,7 @@ class TestAcceptance:
                              y0=np.zeros(2))
         analytic = averaged_drift(coeffs, spec)(frozen.x, frozen.mu_stat)
         assert analytic[0] == pytest.approx(4.0)
-        est, stderr = ergodic_fbar(AveragedDrift(), frozen, spec, coeffs,
-                                   rng=RngStream(17))
+        est, stderr = ergodic_fbar(frozen, spec, coeffs, RngStream(17))
         print(f"ergodic {est[0]:.4f} vs analytic {analytic[0]:.1f} "
               f"(3 se = {3 * stderr:.4f})")
         assert abs(est[0] - analytic[0]) <= 3.0 * stderr
@@ -250,8 +248,8 @@ class TestAcceptance:
 
         blind = CoefficientSet(
             variant="custom", B=lambda x, mu: np.zeros_like(x), F=F, G=G,
-            lip_C=0.5, lip_G_y=0.4, p=1.0, F_bounded=True, bound_const=1.0,
-            fbar_factory=None, g_y_slope=0.4,
+            lip_C=0.5, lip_G_y=0.4, p=1.0, bound_const=1.0,
+            fbar_factory=None,
         )
         base = SimConfig(spec=spec4, coeffs=blind, T=0.25, h=2.0 ** -4, M=16,
                          seed=7, xi=np.array([0.5, -0.3, 0.2, 0.0]))

@@ -136,8 +136,8 @@ class TestZeroCoefficients:
         zero = lambda *args: np.zeros(4)
         co = CoefficientSet(
             variant="custom", B=lambda x, s: np.zeros(4), F=zero, G=zero,
-            lip_C=1.0, lip_G_y=0.5, p=1.0, F_bounded=True, bound_const=0.0,
-            fbar_factory=None, g_y_slope=0.0,
+            lip_C=1.0, lip_G_y=0.5, p=1.0, bound_const=0.0,
+            fbar_factory=None,
         )
         report = probe_lipschitz(co, spec4, n_probes=50)
         assert report.passed

@@ -42,10 +42,8 @@ def law_blind_f_coeffs(n):
         B=lambda x, s: f(x, s),
         F=lambda x, s, y: f(x, s),
         G=lambda x, s, y: 0.3 * np.tanh(x) + 0.2 * y,
-        lip_C=0.5, lip_G_y=0.2, p=1.0, F_bounded=True,
-        bound_const=0.5 * np.sqrt(n),
+        lip_C=0.5, lip_G_y=0.2, p=1.0, bound_const=0.5 * np.sqrt(n),
         fbar_factory=lambda spec: (lambda x, s: f(x, s)),
-        g_y_slope=0.2,
     )
 
 
@@ -289,8 +287,7 @@ class TestIncrementStudies:
         lin = CoefficientSet(
             variant="custom", B=lambda x, s: 0.8 * x,
             F=lambda x, s, y: 0.8 * x, G=lambda x, s, y: np.zeros(2),
-            lip_C=0.8, lip_G_y=0.0, p=1.0, F_bounded=False,
-            bound_const=np.inf, fbar_factory=None, g_y_slope=0.0,
+            lip_C=0.8, lip_G_y=0.0, p=1.0, bound_const=np.inf, fbar_factory=None,
         )
         cfg = self._cfg(spec, lin, M=1, T=0.5, h_fast=2**-8, epsilon=2**-4)
         res = hoelder_study(cfg, (2**-6, 2**-5, 2**-4, 2**-3), n_replicas=1)
@@ -312,8 +309,8 @@ class TestIncrementStudies:
             variant="custom", B=lambda x, s: np.zeros(4),
             F=lambda x, s, y: 0.5 * np.tanh(y),
             G=lambda x, s, y: 0.4 * np.tanh(y),
-            lip_C=0.5, lip_G_y=0.4, p=1.0, F_bounded=True, bound_const=1.0,
-            fbar_factory=None, g_y_slope=0.4,
+            lip_C=0.5, lip_G_y=0.4, p=1.0, bound_const=1.0,
+            fbar_factory=None,
         )
         cfg = self._cfg(spec4, blind)
         res = aux_gap_study(cfg, (2**-6, 2**-5, 2**-4), n_replicas=2)

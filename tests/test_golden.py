@@ -78,12 +78,12 @@ import pytest
 from mvspde.coefficients import bounded_smooth, linear_test
 from mvspde.measures import p_moment
 from mvspde.multiscale import (
-    AveragedDrift,
     FrozenInput,
     MultiscaleConfig,
     ergodic_fbar,
     simulate_averaged,
 )
+from mvspde.noise import RngStream
 from mvspde.solver import SimConfig
 from mvspde.spectral import OperatorSpec
 
@@ -272,8 +272,8 @@ def test_ergodic_fbar_digest(relax_time):
     spec = OperatorSpec(n_modes=4, a=2.0, b=1.0, g=1.0, alpha=1.5, theta=1.0, p=1.0)
     frozen = FrozenInput(x=np.array([0.5, -0.3, 0.2, 0.0]), mu_stat=0.6,
                          y0=np.array([0.1, 0.0, -0.2, 0.0]))
-    drift = AveragedDrift(seed=7, relax_time=relax_time, avg_time=24.0)
-    est, stderr = ergodic_fbar(drift, frozen, spec, bounded_smooth(spec))
+    est, stderr = ergodic_fbar(frozen, spec, bounded_smooth(spec), RngStream(7),
+                               relax_time=relax_time, avg_time=24.0)
     assert _sha256(est, [stderr]) == ERGODIC_FBAR[relax_time]
 
 

@@ -10,7 +10,6 @@ from mvspde.coefficients import (
 )
 from mvspde.measures import p_moment, wasserstein_exact, wasserstein_sliced
 from mvspde.multiscale import (
-    AveragedDrift,
     FrozenInput,
     MultiscaleConfig,
     ergodic_fbar,
@@ -42,8 +41,8 @@ def zero_coeffs(n, fbar_zero=False):
         if fbar_zero else None
     return CoefficientSet(
         variant="custom", B=lambda x, s: np.zeros(n), F=z, G=z,
-        lip_C=1.0, lip_G_y=0.0, p=1.0, F_bounded=True, bound_const=0.0,
-        fbar_factory=factory, g_y_slope=0.0,
+        lip_C=1.0, lip_G_y=0.0, p=1.0, bound_const=0.0,
+        fbar_factory=factory,
     )
 
 
@@ -54,8 +53,7 @@ def y_blind_g_coeffs(n):
         B=lambda x, s: np.zeros(n),
         F=lambda x, s, y: 0.5 * np.tanh(y),
         G=lambda x, s, y: 0.4 * np.tanh(y),
-        lip_C=0.5, lip_G_y=0.4, p=1.0, F_bounded=True,
-        bound_const=0.5 * np.sqrt(n), fbar_factory=None, g_y_slope=0.4,
+        lip_C=0.5, lip_G_y=0.4, p=1.0, bound_const=0.5 * np.sqrt(n), fbar_factory=None,
     )
 
 
@@ -67,10 +65,8 @@ def law_blind_f_coeffs(n):
         B=lambda x, s: f(x, s),
         F=lambda x, s, y: f(x, s),
         G=lambda x, s, y: 0.3 * np.tanh(x) + 0.2 * y,
-        lip_C=0.5, lip_G_y=0.2, p=1.0, F_bounded=True,
-        bound_const=0.5 * np.sqrt(n),
+        lip_C=0.5, lip_G_y=0.2, p=1.0, bound_const=0.5 * np.sqrt(n),
         fbar_factory=lambda spec: (lambda x, s: f(x, s)),
-        g_y_slope=0.2,
     )
 
 
@@ -177,8 +173,8 @@ class TestMultiscaleConfig:
         marginal = CoefficientSet(
             variant="custom", B=lambda x, s: np.zeros(4),
             F=lambda x, s, y: np.zeros(4), G=lambda x, s, y: y,
-            lip_C=1.0, lip_G_y=1.0, p=1.0, F_bounded=True, bound_const=0.0,
-            fbar_factory=None, g_y_slope=1.0,
+            lip_C=1.0, lip_G_y=1.0, p=1.0, bound_const=0.0,
+            fbar_factory=None,
         )
         base = SimConfig(spec=spec4, coeffs=marginal, T=0.5, h=0.25, M=4,
                          seed=0)
@@ -217,8 +213,8 @@ class TestSimulateSlowFast:
 
         co = CoefficientSet(
             variant="custom", B=lambda x, s: np.zeros(4), F=lambda x, s, y: np.zeros(4),
-            G=G, lip_C=1.0, lip_G_y=0.0, p=1.0, F_bounded=True, bound_const=0.0,
-            fbar_factory=None, g_y_slope=0.0,
+            G=G, lip_C=1.0, lip_G_y=0.0, p=1.0, bound_const=0.0,
+            fbar_factory=None,
         )
         base = SimConfig(spec=spec4, coeffs=co, T=0.5, h=0.25, M=8, seed=21, xi=0.4)
         cfg = MultiscaleConfig(base=base, epsilon=0.125, h_fast=1 / 128)
@@ -355,8 +351,8 @@ class TestFrozenEquation:
         marginal = CoefficientSet(
             variant="custom", B=lambda x, s: np.zeros(4),
             F=lambda x, s, y: np.zeros(4), G=lambda x, s, y: y,
-            lip_C=1.0, lip_G_y=1.0, p=1.0, F_bounded=True, bound_const=0.0,
-            fbar_factory=None, g_y_slope=1.0,
+            lip_C=1.0, lip_G_y=1.0, p=1.0, bound_const=0.0,
+            fbar_factory=None,
         )
         frozen = FrozenInput(x=np.zeros(4), mu_stat=0.0, y0=np.zeros(4))
         with pytest.raises(ValueError, match="gap"):
@@ -374,8 +370,7 @@ class TestAveragedDriftEstimation:
     def test_ergodic_matches_analytic(self, spec2, linear2):
         frozen = FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0,
                              y0=np.zeros(2))
-        drift = AveragedDrift(seed=41)
-        est, se = ergodic_fbar(drift, frozen, spec2, linear2)
+        est, se = ergodic_fbar(frozen, spec2, linear2, RngStream(41))
         assert np.linalg.norm(est - np.array([4.0, 0.0])) < 3 * se + 1e-3
 
     def test_y_blind_integrand_exact_in_ergodic_mode(self):
@@ -384,47 +379,27 @@ class TestAveragedDriftEstimation:
                             theta=1.0, p=1.0)
         frozen = FrozenInput(x=np.array([0.7, -0.4]), mu_stat=1.0,
                              y0=np.zeros(2))
-        drift = AveragedDrift(relax_time=2.0, avg_time=8.0)
-        est = ergodic_fbar(drift, frozen, spec, co)[0]
+        est = ergodic_fbar(frozen, spec, co, RngStream(2**20), relax_time=2.0, avg_time=8.0)[0]
         assert np.allclose(est, 0.5 * np.tanh(frozen.x), rtol=1e-12)
 
     def test_odd_symmetry_vanishes_at_origin(self, spec2, linear2):
         frozen = FrozenInput(x=np.zeros(2), mu_stat=0.0, y0=np.zeros(2))
         assert np.allclose(averaged_drift(linear2, spec2)(frozen.x, frozen.mu_stat), 0.0)
-        drift = AveragedDrift(seed=9)
-        est, se = ergodic_fbar(drift, frozen, spec2, linear2)
+        est, se = ergodic_fbar(frozen, spec2, linear2, RngStream(9))
         assert np.linalg.norm(est) < 3 * se + 1e-3
 
-    def test_cache_hit_and_seeded_reproducibility(self, spec2, linear2):
-        frozen = FrozenInput(x=np.array([1.0, 0.5]), mu_stat=1.0,
-                             y0=np.zeros(2))
-        d1 = AveragedDrift(seed=7, relax_time=2.0, avg_time=8.0)
-        first = ergodic_fbar(d1, frozen, spec2, linear2)
-        assert len(d1.cache) == 1
-        second = ergodic_fbar(d1, frozen, spec2, linear2)
-        assert second[0] is first[0]  # served from the cache, not recomputed
-        assert len(d1.cache) == 1
-        d2 = AveragedDrift(seed=7, relax_time=2.0, avg_time=8.0)
-        again = ergodic_fbar(d2, frozen, spec2, linear2)
-        assert np.array_equal(first[0], again[0])
-
-    def test_cache_keeps_coefficients_and_streams_apart(self, spec2, linear2):
-        # one drift object reused across families and streams must answer
-        # each as a fresh drift would, not from another's cache entry
-        smooth = build_family("bounded_smooth", spec2)
+    def test_same_stream_reproduces_and_other_streams_differ(self, spec2, linear2):
+        # the path's stream is (seed, replica, probe hash): a repeat on one
+        # stream gives the same bits, whatever ran between, and a change of
+        # seed or replica gives another path
         frozen = FrozenInput(x=np.array([1.0, 0.5]), mu_stat=1.0, y0=np.zeros(2))
-
-        def drift():
-            return AveragedDrift(seed=7, relax_time=2.0, avg_time=8.0)
-
-        shared = drift()
-        ergodic_fbar(shared, frozen, spec2, linear2)
-        for coeffs, rng in ((smooth, None), (linear2, RngStream(7, replica=3)),
-                            (linear2, RngStream(8))):
-            got = ergodic_fbar(shared, frozen, spec2, coeffs, rng)
-            fresh = ergodic_fbar(drift(), frozen, spec2, coeffs, rng)
-            assert np.array_equal(got[0], fresh[0]) and got[1] == fresh[1]
-        assert len(shared.cache) == 4
+        times = dict(relax_time=2.0, avg_time=8.0)
+        first = ergodic_fbar(frozen, spec2, linear2, RngStream(7), **times)
+        for rng in (RngStream(7, replica=3), RngStream(8)):
+            other = ergodic_fbar(frozen, spec2, linear2, rng, **times)
+            assert not np.array_equal(other[0], first[0])
+        again = ergodic_fbar(frozen, spec2, linear2, RngStream(7, particle=5), **times)
+        assert np.array_equal(again[0], first[0]) and again[1] == first[1]
 
     def test_fbar_lipschitz_and_envelope_probes(self, spec4, coeffs4, rng):
         eff = effective_constants(coeffs4, spec4)
@@ -475,6 +450,21 @@ class TestErgodicityDecay:
         with pytest.raises(ValueError, match="increasing"):
             ergodicity_decay(frozen, spec2, linear2, np.array([0.5, 0.5]),
                              100, RngStream(0))
+
+    def test_traced_peak_independent_of_grid_end(self, spec2, linear2):
+        # 256 and 2,048 steps of 1/64, both past one noise block: the grid
+        # times are read as the paths pass them, so nothing grows with the end
+        frozen = FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0, y0=np.zeros(2))
+        peaks = []
+        for t_end in (4.0, 32.0):
+            tracemalloc.start()
+            try:
+                ergodicity_decay(frozen, spec2, linear2, np.array([0.5, 1.0, 2.0, t_end]),
+                                 400, RngStream(0), h_step=1 / 64)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestAveragedEquationAndStrongError:
@@ -547,8 +537,8 @@ def blowup_coeffs(n, after_calls, row, value=np.inf):
     return CoefficientSet(
         variant="custom", B=lambda x, s: np.zeros(n), F=F,
         G=lambda x, s, y: 0.4 * np.tanh(y),
-        lip_C=0.5, lip_G_y=0.4, p=1.0, F_bounded=True, bound_const=1.0,
-        fbar_factory=lambda spec: (lambda x, s: np.zeros_like(x)), g_y_slope=0.4,
+        lip_C=0.5, lip_G_y=0.4, p=1.0, bound_const=1.0,
+        fbar_factory=lambda spec: (lambda x, s: np.zeros_like(x)),
     )
 
 

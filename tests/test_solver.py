@@ -37,8 +37,8 @@ def zero_coeffs(n):
     z = lambda *args: np.zeros(n)
     return CoefficientSet(
         variant="custom", B=lambda x, s: np.zeros(n), F=z, G=z,
-        lip_C=1.0, lip_G_y=0.5, p=1.0, F_bounded=True, bound_const=0.0,
-        fbar_factory=None, g_y_slope=0.0,
+        lip_C=1.0, lip_G_y=0.5, p=1.0, bound_const=0.0,
+        fbar_factory=None,
     )
 
 
@@ -47,8 +47,7 @@ def linear_drift_coeffs(n, a):
     return CoefficientSet(
         variant="custom", B=lin, F=lambda x, s, y: lin(x, s),
         G=lambda x, s, y: np.zeros(n),
-        lip_C=abs(a), lip_G_y=0.0, p=1.0, F_bounded=False,
-        bound_const=np.inf, fbar_factory=None, g_y_slope=0.0,
+        lip_C=abs(a), lip_G_y=0.0, p=1.0, bound_const=np.inf, fbar_factory=None,
     )
 
 
@@ -164,8 +163,7 @@ class TestSimulateMkv:
             B=lambda x, s: s * np.eye(4)[0],
             F=lambda x, s, y: s * np.eye(4)[0],
             G=lambda x, s, y: np.zeros(4),
-            lip_C=1.0, lip_G_y=0.0, p=1.0, F_bounded=False,
-            bound_const=np.inf, fbar_factory=None, g_y_slope=0.0,
+            lip_C=1.0, lip_G_y=0.0, p=1.0, bound_const=np.inf, fbar_factory=None,
         )
         cfg = SimConfig(spec=spec, coeffs=mean_pull, T=1.0, h=0.125, M=1,
                         seed=0, xi=0.0)
@@ -198,8 +196,10 @@ class TestSimulateMkv:
     def test_particle_exchangeability(self, spec4, coeffs4):
         cfg = SimConfig(spec=spec4, coeffs=coeffs4, T=0.5, h=0.125, M=3,
                         seed=11, xi=0.2)
-        plain = simulate_mkv(cfg, particle_ids=[0, 1, 2])
-        perm = simulate_mkv(cfg, particle_ids=[2, 0, 1])
+        bank = StableNoiseBank(cfg.seed, spec4.alpha, cfg.M, 4, CH_SLOW)
+        noise = bank.draw(cfg.n_steps) * convolution_scales(spec4, cfg.h, "slow")
+        plain = simulate_mkv(cfg, noise=noise)
+        perm = simulate_mkv(cfg, noise=noise[[2, 0, 1]])
         # the shared law statistic is a reordered fp sum, so equality is up
         # to roundoff, not bitwise
         assert np.allclose(perm.clouds[:, 0], plain.clouds[:, 2], rtol=1e-10, atol=1e-13)
@@ -244,7 +244,7 @@ class TestSimulateMkv:
         co = CoefficientSet(
             variant="custom", B=B, F=lambda x, s, y: np.zeros(4),
             G=lambda x, s, y: np.zeros(4), lip_C=1.0, lip_G_y=0.5, p=1.0,
-            F_bounded=True, bound_const=0.0, fbar_factory=None, g_y_slope=0.0,
+            bound_const=0.0, fbar_factory=None,
         )
         cfg = SimConfig(spec=spec4, coeffs=co, T=0.5, h=0.125, M=3, seed=1, xi=0.2)
         with pytest.raises(FloatingPointError,
