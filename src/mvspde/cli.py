@@ -97,6 +97,19 @@ def _require_grid(study: dict):
     return study["grid"]
 
 
+def _raise_malloc_thresholds() -> None:
+    """Free one mapped 4 MiB block, so glibc serves the studies' temporaries from its heap.
+
+    glibc maps each block past its mmap threshold (128 KiB at start) afresh
+    and unmaps it when freed, so every 0.1-4 MiB temporary of the W_p cost
+    matrix and the flow bounds would fault its pages in again.  Freeing a
+    mapped block raises that threshold to the block's size and the heap's
+    trim threshold to twice it (mallopt(3), dynamic mmap threshold).  Other
+    allocators just allocate and free the block.
+    """
+    np.empty(1 << 19)
+
+
 def run(argv=None) -> int:
     parser = _parser()
     try:
@@ -127,6 +140,7 @@ def run(argv=None) -> int:
         print(f"{first.name}: {first.detail}", file=sys.stderr)
         return 2
 
+    _raise_malloc_thresholds()
     try:
         study = _study_section(cfg, _COMMANDS[args.command][0])
         base = build_sim(cfg, spec, coeffs)

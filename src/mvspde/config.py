@@ -6,6 +6,13 @@ exponents), ``coefficients`` (built-in drift family and its parameters),
 ``study`` (which curve to produce and on what grid).  The schema rejects
 unknown keys outright: silent typos like ``n_mode`` are the main failure
 mode of flat config files, and every key here changes the physics.
+``SCHEMA`` is written in JSON Schema (draft 2020-12); a small interpreter
+of exactly the keywords it uses checks documents against it, so checking
+a config costs no schema library.  Two rules go beyond the draft: a
+non-finite number (Python's ``json`` reads ``NaN`` and ``Infinity``, RFC
+8259 has neither) is rejected at its key, and an integral float at an
+``integer`` key (``16.0``) is admitted, as the draft does, and handed on
+as an ``int``.
 ``describe`` runs the builders backwards: it writes the sections of the
 built objects a study was given.
 """
@@ -14,9 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import operator
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .coefficients import BuiltinFamily, CoefficientSet
@@ -123,16 +131,117 @@ SCHEMA = {
 }
 
 
-def _pointer(error: jsonschema.ValidationError) -> str:
-    return "/" + "/".join(str(tok) for tok in error.absolute_path)
+# JSON type name -> test; a bool is no number, and a number is finite
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and math.isfinite(v)),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+_BOUNDS = {  # keyword -> (value breaks it, message)
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+_KEYWORDS = frozenset(["$schema", "type", "properties", "required", "additionalProperties",
+                      "enum", "items", "minItems", "oneOf", *_BOUNDS])
+
+
+def _check(value, schema: dict, path: list, errors: list):
+    """Append ``(path, message)`` for each rule of ``schema`` that ``value`` breaks.
+
+    Keywords apply in the schema's order, as the draft's validators apply
+    them.  Returns ``value`` with every integral float at an ``integer``
+    key turned into an ``int``.
+    """
+    for key, arg in schema.items():
+        if key == "type":
+            if not _TYPES[arg](value):
+                why = "" if not isinstance(value, float) or math.isfinite(value) else \
+                    " (JSON numbers are finite)"
+                errors.append((path, f"{value!r} is not of type {arg!r}{why}"))
+            elif arg == "integer":
+                value = int(value)
+        elif key in _BOUNDS and _TYPES["number"](value) and _BOUNDS[key][0](value, arg):
+            errors.append((path, f"{value!r} {_BOUNDS[key][1]} {arg!r}"))
+        elif key == "enum" and value not in arg:
+            errors.append((path, f"{value!r} is not one of {arg!r}"))
+        elif isinstance(value, dict) and key == "additionalProperties":
+            extra = sorted(set(value) - set(schema.get("properties", ())))
+            if extra:
+                errors.append((path, f"additional properties are not allowed: {extra}"))
+        elif isinstance(value, dict) and key == "required":
+            errors.extend((path, f"{name!r} is a required property")
+                          for name in arg if name not in value)
+        elif isinstance(value, dict) and key == "properties":
+            for name, sub in arg.items():
+                if name in value:
+                    value[name] = _check(value[name], sub, [*path, name], errors)
+        elif isinstance(value, list) and key == "minItems" and len(value) < arg:
+            errors.append((path, f"{value!r} should be non-empty" if arg == 1
+                           else f"{value!r} is too short"))
+        elif isinstance(value, list) and key == "items":
+            value = [_check(v, arg, [*path, i], errors) for i, v in enumerate(value)]
+        elif key == "oneOf":
+            trials = []
+            for sub in arg:
+                sub_errors = []
+                trials.append((_check(value, sub, path, sub_errors), sub_errors))
+            passed = [checked for checked, errs in trials if not errs]
+            if len(passed) == 1:
+                value = passed[0]
+            else:
+                why = "; ".join(errs[0][1] for _, errs in trials)
+                errors.append((path, f"{value!r} matches more than one of its forms" if passed
+                               else f"{value!r} matches none of its forms: {why}"))
+    return value
+
+
+def _assert_interpretable(schema: dict) -> None:
+    """Raise unless ``_check`` handles every keyword and value ``schema`` and its parts use.
+
+    ``_check`` knows one type name per schema, ``additionalProperties: false``
+    alone and enums of strings.
+    """
+    if (set(schema) - _KEYWORDS or schema.get("type", "object") not in list(_TYPES)
+            or schema.get("additionalProperties", False) is not False
+            or not all(isinstance(e, str) for e in schema.get("enum", ()))):
+        raise NotImplementedError(f"the config checker cannot interpret {schema}")
+    for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", ()),
+                *([schema["items"]] if "items" in schema else ())]:
+        _assert_interpretable(sub)
+
+
+_assert_interpretable(SCHEMA)
+
+
+def _validate(doc):
+    """``doc`` checked against ``SCHEMA``, integral floats at integer keys made ``int``.
+
+    Raises ConfigError at the JSON pointer of the first error in path order.
+    ``doc`` itself is updated in place.
+    """
+    errors = []
+    doc = _check(doc, SCHEMA, [], errors)
+    if errors:
+        path, message = min(errors, key=lambda e: e[0])
+        raise ConfigError(message, pointer="/" + "/".join(str(tok) for tok in path))
+    return doc
 
 
 def load_config(path, seed: int | None = None) -> dict:
-    """Read and schema-validate a JSON config, raising ConfigError on failure.
+    """Read and schema-check a JSON config, raising ConfigError on failure.
 
-    The error message carries a JSON pointer to the offending key, e.g.
-    ``/operator/alpha: 2.5 is greater than ...``.  ``seed``, when given,
-    replaces sim.seed before the check, so an override meets the schema too.
+    The error message carries a JSON pointer to the first offending key in
+    path order, e.g. ``/operator/alpha: 2.5 is greater than ...``.  A
+    non-finite number (``NaN``, ``Infinity``) is an error at its key; an
+    integral float at an ``integer`` key comes back as an ``int``, so
+    ``"M": 16.0`` loads as ``16``.  ``seed``, when given, replaces sim.seed
+    before the check, so an override meets the schema too.
     """
     path = Path(path)
     try:
@@ -145,12 +254,7 @@ def load_config(path, seed: int | None = None) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if seed is not None and isinstance(doc, dict) and isinstance(doc.get("sim"), dict):
         doc["sim"]["seed"] = seed
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        raise ConfigError(first.message, pointer=_pointer(first))
-    return doc
+    return _validate(doc)
 
 
 def build_spec(cfg: dict) -> OperatorSpec:

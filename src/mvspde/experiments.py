@@ -36,10 +36,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import multiprocessing
 import resource
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -246,6 +244,10 @@ def _run_tasks(fn, tasks, n_workers: int):
         )
     if n_workers <= 1 or len(tasks) <= 1:
         return [fn(*task) for task in tasks]
+    # imported here: a serial run never pays for the pool's import
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-posix fallback

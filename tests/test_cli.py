@@ -1,6 +1,7 @@
 import copy
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mvspde import cli, coefficients, experiments, measures, noise, solver
+from mvspde import cli, coefficients, config, experiments, measures, noise, solver
 from mvspde.cli import run
 from mvspde.config import (
     ConfigError,
@@ -34,17 +36,22 @@ BASE_CFG = {
 }
 
 
-def write_cfg(tmp_path, name="cfg.json", **section_overrides):
+def make_cfg(**section_overrides) -> dict:
+    """BASE_CFG with sections updated; a None section or key is dropped."""
     cfg = copy.deepcopy(BASE_CFG)
-    for section, changes in section_overrides.items():
+    for section, changes in copy.deepcopy(section_overrides).items():
         if changes is None:
             cfg.pop(section, None)
         else:
             cfg[section].update(changes)
             for k in [k for k, v in changes.items() if v is None]:
                 del cfg[section][k]
+    return cfg
+
+
+def write_cfg(tmp_path, name="cfg.json", **section_overrides):
     path = tmp_path / name
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(make_cfg(**section_overrides)))
     return str(path)
 
 
@@ -246,6 +253,216 @@ class TestConfigFaults:
         err = capsys.readouterr().err
         assert "runtime error" in err and "law statistic at step 0 of 4" in err
         assert not (tmp_path / "o").exists()
+
+
+_PICARD = {"kind": "picard", "n_iters": 2, **_NO_RATE_KEYS}
+# Non-finite numbers, which Python's json reads and RFC 8259 JSON has not,
+# on a picard config: (write_cfg overrides, JSON pointer of the number).
+NON_FINITE = {
+    "coefficient-nan": (dict(coefficients={"a": math.nan}), "/coefficients/a"),
+    "coefficient-inf": (dict(coefficients={"a": math.inf}), "/coefficients/a"),
+    "h-minus-inf": (dict(sim={"h": -math.inf}), "/sim/h"),
+    "xi-nan": (dict(sim={"xi": math.nan}), "/sim/xi"),
+    "xi-entry-inf": (dict(sim={"xi": [0.5, -math.inf]}), "/sim/xi"),
+    "weight-nan": (dict(study={"lambda_weight": math.nan}), "/study/lambda_weight"),
+    "n-iters-inf": (dict(study={"n_iters": math.inf}), "/study/n_iters"),
+}
+# Integer keys written as integral floats: (subcommand, write_cfg overrides,
+# (section, key) of the float).
+INTEGRAL_FLOATS = {
+    "n_iters": ("picard", dict(sim={"M": 8}, study={**_PICARD, "n_iters": 3.0}),
+                ("study", "n_iters")),
+    "n_replicas": ("rate-study", dict(study={"n_replicas": 2.0}), ("study", "n_replicas")),
+    "ensemble": ("ergodicity", dict(**_ERGODIC, study={
+        **_NO_RATE_KEYS, "kind": "ergodicity", "grid": [0.5, 1.0, 1.5], "ensemble": 50.0,
+        "m": None}), ("study", "ensemble")),
+    "n_modes": ("picard", dict(operator={"n_modes": 8.0}, sim={"M": 8}, study=_PICARD),
+                ("operator", "n_modes")),
+}
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize("case", list(NON_FINITE))
+    def test_non_finite_number_exits_2_at_its_key(self, tmp_path, capsys, case):
+        overrides, pointer = NON_FINITE[case]
+        sections = {**overrides, "study": {**_PICARD, **overrides.get("study", {})}}
+        cfg = write_cfg(tmp_path, **sections)
+        assert run(["picard", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {pointer}:" in err and "finite" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", list(INTEGRAL_FLOATS))
+    def test_integral_float_runs_as_its_int(self, tmp_path, capsys, case):
+        command, overrides, (section, key) = INTEGRAL_FLOATS[case]
+        as_float = make_cfg(**overrides)
+        as_int = copy.deepcopy(as_float)
+        as_int[section][key] = int(as_float[section][key])
+        assert isinstance(as_float[section][key], float)
+        assert config.load_config(write_cfg(tmp_path, "f.json", **overrides)) == as_int
+        dirs = []
+        for name, doc in (("float", as_float), ("int", as_int)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            assert run([command, "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            dirs.append(manifest_of(capsys).parent)
+        # the key reaches the builders, and meta.json's config, as an int
+        for name in ("result.csv", "meta.json"):
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+# Schema cases of the tests above, as the documents load_config checks.
+SCHEMA_CASES = {
+    "unknown-key": make_cfg(operator={"n_mode": 4}),
+    "alpha-at-maximum": make_cfg(operator={"alpha": 2.0}),
+    "two-faults": make_cfg(operator={"alpha": 2.5}, study={"kind": "nonsense"}),
+    "seed-negative": make_cfg(sim={"seed": -3}),
+    "seed-past-64-bits": make_cfg(sim={"seed": 2**64}),
+    "seed-at-maximum": make_cfg(sim={"seed": 2**64 - 1}),
+    "no-study": make_cfg(study=None),
+    **{f"fault-{name}": make_cfg(**overrides)
+       for name, (_, overrides, _) in CONFIG_FAULTS.items()},
+    **{f"integral-{name}": make_cfg(**overrides)
+       for name, (_, overrides, _) in INTEGRAL_FLOATS.items()},
+}
+
+_LEAVES = {(section, key): sub
+           for section, sect in config.SCHEMA["properties"].items()
+           for key, sub in sect["properties"].items()}
+
+
+def _edge_values(schema: dict) -> list:
+    """Each bound of ``schema``, one ulp either side of it and its integer neighbours;
+    empty and non-numeric arrays where it admits an array."""
+    out = []
+    if "array" in json.dumps(schema):
+        out += [[], [[]], ["x"], [True], [None], [0.5, "x"], [0.5, False]]
+    for keyword in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"):
+        if keyword in schema:
+            bound = schema[keyword]
+            out += [bound, float(bound), bound - 1, bound + 1,
+                    math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+    return out
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_VALUES = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3), st.integers(-3, 3), st.integers(), _FINITE,
+    st.sampled_from(["picard", "rate", "linear_test"]),
+    st.lists(st.one_of(_FINITE, st.integers(-3, 3), st.booleans(), st.text(max_size=2)),
+             max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """BASE_CFG after one to three drops, unknown keys, wrong types or edge values."""
+    doc = copy.deepcopy(BASE_CFG)
+    for _ in range(draw(st.integers(1, 3))):
+        section, key = draw(st.sampled_from(sorted(_LEAVES)))
+        kind = draw(st.sampled_from(["set", "edge", "drop", "unknown", "section", "root"]))
+        target = doc.get(section)
+        if kind == "root":
+            doc[draw(st.sampled_from(["extra", "Sim", section]))] = draw(_VALUES)
+        elif kind == "section":
+            doc[section] = draw(st.one_of(st.just(None), _VALUES))
+            if doc[section] is None:
+                del doc[section]
+        elif not isinstance(target, dict):
+            continue
+        elif kind == "drop":
+            target.pop(key, None)
+        elif kind == "unknown":
+            target[draw(st.sampled_from(["n_mode", "Kind", "", "T "]))] = draw(_VALUES)
+        elif kind == "edge" and _edge_values(_LEAVES[section, key]):
+            target[key] = draw(st.sampled_from(_edge_values(_LEAVES[section, key])))
+        else:
+            target[key] = draw(_VALUES)
+    return doc
+
+
+def _interpreted_pointer(doc):
+    try:
+        config._validate(copy.deepcopy(doc))
+    except ConfigError as exc:
+        return exc.pointer
+    return None
+
+
+@pytest.fixture(scope="module")
+def reference_pointer():
+    """First error pointer, in path order, from the draft 2020-12 reference validator."""
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(config.SCHEMA)
+
+    def first(doc):
+        errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+        return "/" + "/".join(str(t) for t in errors[0].absolute_path) if errors else None
+
+    return first
+
+
+class TestSchemaInterpreter:
+    """The config checker against the reference validator, on finite documents."""
+
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_agree(self, reference_pointer, path):
+        doc = json.loads(path.read_text())
+        assert reference_pointer(doc) is None
+        assert _interpreted_pointer(doc) is None
+
+    @pytest.mark.parametrize("case", list(SCHEMA_CASES))
+    def test_listed_cases_agree(self, reference_pointer, case):
+        doc = SCHEMA_CASES[case]
+        assert _interpreted_pointer(doc) == reference_pointer(doc)
+
+    @pytest.mark.parametrize("root", [[], 1, 1.5, "cfg", None, True, [BASE_CFG]])
+    def test_non_object_root_agrees(self, reference_pointer, root):
+        assert _interpreted_pointer(root) == reference_pointer(root) == "/"
+
+    @settings(max_examples=600)
+    @given(doc=mutated_configs())
+    def test_mutated_configs_agree(self, reference_pointer, doc):
+        pointer = _interpreted_pointer(doc)
+        assert pointer == reference_pointer(doc)
+        if pointer is None:  # an accepted document keeps its values
+            assert config._validate(copy.deepcopy(doc)) == doc
+
+    @pytest.mark.parametrize("case", list(NON_FINITE))
+    def test_non_finite_numbers_are_the_one_difference(self, reference_pointer, case):
+        overrides, pointer = NON_FINITE[case]
+        doc = make_cfg(**overrides)
+        # the draft admits NaN and infinities everywhere but at an integer key
+        # and out of bounds; where it admits one, the checker still stops it
+        assert reference_pointer(doc) in (None, pointer)
+        assert _interpreted_pointer(doc) == pointer
+
+    def test_every_schema_keyword_is_interpreted(self):
+        def keywords(schema):
+            for key, arg in schema.items():
+                yield key
+                subs = arg.values() if key == "properties" else \
+                    arg if isinstance(arg, list) else [arg]
+                for sub in subs:
+                    if isinstance(sub, dict):
+                        yield from keywords(sub)
+
+        used = set(keywords(config.SCHEMA))
+        assert used <= config._KEYWORDS
+        assert {"oneOf", "items", "minItems", "enum", "exclusiveMaximum"} <= used
+
+    @pytest.mark.parametrize("change", [
+        {"pattern": "^[a-z]+$"}, {"additionalProperties": True}, {"type": ["string", "null"]},
+        {"enum": ["picard", 1]},
+    ])
+    def test_uninterpretable_schema_refused(self, change):
+        schema = copy.deepcopy(config.SCHEMA)
+        schema["properties"]["coefficients"]["properties"]["variant"].update(change)
+        with pytest.raises(NotImplementedError):
+            config._assert_interpretable(schema)
+
 
 class TestSmokeRuns:
     def test_shipped_smoke_rate_study(self, tmp_path, capsys):
@@ -543,3 +760,36 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert [lines[0], *lines[-4:]] == ["False", "0", "False", "True", "1"]
+
+
+def test_serial_run_imports_no_schema_library_or_process_pool(tmp_path):
+    # jsonschema and the process pool each cost start-up time; a --threads 1
+    # run needs neither, and --threads 2 still writes the --threads 1 bytes
+    picard = write_cfg(tmp_path, "picard.json", sim={"M": 8},
+                       study={"kind": "picard", "grid": None, "n_iters": 2})
+    rate = write_cfg(tmp_path, "rate.json")
+    code = ("import json, sys, mvspde.cli as cli\n"
+            "mods = ('jsonschema', 'multiprocessing', 'concurrent.futures')\n"
+            "loaded = lambda: [m for m in mods if m in sys.modules]\n"
+            "picard, rate, out = sys.argv[1:]\n"
+            "seen = [loaded()]\n"
+            "codes = [cli.run(['picard', '--config', picard, '--out', out + '/p'])]\n"
+            "codes.append(cli.run(['rate-study', '--config', rate, '--threads', '1',\n"
+            "                      '--out', out + '/t1']))\n"
+            "seen.append(loaded())\n"
+            "codes.append(cli.run(['rate-study', '--config', rate, '--threads', '2',\n"
+            "                      '--out', out + '/t2']))\n"
+            "print(json.dumps([seen, codes, loaded()]))")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code, picard, rate, str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen, codes, after_pool = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == [[], []] and codes == [0, 0, 0]
+    assert "concurrent.futures" in after_pool  # the pool path did run
+    t1, t2 = ([p for p in (tmp_path / "o" / t).rglob("*") if p.is_file()]
+              for t in ("t1", "t2"))
+    for name in ("result.csv", "meta.json"):
+        one, two = ([p for p in files if p.name == name] for files in (t1, t2))
+        assert len(one) == len(two) == 1
+        assert one[0].read_bytes() == two[0].read_bytes()
