@@ -3,12 +3,14 @@
 Every subcommand loads and schema-checks the config, rebuilds the
 operator and coefficient family, and runs the admissibility report
 before any simulation starts; a failed assumption is a config problem,
-not a runtime one, and exits with code 2 naming the check.  The studies'
-guards (whole step counts, moment order, grids, bounded drift, h_fast,
-Picard weight) raise ConfigError before the first step, which exits 2 at
-the key's JSON pointer.  Exit code 1 is reserved for genuine runtime
-failures, such as a non-finite field or law statistic.  On success the
-last stdout line is the manifest path of the persisted result.
+not a runtime one, and exits with code 2 naming the check.  The key check
+against the study table ``config.STUDIES`` (a key set but not read, or a
+required one missing) and the studies' guards (step counts, moment order,
+grids, replica split, bounded drift, h_fast, Picard weight) raise
+ConfigError before the first step, which exits 2 at the key's JSON
+pointer.  Exit code 1 is reserved for genuine runtime failures, such as a
+non-finite field or law statistic.  On success the last stdout line is
+the manifest path of the persisted result.
 """
 
 from __future__ import annotations
@@ -21,13 +23,15 @@ import numpy as np
 
 from .coefficients import assumption_report
 from .config import (
+    REQUIRED,
+    STUDIES,
     ConfigError,
     build_coeffs,
     build_eta,
     build_multiscale,
-    build_replicas,
     build_sim,
     build_spec,
+    check_keys,
     load_config,
 )
 from .experiments import (
@@ -44,15 +48,40 @@ from .multiscale import FrozenInput
 # frozen-equation probes scan the initial state at these multiples
 PROBE_SCALES = (0.5, 1.0, 2.0)
 
-# subcommand -> (study kind its config may declare, help blurb), in --help order
+
+def _probes(cfg: dict, base) -> list:
+    """The initial state at each of PROBE_SCALES, with the fast state at sim.eta."""
+    eta = build_eta(cfg, base.spec)
+    return [FrozenInput(x=s * base.xi, mu_stat=float(np.linalg.norm(s * base.xi)), y0=eta)
+            for s in PROBE_SCALES]
+
+
+# subcommand -> (study kind, help blurb, study call), in --help order.  A
+# call takes (config, base system, --threads, the optional study keys the
+# config sets) and names its study function when it runs, so that a wrapper
+# set on this module's attribute is the function called.
 _COMMANDS = {
-    "validate": (None, "check operator and coefficient assumptions, then stop"),
-    "simulate": ("simulate", "run the interacting system; persist the moment curve"),
-    "picard": ("picard", "trace the law fixed-point iteration distances"),
-    "ergodicity": ("ergodicity", "fit frozen-equation mixing rates on probe inputs"),
-    "rate-study": ("rate", "strong averaging error against the timescale ratio"),
-    "hoelder-study": ("hoelder", "slow-path increment regularity against block length"),
-    "aux-gap": ("aux-gap", "fast-path gap to its block-frozen twin against block length"),
+    "validate": (None, "check operator and coefficient assumptions, then stop", None),
+    "simulate": ("simulate", "run the interacting system; persist the moment curve",
+                 lambda cfg, base, threads, kw: simulate_study(base, **kw)),
+    "picard": ("picard", "trace the law fixed-point iteration distances",
+               lambda cfg, base, threads, kw: picard_study(base, **kw)),
+    "ergodicity": ("ergodicity", "fit frozen-equation mixing rates on probe inputs",
+                   lambda cfg, base, threads, kw: ergodicity_study(
+                       _probes(cfg, base), base.spec, base.coeffs, cfg["study"]["grid"],
+                       seed=base.seed, **kw)),
+    "rate-study": ("rate", "strong averaging error against the timescale ratio",
+                   lambda cfg, base, threads, kw: rate_study(
+                       base, cfg["study"]["grid"], eta=build_eta(cfg, base.spec),
+                       n_workers=threads, **kw)),
+    "hoelder-study": ("hoelder", "slow-path increment regularity against block length",
+                      lambda cfg, base, threads, kw: hoelder_study(
+                          build_multiscale(cfg, base), cfg["study"]["grid"],
+                          n_workers=threads, **kw)),
+    "aux-gap": ("aux-gap", "fast-path gap to its block-frozen twin against block length",
+                lambda cfg, base, threads, kw: aux_gap_study(
+                    build_multiscale(cfg, base), cfg["study"]["grid"],
+                    n_workers=threads, **kw)),
 }
 
 
@@ -62,7 +91,7 @@ def _parser() -> argparse.ArgumentParser:
         description="two-timescale interacting-system simulations and studies",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, blurb) in _COMMANDS.items():
+    for name, (_, blurb, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--seed", type=int, default=None,
@@ -72,29 +101,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--threads", type=int, default=1,
                          help="worker processes for replica-parallel studies")
     return parser
-
-
-def _study_section(cfg: dict, expected_kind: str) -> dict:
-    study = cfg.get("study", {})
-    declared = study.get("kind")
-    if declared is not None and declared != expected_kind:
-        raise ConfigError(
-            f"config declares study kind '{declared}' but the "
-            f"'{expected_kind}' subcommand was invoked",
-            pointer="/study/kind",
-        )
-    return study
-
-
-def _given(study: dict, *keys) -> dict:
-    """The ``keys`` the study section sets; each default lives in its study's signature."""
-    return {key: study[key] for key in keys if key in study}
-
-
-def _require_grid(study: dict):
-    if "grid" not in study:
-        raise ConfigError("this study needs a grid", pointer="/study/grid")
-    return study["grid"]
 
 
 def _raise_malloc_thresholds() -> None:
@@ -129,60 +135,24 @@ def run(argv=None) -> int:
     if args.command == "validate":
         for line in report.lines():
             print(line)
-        if not report.ok:
-            first = report.failures()[0]
-            print(f"validation failed — {first.name}: {first.detail}",
-                  file=sys.stderr)
-            return 2
-        return 0
     if not report.ok:
         first = report.failures()[0]
-        print(f"{first.name}: {first.detail}", file=sys.stderr)
+        prefix = "validation failed — " if args.command == "validate" else ""
+        print(f"{prefix}{first.name}: {first.detail}", file=sys.stderr)
         return 2
 
-    _raise_malloc_thresholds()
+    kind, _, call = _COMMANDS[args.command]
+    study = cfg.get("study", {})
     try:
-        study = _study_section(cfg, _COMMANDS[args.command][0])
+        # validate checks the keys of the kind its config declares
+        check_keys(cfg, kind or study.get("kind"))
+        if call is None:
+            return 0
+        _raise_malloc_thresholds()
         base = build_sim(cfg, spec, coeffs)
-        out_dir = args.out or study.get("out_dir", "out")
-
-        if args.command == "simulate":
-            result = simulate_study(base, **_given(study, "m"))
-        elif args.command == "picard":
-            result = picard_study(base, **_given(study, "n_iters", "lambda_weight"))
-        elif args.command == "ergodicity":
-            t_grid = _require_grid(study)
-            eta = build_eta(cfg, spec)
-            probes = [
-                FrozenInput(
-                    x=s * base.xi,
-                    mu_stat=float(np.linalg.norm(s * base.xi)),
-                    y0=eta,
-                )
-                for s in PROBE_SCALES
-            ]
-            result = ergodicity_study(
-                probes, spec, coeffs, t_grid, seed=base.seed,
-                **_given(study, "ensemble", "h_step"),
-            )
-        elif args.command == "rate-study":
-            eps_grid = _require_grid(study)
-            result = rate_study(
-                base, eps_grid,
-                eta=build_eta(cfg, spec),
-                n_replicas=build_replicas(cfg, 8),
-                n_workers=args.threads,
-                **_given(study, "m", "h_fast_ratio"),
-            )
-        else:  # hoelder-study, aux-gap
-            delta_grid = _require_grid(study)
-            ms = build_multiscale(cfg, base)
-            increment_study = hoelder_study if args.command == "hoelder-study" else aux_gap_study
-            result = increment_study(
-                ms, delta_grid,
-                n_replicas=build_replicas(cfg, 4),
-                n_workers=args.threads,
-            )
+        options = {key: study[key] for key in STUDIES[kind].get("study", ())
+                   if key in study and key not in REQUIRED}  # unset: the study's default
+        result = call(cfg, base, args.threads, options)
         # the file, not the objects built from it, names a CLI run
         result = dataclasses.replace(result, config=cfg)
     except ConfigError as exc:
@@ -198,7 +168,7 @@ def run(argv=None) -> int:
     if result.flags:
         print("flags: " + ", ".join(f"{k}={v}" for k, v in sorted(result.flags.items())))
     try:
-        manifest = persist(result, out_dir)
+        manifest = persist(result, args.out or study.get("out_dir", "out"))
     except OSError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1

@@ -51,6 +51,7 @@ __all__ = [
     "BuiltinFamily",
     "bounded_smooth",
     "linear_test",
+    "FAMILY_KEYS",
     "build_family",
     "ProbeReport",
     "probe_lipschitz",
@@ -140,12 +141,13 @@ def bounded_smooth(
     y holds and returns a field shaped like y.
     """
     if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
+        raise ConfigError(f"a must be positive, got {a}", "/coefficients/a")
     if b_mu < 0:
-        raise ValueError(f"b_mu must be >= 0, got {b_mu}")
+        raise ConfigError(f"b_mu must be >= 0, got {b_mu}", "/coefficients/b_mu")
     k_act = min(4, spec.n_modes) if n_active is None else int(n_active)
     if not (1 <= k_act <= spec.n_modes):
-        raise ValueError(f"n_active must lie in [1, {spec.n_modes}], got {n_active}")
+        raise ConfigError(f"K must lie in [1, n_modes = {spec.n_modes}], got {n_active}",
+                          "/coefficients/K")
     active = np.zeros(spec.n_modes)
     active[:k_act] = 1.0
     e1 = np.zeros(spec.n_modes)
@@ -382,18 +384,22 @@ class BuiltinFamily:
         return coeffs
 
 
+# variant -> {config key: builder parameter} of the parameters its builder reads
+FAMILY_KEYS = {
+    "bounded_smooth": {"a": "a", "b_mu": "b_mu", "c": "c", "K": "n_active"},
+    "linear_test": {"a": "a", "c": "c"},
+}
+
+
 def build_family(variant: str, spec: OperatorSpec, **params) -> CoefficientSet:
-    """Construct a built-in family by name (config-file entry point)."""
-    if variant == "bounded_smooth":
-        kw = {k: v for k, v in params.items() if v is not None}
-        return bounded_smooth(spec, **kw)
-    if variant == "linear_test":
-        kw = {k: params[k] for k in ("a", "c") if params.get(k) is not None}
-        return linear_test(spec, **kw)
-    raise ValueError(
-        f"unknown coefficient variant {variant!r}; "
-        "built-ins are 'bounded_smooth' and 'linear_test'"
-    )
+    """Construct a built-in family by name from the parameters it reads; a
+    parameter the family does not read, or one that is None, is ignored."""
+    if variant not in FAMILY_KEYS:
+        raise ConfigError(f"unknown coefficient variant {variant!r}; built-ins are "
+                          f"{' and '.join(map(repr, FAMILY_KEYS))}", "/coefficients/variant")
+    builder = bounded_smooth if variant == "bounded_smooth" else linear_test
+    return builder(spec, **{name: params[name] for name in FAMILY_KEYS[variant].values()
+                            if params.get(name) is not None})
 
 
 @dataclass(frozen=True)
@@ -433,21 +439,15 @@ def probe_lipschitz(
         m1, m2 = p_moment(c1, spec.p), p_moment(c2, spec.p)
         dx = np.linalg.norm(x1 - x2)
         dy = np.linalg.norm(y1 - y2)
-
-        num_b = np.linalg.norm(coeffs.B(x1, m1) - coeffs.B(x2, m2))
-        den_b = coeffs.lip_C * (dx + w)
-        if den_b > 1e-12:
-            worst["B"] = max(worst["B"], num_b / den_b)
-
-        num_f = np.linalg.norm(coeffs.F(x1, m1, y1) - coeffs.F(x2, m2, y2))
-        den_f = coeffs.lip_C * (dx + w + dy)
-        if den_f > 1e-12:
-            worst["F"] = max(worst["F"], num_f / den_f)
-
-        num_g = np.linalg.norm(coeffs.G(x1, m1, y1) - coeffs.G(x2, m2, y2))
-        den_g = coeffs.lip_C * (dx + w) + coeffs.lip_G_y * dy
-        if den_g > 1e-12:
-            worst["G"] = max(worst["G"], num_g / den_g)
+        # name -> (increment, its declared bound per unit displacement)
+        for name, step, den in (
+            ("B", coeffs.B(x1, m1) - coeffs.B(x2, m2), coeffs.lip_C * (dx + w)),
+            ("F", coeffs.F(x1, m1, y1) - coeffs.F(x2, m2, y2), coeffs.lip_C * (dx + w + dy)),
+            ("G", coeffs.G(x1, m1, y1) - coeffs.G(x2, m2, y2),
+             coeffs.lip_C * (dx + w) + coeffs.lip_G_y * dy),
+        ):
+            if den > 1e-12:
+                worst[name] = max(worst[name], np.linalg.norm(step) / den)
 
     passed = all(v <= 1.0 + 1e-9 for v in worst.values())
     return ProbeReport(n_probes=n_probes, worst_ratio=worst, passed=passed)

@@ -13,8 +13,11 @@ non-finite number (Python's ``json`` reads ``NaN`` and ``Infinity``, RFC
 8259 has neither) is rejected at its key, and an integral float at an
 ``integer`` key (``16.0``) is admitted, as the draft does, and handed on
 as an ``int``.
-``describe`` runs the builders backwards: it writes the sections of the
-built objects a study was given.
+``STUDIES``, the study table, names the keys each study kind reads and
+those it requires; ``check_keys`` holds a config to it and to the family
+keys of ``coefficients.FAMILY_KEYS``.  ``describe`` runs the builders
+backwards: it writes the sections of the built objects a study was given,
+and the study's keys where the table reads them.
 """
 
 from __future__ import annotations
@@ -27,23 +30,45 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import BuiltinFamily, CoefficientSet
+from .coefficients import FAMILY_KEYS, BuiltinFamily, CoefficientSet
 from .multiscale import MultiscaleConfig
 from .solver import SimConfig
 from .spectral import ConfigError, OperatorSpec
 
 __all__ = [
     "SCHEMA",
+    "STUDIES",
+    "BASE_KEYS",
+    "REQUIRED",
     "ConfigError",
+    "check_keys",
     "load_config",
     "build_spec",
     "build_coeffs",
     "build_sim",
     "build_multiscale",
     "build_eta",
-    "build_replicas",
     "describe",
 ]
+
+
+# Study kind -> section -> the keys it reads past BASE_KEYS, which every
+# kind reads.  An optional study key reaches the study function as the keyword
+# argument of its name, so its default lives in the signature alone.  The
+# one key a kind may set unread is a zero sim.eta, which means what an absent
+# one does: simulate and picard step no fast equation, yet one physics block
+# with its eta can serve every subcommand, as perfbench's picard workload does.
+BASE_KEYS = {"sim": ("T", "h", "M", "seed", "xi"), "study": ("kind", "out_dir")}
+STUDIES = {
+    "simulate": {"study": ("m",)},
+    "picard": {"study": ("n_iters", "lambda_weight")},
+    "ergodicity": {"sim": ("eta",), "study": ("grid", "ensemble", "h_step")},
+    "rate": {"sim": ("eta",), "study": ("grid", "m", "h_fast_ratio", "n_replicas")},
+    "hoelder": {"sim": ("h_fast", "eta"), "study": ("grid", "epsilon", "n_replicas")},
+    "aux-gap": {"sim": ("h_fast", "eta"), "study": ("grid", "epsilon", "n_replicas")},
+}
+# the keys without a default, in every kind that reads them
+REQUIRED = ("h_fast", "grid", "epsilon")
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
@@ -108,9 +133,7 @@ SCHEMA = {
             "additionalProperties": False,
             "required": ["kind"],
             "properties": {
-                "kind": {
-                    "enum": ["simulate", "picard", "ergodicity", "rate", "hoelder", "aux-gap"]
-                },
+                "kind": {"enum": list(STUDIES)},
                 "grid": {
                     "type": "array",
                     "items": {"type": "number"},
@@ -263,13 +286,9 @@ def build_spec(cfg: dict) -> OperatorSpec:
 
 def build_coeffs(cfg: dict, spec: OperatorSpec) -> CoefficientSet:
     sect = cfg["coefficients"]
-    return BuiltinFamily(
-        variant=sect["variant"],
-        a=sect.get("a", 1.0),
-        b_mu=sect.get("b_mu", 0.5),
-        c=sect.get("c", 0.5),
-        n_active=sect.get("K"),
-    ).build(spec)
+    keys = FAMILY_KEYS.get(sect["variant"], {})  # an unknown variant fails in the build
+    return BuiltinFamily(sect["variant"], **{name: sect[key] for key, name in keys.items()
+                                             if key in sect}).build(spec)
 
 
 def build_sim(cfg: dict, spec: OperatorSpec, coeffs: CoefficientSet) -> SimConfig:
@@ -299,56 +318,79 @@ def build_eta(cfg: dict, spec: OperatorSpec) -> np.ndarray:
 def build_multiscale(cfg: dict, base: SimConfig) -> MultiscaleConfig:
     """Two-scale config for studies at a fixed epsilon (hoelder, aux-gap).
 
-    Reads sim.h_fast and study.epsilon; both must be present.
+    Reads the sim.h_fast and study.epsilon that the table requires of them.
     """
-    sect = cfg["sim"]
-    study = cfg.get("study", {})
-    if "h_fast" not in sect:
-        raise ConfigError("this study needs a fast step", pointer="/sim/h_fast")
-    if "epsilon" not in study:
-        raise ConfigError("this study needs a timescale ratio", pointer="/study/epsilon")
-    eta = build_eta(cfg, base.spec)
+    for pointer, message in _missing(cfg, "hoelder"):
+        raise ConfigError(message, pointer)
     try:
         return MultiscaleConfig(
             base=base,
-            epsilon=float(study["epsilon"]),
-            h_fast=float(sect["h_fast"]),
-            eta=eta,
+            epsilon=float(cfg["study"]["epsilon"]),
+            h_fast=float(cfg["sim"]["h_fast"]),
+            eta=build_eta(cfg, base.spec),
         )
     except ConfigError as exc:  # the h_fast rules raise without a pointer
         raise exc.at("/sim/h_fast") from None
 
 
-def build_replicas(cfg: dict, default: int) -> int:
-    """study.n_replicas (``default`` when absent), checked against sim.M.
+def _reads(kind: str) -> dict:
+    """Section -> the keys study ``kind`` reads there."""
+    return {section: keys + STUDIES[kind].get(section, ())
+            for section, keys in BASE_KEYS.items()}
 
-    Every replica is an interacting system of at least M // n_replicas
-    particles, and a one-particle system has no interaction.
+
+def _missing(cfg: dict, kind: str) -> list:
+    """(pointer, message) of each key ``kind`` requires that ``cfg`` leaves out."""
+    return [(f"/{section}/{key}", "is required, and has no default")
+            for section, keys in _reads(kind).items()
+            for key in keys if key in REQUIRED and key not in cfg.get(section, {})]
+
+
+def check_keys(cfg: dict, kind: str | None) -> None:
+    """Raise ConfigError unless ``cfg`` sets only keys that are read, and every required one.
+
+    A declared kind other than ``kind`` is the first fault; then the first,
+    in pointer order, of a key that the family or ``kind`` does not read
+    and a key that ``kind`` requires; a zero sim.eta counts as unset.  ``kind``
+    None checks the family alone.
     """
-    n = cfg.get("study", {}).get("n_replicas", default)
-    M = cfg["sim"]["M"]
-    if M // n < 2:
-        raise ConfigError(
-            f"cannot split M={M} particles into {n} interacting systems "
-            "of at least 2 particles",
-            pointer="/study/n_replicas",
-        )
-    return n
+    declared = cfg.get("study", {}).get("kind", kind)
+    if declared != kind:
+        raise ConfigError(f"config declares study kind '{declared}' but the '{kind}' "
+                          "subcommand was invoked", "/study/kind")
+    reads = {"coefficients": ("variant", *FAMILY_KEYS[cfg["coefficients"]["variant"]]),
+             **(_reads(kind) if kind else {})}
+    faults = [(f"/{section}/{key}", f"{value!r} is set, but the "
+               f"{'family' if section == 'coefficients' else 'study'} does not read it")
+              for section, keys in reads.items() for key, value in cfg.get(section, {}).items()
+              if key not in keys and not (key == "eta" and not np.any(value))]
+    faults += _missing(cfg, kind) if kind else []
+    if faults:
+        pointer, message = min(faults)
+        raise ConfigError(message, pointer)
 
 
-def describe(spec: OperatorSpec, coeffs: CoefficientSet, sim: SimConfig | None = None) -> dict:
-    """Config sections that ``build_spec``, ``build_coeffs`` and ``build_sim`` read back.
+def describe(spec: OperatorSpec, coeffs: CoefficientSet, sim: SimConfig | None = None,
+             kind: str | None = None, **keys) -> dict:
+    """Config sections that the builders read back, with study ``kind``'s ``keys``.
 
-    The ``coefficients`` section holds the set's recipe; a set without one
-    is described by its variant alone.  Callers add their ``study`` section.
+    The ``coefficients`` section holds the set's recipe as its family's
+    keys; a set without one is described by its variant alone.  With
+    ``kind``, a ``study`` section names it, and each of ``keys`` that is not
+    None goes to the section the study table reads it from.
     """
     out = {"operator": dataclasses.asdict(spec), "coefficients": {"variant": coeffs.variant}}
     if coeffs.recipe is not None:
         family = coeffs.recipe[0]
-        out["coefficients"].update(a=family.a, b_mu=family.b_mu, c=family.c)
-        if family.n_active is not None:
-            out["coefficients"]["K"] = family.n_active
+        for key, name in FAMILY_KEYS[family.variant].items():
+            if getattr(family, name) is not None:
+                out["coefficients"][key] = getattr(family, name)
     if sim is not None:
-        out["sim"] = {"T": sim.T, "h": sim.h, "M": sim.M, "seed": sim.seed,
-                      "xi": [float(v) for v in sim.xi]}
+        out["sim"] = {key: getattr(sim, key) for key in BASE_KEYS["sim"]}
+    if kind is not None:
+        out["study"] = {"kind": kind}
+        section_of = {key: section for section, names in _reads(kind).items() for key in names}
+        for key, value in keys.items():
+            if value is not None:
+                out.setdefault(section_of[key], {})[key] = value
     return out

@@ -17,7 +17,7 @@ A study reads what it simulates from the built objects it is given
 :class:`CoefficientSet`) and from nothing else.  Its workers receive the
 grid point's config pickled, the coefficient set crossing as its
 ``BuiltinFamily`` recipe, and its ``config`` record is
-:func:`~mvspde.config.describe` of those objects plus a ``study`` section.
+:func:`~mvspde.config.describe` of those objects and of its study keys.
 
 Determinism contract: a study is a pure function of (config, master
 seed).  The Monte Carlo budget splits into ``n_replicas`` chunks; replica
@@ -38,7 +38,7 @@ import json
 import math
 import resource
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,8 @@ from .multiscale import (
     strong_error_stats,
 )
 from .noise import CH_FROZEN, RngStream
-from .solver import SimConfig, picard_law_iteration, moment_bound_check, simulate_mkv
+from .solver import (NonFiniteState, SimConfig, moment_bound_check, picard_law_iteration,
+                     simulate_mkv)
 from .spectral import ConfigError, OperatorSpec, check_moment_order, whole_steps
 
 __all__ = [
@@ -184,10 +185,14 @@ def fit_loglog(grid, exclude=()) -> FitReport:
 # replica decomposition helpers
 
 
-def _split_counts(total: int, n_chunks: int):
-    """Split ``total`` particles into chunk (offset, count) pairs."""
-    if total < n_chunks:
-        raise ValueError(f"cannot split M={total} particles into {n_chunks} replicas")
+def _split_counts(total: int, n_chunks: int, interacting: bool = False):
+    """Split ``total`` particles into ``n_chunks`` near-equal (offset, count) chunks; raise
+    at /study/n_replicas if one is empty or, for ``interacting`` chunks cut from two or
+    more particles, holds one: a one-particle system has no interaction."""
+    least = 2 if interacting and total > 1 else 1
+    if total // n_chunks < least:
+        raise ConfigError(f"cannot split M={total} particles into {n_chunks} systems of at "
+                          f"least {least} particles", "/study/n_replicas")
     base, extra = divmod(total, n_chunks)
     out, offset = [], 0
     for r in range(n_chunks):
@@ -318,9 +323,9 @@ def rate_study(
                 for e in eps]
     except ConfigError as exc:
         raise exc.at("/study/h_fast_ratio") from None
+    chunks = _split_counts(base.M, n_replicas, interacting=True)
     averaged_drift(coeffs, spec)  # warm shared tables before any fork
 
-    chunks = _split_counts(base.M, n_replicas)
     steps = [c.n_steps for c in cfgs]
     tasks = []
     for gi, cfg in enumerate(cfgs):
@@ -341,10 +346,8 @@ def rate_study(
         eps, [[moments[gi * n_replicas + r] for r in range(n_replicas)]
               for gi in range(len(eps))], m)
     theta = spec.theta
-    config = describe(spec, coeffs, base)
-    config["sim"]["eta"] = cfgs[0].eta
-    config["study"] = {"kind": "rate", "grid": eps, "m": m, "h_fast_ratio": h_fast_ratio,
-                       "n_replicas": n_replicas}
+    config = describe(spec, coeffs, base, "rate", eta=cfgs[0].eta, grid=eps, m=m,
+                      h_fast_ratio=h_fast_ratio, n_replicas=n_replicas)
     seeds = (base.seed,) + tuple(range(len(eps) * n_replicas))
     return _result("rate", grid, config, seeds, t0, {
         "theory_slope": theta / (2.0 * (1.0 + theta)),
@@ -377,7 +380,8 @@ def _increment_study(cfg, delta_grid, kind, arm, n_replicas, n_workers):
     base = cfg.base
     tasks = [(replace(cfg, base=replace(base, M=count)), deltas, arm,
               range(offset, offset + count), r)
-             for r, (offset, count) in enumerate(_split_counts(base.M, n_replicas))]
+             for r, (offset, count) in enumerate(
+                 _split_counts(base.M, n_replicas, interacting=True))]
     raw = _run_tasks(increment_stats, tasks, n_workers)
     grid, flags, fit = _power_law_curve(deltas, list(zip(*raw)), 1.0)
     # both arms shrink at the slow path's regularity order theta / 2; the
@@ -386,10 +390,8 @@ def _increment_study(cfg, delta_grid, kind, arm, n_replicas, n_workers):
     theory_slope = base.spec.theta / 2.0
     if fit is not None and fit.slope > max(0.85, theory_slope + 0.2):
         flags["fit"] = "above-envelope"
-    config = describe(base.spec, base.coeffs, base)
-    config["sim"].update(h_fast=cfg.h_fast, eta=cfg.eta)
-    config["study"] = {"kind": kind, "grid": deltas, "epsilon": cfg.epsilon,
-                       "n_replicas": n_replicas}
+    config = describe(base.spec, base.coeffs, base, kind, h_fast=cfg.h_fast, eta=cfg.eta,
+                      grid=deltas, epsilon=cfg.epsilon, n_replicas=n_replicas)
     return _result(kind, grid, config, (base.seed,) + tuple(range(n_replicas)), t0,
                    {"theory_slope": theory_slope, "epsilon": cfg.epsilon,
                     "m": 1.0, "error_kind": arm}, flags, fit)
@@ -451,8 +453,9 @@ def ergodicity_study(
     Probe i runs under stream replica coordinate i; its grid row is
     (i + 1, fitted rate, rate stderr).  Probes whose decay curve never
     rises above the Monte Carlo floor (e.g. started at the stationary
-    mean) are flagged ``no-signal`` and reported as nan.  The reference
-    Fbar is the family's ``fbar_factory``.  The time grid is checked once,
+    mean) are flagged ``no-signal`` and reported as nan; a non-finite
+    state, gap or floor raises FloatingPointError naming the probe.  The
+    reference Fbar is the family's ``fbar_factory``.  The time grid is checked once,
     by :func:`~mvspde.multiscale.grid_steps`, before Fbar is built.
     """
     t0 = time.perf_counter()
@@ -470,6 +473,8 @@ def ergodicity_study(
                 probe, spec, coeffs, np.asarray(t_grid, dtype=float),
                 ensemble, rng, h_step=h_step, fbar_ref=fbar(probe.x, probe.mu_stat),
             )
+        except NonFiniteState as exc:
+            raise FloatingPointError(f"probe {i + 1}: {exc}") from exc
         except NoSignalError:
             flags[str(i)] = "no-signal"
             grid.append(GridPoint(param=float(i + 1), error=float("nan"),
@@ -480,11 +485,10 @@ def ergodicity_study(
                               stderr=rep.rate_stderr))
         reports.append({"kept": int(np.sum(rep.kept)),
                         "envelope_ok": bool(rep.envelope_ok)})
-    config = describe(spec, coeffs)
-    config["study"] = {"kind": "ergodicity", "t_grid": [float(t) for t in t_grid],
-                       "ensemble": ensemble, "seed": seed, "h_step": h_step,
-                       "probes": [{"x": p.x, "mu_stat": p.mu_stat, "y0": p.y0}
-                                  for p in probes]}
+    config = describe(spec, coeffs, None, "ergodicity", seed=seed,
+                      grid=[float(t) for t in t_grid], ensemble=ensemble, h_step=h_step)
+    # a library caller's probes are its own; the CLI's derive from sim.xi and sim.eta
+    config["study"]["probes"] = [{"x": p.x, "mu_stat": p.mu_stat, "y0": p.y0} for p in probes]
     return _result("ergodicity", grid, config, (seed,) + tuple(range(len(probes))), t0,
                    {"theory_rate": gap, "probes": reports,
                     "error_kind": "mixing-rate"}, flags)
@@ -515,8 +519,8 @@ def picard_study(
     if rep.noise_floor_iter is not None:
         for i in range(rep.noise_floor_iter, len(grid)):
             flags[str(i)] = "noise-floor"
-    config = describe(cfg.spec, cfg.coeffs, cfg)
-    config["study"] = {"kind": "picard", "n_iters": n_iters, "lambda_weight": rep.lambda_weight}
+    config = describe(cfg.spec, cfg.coeffs, cfg, "picard", n_iters=n_iters,
+                      lambda_weight=rep.lambda_weight)
     return _result("picard", grid, config, (cfg.seed,), t0, {
         "ratios": list(rep.ratios),
         "contracting": bool(rep.contracting),
@@ -547,8 +551,7 @@ def simulate_study(
         row = StrongErrorStats.from_sample(np.linalg.norm(cloud, axis=1) ** p, p)
         grid.append(GridPoint(param=float(t), error=row.error, stderr=row.stderr))
     check = moment_bound_check(flow, cfg.spec, order)
-    config = describe(cfg.spec, cfg.coeffs, cfg)
-    config["study"] = {"kind": "simulate", "m": m}
+    config = describe(cfg.spec, cfg.coeffs, cfg, "simulate", m=m)
     return _result("simulate", grid, config, (cfg.seed,), t0, {
         "sup_moment": check.sup_moment,
         "trend_slope": check.trend_slope,
@@ -582,6 +585,10 @@ def _peak_rss_mb() -> float:
     return max(u.ru_maxrss for u in usage) / 1024.0
 
 
+# the fields meta.json holds: all but the curve (result.csv) and the run time (the manifest)
+_META_FIELDS = [f.name for f in fields(ExperimentResult) if f.name not in ("grid", "runtime_s")]
+
+
 def persist(result: ExperimentResult, out_dir) -> Path:
     """Write a result under out_dir/<kind>/<config_hash>/ and return the manifest.
 
@@ -605,19 +612,9 @@ def persist(result: ExperimentResult, out_dir) -> Path:
     csv_path = root / "result.csv"
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    meta_payload = {
-        "kind": result.kind,
-        "config": result.config,
-        "config_hash": result.config_hash,
-        "seeds": list(result.seeds),
-        "fitted_slope": result.fitted_slope,
-        "slope_stderr": result.slope_stderr,
-        "fit_r2": result.fit_r2,
-        "flags": result.flags,
-        "meta": result.meta,
-    }
     meta_path = root / "meta.json"
-    _write_json(meta_path, meta_payload)
+    _write_json(meta_path, {**{name: getattr(result, name) for name in _META_FIELDS},
+                            "config_hash": result.config_hash})
 
     dat_rows = ["# log10_param log10_error dlog10_error"]
     for pt in result.grid:
@@ -659,15 +656,6 @@ def load_result(manifest_path) -> ExperimentResult:
     for line in csv_lines[1:]:
         param, error, stderr = (float(tok) for tok in line.split(","))
         grid.append(GridPoint(param=param, error=error, stderr=stderr))
-    return ExperimentResult(
-        kind=meta["kind"],
-        grid=tuple(grid),
-        fitted_slope=meta["fitted_slope"],
-        slope_stderr=meta["slope_stderr"],
-        fit_r2=meta["fit_r2"],
-        config=meta["config"],
-        seeds=tuple(meta["seeds"]),
-        runtime_s=manifest["runtime_s"],
-        flags=meta["flags"],
-        meta=meta["meta"],
-    )
+    saved = {name: meta[name] for name in _META_FIELDS}
+    saved["seeds"] = tuple(saved["seeds"])
+    return ExperimentResult(grid=tuple(grid), runtime_s=manifest["runtime_s"], **saved)

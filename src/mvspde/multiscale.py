@@ -327,7 +327,9 @@ def ergodicity_decay(
     recorded, so memory does not grow with the grid's end), and fits
     log|gap| ~ -rate * t on the points above 3x their Monte Carlo floor
     (nan stderr from two points), raising :class:`NoSignalError` when fewer
-    than two are.  The theoretical envelope decays at rate lambda_1 - L_G.
+    than two are, and :class:`NonFiniteState` at the first grid time whose
+    gap or floor is not finite.  The theoretical envelope decays at rate
+    lambda_1 - L_G.
     ``fbar_ref`` defaults to the family's Fbar at the probe.
 
     ``rate_stderr`` is the line fit's slope stderr, which treats the grid
@@ -352,8 +354,12 @@ def ergodicity_decay(
             fvals = coeffs.F(frozen.x[None, :], frozen.mu_stat, fields[0])
             gaps[i] = np.linalg.norm(fvals.mean(axis=0) - fbar_ref)
             floors[i] = np.linalg.norm(fvals.std(axis=0, ddof=1) / np.sqrt(n_replicas))
+            for name, value in (("gap", gaps[i]), ("gap floor", floors[i])):
+                if not np.isfinite(value):
+                    raise NonFiniteState(f"{name} at t = {t_grid[i]:.6g}", j, n_steps, None)
 
-    _frozen_loop(frozen, int(idx.max()), h_step, spec, coeffs, rng, n_replicas, read_gap)
+    n_steps = int(idx.max())
+    _frozen_loop(frozen, n_steps, h_step, spec, coeffs, rng, n_replicas, read_gap)
 
     kept = gaps > 3.0 * floors
     if kept.sum() < 2:

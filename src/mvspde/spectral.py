@@ -201,33 +201,20 @@ def validate_spec(spec: OperatorSpec) -> ValidationReport:
     with beta_k ~ k**(-b), lambda_k ~ k**a converges iff alpha*b + a > 1.
     """
     al, th = spec.alpha, spec.theta
-    checks = []
-
-    checks.append(AssumptionCheck(
+    checks = [AssumptionCheck(
         "A1", True,
         f"alpha={al:.6g} in (1,2), theta={th:.6g} in (0,{2/al:.6g}], "
         f"p={spec.p:.6g} in [1,{al:.6g})",
-    ))
-
-    q = al * spec.b + spec.a
-    checks.append(AssumptionCheck(
-        "A3", q > 1.0,
-        f"sum beta_k^alpha/lambda_k ~ sum k^-({q:.6g}); needs exponent > 1",
-    ))
-
-    q_slow = al * spec.b + spec.a * (1.0 - al * th / 2.0)
-    checks.append(AssumptionCheck(
-        "B2-slow", q_slow > 1.0,
-        f"sum beta_k^alpha lambda_k^(alpha*theta/2-1) ~ sum k^-({q_slow:.6g}); "
-        f"needs exponent > 1",
-    ))
-
-    q_fast = al * spec.g + spec.a
-    checks.append(AssumptionCheck(
-        "B2-fast", q_fast > 1.0,
-        f"sum gamma_k^alpha/lambda_k ~ sum k^-({q_fast:.6g}); needs exponent > 1",
-    ))
-
+    )]
+    # each summability condition: (name, the series, its exponent q in sum k^-q)
+    for name, series, q in (
+        ("A3", "sum beta_k^alpha/lambda_k", al * spec.b + spec.a),
+        ("B2-slow", "sum beta_k^alpha lambda_k^(alpha*theta/2-1)",
+         al * spec.b + spec.a * (1.0 - al * th / 2.0)),
+        ("B2-fast", "sum gamma_k^alpha/lambda_k", al * spec.g + spec.a),
+    ):
+        checks.append(AssumptionCheck(name, q > 1.0,
+                                      f"{series} ~ sum k^-({q:.6g}); needs exponent > 1"))
     return ValidationReport(tuple(checks))
 
 

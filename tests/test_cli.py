@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import importlib.util
 import inspect
 import json
 import math
@@ -21,6 +23,7 @@ from mvspde.config import (
     build_spec,
     load_config,
 )
+from mvspde.multiscale import MultiscaleConfig
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -147,8 +150,11 @@ class TestComputeGuards:
                                                   ("aux-gap", "aux-gap", 7)])
     def test_replica_default_checked_against_M(self, tmp_path, capsys, command, kind, M):
         # no n_replicas key: rate splits into 8 systems, the increment studies into 4
-        cfg = write_cfg(tmp_path, sim={"M": M, "h_fast": 2**-9},
-                        study={"kind": kind, "n_replicas": None, "epsilon": 0.03125})
+        sections = {"rate": dict(sim={"M": M}, study={"n_replicas": None}),
+                    "aux-gap": dict(sim={"M": M, "h_fast": 2**-9},
+                                    study={"kind": kind, "n_replicas": None, "epsilon": 0.03125,
+                                           "m": None, "h_fast_ratio": None})}
+        cfg = write_cfg(tmp_path, **sections[kind])
         assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "/study/n_replicas" in capsys.readouterr().err
 
@@ -202,14 +208,44 @@ CONFIG_FAULTS = {
                            "ensemble": 100, "m": None}), "/study/grid"),
     "picard-xi-too-long": ("picard", dict(
         sim={"M": 8, "xi": [0.1] * 5}, study={"kind": "picard", "n_iters": 2,
-                                             **_NO_RATE_KEYS}), "/sim/xi"),
+                                             **_NO_RATE_KEYS, "m": None}), "/sim/xi"),
     "rate-eta-too-long": ("rate-study", dict(sim={"eta": [0.0] * 5}), "/sim/eta"),
     "hoelder-eta-too-long": ("hoelder-study", dict(
         sim={"h_fast": 2**-9, "eta": [0.0] * 5}, study={**_HOELDER, "grid": [0.125, 0.0625]}),
         "/sim/eta"),
     "picard-weight-underflows": ("picard", dict(
         sim={"M": 8}, study={"kind": "picard", "lambda_weight": 1e300, "n_iters": 2,
-                             **_NO_RATE_KEYS}), "/study/lambda_weight"),
+                             **_NO_RATE_KEYS, "m": None}), "/study/lambda_weight"),
+    "K-past-n-modes": ("rate-study", dict(coefficients={"K": 9}), "/coefficients/K"),
+    # keys set where the subcommand's study kind or the family reads none
+    "picard-grid-unread": ("picard", dict(
+        sim={"M": 8}, study={**_NO_RATE_KEYS, "kind": "picard", "m": None,
+                             "grid": [0.5]}), "/study/grid"),
+    "picard-h-fast-unread": ("picard", dict(
+        sim={"M": 8, "h_fast": 123}, study={**_NO_RATE_KEYS, "kind": "picard", "m": None}),
+        "/sim/h_fast"),
+    "picard-eta-not-zero": ("picard", dict(
+        sim={"M": 8, "eta": [9.0]}, study={**_NO_RATE_KEYS, "kind": "picard", "m": None}),
+        "/sim/eta"),
+    "rate-h-fast-unread": ("rate-study", dict(sim={"h_fast": 123}), "/sim/h_fast"),
+    "rate-epsilon-unread": ("rate-study", dict(study={"epsilon": 0.03125}), "/study/epsilon"),
+    "ergodicity-linear-K-unread": ("ergodicity", dict(
+        _ERGODIC, coefficients={**_ERGODIC["coefficients"], "K": 1000},
+        study={**_NO_RATE_KEYS, "kind": "ergodicity", "grid": [0.5, 1.0], "ensemble": 100,
+               "m": None}), "/coefficients/K"),
+    "ergodicity-linear-b-mu-unread": ("ergodicity", dict(
+        _ERGODIC, coefficients={**_ERGODIC["coefficients"], "b_mu": 0.5},
+        study={**_NO_RATE_KEYS, "kind": "ergodicity", "grid": [0.5, 1.0], "ensemble": 100,
+               "m": None}), "/coefficients/b_mu"),
+}
+
+# Configs whose numbers overflow while a study runs: (subcommand, shipped
+# config, changes to its sections, words the error names).
+RUNTIME_FAULTS = {
+    "ergodicity-drift-overflows": ("ergodicity", "mixing.json",
+                                   {"coefficients": {"a": 1e300}}, ("probe 1", "gap")),
+    "ergodicity-eta-overflows": ("ergodicity", "mixing.json",
+                                 {"sim": {"eta": 1e308}}, ("probe 1", "gap")),
 }
 
 
@@ -222,6 +258,28 @@ class TestConfigFaults:
         err = capsys.readouterr().err
         assert "config error" in err and pointer in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fault", list(RUNTIME_FAULTS))
+    def test_runtime_fault_exits_1_naming_it(self, tmp_path, capsys, fault):
+        command, shipped, changes, words = RUNTIME_FAULTS[fault]
+        raw = json.loads((REPO / "configs" / shipped).read_text())
+        for section, values in changes.items():
+            raw[section].update(values)
+        path = tmp_path / shipped
+        path.write_text(json.dumps(raw))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "runtime error" in err and all(word in err for word in words)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("eta", [0.0, [0.0, 0.0, 0.0, 0.0]])
+    def test_zero_eta_runs_where_no_study_reads_it(self, tmp_path, capsys, eta):
+        cfg = write_cfg(tmp_path, sim={"M": 8, "eta": eta},
+                        study={**_NO_RATE_KEYS, "kind": "picard", "n_iters": 2, "m": None})
+        assert run(["picard", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        manifest_of(capsys)
 
     def test_parallel_rate_study_checks_moment_order_first(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, study={"m": 1.6})
@@ -255,7 +313,7 @@ class TestConfigFaults:
         assert not (tmp_path / "o").exists()
 
 
-_PICARD = {"kind": "picard", "n_iters": 2, **_NO_RATE_KEYS}
+_PICARD = {"kind": "picard", "n_iters": 2, **_NO_RATE_KEYS, "m": None}
 # Non-finite numbers, which Python's json reads and RFC 8259 JSON has not,
 # on a picard config: (write_cfg overrides, JSON pointer of the number).
 NON_FINITE = {
@@ -494,7 +552,7 @@ class TestSmokeRuns:
     def test_picard(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, sim={"M": 128},
                         study={"kind": "picard", "grid": None, "n_iters": 4,
-                               "h_fast_ratio": None, "n_replicas": None})
+                               "h_fast_ratio": None, "n_replicas": None, "m": None})
         assert run(["picard", "--config", cfg, "--out",
                     str(tmp_path / "o")]) == 0
         meta = json.loads((manifest_of(capsys).parent / "meta.json").read_text())
@@ -505,7 +563,7 @@ class TestSmokeRuns:
         # ratios 0/0; meta.json writes them as null, never as NaN
         cfg = write_cfg(tmp_path, sim={"M": 8, "T": 0.125},
                         study={"kind": "picard", "grid": None, "n_iters": 20,
-                               "h_fast_ratio": None, "n_replicas": None})
+                               "h_fast_ratio": None, "n_replicas": None, "m": None})
         assert run(["picard", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         root = manifest_of(capsys).parent
 
@@ -611,6 +669,96 @@ class TestStudyDefaults:
         assert metas[0] == metas[1]
 
 
+def _perfbench_workloads():
+    """perfbench/workloads.py, read as a module and left as it is."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _checked(tmp_path, doc, kind):
+    """``doc`` through load_config's schema and the key check of ``kind``."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_config(path)
+    config.check_keys(loaded, kind)
+    return loaded
+
+
+class TestStudyTable:
+    """The study table, SCHEMA, the study signatures and the configs in use agree."""
+
+    STUDY_FUNCTIONS = {
+        "simulate": experiments.simulate_study, "picard": experiments.picard_study,
+        "ergodicity": experiments.ergodicity_study, "rate": experiments.rate_study,
+        "hoelder": experiments.hoelder_study, "aux-gap": experiments.aux_gap_study,
+    }
+
+    @staticmethod
+    def _schema_keys(section):
+        return set(config.SCHEMA["properties"][section]["properties"])
+
+    def test_every_schema_key_is_read_somewhere(self):
+        for section in ("sim", "study"):
+            read = {key for row in (config.BASE_KEYS, *config.STUDIES.values())
+                    for key in row.get(section, ())}
+            assert self._schema_keys(section) == read, section
+        family = {key for keys in coefficients.FAMILY_KEYS.values() for key in keys}
+        assert self._schema_keys("coefficients") == {"variant"} | family
+
+    def test_every_table_key_is_a_schema_key(self):
+        assert set(config.STUDIES) == set(config.SCHEMA["properties"]["study"]["properties"]
+                                          ["kind"]["enum"]) == set(self.STUDY_FUNCTIONS)
+        for row in (config.BASE_KEYS, *config.STUDIES.values()):
+            assert set(row) <= {"sim", "study"}
+            for section, keys in row.items():
+                assert set(keys) <= self._schema_keys(section)
+        assert set(config.REQUIRED) <= self._schema_keys("sim") | self._schema_keys("study")
+
+    @pytest.mark.parametrize("kind", list(config.STUDIES))
+    def test_optional_keys_are_study_parameters(self, kind):
+        params = inspect.signature(self.STUDY_FUNCTIONS[kind]).parameters
+        optional = [key for key in config.STUDIES[kind].get("study", ())
+                    if key not in config.REQUIRED]
+        assert all(params[key].default is not inspect.Parameter.empty for key in optional)
+
+    @pytest.mark.parametrize("workload", ["rate", "picard"])
+    @pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
+    def test_benchmark_workloads_pass(self, tmp_path, workload, small):
+        bench = _perfbench_workloads()
+        command, _ = bench.WORKLOADS[workload]
+        doc = bench.make_config(workload, overrides=bench.SMALL[workload] if small else None)
+        _checked(tmp_path, doc, cli._COMMANDS[command][0])
+
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_pass(self, tmp_path, path):
+        doc = json.loads(path.read_text())
+        _checked(tmp_path, doc, doc["study"]["kind"])
+
+    def test_library_configs_pass(self, tmp_path, spec4):
+        smooth = coefficients.BuiltinFamily("bounded_smooth", c=0.25, n_active=3).build(spec4)
+        linear = coefficients.BuiltinFamily("linear_test").build(spec4)
+        base = solver.SimConfig(spec=spec4, coeffs=smooth, T=0.25, h=0.125, M=4, seed=2,
+                                xi=0.3)
+        ms = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9, eta=0.1)
+        results = [
+            experiments.rate_study(base, [2**-4, 2**-5, 2**-6, 2**-7], n_replicas=2),
+            experiments.hoelder_study(ms, [2**-6, 2**-5], n_replicas=2),
+            experiments.aux_gap_study(ms, [2**-6, 2**-5], n_replicas=2),
+            experiments.picard_study(base, n_iters=2),
+            experiments.simulate_study(base),
+            experiments.simulate_study(dataclasses.replace(base, coeffs=linear), m=1.0),
+        ]
+        for res in results:
+            assert _checked(tmp_path, res.config, res.kind) == res.config
+        # the linear family reads no b_mu or K, and its record holds none
+        assert results[-1].config["coefficients"] == {"variant": "linear_test", "a": 1.0,
+                                                      "c": 0.5}
+
+
 class TestDeterminismFlags:
     def test_threads_do_not_change_results(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -655,8 +803,7 @@ class TestConfigBuilders:
         assert base.xi[0] == 0.5
 
     def test_seed_override_plumbed(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, sim={"M": 8}, study={"kind": "picard", "grid": None,
-                                                       "n_iters": 2})
+        cfg = write_cfg(tmp_path, sim={"M": 8}, study=_PICARD)
         assert run(["picard", "--config", cfg, "--seed", "77",
                     "--out", str(tmp_path / "o")]) == 0
         meta = json.loads((manifest_of(capsys).parent / "meta.json").read_text())
@@ -730,8 +877,7 @@ class TestBenchmarkHooks:
         spy(experiments, "strong_error_stats")
         assert run(["rate-study", "--config", write_cfg(tmp_path),
                     "--out", str(tmp_path / "o")]) == 0
-        picard = write_cfg(tmp_path, "picard.json", sim={"M": 8},
-                           study={"kind": "picard", "grid": None, "n_iters": 2})
+        picard = write_cfg(tmp_path, "picard.json", sim={"M": 8}, study=_PICARD)
         assert run(["picard", "--config", picard, "--out", str(tmp_path / "o")]) == 0
         names = [name for name, _, _ in seen]
         assert names.count("rate_study") == names.count("picard_study") == 1
@@ -746,8 +892,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     # W_p loads only its compiled assignment kernel, so neither importing
     # the CLI nor a picard run on the exact path imports the package; a
     # later import of the package hands out that same loaded function
-    cfg = write_cfg(tmp_path, sim={"M": 8},
-                    study={"kind": "picard", "grid": None, "n_iters": 2})
+    cfg = write_cfg(tmp_path, sim={"M": 8}, study=_PICARD)
     code = ("import sys, mvspde.cli; print('scipy.optimize' in sys.modules); "
             "print(mvspde.cli.run(sys.argv[1:])); print('scipy.optimize' in sys.modules); "
             "import scipy.optimize, mvspde.measures as m; "
@@ -765,8 +910,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
 def test_serial_run_imports_no_schema_library_or_process_pool(tmp_path):
     # jsonschema and the process pool each cost start-up time; a --threads 1
     # run needs neither, and --threads 2 still writes the --threads 1 bytes
-    picard = write_cfg(tmp_path, "picard.json", sim={"M": 8},
-                       study={"kind": "picard", "grid": None, "n_iters": 2})
+    picard = write_cfg(tmp_path, "picard.json", sim={"M": 8}, study=_PICARD)
     rate = write_cfg(tmp_path, "rate.json")
     code = ("import json, sys, mvspde.cli as cli\n"
             "mods = ('jsonschema', 'multiprocessing', 'concurrent.futures')\n"
