@@ -99,27 +99,20 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None,
                          help="output directory (default: study.out_dir or ./out)")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker processes for replica-parallel studies")
+                         help="worker processes; above 1 only where study.n_replicas is read")
     return parser
-
-
-def _raise_malloc_thresholds() -> None:
-    """Free one mapped 4 MiB block, so glibc serves the studies' temporaries from its heap.
-
-    glibc maps each block past its mmap threshold (128 KiB at start) afresh
-    and unmaps it when freed, so every 0.1-4 MiB temporary of the W_p cost
-    matrix and the flow bounds would fault its pages in again.  Freeing a
-    mapped block raises that threshold to the block's size and the heap's
-    trim threshold to twice it (mallopt(3), dynamic mmap threshold).  Other
-    allocators just allocate and free the block.
-    """
-    np.empty(1 << 19)
 
 
 def run(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
+        kind, _, call = _COMMANDS[args.command]
+        # only the kinds that read study.n_replicas have work to share out
+        parallel = "n_replicas" in STUDIES.get(kind, {}).get("study", ())
+        if args.threads < 1 or (args.threads > 1 and not parallel):
+            parser.error(f"argument --threads: {args.command} takes "
+                         f"{'at least 1' if parallel else 'only 1'}, got {args.threads}")
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code or 0)
 
@@ -141,14 +134,12 @@ def run(argv=None) -> int:
         print(f"{prefix}{first.name}: {first.detail}", file=sys.stderr)
         return 2
 
-    kind, _, call = _COMMANDS[args.command]
     study = cfg.get("study", {})
     try:
         # validate checks the keys of the kind its config declares
         check_keys(cfg, kind or study.get("kind"))
         if call is None:
             return 0
-        _raise_malloc_thresholds()
         base = build_sim(cfg, spec, coeffs)
         options = {key: study[key] for key in STUDIES[kind].get("study", ())
                    if key in study and key not in REQUIRED}  # unset: the study's default

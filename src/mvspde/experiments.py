@@ -160,15 +160,17 @@ def fit_loglog(grid, exclude=()) -> FitReport:
 
     Weights are inverse *relative* stderr (the MC stderr mapped to log
     space), floored to keep zero-stderr points finite.  Points with
-    nonpositive or non-finite param or error, plus any index in
-    ``exclude``, are dropped.
+    nonpositive param or error, plus any index in ``exclude``, are
+    dropped; a non-finite point not excluded raises, naming its index.
     """
     exclude = set(exclude)
     xs, ys, ws = [], [], []
     for i, pt in enumerate(grid):
-        if i in exclude or not (pt.param > 0 and pt.error > 0):
+        if i in exclude:
             continue
-        if not (math.isfinite(pt.param) and math.isfinite(pt.error)):
+        if not all(map(math.isfinite, (pt.param, pt.error, pt.stderr))):
+            raise ValueError(f"non-finite grid point {i} in a log-log fit: {pt}")
+        if not (pt.param > 0 and pt.error > 0):
             continue
         rel = max(pt.stderr / pt.error, 1e-9)
         xs.append(math.log10(pt.param))
@@ -215,16 +217,19 @@ def _power_law_curve(params, parts, m):
     """Pooled curve of per-replica moments, its noise-floor flags and log-log fit.
 
     ``parts[i]`` lists the replica :class:`StrongErrorStats` at
-    ``params[i]``, pooled in that order into moments of m-th powers.  Every
-    error measured here has an exact zero baseline, so a point within 3
-    stderr of zero is flagged ``noise-floor`` and left out of the fit; a
-    fit that fails is flagged ``degenerate`` and returned as None.
+    ``params[i]``, pooled in that order into moments of m-th powers.  A
+    point with a non-finite error or stderr is flagged ``non-finite``.
+    Every error measured here has an exact zero baseline, so a point
+    within 3 stderr of zero is flagged ``noise-floor``.  Flagged points
+    are left out of the fit; a failed fit is flagged ``degenerate``.
     """
     grid, flags = [], {}
     for i, (param, reps) in enumerate(zip(params, parts)):
         pooled = StrongErrorStats(*_pool_moments(reps), m)
         err, se = pooled.error, pooled.stderr
-        if err <= 3.0 * se:
+        if not (math.isfinite(err) and math.isfinite(se)):
+            flags[str(i)] = "non-finite"
+        elif err <= 3.0 * se:
             flags[str(i)] = "noise-floor"
         grid.append(GridPoint(param=param, error=err, stderr=se))
     fit = None

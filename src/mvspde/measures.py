@@ -18,7 +18,10 @@ Distances:
 * ``wasserstein_exact`` solves the optimal assignment between two
   equal-size clouds (SciPy's compiled LSAP kernel, see
   :func:`assignment_solver`, on the cost matrix |x_i - y_j|^p) and is the
-  reference implementation, used up to M = 256.
+  reference implementation, used up to M = 256.  Its cost matrix and
+  ``dT_metric``'s bound are built in fixed-size blocks with the bits of one
+  pass: glibc maps an allocation past its mmap threshold (128 KiB at start)
+  afresh and faults it in on every call, a small one reuses heap pages.
 * ``wasserstein_sliced`` averages one-dimensional transport costs of random
   projections; the 1-d cost is closed-form (sorted samples matched in
   order).  It is a biased-low surrogate that scales to large M.
@@ -100,6 +103,10 @@ def assignment_solver():
 
 # longest axis that np.add.reduce sums in one block of eight lanes
 PAIRWISE_BLOCK = 128
+
+# Doubles in one block of the cost matrix or of dT_metric's bound: 64 KiB,
+# half of glibc's starting mmap threshold.
+BLOCK_ENTRIES = 8192
 
 
 def _add_columns(cols, n: int) -> np.ndarray:
@@ -212,25 +219,25 @@ def fit_line(x, y, w=None) -> FitReport:
 def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     """|x_i - y_j|^p, bit for bit np.linalg.norm(x[:, None] - y[None], axis=2) ** p.
 
-    Built one mode at a time: each mode's outer difference is squared in
-    place, and the squares are added in np.add.reduce's order by
-    :func:`_add_columns` as they are made, so the (M, M, N) differences
-    never exist as one tensor.  Mode counts past ``PAIRWISE_BLOCK`` (and
-    zero) take the tensor.
+    Filled in blocks of whole rows, at most ``BLOCK_ENTRIES`` entries each.
+    In a block each mode's squared outer difference is added in
+    np.add.reduce's order by :func:`_add_columns` as it is made; mode
+    counts past ``PAIRWISE_BLOCK`` (and zero) take np.linalg.norm of the
+    block's difference tensor.
     """
-    n = x.shape[1]
-    if not 0 < n <= PAIRWISE_BLOCK:
-        cost = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
-    else:
-        def squares():
-            for k in range(n):
-                d = np.subtract.outer(x[:, k], y[:, k])
-                d *= d
-                yield d
-
-        cost = _add_columns(squares(), n)
-        np.sqrt(cost, out=cost)
-    return cost if p == 1 else cost ** p
+    n, step = x.shape[1], max(1, BLOCK_ENTRIES // y.shape[0])
+    cost = np.empty((x.shape[0], y.shape[0]))
+    for start in range(0, x.shape[0], step):
+        rows, block = x[start:start + step], cost[start:start + step]
+        if not 0 < n <= PAIRWISE_BLOCK:
+            block[...] = np.linalg.norm(rows[:, None, :] - y[None, :, :], axis=2)
+        else:
+            block[...] = _add_columns(
+                (np.square(np.subtract.outer(rows[:, k], y[:, k])) for k in range(n)), n)
+            np.sqrt(block, out=block)
+        if p != 1:
+            block **= p
+    return cost
 
 
 def _cloud_pair(x, y, p: float):
@@ -364,23 +371,26 @@ def dT_metric(
     noise, as successive Picard stages do, are nearly index-coupled, and
     the sup then costs about one solve instead of one per time (none at
     all once the flows coincide).  A non-finite bound raises, naming its
-    time index, before anything is solved.
+    time index, before anything is solved.  The bound is reduced in blocks
+    of at most ``BLOCK_ENTRIES`` differences, with the bits of one pass.
     """
     if lambda_weight < 0:
         raise ValueError(f"lambda_weight must be >= 0, got {lambda_weight}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if mu_flow.n_times != nu_flow.n_times or not np.allclose(
-        mu_flow.times, nu_flow.times
-    ):
-        raise ValueError("flows must share the same time grid")
     if mu_flow.clouds.shape != nu_flow.clouds.shape:
         raise ValueError(
             f"flow cloud shapes differ: {mu_flow.clouds.shape} vs {nu_flow.clouds.shape}"
         )
+    if not np.allclose(mu_flow.times, nu_flow.times):
+        raise ValueError("flows must share the same time grid")
 
-    bound = np.exp(-lambda_weight * mu_flow.times) * p_moment(
-        mu_flow.clouds - nu_flow.clouds, p)
+    coupled = np.empty(mu_flow.n_times)
+    step = max(1, BLOCK_ENTRIES // max(1, mu_flow.size * mu_flow.clouds.shape[2]))
+    for start in range(0, mu_flow.n_times, step):
+        b = slice(start, start + step)
+        coupled[b] = p_moment(mu_flow.clouds[b] - nu_flow.clouds[b], p)
+    bound = np.exp(-lambda_weight * mu_flow.times) * coupled
     bad = np.flatnonzero(~np.isfinite(bound))
     if bad.size:
         j = int(bad[0])
@@ -389,9 +399,8 @@ def dT_metric(
             f"(t = {float(mu_flow.times[j])!r}): {float(bound[j])!r}"
         )
 
-    use_exact = mu_flow.size <= EXACT_ASSIGNMENT_LIMIT
     directions = None
-    if not use_exact:
+    if mu_flow.size > EXACT_ASSIGNMENT_LIMIT:
         if rng is None:
             raise ValueError(
                 f"M = {mu_flow.size} > {EXACT_ASSIGNMENT_LIMIT}: sliced distance "
@@ -404,10 +413,8 @@ def dT_metric(
         if bound[j] * (1.0 + PRUNE_MARGIN) <= best:
             break
         mu_j, nu_j = mu_flow.clouds[j], nu_flow.clouds[j]
-        if use_exact:
-            w = wasserstein_exact(mu_j, nu_j, p)
-        else:
-            w = wasserstein_sliced(mu_j, nu_j, p, directions=directions)
+        w = (wasserstein_exact(mu_j, nu_j, p) if directions is None
+             else wasserstein_sliced(mu_j, nu_j, p, directions=directions))
         best = max(best, float(np.exp(-lambda_weight * mu_flow.times[j])) * w)
     return best
 

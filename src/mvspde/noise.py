@@ -367,21 +367,17 @@ def _draw_groups(pairs, alpha: float, out: np.ndarray) -> np.ndarray:
 def sample_standard_stable(rng, alpha: float, size=None) -> np.ndarray | float:
     """Draw standard symmetric alpha-stable variates, chf exp(-|h|**alpha).
 
-    ``rng`` may be an :class:`RngStream` (uniform and exponential inputs then
-    come from the stream's slot pair, matching :class:`StableNoiseBank`) or a
-    bare numpy Generator (both inputs interleaved from it).
+    ``rng`` is an :class:`RngStream`: the uniform and exponential inputs
+    come from its slot pair, so the draws are those of a
+    :class:`StableNoiseBank` at the same address.
     """
     if not (1.0 < alpha < 2.0):
         raise ValueError(f"alpha out of range (1, 2): {alpha}")
-    if isinstance(rng, RngStream):
-        pair = rng.pair()
-    elif isinstance(rng, np.random.Generator):
-        pair = (rng, rng)
-    else:
-        raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"expected an RngStream, got {type(rng)!r}")
     out = np.empty(() if size is None else size)
     if out.size:
-        _draw_groups([pair], alpha, out.reshape(1, -1, out.shape[-1] if out.ndim else 1))
+        _draw_groups([rng.pair()], alpha, out.reshape(1, -1, out.shape[-1] if out.ndim else 1))
     return out if size is not None else float(out)
 
 

@@ -167,6 +167,41 @@ class TestComputeGuards:
         assert "runtime error" in capsys.readouterr().err
 
 
+class TestThreadsOption:
+    """--threads is at least 1, and above 1 only where a kind reads study.n_replicas."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_below_one_refused_everywhere(self, tmp_path, capsys, command, threads):
+        out = tmp_path / "o"
+        assert run([command, "--config", write_cfg(tmp_path), "--threads", threads,
+                    "--out", str(out)]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "picard", "ergodicity", "validate"])
+    def test_above_one_refused_where_one_process_runs(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert run([command, "--config", write_cfg(tmp_path), "--threads", "64",
+                    "--out", str(out)]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_serial_kinds_are_those_without_replicas(self):
+        serial = {kind for kind, row in config.STUDIES.items()
+                  if "n_replicas" not in row.get("study", ())}
+        assert serial == {"simulate", "picard", "ergodicity"}
+
+    def test_one_accepted_where_one_process_runs(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, sim={"M": 32},
+                        study={"kind": "picard", "grid": None, "n_iters": 2,
+                               "h_fast_ratio": None, "n_replicas": None, "m": None})
+        assert run(["picard", "--config", cfg, "--threads", "1",
+                    "--out", str(tmp_path / "o")]) == 0
+        manifest_of(capsys)
+        assert run(["validate", "--config", cfg, "--threads", "1"]) == 0
+
+
 
 # Schema-admitted configs that an admissibility rule rejects before the
 # first step: (subcommand, write_cfg overrides, JSON pointer of the fault).

@@ -94,6 +94,16 @@ class TestFitLoglog:
         with pytest.raises(ValueError):
             fit_loglog(self._grid(0.5, n=1))
 
+    @pytest.mark.parametrize("field", ["param", "error", "stderr"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_point_named_unless_excluded(self, field, value):
+        grid = self._grid(0.5)
+        grid[3] = dataclasses.replace(grid[3], **{field: value})
+        with pytest.raises(ValueError, match="grid point 3 "):
+            fit_loglog(grid)
+        assert fit_loglog(grid, exclude={3}) == fit_loglog(self._grid(0.5)[:3]
+                                                           + self._grid(0.5)[4:])
+
 
 class TestPoolingHelpers:
     def test_split_counts_partition(self):
@@ -131,6 +141,19 @@ class TestPoolingHelpers:
         assert n == whole.size
         assert mean == pytest.approx(whole.mean(), rel=1e-12)
         assert var == pytest.approx(whole.var(ddof=1), rel=1e-12)
+
+    def test_power_law_curve_flags_non_finite_points(self):
+        # an infinite error, an infinite stderr and a nan error: each is
+        # flagged and left out of the fit, none dropped without a trace
+        params = [0.5**i for i in range(6)]
+        parts = [[(2.0 * q, 1e-6 * q * q, 100)] for q in params]
+        parts[1] = [(math.inf, 1e-6, 100)]
+        parts[3] = [(0.25, math.inf, 100)]
+        parts[4] = [(math.nan, 1e-6, 100)]
+        grid, flags, fit = ex._power_law_curve(params, parts, 1.0)
+        assert flags == {"1": "non-finite", "3": "non-finite", "4": "non-finite"}
+        assert fit == fit_loglog([grid[i] for i in (0, 2, 5)])
+        assert fit.slope == pytest.approx(1.0, abs=1e-9)
 
 
 class TestConfigDigest:

@@ -1,7 +1,12 @@
 import importlib.machinery
 import importlib.util
 import itertools
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,8 @@ from mvspde.measures import (
     wasserstein_sliced,
 )
 from mvspde.noise import CH_PROJECTION, RngStream
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def cloud(rows):
@@ -71,7 +78,7 @@ class TestModeByModeCost:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        m=st.one_of(st.integers(1, 40), st.just(256)),
+        m=st.one_of(st.integers(1, 40), st.sampled_from([255, 256])),
         n_modes=st.sampled_from(list(range(1, 18)) + [129]),
         p=st.sampled_from([1.0, 1.25, 1.5, 2.0]),
         seed=st.integers(0, 2**16),
@@ -86,8 +93,9 @@ class TestModeByModeCost:
         assert wasserstein_exact(x, y, p) == want
 
     @pytest.mark.parametrize("p", [1.0, 1.25])
-    def test_memory_below_mode_count_plus_two_matrices(self, p):
-        # the tensor path peaks at two (M, M, N) arrays, 9 MB here
+    def test_memory_below_three_matrices(self, p):
+        # the tensor path peaks at two (M, M, N) arrays, 9 MB here, and a
+        # full matrix per mode at once would take eight
         m, n_modes = EXACT_ASSIGNMENT_LIMIT, 8
         mu, nu = np.random.default_rng(5).normal(size=(2, m, n_modes))
         wasserstein_exact(mu, nu, p)  # scipy imported outside the trace
@@ -97,7 +105,28 @@ class TestModeByModeCost:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (n_modes + 2) * m * m * 8
+        assert peak < 3 * m * m * 8
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="counts pages under glibc's mmap threshold")
+    def test_repeated_solves_reuse_heap_pages(self):
+        # A fresh interpreter, so no earlier test has moved glibc's dynamic
+        # mmap threshold.  Temporaries mapped afresh per call fault about
+        # 7,000 pages in 8 calls; served from the heap, the pages are reused.
+        code = (
+            "import resource, numpy as np\n"
+            "from mvspde.measures import wasserstein_exact\n"
+            "mu, nu = np.random.default_rng(5).normal(size=(2, 256, 8))\n"
+            "wasserstein_exact(mu, nu, 1.25)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(8):\n"
+            "    wasserstein_exact(mu, nu, 1.25)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert int(proc.stdout) < 1000
 
 
 def tie_costs():
@@ -406,6 +435,25 @@ class TestPrunedSup:
         directions = rng.generator().standard_normal((16, 2))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         assert got.hex() == exhaustive_dT(mu, nu, lam, p, directions).hex()
+
+    @pytest.mark.parametrize("p", [1.0, 1.25])
+    def test_bound_blocks_end_ragged(self, monkeypatch, p):
+        # a time count that is not a multiple of the block leaves the last
+        # block short; the blocks' bounds are the whole flow's, bit for bit
+        block = measures.BLOCK_ENTRIES // (256 * 8)
+        mu, nu = flow_pair(7, "shuffled", 2 * block + 1, 256, 8)
+        bounds = []
+
+        def recorded(x, order):
+            bounds.append(p_moment(x, order))
+            return bounds[-1]
+
+        monkeypatch.setattr(measures, "p_moment", recorded)
+        got = dT_metric(mu, nu, lambda_weight=0.5, p=p)
+        assert [b.size for b in bounds] == [block, block, 1]
+        whole = p_moment(mu.clouds - nu.clouds, p)
+        assert np.concatenate(bounds).tobytes() == whole.tobytes()
+        assert got.hex() == exhaustive_dT(mu, nu, 0.5, p).hex()
 
     def counting_exact(self, monkeypatch):
         calls = []

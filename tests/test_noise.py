@@ -81,6 +81,11 @@ class TestStandardStable:
             with pytest.raises(ValueError):
                 sample_standard_stable(rng, bad, size=4)
 
+    def test_bare_generator_refused(self):
+        # its draws would match no bank: both CMS inputs from one generator
+        with pytest.raises(TypeError, match="RngStream"):
+            sample_standard_stable(np.random.default_rng(0), ALPHA, size=4)
+
     def test_chf_matches_exponent(self):
         s = sample_standard_stable(RngStream(1), ALPHA, size=200_000)
         assert abs(chf_estimate(s, 1.0) - np.exp(-1.0)) < 4 / np.sqrt(s.size)
