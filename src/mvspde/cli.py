@@ -143,7 +143,10 @@ def run(argv=None) -> int:
         base = build_sim(cfg, spec, coeffs)
         options = {key: study[key] for key in STUDIES[kind].get("study", ())
                    if key in study and key not in REQUIRED}  # unset: the study's default
-        result = call(cfg, base, args.threads, options)
+        # the studies' guards name each NaN or inf that reaches a number
+        # they report, so numpy's own warnings would only repeat them first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result = call(cfg, base, args.threads, options)
         # the file, not the objects built from it, names a CLI run
         result = dataclasses.replace(result, config=cfg)
     except ConfigError as exc:

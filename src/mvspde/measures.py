@@ -343,6 +343,18 @@ class LawFlow:
     def size(self) -> int:
         return self.clouds.shape[1]
 
+    def blocks(self) -> list[slice]:
+        """Slices of whole times, each at most ``BLOCK_ENTRIES`` cloud entries
+        (one time where a cloud is larger)."""
+        step = max(1, BLOCK_ENTRIES // max(1, self.size * self.clouds.shape[2]))
+        return [slice(j, j + step) for j in range(0, self.n_times, step)]
+
+    def moments(self, p: float) -> np.ndarray:
+        """:func:`p_moment` of every time's cloud, one block of times at a
+        time: the bits of one pass over the flow without its full-size
+        temporaries."""
+        return np.concatenate([p_moment(self.clouds[b], p) for b in self.blocks()])
+
 
 def dT_metric(
     mu_flow: LawFlow,
@@ -385,11 +397,8 @@ def dT_metric(
     if not np.allclose(mu_flow.times, nu_flow.times):
         raise ValueError("flows must share the same time grid")
 
-    coupled = np.empty(mu_flow.n_times)
-    step = max(1, BLOCK_ENTRIES // max(1, mu_flow.size * mu_flow.clouds.shape[2]))
-    for start in range(0, mu_flow.n_times, step):
-        b = slice(start, start + step)
-        coupled[b] = p_moment(mu_flow.clouds[b] - nu_flow.clouds[b], p)
+    coupled = np.concatenate([p_moment(mu_flow.clouds[b] - nu_flow.clouds[b], p)
+                              for b in mu_flow.blocks()])
     bound = np.exp(-lambda_weight * mu_flow.times) * coupled
     bad = np.flatnonzero(~np.isfinite(bound))
     if bad.size:

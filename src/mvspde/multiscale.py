@@ -252,7 +252,10 @@ def ergodic_fbar(
     standard error comes from batch means (``N_BATCHES`` equal
     sub-windows), which absorbs the path's autocorrelation.  The path's
     stream is (rng.seed, rng.replica, a hash of (x, mu_stat), CH_FROZEN),
-    so an estimate does not depend on what was evaluated before it.
+    so an estimate does not depend on what was evaluated before it.  A
+    non-finite state, or a batch sum of F that is not finite at the end of
+    its batch, raises FloatingPointError naming it, the probe and the
+    replica.
     """
     gap = dissipativity_gap(coeffs, spec)
     t_b = 8.0 / gap if relax_time is None else relax_time
@@ -263,13 +266,24 @@ def ergodic_fbar(
     per_batch = n_avg // N_BATCHES
     x_row = frozen.x[None, :]
     sums = np.zeros((N_BATCHES, spec.n_modes))
+    n_steps = n_relax + n_avg
 
     def observe(j, fields):
-        if n_relax <= j < n_relax + n_avg:
-            sums[(j - n_relax) // per_batch] += coeffs.F(x_row, frozen.mu_stat, fields[0])[0]
+        if n_relax <= j < n_steps:
+            b, k = divmod(j - n_relax, per_batch)
+            sums[b] += coeffs.F(x_row, frozen.mu_stat, fields[0])[0]
+            if k == per_batch - 1 and not np.isfinite(sums[b]).all():
+                raise NonFiniteState(f"batch sum {b + 1} of {N_BATCHES} of F", j, n_steps, None)
 
     probe = RngStream(rng.seed, rng.replica, _probe_particle(frozen.x, frozen.mu_stat))
-    _frozen_loop(frozen, n_relax + n_avg, h_step, spec, coeffs, probe, 1, observe)
+    try:
+        _frozen_loop(frozen, n_steps, h_step, spec, coeffs, probe, 1, observe)
+    except NonFiniteState as exc:
+        x = ", ".join(f"{v:.6g}" for v in frozen.x)
+        raise FloatingPointError(
+            f"non-finite {exc.name} at probe x = [{x}], mu_stat = {frozen.mu_stat:.6g}, "
+            f"replica {rng.replica}, step {exc.step} of {n_steps}"
+        ) from exc
     batch_means = sums / per_batch
     est = batch_means.mean(axis=0)
     stderr_vec = batch_means.std(axis=0, ddof=1) / np.sqrt(N_BATCHES)
@@ -461,7 +475,8 @@ def strong_error_stats(
     system's result has the same bits whatever else shares its batch.
     Returns one :class:`StrongErrorStats` per system, in order.  A NaN or
     inf in X, Y, Xbar or the law statistic the drift reads raises
-    FloatingPointError naming it, epsilon, the replica and the step.  Y
+    FloatingPointError naming it, epsilon, the replica and the step; so
+    does a sup |X - Xbar| that overflows, checked once, at the last step.  Y
     holds only the ``coeffs.y_modes`` leading modes, the ones F reads (all
     modes when None), and the fast banks draw those modes alone.
 
@@ -520,6 +535,10 @@ def strong_error_stats(
             [slow, fast, slow],
             drift_at, J, track_sup,
         )
+        # np.maximum keeps a NaN or inf, so the sup at the end shows any
+        finite = np.isfinite(sup).all(axis=1)
+        if not finite.all():
+            raise NonFiniteState("sup |X - Xbar|", J, J, int(np.argmin(finite)))
     except NonFiniteState as exc:
         raise FloatingPointError(
             f"non-finite {exc.name} at epsilon = {cfg.epsilon:.6g}, "
@@ -590,7 +609,8 @@ def increment_stats(
     The ``slow`` arm averages |X_t - X_{t(delta)}|, the ``aux`` arm
     |Y_t - A_t|; nothing is recorded, so memory does not grow with T.  A
     NaN or inf raises FloatingPointError naming the field (a twin by its
-    delta), epsilon, the replica and the step.
+    delta), epsilon, the replica and the step; so does a gap sum that
+    overflows, named by its delta and checked once, at the last step.
     """
     if arm not in ("slow", "aux"):
         raise ValueError(f"arm must be 'slow' or 'aux', got {arm!r}")
@@ -626,6 +646,11 @@ def increment_stats(
             [slow, fast] + [fast] * len(twins),
             drift, J, gaps,
         )
+        # a running sum keeps a NaN or inf, so its value at the end shows any
+        bad = np.flatnonzero(~np.isfinite(gaps.sums).all(axis=1))
+        if bad.size:
+            delta = deltas[steps.index(blocks[bad[0]])]
+            raise NonFiniteState(f"gap sum (delta = {delta!r})", J, J, None)
     except NonFiniteState as exc:
         raise FloatingPointError(
             f"non-finite {exc.name} at epsilon = {cfg.epsilon:.6g}, "

@@ -305,7 +305,8 @@ def _cms(u, w, alpha: float, out: np.ndarray | None = None):
     The ufuncs of :func:`_cms_closed_form` run in the same order, pass by
     pass over the whole array, so each element has the bits of the
     one-expression form.  ``out``, when given, is a C-contiguous array of
-    the inputs' shape and is returned.  Scalars take the closed form
+    the inputs' shape and is returned; it may be ``u`` itself, which only
+    the first pass reads.  Scalars take the closed form
     itself (numpy's scalar power is not the array loop).
     """
     if np.ndim(u) == 0:
@@ -344,6 +345,11 @@ def _cms(u, w, alpha: float, out: np.ndarray | None = None):
     return out
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """a, whose last axis is contiguous, as one void item per row of it."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))[..., 0]
+
+
 def _draw_groups(pairs, alpha: float, out: np.ndarray) -> np.ndarray:
     """Fill out[i], shape (n_steps, n_modes), with stable draws from pairs[i].
 
@@ -351,16 +357,25 @@ def _draw_groups(pairs, alpha: float, out: np.ndarray) -> np.ndarray:
     in groups of about ``GROUP_WORDS`` words, each group's words filled
     into one pair of scratch buffers and transformed before the next group
     is filled; the transform is elementwise, so the group size never
-    enters the bits.
+    enters the bits.  ``out`` needs a contiguous mode axis only: a group
+    whose rows of ``out`` are one C-contiguous block is transformed
+    straight into it, any other (as in the particle-major view of a
+    step-major block) is transformed into its uniform words and copied
+    out while they are cache-hot, a particle's modes at one step moving as
+    one item.
     """
     group = max(1, GROUP_WORDS // max(1, 2 * out.shape[1] * out.shape[2]))
     u, w = np.empty((2, min(group, len(pairs))) + out.shape[1:])
     for i in range(0, len(pairs), group):
-        gens = pairs[i:i + group]
+        gens, dest = pairs[i:i + group], out[i:i + group]
         for (gen_u, gen_w), u_rows, w_rows in zip(gens, u, w):
             gen_u.random(out=u_rows)
             gen_w.standard_exponential(out=w_rows)
-        _cms(u[:len(gens)], w[:len(gens)], alpha, out=out[i:i + len(gens)])
+        g = len(gens)
+        if dest.flags.c_contiguous:
+            _cms(u[:g], w[:g], alpha, out=dest)
+        else:
+            _rows(dest)[...] = _rows(_cms(u[:g], w[:g], alpha, out=u[:g]))
     return out
 
 
@@ -451,8 +466,9 @@ def tail_slope(
     return fit_line(np.log(xs[keep]), np.log(ccdf[keep])).slope
 
 
-# rows per block of a quadrature matrix: a block of 2400 nodes is ~5 MB
-QUADRATURE_BLOCK_ROWS = 256
+# rows per block of a quadrature matrix: 16 rows of 2400 nodes are 300 KB,
+# so the block stays in the L2 cache across its four passes
+QUADRATURE_BLOCK_ROWS = 16
 
 
 def weighted_row_sums(combine, kernel, x, t, weights) -> np.ndarray:
@@ -570,13 +586,17 @@ class StableNoiseBank:
     def draw(self, n_steps: int, out: np.ndarray | None = None) -> np.ndarray:
         """Next (n_particles, n_steps, n_modes) block of standard stable draws.
 
-        ``out``, when given, is a C-contiguous array of that shape which
-        receives the block and is returned; a batch of banks can so fill
-        the rows of one preallocated array.
+        ``out``, when given, is a float array of that shape whose mode axis
+        is contiguous; it receives the block and is returned.  It may be a
+        strided view: the particle-major transpose of one bank's slice of a
+        step-major block of several banks receives each transformed
+        particle group straight from the cache, so no particle-major copy
+        of the block is made.
         """
         shape = (self.n_particles, n_steps, self.n_modes)
         if out is None:
             out = np.empty(shape)
-        elif out.shape != shape or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+        elif out.shape != shape or out.dtype != float or out.strides[-1] != out.itemsize:
+            raise ValueError(f"out must be a float array of shape {shape} "
+                             "with a contiguous last axis")
         return _draw_groups(self._pairs, self.alpha, out)

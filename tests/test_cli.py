@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -302,11 +303,15 @@ class TestConfigFaults:
             raw[section].update(values)
         path = tmp_path / shipped
         path.write_text(json.dumps(raw))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
         assert "runtime error" in err and all(word in err for word in words)
+        # the designed line is all the run writes to stderr, and numpy warns of nothing
+        assert err.startswith("runtime error") and err.count("\n") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("eta", [0.0, [0.0, 0.0, 0.0, 0.0]])

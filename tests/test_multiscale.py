@@ -264,6 +264,19 @@ class TestAuxiliaryProcess:
         return MultiscaleConfig(base=base, epsilon=epsilon, h_fast=h_fast,
                                 eta=0.1)
 
+    def test_overflowing_gap_sum_names_delta_and_replica(self, coeffs4):
+        # mode 3 (lambda = 16) of X runs from -1e154 toward +1e154: X and its
+        # law statistic stay finite, but in the one block of length T the
+        # gap to the block start overflows
+        c = 16 * 1e154
+        co = dataclasses.replace(coeffs4, F=lambda x, s, y: np.zeros_like(x) + c * np.eye(4)[3])
+        cfg = self._cfg(co, M=4)
+        cfg = dataclasses.replace(cfg, base=dataclasses.replace(cfg.base, xi=[0, 0, 0, -1e154]))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=(
+                r"non-finite gap sum \(delta = 0\.25\) at epsilon = 0\.03125, "
+                r"replica 2, step 128 of 128")):
+            increment_stats(cfg, [2**-6, 0.25], "slow", replica=2)
+
     def test_single_step_blocks_degenerate(self, coeffs4):
         # delta = h_fast: each twin reads X_j at step j, as Y does
         cfg = self._cfg(coeffs4)
@@ -347,6 +360,22 @@ class TestFrozenEquation:
                              ref.std(ddof=1) / np.sqrt(ref.size))
         assert abs(mine.mean() - ref.mean()) < tol
 
+    def test_loop_holds_one_noise_block(self, spec2, linear2):
+        # 4,000 particles on 2 modes: past what a one-step loop holds, a loop
+        # of one full block holds that block and one particle group's scratch
+        frozen = FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0, y0=np.zeros(2))
+        peaks = []
+        for n_steps in (1, solver.BLOCK_STEPS):
+            tracemalloc.start()
+            try:
+                multiscale._frozen_loop(frozen, n_steps, 0.01, spec2, linear2, RngStream(3),
+                                        4000, lambda j, fields: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        block = solver.BLOCK_STEPS * 4000 * 2 * 8
+        assert peaks[1] - peaks[0] < 1.25 * block, (peaks, block)
+
     def test_zero_gap_fatal(self, spec4):
         marginal = CoefficientSet(
             variant="custom", B=lambda x, s: np.zeros(4),
@@ -400,6 +429,21 @@ class TestAveragedDriftEstimation:
             assert not np.array_equal(other[0], first[0])
         again = ergodic_fbar(frozen, spec2, linear2, RngStream(7, particle=5), **times)
         assert np.array_equal(again[0], first[0]) and again[1] == first[1]
+
+    def test_overflowing_batch_sum_names_probe_replica_and_step(self, spec2):
+        # F = 1e308 is finite, but the first batch's sum overflows; the batch
+        # of 20 steps after a burn-in of 20 ends at step 39
+        co = CoefficientSet(
+            variant="custom", B=lambda x, s: np.zeros(2),
+            F=lambda x, s, y: np.full_like(y, 1e308), G=lambda x, s, y: np.zeros_like(y),
+            lip_C=1.0, lip_G_y=0.0, p=1.0, bound_const=1e308, fbar_factory=None,
+        )
+        frozen = FrozenInput(x=np.array([0.5, -0.25]), mu_stat=1.0, y0=np.zeros(2))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=(
+                r"non-finite batch sum 1 of 16 of F at probe x = \[0\.5, -0\.25\], "
+                r"mu_stat = 1, replica 3, step 39 of 340$")):
+            ergodic_fbar(frozen, spec2, co, RngStream(5, replica=3),
+                         relax_time=0.1, avg_time=1.6)
 
     def test_fbar_lipschitz_and_envelope_probes(self, spec4, coeffs4, rng):
         eff = effective_constants(coeffs4, spec4)
@@ -581,15 +625,20 @@ class TestReplicaBatch:
 
             def draw(self, n_steps, out=None):
                 block = super().draw(n_steps, out=out)
-                drawn.append((self.channel, block.shape))
+                drawn.append((self.channel, block.shape, block.strides))
                 return block
 
         monkeypatch.setattr(multiscale, "StableNoiseBank", SpyBank)
         co = dataclasses.replace(coeffs8, y_modes=y_modes)
         strong_error_stats(self._cfg(spec8, co), replicas=[(3, None), (5, range(12, 24))])
         assert opened == [(CH_SLOW, 8)] * 2 + [(CH_FAST, n_fast)] * 2
-        # the 128 steps are one noise block
-        assert drawn == [(CH_SLOW, (12, 128, 8))] * 2 + [(CH_FAST, (12, 128, n_fast))] * 2
+        # per noise block of the 128 steps, the slow banks and then the fast
+        # write step-major into one block of both systems: a particle's next
+        # step is 2 x 12 rows on
+        blocks = [min(solver.BLOCK_STEPS, 128 - j0) for j0 in range(0, 128, solver.BLOCK_STEPS)]
+        assert drawn == [
+            (channel, (12, n, k), (8 * k, 8 * 24 * k, 8))
+            for n in blocks for channel, k in [(CH_SLOW, 8)] * 2 + [(CH_FAST, n_fast)] * 2]
 
     def test_nonfinite_head_only_y_names_epsilon_replica_and_step(self, spec4):
         # F reads y on its two leading modes; G turns NaN on the third system
@@ -625,6 +674,26 @@ class TestReplicaBatch:
                 FloatingPointError,
                 match=r"law statistic at epsilon = 0\.03125, replica 11, step 6 of 128"):
             strong_error_stats(cfg, replicas=replicas)
+
+    def test_overflowing_sup_names_epsilon_and_replica(self, spec4):
+        # mode 3 (lambda = 16) of X runs to +1e154 on the second system and
+        # that of Xbar to -1e154 on all three: every field and law statistic
+        # stays finite, but |X - Xbar|^2 overflows on the second system alone
+        c = 16 * 1e154
+
+        def F(x, s, y):
+            out = np.zeros_like(x)
+            out[1, :, 3] = c
+            return out
+
+        co = dataclasses.replace(
+            blowup_coeffs(4, after_calls=0, row=0), F=F,
+            fbar_factory=lambda spec: (lambda x, s: np.zeros_like(x) - c * np.eye(4)[3]))
+        replicas = [(10, None), (11, range(4, 8)), (12, range(8, 12))]
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=(
+                r"non-finite sup \|X - Xbar\| at epsilon = 0\.03125, replica 11, "
+                r"step 128 of 128")):
+            strong_error_stats(self._cfg(spec4, co, M=4), replicas=replicas)
 
     def test_nonfinite_error_names_epsilon_replica_and_step(self, spec4):
         cfg = self._cfg(spec4, blowup_coeffs(4, after_calls=5, row=1), M=4)

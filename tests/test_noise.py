@@ -214,21 +214,27 @@ class TestNoiseBank:
         whole = StableNoiseBank(5, ALPHA, 7, 2, CH_SLOW, replica=3).draw(4)
         monkeypatch.setattr(noise, "GROUP_WORDS", group_words)
         assert np.array_equal(StableNoiseBank(5, ALPHA, 7, 2, CH_SLOW, replica=3).draw(4), whole)
+        steps = np.empty((4, 7, 2))  # step-major: the groups are copied out
+        StableNoiseBank(5, ALPHA, 7, 2, CH_SLOW, replica=3).draw(4, out=steps.swapaxes(0, 1))
+        assert np.array_equal(steps, whole.swapaxes(0, 1))
         for i in range(7):
             stream = RngStream(5, replica=3, particle=i, channel=CH_SLOW)
             assert np.array_equal(sample_standard_stable(stream, ALPHA, size=(4, 2)), whole[i])
 
     def test_draw_memory_is_output_plus_one_group(self):
         # words and transform scratch for one particle group, never a copy
-        # of the whole block: a rate-study slow bank, 1 MB of output
+        # of the whole block: a rate-study slow bank, 1 MB of output, drawn
+        # particle-major and into the particle-major view of a step-major block
         bank = StableNoiseBank(1, ALPHA, 125, 8, CH_SLOW)
-        tracemalloc.start()
-        try:
-            out = bank.draw(128)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < out.nbytes + 2**20
+        for step_major in (False, True):
+            tracemalloc.start()
+            try:
+                out = bank.draw(128, out=np.empty((128, 125, 8)).swapaxes(0, 1)
+                                if step_major else None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < out.nbytes + 2**20, step_major
 
     def test_particle_ids_relabel_streams(self):
         bank = StableNoiseBank(3, ALPHA, n_particles=2, n_modes=3,
@@ -393,11 +399,16 @@ class TestDrawInto:
         args = (seed, ALPHA, n_particles, n_modes, CH_FAST)
         plain = [StableNoiseBank(*args, replica=r) for r in range(2)]
         into = [StableNoiseBank(*args, replica=r) for r in range(2)]
+        into_steps = [StableNoiseBank(*args, replica=r) for r in range(2)]
         buf = np.empty((2, n_particles, n_steps, n_modes))
+        steps = np.empty((n_steps, 2, n_particles, n_modes))  # step-major, as a loop holds them
         for _ in range(2):
             for bank, row in zip(into, buf):
                 assert bank.draw(n_steps, out=row) is row
+            for r, bank in enumerate(into_steps):
+                bank.draw(n_steps, out=steps[:, r].swapaxes(0, 1))
             assert np.array_equal(buf, np.stack([b.draw(n_steps) for b in plain]))
+            assert np.array_equal(steps, np.moveaxis(buf, 2, 0))
 
     def test_out_shape_checked(self):
         # out holds the whole block: every particle, step and mode of the bank
@@ -405,6 +416,10 @@ class TestDrawInto:
         for shape in [(2, 5, 3), (2, 4, 4), (2, 4, 2), (1, 4, 3)]:
             with pytest.raises(ValueError, match="shape"):
                 bank.draw(4, out=np.empty(shape))
+        # any layout whose modes are contiguous, in float64
+        for out in (np.empty((2, 4, 3), dtype=np.float32), np.empty((2, 4, 6))[..., ::2]):
+            with pytest.raises(ValueError, match="contiguous last axis"):
+                bank.draw(4, out=out)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_k_mode_bank_is_block_size_independent(self, k):

@@ -8,6 +8,7 @@ from mvspde.coefficients import CoefficientSet, bounded_smooth
 from mvspde.measures import EXACT_ASSIGNMENT_LIMIT, p_moment, wasserstein_exact
 from mvspde.noise import (
     CH_SLOW,
+    GROUP_WORDS,
     RngStream,
     StableNoiseBank,
     convolution_scales,
@@ -91,6 +92,25 @@ class TestStepExponentialEuler:
                        [euler_weights(spec4, 0.1)] * 2, [source, source],
                        lambda j, fields: [0.0, 0.0], 9, lambda j, fields: None)
         assert np.array_equal(a, b) and np.all(a != 0.0)
+
+    @pytest.mark.parametrize("n_banks", [1, 3])
+    @pytest.mark.parametrize("n_steps", [1, 7, 64, 128])
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_noise_blocks_are_the_transposed_draws(self, n_banks, n_steps, groups):
+        # 8 modes; one particle group, or one past a full group of GROUP_WORDS words
+        per_group = GROUP_WORDS // (2 * n_steps * 8)
+        n_particles = 3 if groups == 1 else per_group + 1
+
+        def banks():
+            return [StableNoiseBank(7, 1.5, n_particles, 8, CH_SLOW, replica=r)
+                    for r in range(n_banks)]
+
+        source = (banks() if n_banks > 1 else banks()[0], np.ones(8))
+        block = solver._noise_block(source, 0, n_steps, None)
+        assert block.shape == (n_steps,) + (n_banks,) * (n_banks > 1) + (n_particles, 8)
+        block = block.reshape(n_steps, n_banks, n_particles, 8)
+        for r, bank in enumerate(banks()):
+            assert np.array_equal(block[:, r], bank.draw(n_steps).swapaxes(0, 1))
 
     def test_observe_sees_every_grid_time_before_its_step(self, spec4):
         seen = []
