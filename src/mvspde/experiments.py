@@ -2,9 +2,9 @@
 
 The curve-producing studies live here: the strong-convergence rate scan
 over the timescale ratio, the slow-path increment regularity and
-auxiliary-gap scans over block lengths (one streaming pass per replica),
-the frozen-equation mixing-rate scan over probe inputs, the fixed-point
-contraction trace and the moment curve.  Each returns an
+auxiliary-gap scans over block lengths (one streaming pass per batch of
+replicas), the frozen-equation mixing-rate scan over probe inputs, the
+fixed-point contraction trace and the moment curve.  Each returns an
 :class:`ExperimentResult`, built by ``_result`` alone, whose grid is a
 list of (parameter, error, stderr) points and whose ``config_hash`` is
 derived from its ``config``.  The three
@@ -24,9 +24,10 @@ seed).  The Monte Carlo budget splits into ``n_replicas`` chunks; replica
 r of grid point i draws from stream replica coordinate
 ``i * n_replicas + r`` under the single master seed, and pooling combines
 replica moments by exact sum-of-squares in fixed (grid, replica) order.
-The rate study advances the equal-size replicas of a grid point as one
-batch, and a replica's moments do not depend on its batch, so neither
-the batching nor the worker count changes a single bit of output.  Wall time
+One scheduler, ``_replica_rows``, advances the equal-size replicas of a
+grid point as one batch for all three power-law studies, and a replica's
+moments do not depend on its batch, so neither the batching nor the
+worker count changes a single bit of output.  Wall time
 and peak memory are recorded only in the manifest, never in hashed or
 persisted content.
 """
@@ -52,7 +53,7 @@ from .multiscale import (
     StrongErrorStats,
     ergodicity_decay,
     grid_steps,
-    increment_stats,
+    increment_stats,  # both looked up by name in _replica_task
     strong_error_stats,
 )
 from .noise import CH_FROZEN, RngStream
@@ -241,44 +242,6 @@ def _power_law_curve(params, parts, m):
     return grid, flags, fit
 
 
-def _run_tasks(fn, tasks, n_workers: int):
-    """``fn(*task)`` for every task, in a fork pool when ``n_workers`` > 1.
-
-    Each task leads with its config, which reaches a worker pickled; its
-    coefficient set crosses as its recipe.
-    """
-    if n_workers > 1 and tasks[0][0].base.coeffs.recipe is None:
-        raise ValueError(
-            "parallel studies need a BuiltinFamily recipe: coefficient closures "
-            "cannot cross process boundaries"
-        )
-    if n_workers <= 1 or len(tasks) <= 1:
-        return [fn(*task) for task in tasks]
-    # imported here: a serial run never pays for the pool's import
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-posix fallback
-        ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
-        return list(pool.map(fn, *zip(*tasks), chunksize=1))
-
-
-# --------------------------------------------------------------------------
-# rate study: strong coupling error against the timescale ratio
-
-
-def _rate_task(cfg, m, replicas):
-    """Per-replica StrongErrorStats of one batch of systems of cfg.base.M particles."""
-    count = cfg.base.M
-    return strong_error_stats(
-        cfg, m=m,
-        replicas=[(rep, range(offset, offset + count)) for rep, offset in replicas],
-    )
-
-
 def _replica_batches(chunks, n_parts: int):
     """Group replica indices into batches of equal particle count.
 
@@ -293,6 +256,62 @@ def _replica_batches(chunks, n_parts: int):
         parts = np.array_split(group, min(len(group), n_parts))
         batches += [[int(r) for r in part] for part in parts]
     return batches
+
+
+def _replica_task(cfg, name, args, replicas):
+    """Rows of one batch of systems from the stepping function ``name``, looked
+    up on this module when the task runs, so a wrapper set on it sees every batch."""
+    return globals()[name](cfg, *args, replicas=replicas)
+
+
+def _replica_rows(name, cfgs, args, chunks, n_workers: int):
+    """Per grid point, per replica, the rows of ``name(cfg, *args, replicas=...)``.
+
+    Replica r of grid point i is the system of particles ``chunks[r]`` =
+    (offset, count) on stream replica coordinate ``i * len(chunks) + r``.
+    The equal-size replicas of a grid point advance as one batch, cut into
+    as many parts as that point's share of the steps fills ``n_workers``;
+    neither the batching nor the worker count changes a row.  Batches run
+    costliest first, so that workers finish together, in a fork pool of at
+    most one worker per batch when ``n_workers`` > 1.  A config reaches a
+    worker pickled, its coefficient set as its recipe.
+    """
+    if n_workers > 1 and cfgs[0].base.coeffs.recipe is None:
+        raise ValueError(
+            "parallel studies need a BuiltinFamily recipe: coefficient closures "
+            "cannot cross process boundaries"
+        )
+    n_replicas, steps = len(chunks), [c.n_steps for c in cfgs]
+    tasks = []
+    for gi, cfg in enumerate(cfgs):
+        n_parts = max(1, math.ceil(n_workers * steps[gi] / sum(steps)))
+        for batch in _replica_batches(chunks, n_parts):
+            count = chunks[batch[0]][1]
+            replicas = [(gi * n_replicas + r, range(chunks[r][0], chunks[r][0] + count))
+                        for r in batch]
+            tasks.append((replace(cfg, base=replace(cfg.base, M=count)), name, args, replicas))
+    tasks.sort(key=lambda t: -t[0].base.M * len(t[3]) / t[0].h_fast)
+    if n_workers <= 1 or len(tasks) <= 1:
+        out = [_replica_task(*task) for task in tasks]
+    else:
+        # imported here: a serial run never pays for the pool's import
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-posix fallback
+            ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(tasks)), mp_context=ctx) as pool:
+            out = list(pool.map(_replica_task, *zip(*tasks), chunksize=1))
+    rows = {}
+    for task, batch_rows in zip(tasks, out):
+        rows.update(zip((rep for rep, _ in task[3]), batch_rows))
+    return [[rows[gi * n_replicas + r] for r in range(n_replicas)] for gi in range(len(cfgs))]
+
+
+# --------------------------------------------------------------------------
+# rate study: strong coupling error against the timescale ratio
 
 
 def rate_study(
@@ -331,25 +350,8 @@ def rate_study(
     chunks = _split_counts(base.M, n_replicas, interacting=True)
     averaged_drift(coeffs, spec)  # warm shared tables before any fork
 
-    steps = [c.n_steps for c in cfgs]
-    tasks = []
-    for gi, cfg in enumerate(cfgs):
-        # cut a grid point into as many batches as its share of the work
-        # fills workers; one batch per chunk size when serial
-        n_parts = max(1, math.ceil(n_workers * steps[gi] / sum(steps)))
-        for batch in _replica_batches(chunks, n_parts):
-            batch_cfg = replace(cfg, base=replace(base, M=chunks[batch[0]][1]))
-            replicas = [(gi * n_replicas + r, chunks[r][0]) for r in batch]
-            tasks.append((batch_cfg, m, replicas))
-    # costliest batches first, so that workers finish together
-    tasks.sort(key=lambda t: -t[0].base.M * len(t[2]) / t[0].h_fast)
-    moments = {}
-    for task, rows in zip(tasks, _run_tasks(_rate_task, tasks, n_workers)):
-        moments.update(zip((rep for rep, _ in task[2]), rows))
-
     grid, flags, fit = _power_law_curve(
-        eps, [[moments[gi * n_replicas + r] for r in range(n_replicas)]
-              for gi in range(len(eps))], m)
+        eps, _replica_rows("strong_error_stats", cfgs, (m,), chunks, n_workers), m)
     theta = spec.theta
     config = describe(spec, coeffs, base, "rate", eta=cfgs[0].eta, grid=eps, m=m,
                       h_fast_ratio=h_fast_ratio, n_replicas=n_replicas)
@@ -368,7 +370,7 @@ def rate_study(
 
 
 def _increment_study(cfg, delta_grid, kind, arm, n_replicas, n_workers):
-    """One :func:`increment_stats` task per replica, pooled into a curve over delta."""
+    """Replica rows of :func:`increment_stats`, pooled into a curve over delta."""
     t0 = time.perf_counter()
     deltas = [float(d) for d in delta_grid]
     if len(deltas) < 2:
@@ -383,12 +385,9 @@ def _increment_study(cfg, delta_grid, kind, arm, n_replicas, n_workers):
                               "twice in the fitted slope", "/study/grid")
         seen.add(steps)
     base = cfg.base
-    tasks = [(replace(cfg, base=replace(base, M=count)), deltas, arm,
-              range(offset, offset + count), r)
-             for r, (offset, count) in enumerate(
-                 _split_counts(base.M, n_replicas, interacting=True))]
-    raw = _run_tasks(increment_stats, tasks, n_workers)
-    grid, flags, fit = _power_law_curve(deltas, list(zip(*raw)), 1.0)
+    chunks = _split_counts(base.M, n_replicas, interacting=True)
+    (rows,) = _replica_rows("increment_stats", [cfg], (deltas, arm), chunks, n_workers)
+    grid, flags, fit = _power_law_curve(deltas, list(zip(*rows)), 1.0)
     # both arms shrink at the slow path's regularity order theta / 2; the
     # rate is an upper bound, and a markedly steeper fit means another term
     # (typically the deterministic drift increment, slope 1) dominates

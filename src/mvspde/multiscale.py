@@ -33,11 +33,14 @@ Supporting objects:
 
 Every loop here is one call of :func:`mvspde.solver.advance`, the
 exponential-Euler kernel, and every recorded run comes back as a
-time-major :class:`~mvspde.measures.LawFlow`.  The study loops record
-nothing, so their memory does not grow with T: ``strong_error_stats``
-steps the coupled pair beside the averaged equation, ``increment_stats``
-beside one auxiliary twin per block length, and ``ergodicity_decay``
-reads its grid times as the frozen paths pass them.
+time-major :class:`~mvspde.measures.LawFlow`.  The coupled pair (X, Y) of
+a batch of systems has one loop, ``_slow_fast_loop``, which steps the
+averaged equation or the auxiliary twins as companion fields on the
+pair's own noise: ``simulate_slow_fast`` records the pair,
+``strong_error_stats`` steps it beside the averaged equation and
+``increment_stats`` beside one auxiliary twin per block length.  The
+study loops record nothing, so their memory does not grow with T, and
+``ergodicity_decay`` reads its grid times as the frozen paths pass them.
 """
 
 from __future__ import annotations
@@ -142,30 +145,96 @@ class SlowFastPaths:
     fast: LawFlow
 
 
+def _law_statistic(x, p: float, j: int, n_steps: int) -> np.ndarray:
+    """p_moment of each system of ``x`` (R, M, n_modes) as an (R, 1, 1) array;
+    a non-finite one raises :class:`NonFiniteState` naming its system."""
+    mu = p_moment(x, p)[:, None, None]
+    _check_finite("law statistic", mu, j, n_steps)
+    return mu
+
+
+def _check_finite(name: str, values: np.ndarray, j: int, n_steps: int) -> None:
+    """Raise :class:`NonFiniteState` at the first system (leading axis) of
+    ``values`` holding a NaN or inf."""
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+        raise NonFiniteState(name, j, n_steps, int(np.argmin(finite)))
+
+
+def _slow_fast_loop(cfg: MultiscaleConfig, replicas, observe, companions=(),
+                    y_modes=None) -> None:
+    """Step the coupled (X, Y) of R systems, and their companions, in one :func:`advance`.
+
+    ``replicas`` lists the systems of ``cfg.base.M`` particles as (replica,
+    particle_ids) stream addresses (None: range(M)), each drawing on the
+    CH_SLOW and CH_FAST channels of its own streams.  They advance as one
+    (R, M, n_modes) array; every reduction runs along one system's particle
+    or mode axis, so a system's bits do not depend on its batch.  Y holds
+    the ``y_modes`` leading modes (all when None), the fast banks only those.
+
+    At grid time j, X's law statistic per system, an (R, 1, 1) array ``mu``,
+    is read, then ``observe(j, fields, mu)`` runs; the drifts are F(x, mu, y),
+    G(x, mu, y) and each companion's.  A companion (name, clock, drift)
+    starts at xi on the ``"slow"`` clock or at eta on the ``"fast"`` one and
+    steps on X's or Y's weights and noise increments with drift
+    ``drift(j, field)``.  A :class:`NonFiniteState` of a field, the law
+    statistic, ``observe`` or a companion is raised as FloatingPointError
+    naming it, epsilon, the system's replica and the step.
+    """
+    if len(replicas) == 0:
+        raise ValueError("need at least one replica")
+    base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
+    J, h = cfg.n_steps, cfg.h_fast
+    head = slice(y_modes)
+
+    def clock(channel, scale, weights, start):
+        # one bank per system, holding as many modes as the scale
+        banks = [StableNoiseBank(base.seed, spec.alpha, base.M, scale.size, channel,
+                                 replica=rep, particle_ids=ids) for rep, ids in replicas]
+        shape = (len(replicas), base.M, scale.size)
+        return np.broadcast_to(start, shape), weights, (banks, scale)
+
+    clocks = {
+        "slow": clock(CH_SLOW, convolution_scales(spec, h, "slow"), euler_weights(spec, h),
+                      base.xi),
+        "fast": clock(CH_FAST, convolution_scales(spec, h, "fast", cfg.epsilon)[head],
+                      [w[head] for w in euler_weights(spec, h, cfg.epsilon)], cfg.eta[head]),
+    }
+    fields = [("slow component X", "slow"), ("fast component Y", "fast")] + [
+        (name, on) for name, on, _ in companions]
+    mu = None
+
+    def read_law(j, state):
+        nonlocal mu
+        mu = _law_statistic(state[0], spec.p, j, J)
+        observe(j, state, mu)
+
+    def drift(j, state):
+        x, y = state[:2]
+        return [coeffs.F(x, mu, y), coeffs.G(x, mu, y)] + [
+            d(j, f) for (_, _, d), f in zip(companions, state[2:])]
+
+    try:
+        advance({name: clocks[on][0] for name, on in fields},
+                [clocks[on][1] for _, on in fields], [clocks[on][2] for _, on in fields],
+                drift, J, read_law)
+    except NonFiniteState as exc:
+        raise FloatingPointError(
+            f"non-finite {exc.name} at epsilon = {cfg.epsilon:.6g}, "
+            f"replica {replicas[exc.system][0]}, step {exc.step} of {J}"
+        ) from exc
+
+
 def simulate_slow_fast(cfg: MultiscaleConfig, record_every: int = 1) -> SlowFastPaths:
     """Advance the coupled system; record both components every ``record_every`` steps.
 
-    The two components share the step grid; the fast one gets the
-    epsilon-rescaled exponents.  Slow and fast noise live on disjoint
-    channels of the same per-particle streams (replica 0, particles
-    0..M-1), so reruns (and the paired averaged run and increment gaps)
-    can reproduce either component bitwise.
+    One system of :func:`_slow_fast_loop` on the streams of replica 0,
+    particles 0..M-1, with Y on all modes, so reruns (and the paired
+    averaged run and increment gaps) can reproduce either component bitwise.
     """
-    base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
-    J = cfg.n_steps
-    shape = (base.M, spec.n_modes)
-    (xs, ys), mu, observe = _recorder(J, record_every, shape, 2, spec.p)
-    banks = [StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, channel)
-             for channel in (CH_SLOW, CH_FAST)]
-    advance(
-        {"slow component X": np.broadcast_to(base.xi, shape),
-         "fast component Y": np.broadcast_to(cfg.eta, shape)},
-        [euler_weights(spec, cfg.h_fast), euler_weights(spec, cfg.h_fast, cfg.epsilon)],
-        [(banks[0], convolution_scales(spec, cfg.h_fast, "slow")),
-         (banks[1], convolution_scales(spec, cfg.h_fast, "fast", cfg.epsilon))],
-        lambda j, f: [coeffs.F(f[0], mu[j], f[1]), coeffs.G(f[0], mu[j], f[1])],
-        J, observe,
-    )
+    shape = (cfg.base.M, cfg.base.spec.n_modes)
+    (xs, ys), _, record = _recorder(cfg.n_steps, record_every, shape, 2)
+    _slow_fast_loop(cfg, ((0, None),), lambda j, fields, mu: record(j, fields))
     times = cfg.times[::record_every]
     return SlowFastPaths(slow=LawFlow(times, xs), fast=LawFlow(times, ys))
 
@@ -250,7 +319,8 @@ def ergodic_fbar(
     Burn-in ``relax_time``, then average F(x, mu, Y_s) over ``avg_time``;
     they default to 8 and 64 relaxation times 1/(lambda_1 - L_G).  The
     standard error comes from batch means (``N_BATCHES`` equal
-    sub-windows), which absorbs the path's autocorrelation.  The path's
+    sub-windows, so ``avg_time`` must span at least ``N_BATCHES`` steps of
+    ``h_step``), which absorbs the path's autocorrelation.  The path's
     stream is (rng.seed, rng.replica, a hash of (x, mu_stat), CH_FROZEN),
     so an estimate does not depend on what was evaluated before it.  A
     non-finite state, or a batch sum of F that is not finite at the end of
@@ -262,6 +332,9 @@ def ergodic_fbar(
     t_a = 64.0 / gap if avg_time is None else avg_time
     n_relax = int(np.ceil(t_b / h_step))
     n_avg = int(np.ceil(t_a / h_step))
+    if n_avg < N_BATCHES:
+        raise ValueError(f"avg_time = {t_a:.6g} is {n_avg} steps of h_step = {h_step:.6g}: "
+                         f"need at least {N_BATCHES} steps, one per batch")
     n_avg -= n_avg % N_BATCHES  # equal batches
     per_batch = n_avg // N_BATCHES
     x_row = frozen.x[None, :]
@@ -461,116 +534,68 @@ def strong_error_stats(
 ) -> tuple[StrongErrorStats, ...]:
     """Streaming synchronous-coupling errors between slow-fast and averaged runs.
 
-    Advances the coupled pair (X, Y) and the averaged equation Xbar in one
-    loop on the fast grid, with the slow noise increments shared per
-    particle, and tracks max over grid times of |X - Xbar| per particle.
-    Nothing is stored along the way, so production sizes stream in O(M)
-    memory.
-
-    ``replicas`` lists independent interacting systems of ``cfg.base.M``
-    particles each, as (replica, particle_ids) stream addresses
-    (``particle_ids=None`` means range(M)).  They advance together as one
-    (R, M, n_modes) array; each system reads its own law statistic, and
-    every reduction runs along one system's particle or mode axis, so a
-    system's result has the same bits whatever else shares its batch.
-    Returns one :class:`StrongErrorStats` per system, in order.  A NaN or
-    inf in X, Y, Xbar or the law statistic the drift reads raises
-    FloatingPointError naming it, epsilon, the replica and the step; so
-    does a sup |X - Xbar| that overflows, checked once, at the last step.  Y
-    holds only the ``coeffs.y_modes`` leading modes, the ones F reads (all
-    modes when None), and the fast banks draw those modes alone.
+    :func:`_slow_fast_loop` steps (X, Y) of each system in ``replicas``, Y on
+    the ``coeffs.y_modes`` leading modes F reads, beside the averaged
+    equation Xbar on X's noise and its own law statistic; the max over grid
+    times of |X - Xbar| per particle is all that is kept, and one
+    :class:`StrongErrorStats` per system returned.  A sup that overflows
+    raises FloatingPointError too, checked once, at the last step.
 
     Requires p <= m < alpha (heavy tails: higher moments of the sup do not
     exist) and a coefficient family with bounded slow drift — with
     unbounded F the sup of the error has uncontrolled tails and the
     estimator is meaningless — whose ``fbar_factory`` gives Xbar's drift.
     """
-    base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
+    spec, coeffs = cfg.base.spec, cfg.base.coeffs
     if m is None:
         m = spec.p
     check_moment_order(m, spec)
     check_bounded_drift(coeffs)
-    if len(replicas) == 0:
-        raise ValueError("need at least one replica")
     fbar = averaged_drift(coeffs, spec)
     J = cfg.n_steps
-
-    def source(channel, scale):
-        # one bank per system, holding as many modes as the scale
-        return ([StableNoiseBank(base.seed, spec.alpha, base.M, scale.size, channel,
-                                 replica=rep, particle_ids=ids) for rep, ids in replicas],
-                scale)
-
-    head = slice(coeffs.y_modes)
-    slow = source(CH_SLOW, convolution_scales(spec, cfg.h_fast, "slow"))
-    fast = source(CH_FAST, convolution_scales(spec, cfg.h_fast, "fast", cfg.epsilon)[head])
-    w_slow = euler_weights(spec, cfg.h_fast)
-    w_fast = [w[head] for w in euler_weights(spec, cfg.h_fast, cfg.epsilon)]
-
-    shape = (len(replicas), base.M, spec.n_modes)
+    shape = (len(replicas), cfg.base.M, spec.n_modes)
     diff = np.empty(shape)
     sup = np.zeros(shape[:2])
 
-    def drift_at(j, fields):
-        x, y, xb = fields
-        m_x, m_b = p_moment(x, spec.p)[:, None, None], p_moment(xb, spec.p)[:, None, None]
-        finite = np.isfinite(m_x) & np.isfinite(m_b)
-        if not finite.all():
-            raise NonFiniteState("law statistic", j, J, int(np.argmin(finite)))
-        return coeffs.F(x, m_x, y), coeffs.G(x, m_x, y), fbar(xb, m_b)
-
-    def track_sup(j, fields):
+    def track_sup(j, fields, mu):
         # |x - xb| per particle, as np.linalg.norm sums it
         np.subtract(fields[0], fields[2], out=diff)
         dist = sum_squares(diff)
         np.sqrt(dist, out=dist)
         np.maximum(sup, dist, out=sup)
+        if j == J:  # np.maximum keeps a NaN or inf, so the sup at the end shows any
+            _check_finite("sup |X - Xbar|", sup, j, J)
 
-    try:
-        advance(
-            {"slow component X": np.broadcast_to(base.xi, shape),
-             "fast component Y": np.broadcast_to(cfg.eta[head], shape[:2] + fast[1].shape),
-             "averaged slow component": np.broadcast_to(base.xi, shape)},
-            [w_slow, w_fast, w_slow],
-            [slow, fast, slow],
-            drift_at, J, track_sup,
-        )
-        # np.maximum keeps a NaN or inf, so the sup at the end shows any
-        finite = np.isfinite(sup).all(axis=1)
-        if not finite.all():
-            raise NonFiniteState("sup |X - Xbar|", J, J, int(np.argmin(finite)))
-    except NonFiniteState as exc:
-        raise FloatingPointError(
-            f"non-finite {exc.name} at epsilon = {cfg.epsilon:.6g}, "
-            f"replica {replicas[exc.system][0]}, step {exc.step} of {J}"
-        ) from exc
+    def averaged(j, xb):
+        return fbar(xb, _law_statistic(xb, spec.p, j, J))
+
+    _slow_fast_loop(cfg, replicas, track_sup, [("averaged slow component", "slow", averaged)],
+                    coeffs.y_modes)
     return tuple(StrongErrorStats.from_sample(row, float(m)) for row in sup**m)
 
 
-
 class _BlockGaps:
-    """:func:`increment_stats`' observe hook, per distinct block length of ``steps`` steps.
+    """:func:`increment_stats`' observe hook; ``blocks`` maps each block length in
+    steps to the delta that names it.
 
-    It keeps the slow state at the last block start and its law statistic,
-    which that length's twin drift reads, and each particle's running sum of
-    its gap at grid times j >= 1: |X_j - X_{t(j)}| (``slow`` arm; t(j) starts
-    the block holding (t_{j-1}, t_j], so no block start anchors a spurious
-    zero) or |Y_j - A_j| (``aux`` arm).  ``mu`` is the live slow statistic.
+    Per block length it keeps the slow state of the R systems of ``shape``
+    (R, M, n_modes) at the last block start and its law statistic, which the
+    twin's drift reads, and each particle's running sum of its gap at grid
+    times j >= 1: |X_j - X_{t(j)}| (``slow`` arm; t(j) starts the block
+    holding (t_{j-1}, t_j], so no block start anchors a spurious zero) or
+    |Y_j - A_j| (``aux`` arm).  A sum that overflows raises at the last step.
     """
 
-    def __init__(self, steps, arm: str, n_steps: int, shape, p: float):
-        self.steps, self.arm, self.n_steps, self.p = steps, arm, n_steps, p
-        self.start = np.empty((len(steps),) + tuple(shape))
-        self.mu_start = [0.0] * len(steps)
-        self.mu = 0.0
-        self.sums = np.zeros((len(steps), shape[0]))
+    def __init__(self, blocks: dict, arm: str, n_steps: int, shape):
+        self.steps, self.deltas = list(blocks), list(blocks.values())
+        self.arm, self.n_steps = arm, n_steps
+        self.start = np.empty((len(blocks),) + tuple(shape))
+        self.mu_start = np.empty((len(blocks), shape[0], 1, 1))
+        self.sums = np.zeros((len(blocks),) + tuple(shape[:2]))
         self._diff = np.empty(self.start.shape)
 
-    def __call__(self, j, fields):
+    def __call__(self, j, fields, mu):
         x = fields[0]
-        self.mu = p_moment(x, self.p)
-        if not np.isfinite(self.mu):
-            raise NonFiniteState("law statistic", j, self.n_steps, None)
         if j > 0:
             if self.arm == "slow":
                 np.subtract(x, self.start, out=self._diff)
@@ -580,81 +605,53 @@ class _BlockGaps:
             dist = sum_squares(self._diff)  # |.| per particle, as np.linalg.norm sums it
             np.sqrt(dist, out=dist)
             self.sums += dist
+        if j == self.n_steps:  # a running sum keeps a NaN or inf, so its end shows any
+            for sums, delta in zip(self.sums, self.deltas):
+                _check_finite(f"gap sum (delta = {delta!r})", sums, j, j)
         for k, s in enumerate(self.steps):
             if j % s == 0:
                 self.start[k] = x
-                self.mu_start[k] = self.mu
+                self.mu_start[k] = mu
 
-    def stats(self) -> list[StrongErrorStats]:
-        """StrongErrorStats (m = 1) of the time-mean gaps: over the n_steps right
-        endpoints (slow), or all n_steps + 1 grid times, the gap at t = 0 being 0 (aux)."""
+    def stats(self) -> list[list[StrongErrorStats]]:
+        """Per system, per block length, StrongErrorStats (m = 1) of the time-mean
+        gaps: over the n_steps right endpoints (slow), or all n_steps + 1 grid
+        times, the gap at t = 0 being 0 (aux)."""
         count = self.n_steps if self.arm == "slow" else self.n_steps + 1
-        return [StrongErrorStats.from_sample(row / count, 1.0) for row in self.sums]
+        return [[StrongErrorStats.from_sample(row / count, 1.0) for row in rows]
+                for rows in self.sums.swapaxes(0, 1)]
 
 
 def increment_stats(
     cfg: MultiscaleConfig,
     deltas,
     arm: str,
-    particle_ids=None,
-    replica: int = 0,
-) -> tuple[StrongErrorStats, ...]:
-    """Per-delta moments of each particle's time-mean block-increment gap, streamed.
+    replicas=((0, None),),
+) -> tuple[tuple[StrongErrorStats, ...], ...]:
+    """Per system, per-delta moments of each particle's time-mean block-increment gap.
 
-    One :func:`advance` call steps (X, Y) with :func:`simulate_slow_fast`'s
-    bits and, for the ``aux`` arm, one auxiliary twin A per block length:
-    the fast component with G reading the slow state at the last block
-    start l*delta and its :func:`~mvspde.measures.p_moment`, on Y's own
-    noise increments (so A is Y bitwise when G ignores its slow inputs).
-    The ``slow`` arm averages |X_t - X_{t(delta)}|, the ``aux`` arm
-    |Y_t - A_t|; nothing is recorded, so memory does not grow with T.  A
-    NaN or inf raises FloatingPointError naming the field (a twin by its
-    delta), epsilon, the replica and the step; so does a gap sum that
-    overflows, named by its delta and checked once, at the last step.
+    :func:`_slow_fast_loop` steps (X, Y) of each system in ``replicas``, Y
+    on all modes (:func:`simulate_slow_fast`'s bits for replica 0), and for
+    the ``aux`` arm one twin A per block length: the fast component with G
+    reading the slow state at the last block start l*delta and its
+    :func:`~mvspde.measures.p_moment`, on Y's noise increments (so A is Y
+    bitwise when G ignores its slow inputs).  The ``slow`` arm averages
+    |X_t - X_{t(delta)}|, the ``aux`` arm |Y_t - A_t|; nothing is recorded.
+    A twin, or a gap sum that overflows (checked at the last step), is
+    named by its delta.
     """
     if arm not in ("slow", "aux"):
         raise ValueError(f"arm must be 'slow' or 'aux', got {arm!r}")
-    base, spec, coeffs = cfg.base, cfg.base.spec, cfg.base.coeffs
-    J = cfg.n_steps
-    shape = (base.M, spec.n_modes)
     deltas = [float(d) for d in deltas]
     steps = [whole_steps(d, cfg.h_fast, "delta") for d in deltas]
-    blocks = list(dict.fromkeys(steps))  # each distinct block length once
-    gaps = _BlockGaps(blocks, arm, J, shape, spec.p)
-
-    def source(channel, scale):
-        return (StableNoiseBank(base.seed, spec.alpha, base.M, spec.n_modes, channel,
-                                replica=replica, particle_ids=particle_ids), scale)
-
-    slow = source(CH_SLOW, convolution_scales(spec, cfg.h_fast, "slow"))
-    fast = source(CH_FAST, convolution_scales(spec, cfg.h_fast, "fast", cfg.epsilon))
+    blocks = {s: deltas[steps.index(s)] for s in steps}  # each length once, by its first delta
+    gaps = _BlockGaps(blocks, arm, cfg.n_steps,
+                      (len(replicas), cfg.base.M, cfg.base.spec.n_modes))
+    G = cfg.base.coeffs.G
     twins = [] if arm == "slow" else [
-        f"auxiliary fast component (delta = {deltas[steps.index(s)]!r})" for s in blocks]
-    w_fast = euler_weights(spec, cfg.h_fast, cfg.epsilon)
-
-    def drift(j, fields):
-        x, y = fields[:2]
-        return [coeffs.F(x, gaps.mu, y), coeffs.G(x, gaps.mu, y)] + [
-            coeffs.G(gaps.start[k], gaps.mu_start[k], a) for k, a in enumerate(fields[2:])]
-
-    try:
-        advance(
-            {"slow component X": np.broadcast_to(base.xi, shape),
-             "fast component Y": np.broadcast_to(cfg.eta, shape),
-             **{name: np.broadcast_to(cfg.eta, shape) for name in twins}},
-            [euler_weights(spec, cfg.h_fast), w_fast] + [w_fast] * len(twins),
-            [slow, fast] + [fast] * len(twins),
-            drift, J, gaps,
-        )
-        # a running sum keeps a NaN or inf, so its value at the end shows any
-        bad = np.flatnonzero(~np.isfinite(gaps.sums).all(axis=1))
-        if bad.size:
-            delta = deltas[steps.index(blocks[bad[0]])]
-            raise NonFiniteState(f"gap sum (delta = {delta!r})", J, J, None)
-    except NonFiniteState as exc:
-        raise FloatingPointError(
-            f"non-finite {exc.name} at epsilon = {cfg.epsilon:.6g}, "
-            f"replica {replica}, step {exc.step} of {J}"
-        ) from exc
-    rows = dict(zip(blocks, gaps.stats()))
-    return tuple(rows[s] for s in steps)
+        (f"auxiliary fast component (delta = {d!r})", "fast",
+         lambda j, a, k=k: G(gaps.start[k], gaps.mu_start[k], a))
+        for k, d in enumerate(blocks.values())]
+    _slow_fast_loop(cfg, replicas, gaps, twins)
+    index = [gaps.steps.index(s) for s in steps]
+    return tuple(tuple(rows[k] for k in index) for rows in gaps.stats())

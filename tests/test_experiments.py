@@ -132,6 +132,36 @@ class TestPoolingHelpers:
                   for size in {c for _, c in chunks}]
         assert len(batches) == sum(min(len(g), n_parts) for g in groups)
 
+    def test_pool_forks_at_most_one_worker_per_task(self, small_rate, monkeypatch):
+        # a stand-in pool records its size and runs the tasks in this process,
+        # so no worker starts at any --threads
+        import concurrent.futures
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        res, base = small_rate
+        # 4 scale ratios x 2 systems of 8: 8 batches at most, at least 4
+        assert rate_study(base, EPS_GRID, n_replicas=2, n_workers=2).grid == res.grid
+        assert rate_study(base, EPS_GRID, n_replicas=2, n_workers=64).grid == res.grid
+        # 4 systems of 4 particles at one block-length grid: at most 4 batches
+        cfg = MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9, eta=0.1)
+        serial = aux_gap_study(cfg, (2**-6, 2**-5), n_replicas=4)
+        assert aux_gap_study(cfg, (2**-6, 2**-5), n_replicas=4, n_workers=64).grid == serial.grid
+        assert sizes == [2, 8, 4]
+
     def test_pool_moments_matches_concatenation(self, rng):
         arrays = [rng.normal(size=n) ** 2 for n in (5, 11, 3)]
         parts = [(float(a.mean()), float(a.var(ddof=1)), a.size)
@@ -170,11 +200,11 @@ class TestConfigDigest:
 class TestIncrementRows:
     def test_hand_values(self):
         # the slow-arm hook of increment_stats, fed a hand path on a unit grid
-        x = np.array([[0.0, 1.0, 3.0, 6.0, 10.0]]).reshape(5, 1, 1)
-        gaps = _BlockGaps([1, 2], "slow", 4, (1, 1), 1.0)
+        x = np.array([[0.0, 1.0, 3.0, 6.0, 10.0]]).reshape(5, 1, 1, 1)
+        gaps = _BlockGaps({1: 1.0, 2: 2.0}, "slow", 4, (1, 1, 1))
         for j, cloud in enumerate(x):
-            gaps(j, [cloud])
-        rows = gaps.stats()
+            gaps(j, [cloud], np.zeros((1, 1, 1)))
+        (rows,) = gaps.stats()  # one system
         # one-step blocks: mean of |1|,|2|,|3|,|4|
         assert rows[0][0] == pytest.approx(2.5)
         # two-step blocks: |1-0|,|3-0|,|6-3|,|10-3|
@@ -342,15 +372,15 @@ class TestIncrementStudies:
         assert res.flags["fit"] == "degenerate"
 
     def test_nonfinite_twin_names_delta_replica_and_step(self, spec4, coeffs4):
-        # per step G drives Y, then the twins of 2**-6 and 2**-5; its
-        # 3 * 128 calls of replica 0 stay finite, and the second twin's drift
-        # at step 5 of replica 1 turns inf
+        # per step G drives Y, then the twins of 2**-6 and 2**-5, on both
+        # systems of one batch; the second twin's drift at step 5 turns inf
+        # on system 1, replica 1
         calls = []
 
         def G(x, s, y):
             calls.append(None)
             out = coeffs4.G(x, s, y)
-            if len(calls) == 3 * 128 + 3 * 5 + 3:
+            if len(calls) == 3 * 5 + 3:
                 out[1] = np.inf
             return out
 

@@ -187,6 +187,16 @@ CASES = {
         "755087063a44c9aad882f5428ed2637b57ae14dc2147948369f959423bb75eff",
         "304be1b109bb5fd6e44f7c1c8699742c0e7df84c70bd365a5297e3001ff7fdb7",
     ),
+    # systems of 9 and 8 particles, two batches, on two workers
+    "aux-gap-unequal-threads2": (
+        "aux-gap",
+        {"sim": {"M": 17, "h_fast": 1 / 256},
+         "study": {"kind": "aux-gap", "epsilon": 0.0625, "grid": [0.03125, 0.0625, 0.125],
+                   "n_replicas": 2, "n_iters": None}},
+        2,
+        "a8a5716eb16c564bc00270834b42a5ddc0a392bfe22003eb59678dd8662b95d5",
+        "6c47ac46ed823e949c565cef2ac541e1306b7b306ad9151afd61bf376fc8ff36",
+    ),
     # frozen-equation ensembles on the linear oracle family
     "ergodicity": (
         "ergodicity",

@@ -219,7 +219,8 @@ class TestSimulateSlowFast:
         base = SimConfig(spec=spec4, coeffs=co, T=0.5, h=0.25, M=8, seed=21, xi=0.4)
         cfg = MultiscaleConfig(base=base, epsilon=0.125, h_fast=1 / 128)
         with pytest.raises(FloatingPointError,
-                           match=r"non-finite fast component Y at step 4 of 64"):
+                           match=r"non-finite fast component Y at epsilon = 0\.125, "
+                                 r"replica 0, step 4 of 64"):
             simulate_slow_fast(cfg)
 
     def test_fast_moment_uniform_in_epsilon(self, spec4):
@@ -275,23 +276,23 @@ class TestAuxiliaryProcess:
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=(
                 r"non-finite gap sum \(delta = 0\.25\) at epsilon = 0\.03125, "
                 r"replica 2, step 128 of 128")):
-            increment_stats(cfg, [2**-6, 0.25], "slow", replica=2)
+            increment_stats(cfg, [2**-6, 0.25], "slow", replicas=[(2, None)])
 
     def test_single_step_blocks_degenerate(self, coeffs4):
         # delta = h_fast: each twin reads X_j at step j, as Y does
         cfg = self._cfg(coeffs4)
-        (row,) = increment_stats(cfg, [cfg.h_fast], "aux")
+        ((row,),) = increment_stats(cfg, [cfg.h_fast], "aux")
         assert (row.mean_pow, row.var_pow, row.n) == (0.0, 0.0, 32)
 
     def test_freezing_noop_when_g_ignores_slow(self):
         cfg = self._cfg(y_blind_g_coeffs(4))
-        rows = increment_stats(cfg, [2**-6, 0.125], "aux")
+        (rows,) = increment_stats(cfg, [2**-6, 0.125], "aux")
         assert [(r.mean_pow, r.var_pow) for r in rows] == [(0.0, 0.0)] * 2
 
     def test_frozen_inputs_actually_freeze(self, coeffs4):
         # with a slow-sensitive G the auxiliary path must differ
         cfg = self._cfg(coeffs4)
-        (row,) = increment_stats(cfg, [0.125], "aux")
+        ((row,),) = increment_stats(cfg, [0.125], "aux")
         assert row.mean_pow > 0.0
 
     def test_misaligned_delta_rejected(self, coeffs4):
@@ -308,7 +309,7 @@ class TestAuxiliaryProcess:
         x = simulate_slow_fast(cfg).slow.clouds
         j = np.arange(1, x.shape[0])
         deltas = [2**-8, 2**-5, 2**-5, 0.125]
-        rows = increment_stats(cfg, deltas, "slow")
+        (rows,) = increment_stats(cfg, deltas, "slow")
         for d, row in zip(deltas, rows):
             s = round(d / cfg.h_fast)
             gap = np.linalg.norm(x[j] - x[(j - 1) // s * s], axis=2)
@@ -444,6 +445,13 @@ class TestAveragedDriftEstimation:
                 r"mu_stat = 1, replica 3, step 39 of 340$")):
             ergodic_fbar(frozen, spec2, co, RngStream(5, replica=3),
                          relax_time=0.1, avg_time=1.6)
+
+    def test_averaging_window_shorter_than_the_batches_refused(self, spec2, linear2):
+        # avg_time = 0.05 is 10 steps of 0.005: fewer than one step per batch
+        frozen = FrozenInput(x=np.array([2.0, 0.0]), mu_stat=2.0, y0=np.zeros(2))
+        with pytest.raises(ValueError, match=r"avg_time = 0\.05 is 10 steps of "
+                                             r"h_step = 0\.005: need at least 16 steps"):
+            ergodic_fbar(frozen, spec2, linear2, RngStream(3), relax_time=0.1, avg_time=0.05)
 
     def test_fbar_lipschitz_and_envelope_probes(self, spec4, coeffs4, rng):
         eff = effective_constants(coeffs4, spec4)
@@ -594,21 +602,29 @@ class TestReplicaBatch:
                          xi=[0.5, -0.3, 0.2])
         return MultiscaleConfig(base=base, epsilon=2**-5, h_fast=2**-9, eta=0.1)
 
-    @pytest.mark.parametrize("m", [1.0, 1.25])
-    def test_batch_rows_equal_single_systems(self, spec8, coeffs8, m, monkeypatch):
+    @pytest.mark.parametrize("rows_of", [
+        lambda cfg, replicas: [(s,) for s in strong_error_stats(cfg, 1.0, replicas)],
+        lambda cfg, replicas: [(s,) for s in strong_error_stats(cfg, 1.25, replicas)],
+        lambda cfg, replicas: increment_stats(cfg, [2**-8, 2**-6, 2**-5], "slow", replicas),
+        lambda cfg, replicas: increment_stats(cfg, [2**-8, 2**-6, 2**-5], "aux", replicas),
+    ], ids=["1.0", "1.25", "increment-slow", "increment-aux"])
+    def test_batch_rows_equal_single_systems(self, spec8, coeffs8, rows_of, monkeypatch):
+        # rows_of gives each system's rows: one strong error, or one per delta
         cfg = self._cfg(spec8, coeffs8)
         replicas = [(3, range(0, 12)), (4, range(12, 24)), (9, range(24, 36))]
         # 24-step blocks leave a short last block of the 128 steps
         with monkeypatch.context() as patch:
             patch.setattr(solver, "BLOCK_STEPS", 24)
-            batch = strong_error_stats(cfg, m=m, replicas=replicas)
+            batch = rows_of(cfg, replicas)
         assert len(batch) == 3
-        for stats, replica in zip(batch, replicas):
-            (alone,) = strong_error_stats(cfg, m=m, replicas=[replica])
-            assert (stats.mean_pow, stats.var_pow, stats.n) == \
-                (alone.mean_pow, alone.var_pow, alone.n)
-            assert stats.mean_pow > 0.0
-        assert batch[0].mean_pow != batch[1].mean_pow
+        moments = lambda rows: [(r.mean_pow, r.var_pow, r.n) for r in rows]
+        # the same systems each alone, and split unequally: the first alone,
+        # the other two batched
+        for parts in ([replicas[:1], replicas[1:2], replicas[2:]], [replicas[:1], replicas[1:]]):
+            split = [rows for part in parts for rows in rows_of(cfg, part)]
+            assert [moments(rows) for rows in split] == [moments(rows) for rows in batch]
+        assert all(r.mean_pow > 0.0 for rows in batch for r in rows)
+        assert moments(batch[0]) != moments(batch[1])
 
     @pytest.mark.parametrize("y_modes, n_fast", [(4, 4), (None, 8)])
     def test_fast_banks_open_with_the_modes_f_reads(self, spec8, coeffs8, monkeypatch,
@@ -663,8 +679,12 @@ class TestReplicaBatch:
             strong_error_stats(self._cfg(spec4, co, M=4), replicas=replicas)
 
     def test_needs_a_replica(self, spec4, coeffs4):
+        cfg = self._cfg(spec4, coeffs4)
         with pytest.raises(ValueError, match="at least one replica"):
-            strong_error_stats(self._cfg(spec4, coeffs4), replicas=[])
+            strong_error_stats(cfg, replicas=[])
+        for arm in ("slow", "aux"):
+            with pytest.raises(ValueError, match="at least one replica"):
+                increment_stats(cfg, [2**-6], arm, replicas=[])
 
     def test_overflowing_law_statistic_names_replica_and_step(self, spec4):
         # a finite drift of 1e300 keeps the fields finite, but |x|^2 overflows
