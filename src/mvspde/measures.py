@@ -18,10 +18,14 @@ Distances:
 * ``wasserstein_exact`` solves the optimal assignment between two
   equal-size clouds (SciPy's compiled LSAP kernel, see
   :func:`assignment_solver`, on the cost matrix |x_i - y_j|^p) and is the
-  reference implementation, used up to M = 256.  Its cost matrix and
-  ``dT_metric``'s bound are built in fixed-size blocks with the bits of one
-  pass: glibc maps an allocation past its mmap threshold (128 KiB at start)
-  afresh and faults it in on every call, a small one reuses heap pages.
+  reference implementation, used up to M = 256.  Its cost matrix is built
+  in fixed-size row blocks, in place in buffers that every solve of one
+  size reuses, so repeated solves allocate and fault in nothing: glibc
+  maps a fresh allocation past its mmap threshold (128 KiB at start, raised
+  by what the process freed before) and faults it in on every call, and
+  how often small temporaries return their heap pages depends on that
+  history too.  ``dT_metric``'s bound is reduced in blocks of the same
+  size, with the bits of one pass.
 * ``wasserstein_sliced`` averages one-dimensional transport costs of random
   projections; the 1-d cost is closed-form (sorted samples matched in
   order).  It is a biased-low surrogate that scales to large M.
@@ -58,6 +62,8 @@ __all__ = [
     "wasserstein_exact",
     "wasserstein_sliced",
     "dT_metric",
+    "check_bound",
+    "pruned_sup",
     "EXACT_ASSIGNMENT_LIMIT",
 ]
 
@@ -216,24 +222,82 @@ def fit_line(x, y, w=None) -> FitReport:
     return FitReport(float(slope), float(intercept), slope_stderr, float(r2))
 
 
-def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
+def _add_columns_into(out, lanes, n: int, fill) -> np.ndarray:
+    """:func:`_add_columns`' sum of n columns, bit for bit, written into ``out``.
+
+    ``lanes`` holds columns 0 .. min(n, 8) - 1 on entry and, past eight
+    columns, one more scratch array, all shaped like ``out``; ``fill(k,
+    buf)`` writes column k >= 8 into ``buf`` and returns it.  Every add runs
+    in place, into ``out`` or the lanes, so the sum allocates nothing.
+    """
+    if n < 8:
+        if n == 1:
+            np.copyto(out, lanes[0])
+        else:
+            np.add(lanes[0], lanes[1], out=out)
+        for k in range(2, n):
+            out += lanes[k]
+        return out
+    tail = n - n % 8
+    for k in range(8, tail):
+        lanes[k % 8] += fill(k, lanes[8])
+    np.add(lanes[0], lanes[1], out=out)
+    lanes[2] += lanes[3]
+    out += lanes[2]
+    lanes[4] += lanes[5]
+    lanes[6] += lanes[7]
+    lanes[4] += lanes[6]
+    out += lanes[4]
+    for k in range(tail, n):
+        out += fill(k, lanes[8])
+    return out
+
+
+def _new_cost_buffers(m: int, n: int, n_modes: int):
+    """(cost, lanes, xt, yt): an (m, n) cost matrix, the lanes of its row
+    blocks, and mode-major copies of the two clouds."""
+    rows = min(m, max(1, BLOCK_ENTRIES // n))
+    lanes = min(n_modes, 8) + (n_modes > 8)
+    return (np.empty((m, n)), np.empty((lanes, rows, n)),
+            np.empty((n_modes, m)), np.empty((n_modes, n)))
+
+
+# wasserstein_exact's buffers, reused by every solve of one size: repeated
+# solves then allocate nothing, whatever the heap's history.  Two threads
+# must not solve at once; the package runs its parallel work in processes.
+_cost_buffers = functools.lru_cache(maxsize=1)(_new_cost_buffers)
+
+
+def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float, buffers=None) -> np.ndarray:
     """|x_i - y_j|^p, bit for bit np.linalg.norm(x[:, None] - y[None], axis=2) ** p.
 
     Filled in blocks of whole rows, at most ``BLOCK_ENTRIES`` entries each.
-    In a block each mode's squared outer difference is added in
-    np.add.reduce's order by :func:`_add_columns` as it is made; mode
+    In a block the squared outer differences of the first eight modes are
+    made in one pass over mode-major copies of the clouds, and every mode's
+    is added in np.add.reduce's order by :func:`_add_columns_into`; mode
     counts past ``PAIRWISE_BLOCK`` (and zero) take np.linalg.norm of the
-    block's difference tensor.
+    block's difference tensor.  ``buffers`` are :func:`_new_cost_buffers`
+    of the shapes, the cost matrix returned; None allocates them.
     """
-    n, step = x.shape[1], max(1, BLOCK_ENTRIES // y.shape[0])
-    cost = np.empty((x.shape[0], y.shape[0]))
+    n = x.shape[1]
+    cost, lanes, xt, yt = buffers or _new_cost_buffers(x.shape[0], y.shape[0], n)
+    np.copyto(xt, x.T)
+    np.copyto(yt, y.T)
+    step, head = lanes.shape[1], min(n, 8)
     for start in range(0, x.shape[0], step):
-        rows, block = x[start:start + step], cost[start:start + step]
+        block = cost[start:start + step]
+        rows, sq = xt[:, start:start + len(block)], lanes[:, :len(block)]
         if not 0 < n <= PAIRWISE_BLOCK:
-            block[...] = np.linalg.norm(rows[:, None, :] - y[None, :, :], axis=2)
+            block[...] = np.linalg.norm(x[start:start + step, None, :] - y[None, :, :], axis=2)
         else:
-            block[...] = _add_columns(
-                (np.square(np.subtract.outer(rows[:, k], y[:, k])) for k in range(n)), n)
+            np.subtract(rows[:head, :, None], yt[:head, None, :], out=sq[:head])
+            np.square(sq[:head], out=sq[:head])
+
+            def fill(k, buf):
+                np.subtract.outer(rows[k], yt[k], out=buf)
+                return np.square(buf, out=buf)
+
+            _add_columns_into(block, sq, n, fill)
             np.sqrt(block, out=block)
         if p != 1:
             block **= p
@@ -263,7 +327,7 @@ def wasserstein_exact(x, y, p: float) -> float:
             f"exact assignment limited to M <= {EXACT_ASSIGNMENT_LIMIT}, got {x.shape[0]}; "
             "use wasserstein_sliced"
         )
-    cost = _cost_matrix(x, y, p)
+    cost = _cost_matrix(x, y, p, _cost_buffers(x.shape[0], y.shape[0], x.shape[1]))
     rows, cols = assignment_solver()(cost)
     return float(np.mean(cost[rows, cols]) ** (1.0 / p))
 
@@ -400,13 +464,7 @@ def dT_metric(
     coupled = np.concatenate([p_moment(mu_flow.clouds[b] - nu_flow.clouds[b], p)
                               for b in mu_flow.blocks()])
     bound = np.exp(-lambda_weight * mu_flow.times) * coupled
-    bad = np.flatnonzero(~np.isfinite(bound))
-    if bad.size:
-        j = int(bad[0])
-        raise ValueError(
-            f"non-finite flow distance bound at time index {j} "
-            f"(t = {float(mu_flow.times[j])!r}): {float(bound[j])!r}"
-        )
+    check_bound(bound, mu_flow.times)
 
     directions = None
     if mu_flow.size > EXACT_ASSIGNMENT_LIMIT:
@@ -416,14 +474,37 @@ def dT_metric(
                 "needs an rng for projection directions"
             )
         directions = _directions(rng, n_projections, mu_flow.clouds.shape[2])
+    return pruned_sup(bound, mu_flow.times, lambda_weight, p,
+                      lambda j: (mu_flow.clouds[j], nu_flow.clouds[j]), directions)
 
+
+def check_bound(bound, times, where: str = "") -> None:
+    """Raise ValueError at the first non-finite entry of a flow distance
+    bound on ``times``, naming its time index; ``where`` ends the text."""
+    bad = np.flatnonzero(~np.isfinite(bound))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(
+            f"non-finite flow distance bound at time index {j} "
+            f"(t = {float(times[j])!r}): {float(bound[j])!r}{where}"
+        )
+
+
+def pruned_sup(bound, times, lambda_weight: float, p: float, clouds, directions=None) -> float:
+    """:func:`dT_metric`'s sup over times from its finite bound U_j.
+
+    Times are solved in decreasing order of U_j (the first of equal ones
+    first) until U_j * (1 + PRUNE_MARGIN) <= the running sup;
+    ``clouds(j)`` gives time j's two clouds, compared by exact W_p, or by
+    sliced W_p along ``directions`` where given.  Each solve goes through
+    the module's ``wasserstein_exact`` (or ``wasserstein_sliced``).
+    """
     best = 0.0
     for j in np.argsort(-bound, kind="stable"):
         if bound[j] * (1.0 + PRUNE_MARGIN) <= best:
             break
-        mu_j, nu_j = mu_flow.clouds[j], nu_flow.clouds[j]
+        mu_j, nu_j = clouds(j)
         w = (wasserstein_exact(mu_j, nu_j, p) if directions is None
              else wasserstein_sliced(mu_j, nu_j, p, directions=directions))
-        best = max(best, float(np.exp(-lambda_weight * mu_flow.times[j])) * w)
+        best = max(best, float(np.exp(-lambda_weight * times[j])) * w)
     return best
-

@@ -29,7 +29,9 @@ solution law: freeze a candidate flow of laws, solve the now law-free
 equation, read off the new empirical law flow, and repeat.  Successive flows
 are compared in the exponentially weighted Wasserstein metric; with a weight
 beating twice the drift's Lipschitz constant the map is a strict contraction
-until the Monte Carlo resolution floor.
+until the Monte Carlo resolution floor.  Since the iterate on [0, t] reads
+its predecessor only on [0, t], every iteration is stepped in one sweep over
+the time grid.
 """
 
 from __future__ import annotations
@@ -44,9 +46,11 @@ from .measures import (
     EXACT_ASSIGNMENT_LIMIT,
     LawFlow,
     assignment_solver,
+    check_bound,
     dT_metric,
     fit_line,
     p_moment,
+    pruned_sup,
 )
 from .noise import RngStream, StableNoiseBank, convolution_scales, CH_PROJECTION, CH_SLOW
 
@@ -313,6 +317,10 @@ class PicardReport:
         return upto >= 1 and bool(np.all(self.ratios[:upto] < 1.0))
 
 
+class _Replay(Exception):
+    """A distance's pruned loop needs a time whose clouds the sweep did not keep."""
+
+
 def picard_law_iteration(
     config: SimConfig,
     n_iters: int = 8,
@@ -320,17 +328,38 @@ def picard_law_iteration(
 ) -> PicardReport:
     """Fixed-point iteration on the flow of laws.
 
-    Stage 0 freezes the constant flow delta_xi.  Stage n+1 simulates M
-    non-interacting particles against the frozen statistic of stage n's
-    empirical flow and reads off the new flow.  All stages reuse identical
-    noise (same seed, same particle addressing), so distances measure only
-    the law map's contraction, not noise resampling; it is drawn once and
-    handed to every stage.  Flows of more than ``EXACT_ASSIGNMENT_LIMIT``
-    particles are compared in sliced W_p, with projection directions from
-    the ``CH_PROJECTION`` stream of the seed.  A flow is frozen as
-    :func:`~mvspde.measures.p_moment` of its clouds, the statistic the live
-    drift reads, so past n_steps + 1 stages the flow is :func:`simulate_mkv`'s
-    bit for bit, at distance 0.
+    Iteration 1 simulates M non-interacting particles against the constant
+    flow delta_xi; iteration n+1 against the frozen statistic of iteration
+    n's empirical flow, and ``distances[n]`` compares the two flows (flow 0
+    is delta_xi).  All iterations reuse identical noise (same seed, same
+    particle addressing), so distances measure only the law map's
+    contraction, not noise resampling; it is drawn once.  Flows of more
+    than ``EXACT_ASSIGNMENT_LIMIT`` particles are compared in sliced W_p,
+    with projection directions from the ``CH_PROJECTION`` stream of the
+    seed.  A flow is frozen as :func:`~mvspde.measures.p_moment` of its
+    clouds, the statistic the live drift reads, so past n_steps + 1
+    iterations the flow is :func:`simulate_mkv`'s bit for bit, at distance 0.
+
+    The iterations advance in lockstep, as one (n_iters, M, n_modes) field
+    of one :func:`advance` call.  That is exact by causality: iterate n+1 on
+    [0, t] reads iterate n only on [0, t], so at grid time t_j it reads
+    iterate n's cloud at t_j, which the sweep has just made (the pipelined
+    form of waveform relaxation).  Each step also bounds every distance at
+    t_j by the index coupling, as :func:`~mvspde.measures.dT_metric` does,
+    and keeps each pair of iterates' clouds at the pair's largest bound so
+    far.  Held in memory: the iterates' fields, those kept pairs, every
+    iteration's law statistic and the last iteration's flow, not two full
+    flows.  Each distance is then settled by dT_metric's pruned loop
+    (:func:`~mvspde.measures.pruned_sup`), with its bits.  Where that loop
+    needs a time other than the kept one (on the exact path hardly ever),
+    and on the sliced path, whose loop solves many times, the pair is
+    replayed: :func:`simulate_mkv` steps its iterates again from their
+    recorded statistics, in iteration order and each at most once, and
+    dT_metric compares them.
+
+    A non-finite iterate raises FloatingPointError naming its iteration and
+    the step; a non-finite distance bound raises dT_metric's ValueError,
+    naming the iteration.
     """
     if n_iters < 2:
         raise ValueError(f"need at least two iterations to report a ratio, got {n_iters}")
@@ -340,30 +369,85 @@ def picard_law_iteration(
         raise ConfigError(f"weight {lambda_weight:.6g} makes exp(-lambda h) underflow to 0: "
                           "every flow distance past t = 0 would read 0", "/study/lambda_weight")
 
-    if config.M <= EXACT_ASSIGNMENT_LIMIT:
+    exact = config.M <= EXACT_ASSIGNMENT_LIMIT
+    if exact:
         assignment_solver()  # load the LSAP kernel now, not inside the first distance
 
-    spec = config.spec
-    J = config.n_steps
+    spec, p, times = config.spec, config.spec.p, config.times
+    J, S = config.n_steps, n_iters
     bank = StableNoiseBank(config.seed, spec.alpha, config.M, spec.n_modes, CH_SLOW)
     noise = bank.draw(J)
     noise *= convolution_scales(spec, config.h, "slow")
+    shape = (config.M, spec.n_modes)
+    xi_cloud = np.tile(config.xi, (config.M, 1))  # every measure of the flow delta_xi
+
+    # row s: iteration s + 1, and its pair with iteration s (0: delta_xi)
+    weights = np.exp(-lambda_weight * times)    # dT_metric's weight of each time
+    mu = np.empty((S, J + 1))                   # the statistic each iteration reads
+    mu[0] = float(np.linalg.norm(config.xi))
+    bound = np.empty((S, J + 1))                # dT_metric's bound of each pair
+    peak = np.full(S, -np.inf)                  # each pair's largest bound so far,
+    kept_at = np.zeros(S, dtype=int)            # its first time
+    kept = np.empty((S, 2) + shape)             # and the pair's clouds there
+    kept[0, 1] = xi_cloud
+    diff = np.empty((S,) + shape)
+    last = np.empty((J + 1,) + shape)
+
+    def observe(j, fields):
+        stages = fields[0]
+        mu[1:, j] = p_moment(stages[:-1], p)
+        np.subtract(stages[0], xi_cloud, out=diff[0])
+        np.subtract(stages[1:], stages[:-1], out=diff[1:])
+        bound[:, j] = weights[j] * p_moment(diff, p)
+        # strictly above: ties keep the first time, as dT_metric's stable sort
+        up = np.flatnonzero(bound[:, j] > peak)
+        peak[up] = bound[up, j]
+        kept_at[up] = j
+        kept[up, 0] = stages[up]
+        later = up[up > 0]
+        kept[later, 1] = stages[later - 1]
+        last[j] = stages[-1]
+
+    try:
+        advance({"Picard iterate": np.broadcast_to(config.xi, (S,) + shape)},
+                [euler_weights(spec, config.h)], [noise],
+                lambda j, fields: [config.coeffs.B(fields[0], mu[:, j, None, None])],
+                J, observe)
+    except NonFiniteState as exc:
+        raise FloatingPointError(
+            f"non-finite particle state in Picard iteration {exc.system + 1} of {S} "
+            f"at step {exc.step} of {J}") from exc
+    for s in range(S):
+        check_bound(bound[s], times, f" in Picard iteration {s + 1} of {S}")
+
     projections = RngStream(config.seed, channel=CH_PROJECTION)
-    # stage 0: every measure in the flow is the point mass at xi
-    const_cloud = np.tile(config.xi, (config.M, 1))
-    prev_flow = LawFlow(config.times, np.tile(const_cloud, (J + 1, 1, 1)))
-    prev_stat = np.full(J + 1, float(np.linalg.norm(config.xi)))
+    final_flow = LawFlow(times, last)
+    held = {}  # replayed flows by row: at most the pair's two
 
-    distances = []
-    for _ in range(n_iters):
-        flow = simulate_mkv(config, law_override=prev_stat, noise=noise)
-        distances.append(
-            dT_metric(flow, prev_flow, lambda_weight, spec.p, rng=projections)
-        )
-        prev_flow = flow
-        prev_stat = flow.moments(spec.p)
+    def flow(s):
+        if s < 0:
+            return LawFlow(times, np.tile(xi_cloud, (J + 1, 1, 1)))
+        if s == S - 1:
+            return final_flow
+        if s not in held:
+            held[s] = simulate_mkv(config, law_override=mu[s], noise=noise)
+        return held[s]
 
-    distances = np.asarray(distances)
+    distances = np.empty(S)
+    for s in range(S):
+        held.pop(s - 2, None)
+
+        def kept_clouds(j):
+            # a sliced loop solves many times, so there every pair replays
+            if not exact or j != kept_at[s]:
+                raise _Replay
+            return kept[s, 0], kept[s, 1]
+
+        try:
+            distances[s] = pruned_sup(bound[s], times, lambda_weight, p, kept_clouds)
+        except _Replay:
+            distances[s] = dT_metric(flow(s), flow(s - 1), lambda_weight, p, rng=projections)
+
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = distances[1:] / distances[:-1]
     floor = None
@@ -376,7 +460,7 @@ def picard_law_iteration(
         ratios=ratios,
         lambda_weight=float(lambda_weight),
         noise_floor_iter=floor,
-        final_flow=prev_flow,
+        final_flow=final_flow,
     )
 
 

@@ -353,6 +353,21 @@ class TestConfigFaults:
         assert not (tmp_path / "o").exists()
 
 
+    def test_overflowing_picard_bound_names_the_iteration(self, tmp_path, capsys):
+        # the iterates stay finite, but |x_i - y_i|^2 overflows at time 1
+        cfg = write_cfg(tmp_path, coefficients={"a": 1e300}, sim={"M": 16},
+                        study={**_PICARD, "n_iters": 8, "lambda_weight": 1.0})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["picard", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("runtime error: non-finite flow distance bound at time index 1 "
+                       "(t = 0.0625): inf in Picard iteration 1 of 8\n")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "o").exists()
+
+
 _PICARD = {"kind": "picard", "n_iters": 2, **_NO_RATE_KEYS, "m": None}
 # Non-finite numbers, which Python's json reads and RFC 8259 JSON has not,
 # on a picard config: (write_cfg overrides, JSON pointer of the number).

@@ -1,8 +1,10 @@
+import compileall
 import importlib.machinery
 import importlib.util
 import itertools
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -109,24 +111,43 @@ class TestModeByModeCost:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="counts pages under glibc's mmap threshold")
-    def test_repeated_solves_reuse_heap_pages(self):
-        # A fresh interpreter, so no earlier test has moved glibc's dynamic
-        # mmap threshold.  Temporaries mapped afresh per call fault about
-        # 7,000 pages in 8 calls; served from the heap, the pages are reused.
-        code = (
-            "import resource, numpy as np\n"
-            "from mvspde.measures import wasserstein_exact\n"
-            "mu, nu = np.random.default_rng(5).normal(size=(2, 256, 8))\n"
-            "wasserstein_exact(mu, nu, 1.25)\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "for _ in range(8):\n"
-            "    wasserstein_exact(mu, nu, 1.25)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        assert int(proc.stdout) < 1000
+    def test_repeated_solves_reuse_heap_pages(self, tmp_path):
+        assert repeated_solve_faults(tmp_path, bytecode=False) < 1000
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="counts pages under glibc's mmap threshold")
+    def test_repeated_solves_reuse_heap_pages_from_bytecode(self, tmp_path):
+        assert repeated_solve_faults(tmp_path, bytecode=True) < 1000
+
+
+def repeated_solve_faults(tmp_path, bytecode: bool) -> int:
+    """Page faults of 8 repeated M = 256 solves in a fresh interpreter.
+
+    Fresh, so no earlier test has moved glibc's dynamic mmap threshold; on a
+    copy of the package loaded from its source or from compileall bytecode,
+    whose start-ups leave different heap histories (compiling frees large
+    chunks, which raises the threshold).  Temporaries mapped afresh per call
+    fault about 7,000 pages in 8 calls, heap pages returned and taken again
+    about 2,000.
+    """
+    shutil.copytree(REPO / "src" / "mvspde", tmp_path / "mvspde",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if bytecode:
+        assert compileall.compile_dir(str(tmp_path / "mvspde"), quiet=1)
+    code = (
+        "import resource, numpy as np\n"
+        "from mvspde.measures import wasserstein_exact\n"
+        "mu, nu = np.random.default_rng(5).normal(size=(2, 256, 8))\n"
+        "wasserstein_exact(mu, nu, 1.25)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(8):\n"
+        "    wasserstein_exact(mu, nu, 1.25)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return int(proc.stdout)
 
 
 def tie_costs():

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvspde.coefficients import CoefficientSet, bounded_smooth
-from mvspde.measures import EXACT_ASSIGNMENT_LIMIT, p_moment, wasserstein_exact
+from mvspde import measures
+from mvspde.coefficients import CoefficientSet, bounded_smooth, effective_constants
+from mvspde.measures import (
+    EXACT_ASSIGNMENT_LIMIT,
+    LawFlow,
+    dT_metric,
+    p_moment,
+    wasserstein_exact,
+)
 from mvspde.noise import (
+    CH_PROJECTION,
     CH_SLOW,
     GROUP_WORDS,
     RngStream,
@@ -383,6 +391,128 @@ class TestPicardIteration:
                         seed=0, xi=0.0)
         with pytest.raises(ValueError):
             picard_law_iteration(cfg, n_iters=1)
+
+
+def stage_by_stage(config, n_iters):
+    """The Picard iteration one stage at a time: each stage its own
+    simulate_mkv run against the previous flow's p-moments, compared with
+    the previous flow by dT_metric, on noise drawn once."""
+    spec, J = config.spec, config.n_steps
+    lam = effective_constants(config.coeffs, spec).contraction_lambda
+    bank = StableNoiseBank(config.seed, spec.alpha, config.M, spec.n_modes, CH_SLOW)
+    noise = bank.draw(J)
+    noise *= convolution_scales(spec, config.h, "slow")
+    projections = RngStream(config.seed, channel=CH_PROJECTION)
+    prev = LawFlow(config.times, np.tile(config.xi, (J + 1, config.M, 1)))
+    stat = np.full(J + 1, float(np.linalg.norm(config.xi)))
+    distances = []
+    for _ in range(n_iters):
+        flow = simulate_mkv(config, law_override=stat, noise=noise)
+        distances.append(dT_metric(flow, prev, lam, spec.p, rng=projections))
+        prev, stat = flow, flow.moments(spec.p)
+    return np.asarray(distances), prev
+
+
+def perfbench_shaped(M=256):
+    """The benchmark's picard config: 8 modes, tanh drifts on 4, 64 steps."""
+    spec = OperatorSpec(n_modes=8, a=2.0, b=1.0, g=1.0, c_lambda=1.0, c_beta=1.0,
+                        c_gamma=1.0, alpha=1.5, theta=4 / 3, p=1.0)
+    return SimConfig(spec=spec, coeffs=bounded_smooth(spec, a=1.0, b_mu=0.5, c=0.5,
+                                                      n_active=4),
+                     T=1.0, h=1 / 64, M=M, seed=1729, xi=[0.5, -0.3, 0.2])
+
+
+def counting(monkeypatch, owner, name):
+    """Calls of owner.name from here on, by their arguments."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestPicardLockstep:
+    """One sweep over time steps every iteration with the stage-by-stage bits."""
+
+    J = 16
+
+    def config(self, M, p=1.0, seed=13):
+        spec = OperatorSpec(n_modes=4, a=2.0, b=1.0, g=1.0, alpha=1.5, theta=1.0, p=p)
+        return SimConfig(spec=spec, coeffs=bounded_smooth(spec), T=self.J / 32, h=1 / 32,
+                         M=M, seed=seed, xi=[0.3, -0.2, 0.1, 0.0])
+
+    @pytest.mark.parametrize("n_iters", [2, 8, J + 3])
+    @pytest.mark.parametrize("p", [1.0, 1.25])
+    @pytest.mark.parametrize("M", [8, 67, EXACT_ASSIGNMENT_LIMIT])
+    def test_bits_of_the_stage_by_stage_loop(self, M, p, n_iters):
+        cfg = self.config(M, p)
+        rep = picard_law_iteration(cfg, n_iters=n_iters)
+        distances, last = stage_by_stage(cfg, n_iters)
+        assert rep.distances.tobytes() == distances.tobytes()
+        assert rep.final_flow.clouds.tobytes() == last.clouds.tobytes()
+
+    def test_sliced_pairs_replay_each_stage_once(self, monkeypatch):
+        n_iters = 5
+        cfg = self.config(EXACT_ASSIGNMENT_LIMIT + 1, seed=6)
+        distances, last = stage_by_stage(cfg, n_iters)
+        mkv = counting(monkeypatch, solver, "simulate_mkv")
+        rep = picard_law_iteration(cfg, n_iters=n_iters)
+        assert rep.distances.tobytes() == distances.tobytes()
+        assert rep.final_flow.clouds.tobytes() == last.clouds.tobytes()
+        # every pair replays here; the last stage's flow is the sweep's own
+        stepped = [kw["law_override"].tobytes() for _, kw in mkv]
+        assert len(stepped) == n_iters - 1 == len(set(stepped))
+
+    @pytest.mark.parametrize("p", [1.0, 1.25])
+    def test_exact_pairs_replay_with_the_bits(self, monkeypatch, p):
+        # a wide margin makes every pruned loop visit a second time
+        monkeypatch.setattr(measures, "PRUNE_MARGIN", 1.0)
+        n_iters = 4
+        cfg = self.config(16, p)
+        distances, last = stage_by_stage(cfg, n_iters)
+        mkv = counting(monkeypatch, solver, "simulate_mkv")
+        rep = picard_law_iteration(cfg, n_iters=n_iters)
+        assert rep.distances.tobytes() == distances.tobytes()
+        assert rep.final_flow.clouds.tobytes() == last.clouds.tobytes()
+        stepped = [kw["law_override"].tobytes() for _, kw in mkv]
+        assert len(stepped) == n_iters - 1 == len(set(stepped))
+
+    def test_exact_path_steps_once_and_solves_as_before(self, monkeypatch):
+        cfg = perfbench_shaped()
+        solves = counting(monkeypatch, measures, "wasserstein_exact")
+        distances, _ = stage_by_stage(cfg, 8)
+        before = len(solves)
+        solves.clear()
+        mkv = counting(monkeypatch, solver, "simulate_mkv")
+        rep = picard_law_iteration(cfg, n_iters=8)
+        assert rep.distances.tobytes() == distances.tobytes()
+        assert mkv == []
+        assert len(solves) == before == np.count_nonzero(rep.distances)
+
+    def test_nonfinite_iterate_names_iteration_and_step(self, spec4):
+        # xi = 0: iteration 1 reads |xi| = 0 and stays finite; iteration 2
+        # reads a positive statistic from time 1 on and its drift is inf
+        co = CoefficientSet(
+            variant="custom", B=lambda x, s: np.where(s > 0.0, np.inf, 0.0) * np.ones(4),
+            F=lambda x, s, y: np.zeros(4), G=lambda x, s, y: np.zeros(4), lip_C=1.0,
+            lip_G_y=0.5, p=1.0, bound_const=0.0, fbar_factory=None,
+        )
+        cfg = SimConfig(spec=spec4, coeffs=co, T=0.5, h=0.125, M=3, seed=1, xi=0.0)
+        with pytest.raises(FloatingPointError,
+                           match=r"Picard iteration 2 of 3 at step 2 of 4$"):
+            picard_law_iteration(cfg, n_iters=3)
+
+    def test_nonfinite_bound_names_iteration(self, spec4):
+        # the fields stay finite, but |x_i - y_i|^2 overflows from time 1 on
+        cfg = SimConfig(spec=spec4, coeffs=bounded_smooth(spec4, a=1e300), T=0.5, h=0.125,
+                        M=4, seed=1, xi=0.1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match=r"bound at time index 1 \(t = 0.125\): inf "
+                                  r"in Picard iteration 1 of 2$"):
+            picard_law_iteration(cfg, n_iters=2, lambda_weight=1.0)
 
 
 class TestMomentBoundCheck:
