@@ -37,13 +37,21 @@ exact averaged drift through ``fbar_factory``.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
+import os
+import tempfile
+import zipfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from . import noise
 from .spectral import AssumptionCheck, ConfigError, OperatorSpec, ValidationReport, validate_spec
-from .noise import RngStream, CH_PROBE, stable_quadrature_rule, weighted_row_sums
+from .noise import (RngStream, CH_PROBE, numpy_kernels, stable_quadrature_rule,
+                    stable_quadrature_weights_at, weighted_row_sums)
 from .measures import p_moment, wasserstein_exact
 
 __all__ = [
@@ -302,8 +310,132 @@ class StackedInterp:
         return out
 
 
-# fbar evaluators keyed by (spectrum, family) parameters: building the
-# quadrature tables costs ~a second, and forked workers inherit warm entries
+# the Phi tables' u-grid (lowest node, highest node, step) and the
+# quadrature rule's (s_max, n_nodes)
+U_GRID = (-40.0, 40.0, 0.02)
+QUADRATURE = (60.0, 2400)
+# the float64 ufuncs whose kernels set the tables' bits
+TABLE_UFUNCS = ("tanh", "cos", "exp", "power")
+# u-grid rows of each Phi table, and interior quadrature weights, rebuilt
+# to check an entry read from the disk cache
+SPOT_ROWS = 8
+SPOT_WEIGHTS = 4
+# the sources whose bytes key a cache entry: the table build and its kernels
+TABLE_SOURCES = (Path(noise.__file__), Path(__file__))
+
+
+def table_cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/mvspde``, or ``~/.cache/mvspde`` where that is unset
+    or empty; None when no home directory can be found."""
+    root = os.environ.get("XDG_CACHE_HOME")
+    try:
+        return (Path(root) if root else Path.home() / ".cache") / "mvspde"
+    except RuntimeError:
+        return None
+
+
+def _table_key(alpha: float, keys) -> str | None:
+    """sha256 naming the tables of (alpha, zeta keys): numpy's version, the
+    kernel class of TABLE_UFUNCS, the bytes of TABLE_SOURCES and the grid
+    and quadrature constants.  None where numpy cannot name its kernels or
+    a source cannot be read: the tables are then built every time."""
+    kernels = numpy_kernels(TABLE_UFUNCS)
+    if kernels is None:
+        return None
+    digest = hashlib.sha256(json.dumps(
+        [np.__version__, kernels, alpha, keys, U_GRID, QUADRATURE], sort_keys=True).encode())
+    try:
+        for source in TABLE_SOURCES:
+            digest.update(source.read_bytes())
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def _arrays_digest(*arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+def _load_tables(path: Path, n_tables: int, n_u: int):
+    """(nodes, weights, tables) of the entry at ``path``, or None where it is
+    missing, unreadable, truncated, misshapen or fails its digest."""
+    try:
+        with np.load(path) as entry:
+            nodes, weights, tables = entry["nodes"], entry["weights"], entry["tables"]
+            digest = str(entry["digest"])
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    shapes = (nodes.shape, weights.shape, tables.shape)
+    if (shapes != ((QUADRATURE[1],), (QUADRATURE[1],), (n_tables, n_u))
+            or any(a.dtype != np.float64 for a in (nodes, weights, tables))
+            or digest != _arrays_digest(nodes, weights, tables)):
+        return None
+    return nodes, weights, tables
+
+
+def _store_tables(path: Path, nodes, weights, tables) -> None:
+    """Write an entry atomically: a temporary file beside it, then
+    ``os.replace``.  Where the directory cannot be made or written,
+    nothing is stored and nothing is left behind."""
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.NamedTemporaryFile(dir=path.parent, suffix=".tmp", delete=False) as f:
+            tmp = f.name
+            np.savez(f, nodes=nodes, weights=weights, tables=tables,
+                     digest=_arrays_digest(nodes, weights, tables))
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+
+
+def _phi_tables(alpha: float, keys):
+    """(u_grid, tables): Phi_z(u) = E[tanh(u + z S)] on the u-grid, one row
+    per zeta key, from a stable quadrature rule of ``alpha``.
+
+    The tables and the rule are read from the disk cache where an entry
+    for the same inputs and kernels exists (:func:`_table_key`).  An entry
+    is used only if its digest holds and a fresh build of SPOT_ROWS rows
+    of each table and SPOT_WEIGHTS interior weights of the rule matches it
+    byte for byte; each row and weight is computed on its own, so a row
+    built alone has the bits of the full build.  Otherwise the tables are
+    built and stored.
+    """
+    u_grid = np.arange(U_GRID[0], U_GRID[1] + 1e-12, U_GRID[2])
+
+    def phi(z, nodes, weights, rows=slice(None)):
+        # Phi(u) = sum_i w_i tanh(u + z s_i); rows are u, columns nodes
+        return weighted_row_sums(np.add, np.tanh, u_grid[rows], z * nodes, weights)
+
+    cache, key = table_cache_dir(), _table_key(alpha, keys)
+    path = None if cache is None or key is None else cache / f"phi-{key}.npz"
+    entry = None if path is None else _load_tables(path, len(keys), u_grid.size)
+    if entry is not None:
+        nodes, weights, tables = entry
+        rows = np.linspace(0, u_grid.size - 1, SPOT_ROWS).round().astype(int)
+        n = nodes.size
+        at = np.linspace(n // 2 + 1, n - 2, SPOT_WEIGHTS).round().astype(int)
+        if (stable_quadrature_weights_at(alpha, nodes, at).tobytes() == weights[at].tobytes()
+                and all(phi(z, nodes, weights, rows).tobytes() == table[rows].tobytes()
+                        for z, table in zip(keys, tables))):
+            return u_grid, tables
+    nodes, weights = stable_quadrature_rule(alpha, *QUADRATURE)
+    tables = np.array([phi(z, nodes, weights) for z in keys])
+    if path is not None:
+        _store_tables(path, nodes, weights, tables)
+    return u_grid, tables
+
+
+# fbar evaluators keyed by (spectrum, family) parameters: the quadrature
+# tables cost about 0.2 s to build (a few ms from the disk cache), and
+# forked workers inherit warm entries
 _FBAR_TABLE_CACHE: dict = {}
 
 
@@ -314,11 +446,15 @@ def _tanh_fbar(spec: OperatorSpec, a: float, b_mu: float, c: float, k_act: int):
     m_k = a tanh(x_k) / (lambda_k - c) shifted by zeta_k S, where
     zeta_k = gamma_k / (alpha (lambda_k - c))**(1/alpha).  Averaging the
     slow drift over that law needs Phi_zeta(u) = E[tanh(u + zeta S)], which
-    is precomputed on a grid per distinct zeta (row-blocked fixed-order
+    is tabulated on a grid per distinct zeta (row-blocked fixed-order
     sums, so no BLAS thread count reaches the bits) and linearly
     interpolated, all K active modes in one :class:`StackedInterp` gather.
-    Outside the grid Phi is clamped to its end values; the clamp error is
-    bounded by the stable tail mass beyond the grid edge, ~ (zeta/40)^alpha.
+    The tables come from :func:`_phi_tables`, which keeps them on disk,
+    keyed by their inputs and numpy's kernels and checked against a fresh
+    build of a few rows on every read, so a read table has the bits of a
+    built one.  Outside the grid Phi is clamped to its end values; the
+    clamp error is bounded by the stable tail mass beyond the grid edge,
+    ~ (zeta/40)^alpha.
     """
     cache_key = (
         spec.n_modes, spec.a, spec.g, spec.c_lambda, spec.c_gamma, spec.alpha,
@@ -334,17 +470,12 @@ def _tanh_fbar(spec: OperatorSpec, a: float, b_mu: float, c: float, k_act: int):
             f"lambda_1 - c = {spec.lambda_1 - c:.6g}"
         )
     zeta = spec.fast_amplitudes / (spec.alpha * np.abs(kappa)) ** (1.0 / spec.alpha)
-    nodes, weights = stable_quadrature_rule(spec.alpha)
-    u_grid = np.arange(-40.0, 40.0 + 1e-12, 0.02)
     keys = [round(float(zeta[k]), 12) for k in range(k_act)]
-    tables = {}
-    for z in keys:
-        if z not in tables:
-            # Phi(u) = sum_i w_i tanh(u + z s_i); rows are u, columns nodes
-            tables[z] = weighted_row_sums(np.add, np.tanh, u_grid, z * nodes, weights)
+    distinct = list(dict.fromkeys(keys))
+    u_grid, tables = _phi_tables(spec.alpha, distinct)
     e1 = np.zeros(spec.n_modes)
     e1[0] = 1.0
-    gather = StackedInterp(u_grid, [tables[z] for z in keys])
+    gather = StackedInterp(u_grid, [tables[distinct.index(z)] for z in keys])
     kappa_at = _tiler(kappa[:k_act])
 
     def fbar(x, mu_stat):

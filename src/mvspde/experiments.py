@@ -27,9 +27,9 @@ replica moments by exact sum-of-squares in fixed (grid, replica) order.
 One scheduler, ``_replica_rows``, advances the equal-size replicas of a
 grid point as one batch for all three power-law studies, and a replica's
 moments do not depend on its batch, so neither the batching nor the
-worker count changes a single bit of output.  Wall time
-and peak memory are recorded only in the manifest, never in hashed or
-persisted content.
+worker count changes a single bit of output.  Wall time,
+peak memory, the workers used and numpy's kernel class are recorded only
+in the manifest, never in hashed or persisted content.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .multiscale import (
     increment_stats,  # both looked up by name in _replica_task
     strong_error_stats,
 )
-from .noise import CH_FROZEN, RngStream
+from .noise import CH_FROZEN, RngStream, numpy_kernels
 from .solver import (NonFiniteState, SimConfig, moment_bound_check, picard_law_iteration,
                      simulate_mkv)
 from .spectral import ConfigError, OperatorSpec, check_moment_order, whole_steps
@@ -97,7 +97,8 @@ class ExperimentResult:
 
     ``flags`` maps a grid index (as a string) or the literal key ``fit``
     to a diagnostic tag such as ``noise-floor`` or ``degenerate``.
-    ``runtime_s`` is informational only and excluded from hashed content.
+    ``runtime_s`` and ``workers`` (the processes that stepped the study)
+    are informational only and excluded from hashed content.
     """
 
     kind: str
@@ -110,6 +111,7 @@ class ExperimentResult:
     runtime_s: float
     flags: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    workers: int = 1
 
     @property
     def config_hash(self) -> str:
@@ -140,7 +142,8 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()[:12]
 
 
-def _result(kind, grid, config, seeds, t0, meta, flags=None, fit=None) -> ExperimentResult:
+def _result(kind, grid, config, seeds, t0, meta, flags=None, fit=None,
+            workers=1) -> ExperimentResult:
     """A study's result, timed from its ``time.perf_counter()`` start ``t0``."""
     return ExperimentResult(
         kind=kind,
@@ -153,6 +156,7 @@ def _result(kind, grid, config, seeds, t0, meta, flags=None, fit=None) -> Experi
         runtime_s=time.perf_counter() - t0,
         flags={} if flags is None else flags,
         meta=_plain(meta),
+        workers=workers,
     )
 
 
@@ -264,16 +268,34 @@ def _replica_task(cfg, name, args, replicas):
     return globals()[name](cfg, *args, replicas=replicas)
 
 
+# particle-steps a forked worker must take to pay for its start-up.  On a
+# shared 2-core box (os.cpu_count() 2) a fork pool of 2 workers started, ran
+# two empty tasks and joined in 9 ms (8 workers: 20 ms), after a 15 ms import
+# of the pool.  Forking two workers lost 29 ms on smoke.json (61,440
+# particle-steps) and saved 36 ms on hoelder.json (262,144), so two break
+# even near 150,000: about 75,000 a worker, rounded up for a margin.
+WORKER_PARTICLE_STEPS = 100_000
+
+
+def _worker_cap(cfgs, n_workers: int) -> int:
+    """``n_workers`` capped at one per WORKER_PARTICLE_STEPS particle-steps
+    of the grid points ``cfgs``, and at least 1."""
+    particle_steps = sum(c.base.M * c.n_steps for c in cfgs)
+    return max(1, min(n_workers, particle_steps // WORKER_PARTICLE_STEPS))
+
+
 def _replica_rows(name, cfgs, args, chunks, n_workers: int):
-    """Per grid point, per replica, the rows of ``name(cfg, *args, replicas=...)``.
+    """Per grid point, per replica, the rows of ``name(cfg, *args, replicas=...)``,
+    and the number of processes that stepped them.
 
     Replica r of grid point i is the system of particles ``chunks[r]`` =
     (offset, count) on stream replica coordinate ``i * len(chunks) + r``.
-    The equal-size replicas of a grid point advance as one batch, cut into
-    as many parts as that point's share of the steps fills ``n_workers``;
-    neither the batching nor the worker count changes a row.  Batches run
-    costliest first, so that workers finish together, in a fork pool of at
-    most one worker per batch when ``n_workers`` > 1.  A config reaches a
+    ``n_workers`` is capped by :func:`_worker_cap`.  The equal-size
+    replicas of a grid point advance as one batch, cut into as many parts
+    as that point's share of the steps fills the capped count; neither the
+    batching nor the worker count changes a row.  Batches run costliest
+    first, so that workers finish together, in a fork pool of at most one
+    worker per batch when the capped count is above 1.  A config reaches a
     worker pickled, its coefficient set as its recipe.
     """
     if n_workers > 1 and cfgs[0].base.coeffs.recipe is None:
@@ -282,6 +304,7 @@ def _replica_rows(name, cfgs, args, chunks, n_workers: int):
             "cannot cross process boundaries"
         )
     n_replicas, steps = len(chunks), [c.n_steps for c in cfgs]
+    n_workers = _worker_cap(cfgs, n_workers)
     tasks = []
     for gi, cfg in enumerate(cfgs):
         n_parts = max(1, math.ceil(n_workers * steps[gi] / sum(steps)))
@@ -291,7 +314,8 @@ def _replica_rows(name, cfgs, args, chunks, n_workers: int):
                         for r in batch]
             tasks.append((replace(cfg, base=replace(cfg.base, M=count)), name, args, replicas))
     tasks.sort(key=lambda t: -t[0].base.M * len(t[3]) / t[0].h_fast)
-    if n_workers <= 1 or len(tasks) <= 1:
+    n_workers = min(n_workers, len(tasks))
+    if n_workers <= 1:
         out = [_replica_task(*task) for task in tasks]
     else:
         # imported here: a serial run never pays for the pool's import
@@ -302,12 +326,13 @@ def _replica_rows(name, cfgs, args, chunks, n_workers: int):
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-posix fallback
             ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(tasks)), mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
             out = list(pool.map(_replica_task, *zip(*tasks), chunksize=1))
     rows = {}
     for task, batch_rows in zip(tasks, out):
         rows.update(zip((rep for rep, _ in task[3]), batch_rows))
-    return [[rows[gi * n_replicas + r] for r in range(n_replicas)] for gi in range(len(cfgs))]
+    return [[rows[gi * n_replicas + r] for r in range(n_replicas)]
+            for gi in range(len(cfgs))], n_workers
 
 
 # --------------------------------------------------------------------------
@@ -350,8 +375,8 @@ def rate_study(
     chunks = _split_counts(base.M, n_replicas, interacting=True)
     averaged_drift(coeffs, spec)  # warm shared tables before any fork
 
-    grid, flags, fit = _power_law_curve(
-        eps, _replica_rows("strong_error_stats", cfgs, (m,), chunks, n_workers), m)
+    rows, workers = _replica_rows("strong_error_stats", cfgs, (m,), chunks, n_workers)
+    grid, flags, fit = _power_law_curve(eps, rows, m)
     theta = spec.theta
     config = describe(spec, coeffs, base, "rate", eta=cfgs[0].eta, grid=eps, m=m,
                       h_fast_ratio=h_fast_ratio, n_replicas=n_replicas)
@@ -362,7 +387,7 @@ def rate_study(
         "delta": [c.delta_resolved for c in cfgs],
         "h_fast": [c.h_fast for c in cfgs],
         "error_kind": "sup-coupling",
-    }, flags, fit)
+    }, flags, fit, workers)
 
 
 # --------------------------------------------------------------------------
@@ -386,7 +411,8 @@ def _increment_study(cfg, delta_grid, kind, arm, n_replicas, n_workers):
         seen.add(steps)
     base = cfg.base
     chunks = _split_counts(base.M, n_replicas, interacting=True)
-    (rows,) = _replica_rows("increment_stats", [cfg], (deltas, arm), chunks, n_workers)
+    (rows,), workers = _replica_rows("increment_stats", [cfg], (deltas, arm), chunks,
+                                     n_workers)
     grid, flags, fit = _power_law_curve(deltas, list(zip(*rows)), 1.0)
     # both arms shrink at the slow path's regularity order theta / 2; the
     # rate is an upper bound, and a markedly steeper fit means another term
@@ -398,7 +424,7 @@ def _increment_study(cfg, delta_grid, kind, arm, n_replicas, n_workers):
                       grid=deltas, epsilon=cfg.epsilon, n_replicas=n_replicas)
     return _result(kind, grid, config, (base.seed,) + tuple(range(n_replicas)), t0,
                    {"theory_slope": theory_slope, "epsilon": cfg.epsilon,
-                    "m": 1.0, "error_kind": arm}, flags, fit)
+                    "m": 1.0, "error_kind": arm}, flags, fit, workers)
 
 
 def hoelder_study(
@@ -589,8 +615,9 @@ def _peak_rss_mb() -> float:
     return max(u.ru_maxrss for u in usage) / 1024.0
 
 
-# the fields meta.json holds: all but the curve (result.csv) and the run time (the manifest)
-_META_FIELDS = [f.name for f in fields(ExperimentResult) if f.name not in ("grid", "runtime_s")]
+# the fields meta.json holds: all but the curve (result.csv) and the run facts (the manifest)
+_META_FIELDS = [f.name for f in fields(ExperimentResult)
+                if f.name not in ("grid", "runtime_s", "workers")]
 
 
 def persist(result: ExperimentResult, out_dir) -> Path:
@@ -601,7 +628,10 @@ def persist(result: ExperimentResult, out_dir) -> Path:
     columns for plotting) and manifest.json listing the files with sha256
     digests; both JSON files are strict, with null for each NaN or inf.
     Identical (config, seeds) runs produce byte-identical
-    csv/json/dat; only the manifest's runtime_s and peak_rss_mb fields vary.
+    csv/json/dat; only the manifest's run facts vary: ``runtime_s``,
+    ``peak_rss_mb``, ``workers`` and ``numpy`` (its version and the CPU
+    target of each float64 kernel on the bit path, which a run's bits
+    depend on, see :func:`~mvspde.noise.numpy_kernels`).
     """
     if not result.grid:
         raise ValueError("refusing to persist a result with an empty grid")
@@ -636,6 +666,8 @@ def persist(result: ExperimentResult, out_dir) -> Path:
         "files": {p.name: _sha256(p) for p in (csv_path, meta_path, dat_path)},
         "runtime_s": result.runtime_s,
         "peak_rss_mb": _peak_rss_mb(),
+        "workers": result.workers,
+        "numpy": {"version": np.__version__, "kernels": numpy_kernels()},
     }
     manifest_path = root / "manifest.json"
     _write_json(manifest_path, manifest)
@@ -662,4 +694,5 @@ def load_result(manifest_path) -> ExperimentResult:
         grid.append(GridPoint(param=param, error=error, stderr=stderr))
     saved = {name: meta[name] for name in _META_FIELDS}
     saved["seeds"] = tuple(saved["seeds"])
-    return ExperimentResult(grid=tuple(grid), runtime_s=manifest["runtime_s"], **saved)
+    return ExperimentResult(grid=tuple(grid), runtime_s=manifest["runtime_s"],
+                            workers=manifest.get("workers", 1), **saved)

@@ -71,7 +71,10 @@ __all__ = [
     "tail_slope",
     "standard_stable_pdf",
     "stable_quadrature_rule",
+    "stable_quadrature_weights_at",
     "weighted_row_sums",
+    "BIT_PATH_UFUNCS",
+    "numpy_kernels",
     "StableNoiseBank",
     "CH_SLOW",
     "CH_FAST",
@@ -466,6 +469,35 @@ def tail_slope(
     return fit_line(np.log(xs[keep]), np.log(ccdf[keep])).slope
 
 
+# the float64 ufuncs whose kernels set output bits: the stable transform
+# (tan, expm1, log1p, power), the drifts (tanh) and the quadrature tables
+# (tanh, cos, exp, power)
+BIT_PATH_UFUNCS = ("tan", "tanh", "cos", "exp", "expm1", "log1p", "power")
+
+
+@lru_cache(maxsize=None)
+def numpy_kernels(names: tuple = BIT_PATH_UFUNCS) -> dict | None:
+    """name -> the CPU target of the float64 loop numpy runs for that ufunc.
+
+    numpy picks each loop at import from the CPU's features, and loops
+    for different targets can round differently, so this names the class
+    of machine whose bits a run reproduces.  A ufunc with no dispatched
+    float64 loop reads "baseline"; the whole is None on numpy < 2.0, which
+    cannot report it.
+    """
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    info = opt_func_info(func_name=f"^(?:{'|'.join(names)})$")
+    kernels = {}
+    for name in names:
+        ufunc = getattr(np, name)
+        loop = info.get(name, {}).get("d" * (ufunc.nin + ufunc.nout), {})
+        kernels[name] = loop.get("current", "baseline")
+    return kernels
+
+
 # rows per block of a quadrature matrix: 16 rows of 2400 nodes are 300 KB,
 # so the block stays in the L2 cache across its four passes
 QUADRATURE_BLOCK_ROWS = 16
@@ -494,19 +526,23 @@ def weighted_row_sums(combine, kernel, x, t, weights) -> np.ndarray:
     return out
 
 
-def standard_stable_pdf(x, alpha: float, n_t: int = 4096, t_max: float | None = None):
+def standard_stable_pdf(x, alpha: float, n_t: int = 4096, t_max: float | None = None,
+                        x_span: float | None = None):
     """Density of the standard symmetric alpha-stable law by cosine inversion.
 
     f(x) = (1/pi) * int_0^oo cos(x t) exp(-t**alpha) dt, evaluated with a
     trapezoid rule.  The integrand decays like exp(-t**alpha), so cutting at
     t_max with t_max**alpha ~ 46 leaves truncation error below 1e-18; the
-    oscillation cos(x t) needs step < ~pi/(8 |x|_max) to resolve.
+    oscillation cos(x t) needs step < ~pi/(8 x_span) to resolve, where
+    ``x_span`` defaults to |x|_max.  Each value depends on x only through
+    its own entry and the rule, so a few points evaluated with the
+    ``x_span`` of a larger set take that set's bits.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if t_max is None:
         t_max = 46.0 ** (1.0 / alpha)
     # resolve the fastest oscillation present
-    x_span = max(1.0, float(np.max(np.abs(x))))
+    x_span = max(1.0, float(np.max(np.abs(x))) if x_span is None else x_span)
     n_t = max(n_t, int(8 * x_span * t_max / np.pi) + 1)
     t = np.linspace(0.0, t_max, n_t)
     wt = np.full(n_t, t[1] - t[0])
@@ -547,6 +583,17 @@ def stable_quadrature_rule(
     w[0] += missing / 2.0
     w[-1] += missing / 2.0
     return s, w
+
+
+def stable_quadrature_weights_at(alpha: float, nodes: np.ndarray, idx) -> np.ndarray:
+    """Weights ``idx`` of :func:`stable_quadrature_rule` with ``nodes``, with its bits.
+
+    ``idx`` indexes interior nodes (neither end, whose weights carry the
+    tail mass) of the non-negative half, where the rule evaluated the
+    density; each weight is that density times the node spacing.
+    """
+    pdf = standard_stable_pdf(nodes[idx], alpha, x_span=float(nodes[-1]))
+    return pdf * (nodes[1] - nodes[0])
 
 
 class StableNoiseBank:

@@ -346,11 +346,12 @@ def picard_law_iteration(
     iterate n's cloud at t_j, which the sweep has just made (the pipelined
     form of waveform relaxation).  Each step also bounds every distance at
     t_j by the index coupling, as :func:`~mvspde.measures.dT_metric` does,
-    and keeps each pair of iterates' clouds at the pair's largest bound so
-    far.  Held in memory: the iterates' fields, those kept pairs, every
-    iteration's law statistic and the last iteration's flow, not two full
-    flows.  Each distance is then settled by dT_metric's pruned loop
-    (:func:`~mvspde.measures.pruned_sup`), with its bits.  Where that loop
+    and, on the exact path, keeps each pair of iterates' clouds at the
+    pair's largest bound so far.  Held in memory: the iterates' fields,
+    those kept pairs, every iteration's law statistic and the last
+    iteration's flow, not two full flows.  Each distance is then settled
+    by dT_metric's pruned loop (:func:`~mvspde.measures.pruned_sup`), with
+    its bits.  Where that loop
     needs a time other than the kept one (on the exact path hardly ever),
     and on the sliced path, whose loop solves many times, the pair is
     replayed: :func:`simulate_mkv` steps its iterates again from their
@@ -388,8 +389,9 @@ def picard_law_iteration(
     bound = np.empty((S, J + 1))                # dT_metric's bound of each pair
     peak = np.full(S, -np.inf)                  # each pair's largest bound so far,
     kept_at = np.zeros(S, dtype=int)            # its first time
-    kept = np.empty((S, 2) + shape)             # and the pair's clouds there
-    kept[0, 1] = xi_cloud
+    if exact:                                   # and the pair's clouds there, which
+        kept = np.empty((S, 2) + shape)         # only an exact solve reads
+        kept[0, 1] = xi_cloud
     diff = np.empty((S,) + shape)
     last = np.empty((J + 1,) + shape)
 
@@ -399,13 +401,14 @@ def picard_law_iteration(
         np.subtract(stages[0], xi_cloud, out=diff[0])
         np.subtract(stages[1:], stages[:-1], out=diff[1:])
         bound[:, j] = weights[j] * p_moment(diff, p)
-        # strictly above: ties keep the first time, as dT_metric's stable sort
-        up = np.flatnonzero(bound[:, j] > peak)
-        peak[up] = bound[up, j]
-        kept_at[up] = j
-        kept[up, 0] = stages[up]
-        later = up[up > 0]
-        kept[later, 1] = stages[later - 1]
+        if exact:
+            # strictly above: ties keep the first time, as dT_metric's stable sort
+            up = np.flatnonzero(bound[:, j] > peak)
+            peak[up] = bound[up, j]
+            kept_at[up] = j
+            kept[up, 0] = stages[up]
+            later = up[up > 0]
+            kept[later, 1] = stages[later - 1]
         last[j] = stages[-1]
 
     try:

@@ -1,3 +1,7 @@
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -15,6 +19,23 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+_SAVED_CACHE_HOME = os.environ.get("XDG_CACHE_HOME")
+
+
+def pytest_configure(config):
+    # the averaged-drift tables' disk cache lives under $XDG_CACHE_HOME: a
+    # session directory, exported so that CLI subprocesses inherit it, keeps
+    # the suite from reading a stale user cache or writing one
+    os.environ["XDG_CACHE_HOME"] = tempfile.mkdtemp(prefix="mvspde-test-cache-")
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(os.environ["XDG_CACHE_HOME"], ignore_errors=True)
+    if _SAVED_CACHE_HOME is None:
+        del os.environ["XDG_CACHE_HOME"]
+    else:
+        os.environ["XDG_CACHE_HOME"] = _SAVED_CACHE_HOME
 
 
 @pytest.fixture(scope="session")

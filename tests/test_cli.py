@@ -39,6 +39,10 @@ BASE_CFG = {
               "out_dir": "out"},
 }
 
+# 1,920 fast steps per system over BASE_CFG's grid at T = 1, and enough
+# particles that --threads 2 pays for two forked workers
+FORKED_SIM = {"T": 1.0, "M": -(-2 * experiments.WORKER_PARTICLE_STEPS // 1920)}
+
 
 def make_cfg(**section_overrides) -> dict:
     """BASE_CFG with sections updated; a None section or key is dropped."""
@@ -594,6 +598,19 @@ class TestSmokeRuns:
         for name in ("result.csv", "meta.json"):
             assert "rss" not in (manifest.parent / name).read_text()
 
+    def test_manifest_records_numpy_kernel_class(self, tmp_path, capsys):
+        assert run(["rate-study", "--config", write_cfg(tmp_path),
+                    "--out", str(tmp_path / "o")]) == 0
+        manifest = manifest_of(capsys)
+        record = json.loads(manifest.read_text())["numpy"]
+        assert record["version"] == np.__version__
+        assert record["kernels"] == noise.numpy_kernels()
+        if record["kernels"] is not None:
+            assert sorted(record["kernels"]) == sorted(noise.BIT_PATH_UFUNCS)
+        for name in ("result.csv", "meta.json"):
+            text = (manifest.parent / name).read_text()
+            assert all(word not in text for word in ("numpy", "kernels", "workers"))
+
     def test_simulate(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, study={"kind": "simulate", "grid": None,
                                          "h_fast_ratio": None,
@@ -816,7 +833,7 @@ class TestStudyTable:
 
 class TestDeterminismFlags:
     def test_threads_do_not_change_results(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path)
+        cfg = write_cfg(tmp_path, sim=FORKED_SIM)
         assert run(["rate-study", "--config", cfg, "--out",
                     str(tmp_path / "t1")]) == 0
         m1 = manifest_of(capsys)
@@ -826,6 +843,13 @@ class TestDeterminismFlags:
         for name in ("result.csv", "meta.json", "loglog.dat"):
             assert (m1.parent / name).read_bytes() == \
                 (m2.parent / name).read_bytes()
+        assert [json.loads(m.read_text())["workers"] for m in (m1, m2)] == [1, 2]
+
+    def test_small_study_forks_no_worker(self, tmp_path, capsys):
+        # 16 particles x 480 fast steps pay for no worker at any --threads
+        assert run(["rate-study", "--config", write_cfg(tmp_path), "--threads", "8",
+                    "--out", str(tmp_path / "o")]) == 0
+        assert json.loads(manifest_of(capsys).read_text())["workers"] == 1
 
     def test_seed_override_changes_hash_reproducibly(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -966,7 +990,7 @@ def test_serial_run_imports_no_schema_library_or_process_pool(tmp_path):
     # jsonschema and the process pool each cost start-up time; a --threads 1
     # run needs neither, and --threads 2 still writes the --threads 1 bytes
     picard = write_cfg(tmp_path, "picard.json", sim={"M": 8}, study=_PICARD)
-    rate = write_cfg(tmp_path, "rate.json")
+    rate = write_cfg(tmp_path, "rate.json", sim=FORKED_SIM)
     code = ("import json, sys, mvspde.cli as cli\n"
             "mods = ('jsonschema', 'multiprocessing', 'concurrent.futures')\n"
             "loaded = lambda: [m for m in mods if m in sys.modules]\n"

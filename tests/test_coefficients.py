@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvspde import coefficients
+from mvspde import coefficients, noise
 from mvspde.coefficients import (
     BuiltinFamily,
     CoefficientSet,
@@ -185,8 +185,9 @@ class TestQuadratureFbar:
                 gemv = np.tanh(u[i:i + 1000, None] + z * nodes[None, :]) @ weights
                 assert np.max(np.abs(table[i:i + 1000] - gemv)) <= 8 * np.finfo(float).eps
 
-    def test_table_build_memory_bounded(self, spec8, monkeypatch):
+    def test_table_build_memory_bounded(self, spec8, monkeypatch, tmp_path):
         monkeypatch.setattr(coefficients, "_FBAR_TABLE_CACHE", {})
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # an empty cache: a build
         tracemalloc.start()
         try:
             bounded_smooth(spec8).fbar_factory(spec8)
@@ -194,6 +195,137 @@ class TestQuadratureFbar:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+
+class TestTableCache:
+    """The averaged-drift tables' disk cache: a hit has the bits of a build."""
+
+    X = np.random.default_rng(5).standard_normal((6, 8)) * 3.0
+    MU = np.linspace(0.0, 2.0, 6)[:, None]
+
+    @pytest.fixture()
+    def cache(self, monkeypatch, tmp_path):
+        """An empty cache directory, and a spy counting the rows each
+        weighted_row_sums call builds, per calling module."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        rows = {"coefficients": [], "noise": []}
+        for module, name in ((coefficients, "coefficients"), (noise, "noise")):
+            def spy(combine, kernel, x, t, weights, _seen=rows[name]):
+                _seen.append(np.size(x))
+                return weighted_row_sums(combine, kernel, x, t, weights)
+            monkeypatch.setattr(module, "weighted_row_sums", spy)
+        return tmp_path / "xdg" / "mvspde", rows
+
+    def _fbar(self, spec8, monkeypatch, rows):
+        """A fresh process's Fbar of the 8-mode default family (K = 4, four
+        distinct zeta), with the rows its tables cost."""
+        for seen in rows.values():
+            seen.clear()
+        monkeypatch.setattr(coefficients, "_FBAR_TABLE_CACHE", {})
+        fbar = bounded_smooth(spec8).fbar_factory(spec8)
+        return fbar(self.X, self.MU).tobytes(), {k: sum(v) for k, v in rows.items()}
+
+    def test_warm_build_makes_only_the_spot_rows(self, spec8, monkeypatch, cache):
+        root, rows = cache
+        cold, cold_rows = self._fbar(spec8, monkeypatch, rows)
+        assert cold_rows == {"coefficients": 4 * 4001, "noise": 1200}
+        (entry,) = root.iterdir()
+        assert entry.suffix == ".npz"
+        warm, warm_rows = self._fbar(spec8, monkeypatch, rows)
+        assert warm == cold
+        assert warm_rows == {"coefficients": 4 * coefficients.SPOT_ROWS,
+                             "noise": coefficients.SPOT_WEIGHTS}
+        assert list(root.iterdir()) == [entry]
+
+    def _rewrite(self, entry, tables=None, digest=None):
+        with np.load(entry) as f:
+            arrays = {k: f[k] for k in f.files}
+        if tables is not None:
+            arrays["tables"] = tables
+            arrays["digest"] = coefficients._arrays_digest(
+                arrays["nodes"], arrays["weights"], tables)
+        if digest is not None:
+            arrays["digest"] = digest
+        with open(entry, "wb") as f:
+            np.savez(f, **arrays)
+
+    @pytest.mark.parametrize("tamper", ["changed-row", "truncated", "wrong-digest"])
+    def test_tampered_entry_is_rebuilt(self, spec8, monkeypatch, cache, tamper):
+        root, rows = cache
+        cold, cold_rows = self._fbar(spec8, monkeypatch, rows)
+        (entry,) = root.iterdir()
+        if tamper == "changed-row":
+            # one spot-checked row moved by an ulp, under a digest that matches it
+            with np.load(entry) as f:
+                tables = f["tables"].copy()
+            row = np.linspace(0, tables.shape[1] - 1, coefficients.SPOT_ROWS).round().astype(int)[3]
+            tables[2, row] = np.nextafter(tables[2, row], 2.0)
+            self._rewrite(entry, tables=tables)
+        elif tamper == "truncated":
+            entry.write_bytes(entry.read_bytes()[:-1000])
+        else:
+            self._rewrite(entry, digest="0" * 64)
+        rebuilt, rebuilt_rows = self._fbar(spec8, monkeypatch, rows)
+        # a full build, after the spot rows that caught a changed row
+        spot = {"coefficients": 3 * coefficients.SPOT_ROWS, "noise": coefficients.SPOT_WEIGHTS}
+        assert rebuilt == cold
+        assert rebuilt_rows == {k: cold_rows[k] + (spot[k] if tamper == "changed-row" else 0)
+                                for k in cold_rows}
+        # the rebuild replaced the entry, and the next run reads it
+        warm, warm_rows = self._fbar(spec8, monkeypatch, rows)
+        assert warm == cold and warm_rows["coefficients"] == 4 * coefficients.SPOT_ROWS
+        assert list(root.iterdir()) == [entry]
+
+    def test_unusable_directory_builds_and_leaves_nothing(self, spec8, monkeypatch, tmp_path):
+        monkeypatch.setattr(coefficients, "_FBAR_TABLE_CACHE", {})
+        reference = bounded_smooth(spec8).fbar_factory(spec8)(self.X, self.MU).tobytes()
+        # XDG_CACHE_HOME names a file: the cache directory cannot be made
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        monkeypatch.setattr(coefficients, "_FBAR_TABLE_CACHE", {})
+        assert bounded_smooth(spec8).fbar_factory(spec8)(self.X, self.MU).tobytes() == reference
+        # a directory whose entries cannot be put in place
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(coefficients.os, "replace", refuse)
+        monkeypatch.setattr(coefficients, "_FBAR_TABLE_CACHE", {})
+        assert bounded_smooth(spec8).fbar_factory(spec8)(self.X, self.MU).tobytes() == reference
+        assert blocker.read_text() == "x"
+        assert [p.name for p in (tmp_path / "xdg" / "mvspde").iterdir()] == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "xdg"]
+
+    def test_key_names_kernels_and_sources(self, monkeypatch, tmp_path):
+        key = coefficients._table_key(1.5, [0.25, 0.5])
+        assert key is not None and len(key) == 64
+        assert coefficients._table_key(1.5, [0.25, 0.5]) == key
+        assert coefficients._table_key(1.5, [0.25, 0.75]) != key
+        assert coefficients._table_key(1.25, [0.25, 0.5]) != key
+        kernels = coefficients.numpy_kernels(coefficients.TABLE_UFUNCS)
+        other = dict(kernels, cos="X86_V3")
+        monkeypatch.setattr(coefficients, "numpy_kernels", lambda names: other)
+        assert coefficients._table_key(1.5, [0.25, 0.5]) != key
+        monkeypatch.undo()
+        for i, source in enumerate(coefficients.TABLE_SOURCES):
+            edited = tmp_path / source.name
+            edited.write_bytes(source.read_bytes() + b"\n")
+            sources = list(coefficients.TABLE_SOURCES)
+            sources[i] = edited
+            monkeypatch.setattr(coefficients, "TABLE_SOURCES", tuple(sources))
+            assert coefficients._table_key(1.5, [0.25, 0.5]) != key
+            monkeypatch.undo()
+        assert coefficients._table_key(1.5, [0.25, 0.5]) == key
+
+    def test_numpy_without_kernel_names_builds_every_time(self, spec8, monkeypatch, cache):
+        root, rows = cache
+        monkeypatch.setattr(coefficients, "numpy_kernels", lambda names: None)
+        first, first_rows = self._fbar(spec8, monkeypatch, rows)
+        again, again_rows = self._fbar(spec8, monkeypatch, rows)
+        assert first == again and first_rows == again_rows
+        assert not root.exists()
 
 
 # the averaged drift's interpolation grid and two tables on it, the second

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from mvspde import experiments as ex
 from mvspde import noise
 from mvspde.coefficients import BuiltinFamily, CoefficientSet
-from mvspde.config import build_coeffs, build_multiscale, build_sim, build_spec
+from mvspde.config import build_coeffs, build_multiscale, build_sim, build_spec, load_config
 from mvspde.experiments import (
     ExperimentResult,
     GridPoint,
@@ -47,7 +48,14 @@ def law_blind_f_coeffs(n):
     )
 
 
+REPO = Path(__file__).resolve().parents[1]
 EPS_GRID = (2**-4, 2**-5, 2**-6, 2**-7)
+
+
+def forked_M(steps_per_system: int, workers: int) -> int:
+    """Fewest particles whose systems of ``steps_per_system`` steps each pay
+    for ``workers`` forked workers under ``WORKER_PARTICLE_STEPS``."""
+    return -(-workers * ex.WORKER_PARTICLE_STEPS // steps_per_system)
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +142,9 @@ class TestPoolingHelpers:
 
     def test_pool_forks_at_most_one_worker_per_task(self, small_rate, monkeypatch):
         # a stand-in pool records its size and runs the tasks in this process,
-        # so no worker starts at any --threads
+        # so no worker starts at any --threads, and every study pays for one
         import concurrent.futures
+        monkeypatch.setattr(ex, "WORKER_PARTICLE_STEPS", 1)
         sizes = []
 
         class InlinePool:
@@ -161,6 +170,29 @@ class TestPoolingHelpers:
         serial = aux_gap_study(cfg, (2**-6, 2**-5), n_replicas=4)
         assert aux_gap_study(cfg, (2**-6, 2**-5), n_replicas=4, n_workers=64).grid == serial.grid
         assert sizes == [2, 8, 4]
+
+    def test_workers_capped_by_particle_steps(self, small_rate, monkeypatch):
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # never started
+        res, base = small_rate  # 16 particles x 3,840 fast steps pay for no worker
+        capped = rate_study(base, EPS_GRID, n_replicas=2, n_workers=8)
+        assert capped.grid == res.grid and capped.workers == res.workers == 1
+
+    @pytest.mark.parametrize("name,threads,workers", [
+        ("default", 8, 8), ("smoke", 2, 1), ("smoke", 8, 1), ("hoelder", 8, 2),
+        ("aux_gap", 8, 2),
+    ])
+    def test_shipped_configs_worker_cap(self, name, threads, workers):
+        # the smoke study runs faster in one process than on a fork pool, the
+        # increment scans on two workers; the headline study forks one per thread
+        cfg = load_config(REPO / "configs" / f"{name}.json")
+        spec = build_spec(cfg)
+        base = build_sim(cfg, spec, build_coeffs(cfg, spec))
+        study = cfg["study"]
+        cfgs = ([MultiscaleConfig(base=base, epsilon=e, h_fast=e * study["h_fast_ratio"])
+                 for e in study["grid"]] if study["kind"] == "rate"
+                else [build_multiscale(cfg, base)])
+        assert ex._worker_cap(cfgs, threads) == workers
 
     def test_pool_moments_matches_concatenation(self, rng):
         arrays = [rng.normal(size=n) ** 2 for n in (5, 11, 3)]
@@ -230,19 +262,28 @@ class TestRateStudy:
         assert again.config_hash == res.config_hash
         assert again.seeds == res.seeds
 
-    def test_worker_count_invisible_in_results(self, small_rate):
-        res, base = small_rate
+    def test_worker_count_invisible_in_results(self, spec4):
+        # 3,840 fast steps per system over the grid at T = 1: enough
+        # particles that two workers fork
+        fam = BuiltinFamily("bounded_smooth")
+        base = SimConfig(spec=spec4, coeffs=fam.build(spec4), T=1.0, h=0.125,
+                         M=forked_M(3840, 2), seed=303, xi=0.3)
+        serial = rate_study(base, EPS_GRID, n_replicas=2)
         forked = rate_study(base, EPS_GRID, n_replicas=2, n_workers=2)
-        assert forked.grid == res.grid
+        assert forked.grid == serial.grid
+        assert (serial.workers, forked.workers) == (1, 2)
 
     def test_unequal_chunks_invisible_to_batching(self, spec4):
-        # 11 particles in systems of 4, 4 and 3: two batch sizes per point
+        # systems of 40, 39 and 39 particles: two batch sizes per point, on
+        # three forked workers
         fam = BuiltinFamily("bounded_smooth")
-        base = SimConfig(spec=spec4, coeffs=fam.build(spec4), T=0.25, h=0.125,
-                         M=11, seed=8, xi=0.3)
+        base = SimConfig(spec=spec4, coeffs=fam.build(spec4), T=1.0, h=0.125,
+                         M=forked_M(3840, 3), seed=8, xi=0.3)
+        assert base.M % 3 == 1
         serial = rate_study(base, EPS_GRID, n_replicas=3)
         forked = rate_study(base, EPS_GRID, n_replicas=3, n_workers=3)
         assert forked.grid == serial.grid
+        assert forked.workers == 3
 
     def test_theta_four_thirds_theory_slope(self):
         spec = OperatorSpec(n_modes=2, a=2.0, b=1.0, g=1.0, alpha=1.5,
@@ -305,13 +346,16 @@ class TestIncrementStudies:
 
     @pytest.mark.parametrize("study", [hoelder_study, aux_gap_study])
     def test_worker_count_invisible_in_results(self, spec4, study):
-        # built sets reach forked workers pickled as their recipe
-        cfg = self._cfg(spec4, BuiltinFamily("bounded_smooth", a=0.7, c=0.25, n_active=3).build(spec4))
+        # built sets reach forked workers pickled as their recipe; 512 fast
+        # steps per system, and enough particles that two workers fork
+        cfg = self._cfg(spec4, BuiltinFamily("bounded_smooth", a=0.7, c=0.25, n_active=3).build(spec4),
+                        M=forked_M(512, 2), T=1.0)
         deltas = (2**-6, 2**-5, 2**-4)
         serial = study(cfg, deltas, n_replicas=2)
         forked = study(cfg, deltas, n_replicas=2, n_workers=2)
         assert forked.grid == serial.grid
         assert forked.config_hash == serial.config_hash
+        assert (serial.workers, forked.workers) == (1, 2)
 
     def test_config_reads_back_to_its_objects(self, spec4):
         cfg = self._cfg(spec4, BuiltinFamily("bounded_smooth", c=0.25).build(spec4))

@@ -58,6 +58,14 @@ its recorded gaps were already added time after time, down axis 0.
 
 A change that alters these bytes must say so and re-record them.
 
+The ``*-threads2`` cases of ``CASES`` are too small to fork (see
+``experiments.WORKER_PARTICLE_STEPS``) and run in one process;
+``FORKED_CASES`` are large enough that ``--threads 2`` forks two workers,
+pinned to the bytes a ``--threads 1`` run wrote.  All cases share the test
+session's averaged-drift table cache, so the first rate case builds the
+tables and the later ones read them back; one test runs a case twice on a
+fresh cache, cold and then warm.
+
 Each case runs the CLI in a fresh interpreter with the BLAS thread pools
 pinned to one thread.  No BLAS call remains on any pinned path (the
 thread-count test below checks the rate path), so the pinning only keeps
@@ -219,8 +227,32 @@ CASES = {
 }
 
 
-def run_digests(tmp_path, command, overrides, threads, blas_threads=1):
-    """(sha256 of result.csv, of meta.json) of one CLI run in a fresh interpreter."""
+# name -> (command, section overrides, threads, sha256 of result.csv, of
+# meta.json): studies large enough that --threads 2 forks two workers (see
+# experiments.WORKER_PARTICLE_STEPS), pinned to the bytes of --threads 1
+FORKED_CASES = {
+    # systems of 40, 39, 39 and 39 particles
+    "rate-forked-threads2": (
+        "rate-study", {"sim": {"M": 157, "T": 0.5, "seed": 9}, "study": RATE_STUDY}, 2,
+        "5a9ca1e3e5b6035346d4db990229e2dd53b84f4afa770a23225385b96911ffa9",
+        "8b13ad666466bea73d33965c73addcebc5d15742e6701f51c06faa6796bee7c3",
+    ),
+    # systems of 147 and 146 particles, two batches
+    "aux-gap-forked-threads2": (
+        "aux-gap",
+        {"sim": {"M": 293, "T": 1.0, "h_fast": 1 / 1024},
+         "study": {"kind": "aux-gap", "epsilon": 0.0625, "grid": [0.03125, 0.0625, 0.125],
+                   "n_replicas": 2, "n_iters": None}},
+        2,
+        "75c3722f0b0d9bd70a6f12c1d6c889fc9594548991de0a85d6d8693093404473",
+        "41e55ea9b9f5f2cf66202367f4fd9b74d0fe98a3b6695bbe248ece4af1b49eb0",
+    ),
+}
+
+
+def run_cli(tmp_path, command, overrides, threads, blas_threads=1, cache_home=None):
+    """Result directory of one CLI run in a fresh interpreter; ``cache_home``,
+    when given, is its XDG_CACHE_HOME."""
     tmp_path.mkdir(parents=True, exist_ok=True)
     cfg = copy.deepcopy(BASE_CFG)
     for section, changes in overrides.items():
@@ -233,21 +265,57 @@ def run_digests(tmp_path, command, overrides, threads, blas_threads=1):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if cache_home is not None:
+        env["XDG_CACHE_HOME"] = str(cache_home)
     proc = subprocess.run(
         [sys.executable, "-m", "mvspde.cli", command, "--config", str(path),
          "--out", str(tmp_path / "o"), "--threads", str(threads)],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-    result_dir = Path(proc.stdout.strip().splitlines()[-1]).parent
+    return Path(proc.stdout.strip().splitlines()[-1]).parent
+
+
+def result_digests(result_dir):
+    """(sha256 of result.csv, of meta.json) in a result directory."""
     return tuple(hashlib.sha256((result_dir / name).read_bytes()).hexdigest()
                  for name in ("result.csv", "meta.json"))
+
+
+def run_digests(tmp_path, command, overrides, threads, blas_threads=1):
+    """(sha256 of result.csv, of meta.json) of one CLI run in a fresh interpreter."""
+    return result_digests(run_cli(tmp_path, command, overrides, threads, blas_threads))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_result_digest(name, tmp_path):
     command, overrides, threads, csv_digest, meta_digest = CASES[name]
     assert run_digests(tmp_path, command, overrides, threads) == (csv_digest, meta_digest)
+
+
+@pytest.mark.parametrize("name", sorted(FORKED_CASES))
+def test_forked_result_digest(name, tmp_path):
+    command, overrides, threads, csv_digest, meta_digest = FORKED_CASES[name]
+    result_dir = run_cli(tmp_path, command, overrides, threads)
+    assert result_digests(result_dir) == (csv_digest, meta_digest)
+    assert json.loads((result_dir / "manifest.json").read_text())["workers"] == threads
+
+
+def test_cold_and_warm_table_cache_write_the_pinned_bytes(tmp_path):
+    # one cache directory: the first run builds and stores the averaged-drift
+    # tables, the second reads them back
+    command, overrides, threads, *pins = CASES["rate-equal"]
+    cache = tmp_path / "cache"
+    cold = run_cli(tmp_path / "cold", command, overrides, threads, cache_home=cache)
+    (entry,) = (cache / "mvspde").iterdir()
+    stored = entry.stat().st_mtime_ns
+    warm = run_cli(tmp_path / "warm", command, overrides, threads, cache_home=cache)
+    assert result_digests(cold) == result_digests(warm) == tuple(pins)
+    assert [p.name for p in (cache / "mvspde").iterdir()] == [entry.name]
+    assert entry.stat().st_mtime_ns == stored  # read, not rebuilt
+    for result_dir in (cold, warm):
+        record = json.loads((result_dir / "manifest.json").read_text())["numpy"]
+        assert record["version"] == np.__version__
 
 
 def test_rate_bytes_independent_of_blas_threads(tmp_path):
