@@ -103,6 +103,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _runtime_error(exc: Exception, command: str) -> int:
+    """Print a runtime failure and return exit code 1; a failure without
+    text (a bare MemoryError, say) is named by its class and the subcommand."""
+    text = str(exc) or f"{type(exc).__name__} in {command}"
+    print(f"runtime error: {text}", file=sys.stderr)
+    return 1
+
+
 def run(argv=None) -> int:
     parser = _parser()
     try:
@@ -153,8 +161,7 @@ def run(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 1
+        return _runtime_error(exc, args.command)
 
     if result.fitted_slope is not None:
         print(f"fitted slope {result.fitted_slope:.4f} "
@@ -164,8 +171,7 @@ def run(argv=None) -> int:
     try:
         manifest = persist(result, args.out or study.get("out_dir", "out"))
     except OSError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 1
+        return _runtime_error(exc, args.command)
     print(manifest)
     return 0
 

@@ -334,11 +334,20 @@ def table_cache_dir() -> Path | None:
         return None
 
 
+def _entry_name(alpha: float, keys) -> str:
+    """File name of the cache entry of (alpha, zeta keys): a sha256 of those
+    inputs and the grid and quadrature constants alone, so that a source
+    edit or a numpy upgrade replaces the entry rather than adding one."""
+    inputs = json.dumps([alpha, keys, U_GRID, QUADRATURE]).encode()
+    return f"phi-{hashlib.sha256(inputs).hexdigest()}.npz"
+
+
 def _table_key(alpha: float, keys) -> str | None:
-    """sha256 naming the tables of (alpha, zeta keys): numpy's version, the
-    kernel class of TABLE_UFUNCS, the bytes of TABLE_SOURCES and the grid
-    and quadrature constants.  None where numpy cannot name its kernels or
-    a source cannot be read: the tables are then built every time."""
+    """sha256 that an entry of (alpha, zeta keys) stores and a read must
+    match: numpy's version, the kernel class of TABLE_UFUNCS, the bytes of
+    TABLE_SOURCES, the inputs and the grid and quadrature constants.  None
+    where numpy cannot name its kernels or a source cannot be read: the
+    tables are then built every time."""
     kernels = numpy_kernels(TABLE_UFUNCS)
     if kernels is None:
         return None
@@ -359,33 +368,36 @@ def _arrays_digest(*arrays) -> str:
     return digest.hexdigest()
 
 
-def _load_tables(path: Path, n_tables: int, n_u: int):
+def _load_tables(path: Path, key: str, n_tables: int, n_u: int):
     """(nodes, weights, tables) of the entry at ``path``, or None where it is
-    missing, unreadable, truncated, misshapen or fails its digest."""
+    missing, unreadable, truncated, misshapen, stored under another key or
+    fails its digest."""
     try:
         with np.load(path) as entry:
             nodes, weights, tables = entry["nodes"], entry["weights"], entry["tables"]
-            digest = str(entry["digest"])
+            digest, stored_key = str(entry["digest"]), str(entry["key"])
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
     shapes = (nodes.shape, weights.shape, tables.shape)
-    if (shapes != ((QUADRATURE[1],), (QUADRATURE[1],), (n_tables, n_u))
+    if (stored_key != key
+            or shapes != ((QUADRATURE[1],), (QUADRATURE[1],), (n_tables, n_u))
             or any(a.dtype != np.float64 for a in (nodes, weights, tables))
             or digest != _arrays_digest(nodes, weights, tables)):
         return None
     return nodes, weights, tables
 
 
-def _store_tables(path: Path, nodes, weights, tables) -> None:
-    """Write an entry atomically: a temporary file beside it, then
-    ``os.replace``.  Where the directory cannot be made or written,
-    nothing is stored and nothing is left behind."""
+def _store_tables(path: Path, key: str, nodes, weights, tables) -> None:
+    """Write an entry under ``key`` atomically, over any entry stored under
+    another key: a temporary file beside it, then ``os.replace``.  Where the
+    directory cannot be made or written, nothing is stored and nothing is
+    left behind."""
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with tempfile.NamedTemporaryFile(dir=path.parent, suffix=".tmp", delete=False) as f:
             tmp = f.name
-            np.savez(f, nodes=nodes, weights=weights, tables=tables,
+            np.savez(f, nodes=nodes, weights=weights, tables=tables, key=key,
                      digest=_arrays_digest(nodes, weights, tables))
         os.replace(tmp, path)
     except OSError:
@@ -400,13 +412,14 @@ def _phi_tables(alpha: float, keys):
     """(u_grid, tables): Phi_z(u) = E[tanh(u + z S)] on the u-grid, one row
     per zeta key, from a stable quadrature rule of ``alpha``.
 
-    The tables and the rule are read from the disk cache where an entry
-    for the same inputs and kernels exists (:func:`_table_key`).  An entry
-    is used only if its digest holds and a fresh build of SPOT_ROWS rows
-    of each table and SPOT_WEIGHTS interior weights of the rule matches it
-    byte for byte; each row and weight is computed on its own, so a row
-    built alone has the bits of the full build.  Otherwise the tables are
-    built and stored.
+    The tables and the rule are read from the disk cache where the entry
+    of these inputs (:func:`_entry_name`) was stored under the same
+    kernels and sources (:func:`_table_key`).  An entry is used only if
+    its digest holds and a fresh build of SPOT_ROWS rows of each table and
+    SPOT_WEIGHTS interior weights of the rule matches it byte for byte;
+    each row and weight is computed on its own, so a row built alone has
+    the bits of the full build.  Otherwise the tables are built and stored
+    in its place.
     """
     u_grid = np.arange(U_GRID[0], U_GRID[1] + 1e-12, U_GRID[2])
 
@@ -415,8 +428,8 @@ def _phi_tables(alpha: float, keys):
         return weighted_row_sums(np.add, np.tanh, u_grid[rows], z * nodes, weights)
 
     cache, key = table_cache_dir(), _table_key(alpha, keys)
-    path = None if cache is None or key is None else cache / f"phi-{key}.npz"
-    entry = None if path is None else _load_tables(path, len(keys), u_grid.size)
+    path = None if cache is None or key is None else cache / _entry_name(alpha, keys)
+    entry = None if path is None else _load_tables(path, key, len(keys), u_grid.size)
     if entry is not None:
         nodes, weights, tables = entry
         rows = np.linspace(0, u_grid.size - 1, SPOT_ROWS).round().astype(int)
@@ -429,7 +442,7 @@ def _phi_tables(alpha: float, keys):
     nodes, weights = stable_quadrature_rule(alpha, *QUADRATURE)
     tables = np.array([phi(z, nodes, weights) for z in keys])
     if path is not None:
-        _store_tables(path, nodes, weights, tables)
+        _store_tables(path, key, nodes, weights, tables)
     return u_grid, tables
 
 

@@ -31,7 +31,8 @@ are compared in the exponentially weighted Wasserstein metric; with a weight
 beating twice the drift's Lipschitz constant the map is a strict contraction
 until the Monte Carlo resolution floor.  Since the iterate on [0, t] reads
 its predecessor only on [0, t], every iteration is stepped in one sweep over
-the time grid.
+the time grid, which draws its noise one block at a time and records no
+flow, so its memory does not grow with the horizon.
 """
 
 from __future__ import annotations
@@ -296,14 +297,17 @@ class PicardReport:
     ``distances[n]`` is d(mu^(n+1), mu^(n)); ``ratios[n]`` the consecutive
     quotient.  ``noise_floor_iter`` is the first iteration whose distance
     failed to shrink — beyond it the Monte Carlo resolution, not the
-    contraction, dominates.
+    contraction, dominates.  ``laws[n]`` is the law statistic that
+    iteration n + 1 froze, on the step grid (row 0: that of delta_xi), so
+    ``simulate_mkv(config, law_override=laws[n])`` is iteration n + 1's
+    flow bit for bit.
     """
 
     distances: np.ndarray
     ratios: np.ndarray
     lambda_weight: float
     noise_floor_iter: int | None
-    final_flow: LawFlow
+    laws: np.ndarray
 
     @property
     def contracting(self) -> bool:
@@ -347,16 +351,18 @@ def picard_law_iteration(
     form of waveform relaxation).  Each step also bounds every distance at
     t_j by the index coupling, as :func:`~mvspde.measures.dT_metric` does,
     and, on the exact path, keeps each pair of iterates' clouds at the
-    pair's largest bound so far.  Held in memory: the iterates' fields,
-    those kept pairs, every iteration's law statistic and the last
-    iteration's flow, not two full flows.  Each distance is then settled
-    by dT_metric's pruned loop (:func:`~mvspde.measures.pruned_sup`), with
-    its bits.  Where that loop
+    pair's largest bound so far.  The sweep draws its noise ``BLOCK_STEPS``
+    steps at a time, as every loop does.  Held in memory: the iterates'
+    fields, those kept pairs, one noise block and every iteration's law
+    statistic, but no flow, so nothing of size n_steps x M.  Each distance
+    is then settled by dT_metric's pruned loop
+    (:func:`~mvspde.measures.pruned_sup`), with its bits.  Where that loop
     needs a time other than the kept one (on the exact path hardly ever),
     and on the sliced path, whose loop solves many times, the pair is
     replayed: :func:`simulate_mkv` steps its iterates again from their
-    recorded statistics, in iteration order and each at most once, and
-    dT_metric compares them.
+    recorded statistics, in iteration order and each at most once, on the
+    sweep's noise drawn again in full at the first replay, and dT_metric
+    compares them.
 
     A non-finite iterate raises FloatingPointError naming its iteration and
     the step; a non-finite distance bound raises dT_metric's ValueError,
@@ -376,9 +382,8 @@ def picard_law_iteration(
 
     spec, p, times = config.spec, config.spec.p, config.times
     J, S = config.n_steps, n_iters
+    scale = convolution_scales(spec, config.h, "slow")
     bank = StableNoiseBank(config.seed, spec.alpha, config.M, spec.n_modes, CH_SLOW)
-    noise = bank.draw(J)
-    noise *= convolution_scales(spec, config.h, "slow")
     shape = (config.M, spec.n_modes)
     xi_cloud = np.tile(config.xi, (config.M, 1))  # every measure of the flow delta_xi
 
@@ -393,7 +398,6 @@ def picard_law_iteration(
         kept = np.empty((S, 2) + shape)         # only an exact solve reads
         kept[0, 1] = xi_cloud
     diff = np.empty((S,) + shape)
-    last = np.empty((J + 1,) + shape)
 
     def observe(j, fields):
         stages = fields[0]
@@ -409,11 +413,10 @@ def picard_law_iteration(
             kept[up, 0] = stages[up]
             later = up[up > 0]
             kept[later, 1] = stages[later - 1]
-        last[j] = stages[-1]
 
     try:
         advance({"Picard iterate": np.broadcast_to(config.xi, (S,) + shape)},
-                [euler_weights(spec, config.h)], [noise],
+                [euler_weights(spec, config.h)], [(bank, scale)],
                 lambda j, fields: [config.coeffs.B(fields[0], mu[:, j, None, None])],
                 J, observe)
     except NonFiniteState as exc:
@@ -424,15 +427,18 @@ def picard_law_iteration(
         check_bound(bound[s], times, f" in Picard iteration {s + 1} of {S}")
 
     projections = RngStream(config.seed, channel=CH_PROJECTION)
-    final_flow = LawFlow(times, last)
-    held = {}  # replayed flows by row: at most the pair's two
+    held = {}     # replayed flows by row: at most the pair's two
+    noise = None  # the sweep's noise in full, drawn at the first replay
 
     def flow(s):
+        nonlocal noise
         if s < 0:
             return LawFlow(times, np.tile(xi_cloud, (J + 1, 1, 1)))
-        if s == S - 1:
-            return final_flow
         if s not in held:
+            if noise is None:
+                noise = StableNoiseBank(config.seed, spec.alpha, config.M, spec.n_modes,
+                                        CH_SLOW).draw(J)
+                noise *= scale
             held[s] = simulate_mkv(config, law_override=mu[s], noise=noise)
         return held[s]
 
@@ -463,7 +469,7 @@ def picard_law_iteration(
         ratios=ratios,
         lambda_weight=float(lambda_weight),
         noise_floor_iter=floor,
-        final_flow=final_flow,
+        laws=mu,
     )
 
 

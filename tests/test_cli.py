@@ -171,6 +171,21 @@ class TestComputeGuards:
         assert code == 1
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("failure, line", [
+        # a bare MemoryError, as a study too large for the memory raises
+        (MemoryError(), "runtime error: MemoryError in rate-study\n"),
+        (MemoryError("Unable to allocate 8 GiB"), "runtime error: Unable to allocate 8 GiB\n"),
+    ])
+    def test_runtime_error_line_has_text(self, tmp_path, capsys, monkeypatch, failure, line):
+        def study(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(cli, "rate_study", study)
+        code = run(["rate-study", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == line
+        assert not (tmp_path / "o").exists()
+
 
 class TestThreadsOption:
     """--threads is at least 1, and above 1 only where a kind reads study.n_replicas."""

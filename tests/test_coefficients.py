@@ -319,6 +319,30 @@ class TestTableCache:
             monkeypatch.undo()
         assert coefficients._table_key(1.5, [0.25, 0.5]) == key
 
+    def test_source_edit_replaces_the_entry(self, spec8, monkeypatch, cache, tmp_path):
+        # an entry is named by its inputs alone: a build under an edited
+        # source rewrites it in place, and one file is left
+        root, rows = cache
+        cold, cold_rows = self._fbar(spec8, monkeypatch, rows)
+        (entry,) = root.iterdir()
+        with np.load(entry) as f:
+            fresh = {k: f[k].tobytes() for k in ("nodes", "weights", "tables")}
+            cold_key = str(f["key"])
+        source = coefficients.TABLE_SOURCES[1]
+        edited = tmp_path / source.name
+        edited.write_bytes(source.read_bytes() + b"\n")
+        monkeypatch.setattr(coefficients, "TABLE_SOURCES",
+                            (coefficients.TABLE_SOURCES[0], edited))
+        rebuilt, rebuilt_rows = self._fbar(spec8, monkeypatch, rows)
+        assert rebuilt == cold and rebuilt_rows == cold_rows  # a full build
+        assert list(root.iterdir()) == [entry]
+        with np.load(entry) as f:
+            assert {k: f[k].tobytes() for k in fresh} == fresh
+            assert str(f["key"]) != cold_key
+        warm, warm_rows = self._fbar(spec8, monkeypatch, rows)
+        assert warm == cold and warm_rows["coefficients"] == 4 * coefficients.SPOT_ROWS
+        assert list(root.iterdir()) == [entry]
+
     def test_numpy_without_kernel_names_builds_every_time(self, spec8, monkeypatch, cache):
         root, rows = cache
         monkeypatch.setattr(coefficients, "numpy_kernels", lambda names: None)

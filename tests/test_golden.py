@@ -143,6 +143,13 @@ CASES = {
         "450652eb688a19b3b711c224bd71747ffca81ff0192c44d0e64e77e2af2c4f75",
         "239d10c86b0b39ed19de2eb3a5f8d37ec2db930716fdc7e44cba46e91353a687",
     ),
+    # sliced W_p, one particle past the exact-assignment limit: every pair replays
+    "picard-sliced": (
+        "picard",
+        {"sim": {"M": 257, "T": 0.5, "h": 0.03125, "seed": 13}, "study": {"n_iters": 3}}, 1,
+        "ed986e5b799b8a337be070647e49233021a845f3a63f6c8777213769bbf06135",
+        "d80a2f50f544b26572ef742cb626a94bb14f3689f318a5f9c8aec52ab27975d5",
+    ),
     # the interacting system, on simulate_mkv's self-drawing noise path
     "simulate": (
         "simulate",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,7 +335,7 @@ class TestPicardIteration:
     def test_floor_at_first_ratio_is_not_contracting(self):
         report = PicardReport(
             distances=np.array([1.0, 1.5, 0.5]), ratios=np.array([1.5, 1 / 3]),
-            lambda_weight=1.0, noise_floor_iter=1, final_flow=None,
+            lambda_weight=1.0, noise_floor_iter=1, laws=np.zeros((3, 2)),
         )
         assert not report.contracting
 
@@ -382,8 +383,9 @@ class TestPicardIteration:
                         M=M, seed=13, xi=[0.3, -0.2, 0.1, 0.0])
         rep = picard_law_iteration(cfg, n_iters=J + 3)
         live = simulate_mkv(cfg).clouds
-        assert rep.final_flow.clouds.shape == live.shape
-        assert rep.final_flow.clouds.tobytes() == live.tobytes()
+        last = simulate_mkv(cfg, law_override=rep.laws[-1]).clouds
+        assert last.shape == live.shape
+        assert last.tobytes() == live.tobytes()
         assert rep.distances[-1] == 0.0
 
     def test_needs_two_iterations(self, spec4, coeffs4):
@@ -413,13 +415,18 @@ def stage_by_stage(config, n_iters):
     return np.asarray(distances), prev
 
 
-def perfbench_shaped(M=256):
-    """The benchmark's picard config: 8 modes, tanh drifts on 4, 64 steps."""
+def perfbench_shaped(M=256, T=1.0):
+    """The benchmark's picard config: 8 modes, tanh drifts on 4, 64 steps a unit of T."""
     spec = OperatorSpec(n_modes=8, a=2.0, b=1.0, g=1.0, c_lambda=1.0, c_beta=1.0,
                         c_gamma=1.0, alpha=1.5, theta=4 / 3, p=1.0)
     return SimConfig(spec=spec, coeffs=bounded_smooth(spec, a=1.0, b_mu=0.5, c=0.5,
                                                       n_active=4),
-                     T=1.0, h=1 / 64, M=M, seed=1729, xi=[0.5, -0.3, 0.2])
+                     T=T, h=1 / 64, M=M, seed=1729, xi=[0.5, -0.3, 0.2])
+
+
+def replayed(config, report):
+    """The clouds of a Picard report's last iteration, stepped again from its law."""
+    return simulate_mkv(config, law_override=report.laws[-1]).clouds
 
 
 def counting(monkeypatch, owner, name):
@@ -452,7 +459,7 @@ class TestPicardLockstep:
         rep = picard_law_iteration(cfg, n_iters=n_iters)
         distances, last = stage_by_stage(cfg, n_iters)
         assert rep.distances.tobytes() == distances.tobytes()
-        assert rep.final_flow.clouds.tobytes() == last.clouds.tobytes()
+        assert replayed(cfg, rep).tobytes() == last.clouds.tobytes()
 
     def test_sliced_pairs_replay_each_stage_once(self, monkeypatch):
         n_iters = 5
@@ -460,11 +467,11 @@ class TestPicardLockstep:
         distances, last = stage_by_stage(cfg, n_iters)
         mkv = counting(monkeypatch, solver, "simulate_mkv")
         rep = picard_law_iteration(cfg, n_iters=n_iters)
-        assert rep.distances.tobytes() == distances.tobytes()
-        assert rep.final_flow.clouds.tobytes() == last.clouds.tobytes()
-        # every pair replays here; the last stage's flow is the sweep's own
+        # every pair replays here, so every stage steps again, once
         stepped = [kw["law_override"].tobytes() for _, kw in mkv]
-        assert len(stepped) == n_iters - 1 == len(set(stepped))
+        assert len(stepped) == n_iters == len(set(stepped))
+        assert rep.distances.tobytes() == distances.tobytes()
+        assert replayed(cfg, rep).tobytes() == last.clouds.tobytes()
 
     @pytest.mark.parametrize("p", [1.0, 1.25])
     def test_exact_pairs_replay_with_the_bits(self, monkeypatch, p):
@@ -475,10 +482,10 @@ class TestPicardLockstep:
         distances, last = stage_by_stage(cfg, n_iters)
         mkv = counting(monkeypatch, solver, "simulate_mkv")
         rep = picard_law_iteration(cfg, n_iters=n_iters)
-        assert rep.distances.tobytes() == distances.tobytes()
-        assert rep.final_flow.clouds.tobytes() == last.clouds.tobytes()
         stepped = [kw["law_override"].tobytes() for _, kw in mkv]
-        assert len(stepped) == n_iters - 1 == len(set(stepped))
+        assert len(stepped) == n_iters == len(set(stepped))
+        assert rep.distances.tobytes() == distances.tobytes()
+        assert replayed(cfg, rep).tobytes() == last.clouds.tobytes()
 
     def test_exact_path_steps_once_and_solves_as_before(self, monkeypatch):
         cfg = perfbench_shaped()
@@ -491,6 +498,23 @@ class TestPicardLockstep:
         assert rep.distances.tobytes() == distances.tobytes()
         assert mkv == []
         assert len(solves) == before == np.count_nonzero(rep.distances)
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # the sweep holds one noise block and no flow, so ten times the
+        # steps add less than a tenth of one (n_steps, M, n_modes) array
+        picard_law_iteration(perfbench_shaped(), n_iters=8)  # one-time loads
+        peaks = {}
+        for T in (1.0, 10.0):
+            cfg = perfbench_shaped(T=T)
+            tracemalloc.start()
+            try:
+                picard_law_iteration(cfg, n_iters=8)
+                peaks[cfg.n_steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        flow_bytes = 640 * cfg.M * cfg.spec.n_modes * 8
+        assert sorted(peaks) == [64, 640]
+        assert abs(peaks[640] - peaks[64]) < 0.1 * flow_bytes, peaks
 
     def test_nonfinite_iterate_names_iteration_and_step(self, spec4):
         # xi = 0: iteration 1 reads |xi| = 0 and stays finite; iteration 2
