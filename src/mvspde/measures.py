@@ -34,7 +34,9 @@ Distances:
   weighted distance under which the law map of the mean-field equation is
   a contraction.  It bounds every time by the cost of matching particle i
   to particle i and solves only the times whose bound can still beat the
-  running sup.
+  running sup.  The Picard sweep of :mod:`mvspde.solver` shares its parts:
+  ``weighted_distance``, one time's term, exact or sliced as
+  ``slice_directions`` picks, and ``may_exceed``, the stopping test.
 
 Throughout, W_p of two uniform clouds of equal size M reduces to a minimum
 over permutations of ((1/M) sum |x_i - y_pi(i)|^p)^(1/p), which is what the
@@ -63,7 +65,9 @@ __all__ = [
     "wasserstein_sliced",
     "dT_metric",
     "check_bound",
-    "pruned_sup",
+    "may_exceed",
+    "slice_directions",
+    "weighted_distance",
     "EXACT_ASSIGNMENT_LIMIT",
 ]
 
@@ -466,16 +470,14 @@ def dT_metric(
     bound = np.exp(-lambda_weight * mu_flow.times) * coupled
     check_bound(bound, mu_flow.times)
 
-    directions = None
-    if mu_flow.size > EXACT_ASSIGNMENT_LIMIT:
-        if rng is None:
-            raise ValueError(
-                f"M = {mu_flow.size} > {EXACT_ASSIGNMENT_LIMIT}: sliced distance "
-                "needs an rng for projection directions"
-            )
-        directions = _directions(rng, n_projections, mu_flow.clouds.shape[2])
-    return pruned_sup(bound, mu_flow.times, lambda_weight, p,
-                      lambda j: (mu_flow.clouds[j], nu_flow.clouds[j]), directions)
+    directions = slice_directions(mu_flow.size, mu_flow.clouds.shape[2], rng, n_projections)
+    best = 0.0
+    for j in np.argsort(-bound, kind="stable"):
+        if not may_exceed(bound[j], best):
+            break
+        best = max(best, weighted_distance(mu_flow.clouds[j], nu_flow.clouds[j], p,
+                                           lambda_weight, mu_flow.times[j], directions))
+    return best
 
 
 def check_bound(bound, times, where: str = "") -> None:
@@ -490,21 +492,33 @@ def check_bound(bound, times, where: str = "") -> None:
         )
 
 
-def pruned_sup(bound, times, lambda_weight: float, p: float, clouds, directions=None) -> float:
-    """:func:`dT_metric`'s sup over times from its finite bound U_j.
+def may_exceed(bound, best):
+    """Whether a time whose weighted distance is at most ``bound`` can still
+    beat the running sup ``best``: bound * (1 + PRUNE_MARGIN) > best,
+    elementwise on arrays."""
+    return bound * (1.0 + PRUNE_MARGIN) > best
 
-    Times are solved in decreasing order of U_j (the first of equal ones
-    first) until U_j * (1 + PRUNE_MARGIN) <= the running sup;
-    ``clouds(j)`` gives time j's two clouds, compared by exact W_p, or by
-    sliced W_p along ``directions`` where given.  Each solve goes through
-    the module's ``wasserstein_exact`` (or ``wasserstein_sliced``).
+
+def slice_directions(size: int, n_modes: int, rng, n_projections: int = 64):
+    """None where clouds of ``size`` particles are compared by exact W_p (up
+    to ``EXACT_ASSIGNMENT_LIMIT``), else sliced W_p's projection directions,
+    drawn from ``rng``."""
+    if size <= EXACT_ASSIGNMENT_LIMIT:
+        return None
+    if rng is None:
+        raise ValueError(
+            f"M = {size} > {EXACT_ASSIGNMENT_LIMIT}: sliced distance "
+            "needs an rng for projection directions"
+        )
+    return _directions(rng, n_projections, n_modes)
+
+
+def weighted_distance(x, y, p: float, lambda_weight: float, t, directions=None) -> float:
+    """exp(-lambda t) * W_p(x, y), the term of :func:`dT_metric`'s sup at time t.
+
+    W_p is exact, through the module's ``wasserstein_exact``, or sliced
+    along ``directions`` where given, through ``wasserstein_sliced``.
     """
-    best = 0.0
-    for j in np.argsort(-bound, kind="stable"):
-        if bound[j] * (1.0 + PRUNE_MARGIN) <= best:
-            break
-        mu_j, nu_j = clouds(j)
-        w = (wasserstein_exact(mu_j, nu_j, p) if directions is None
-             else wasserstein_sliced(mu_j, nu_j, p, directions=directions))
-        best = max(best, float(np.exp(-lambda_weight * times[j])) * w)
-    return best
+    w = (wasserstein_exact(x, y, p) if directions is None
+         else wasserstein_sliced(x, y, p, directions=directions))
+    return float(np.exp(-lambda_weight * t)) * w

@@ -32,7 +32,8 @@ beating twice the drift's Lipschitz constant the map is a strict contraction
 until the Monte Carlo resolution floor.  Since the iterate on [0, t] reads
 its predecessor only on [0, t], every iteration is stepped in one sweep over
 the time grid, which draws its noise one block at a time and records no
-flow, so its memory does not grow with the horizon.
+flow, so its memory does not grow with the horizon; distances that the
+sweep's kept clouds do not settle are settled in a second such sweep.
 """
 
 from __future__ import annotations
@@ -44,14 +45,15 @@ import numpy as np
 from .spectral import ConfigError, OperatorSpec, check_moment_order, validate_spec, whole_steps
 from .coefficients import CoefficientSet, effective_constants
 from .measures import (
-    EXACT_ASSIGNMENT_LIMIT,
     LawFlow,
     assignment_solver,
     check_bound,
-    dT_metric,
+    dT_metric,  # unused here, but perfbench/spans.py wraps solver.dT_metric by name
     fit_line,
+    may_exceed,
     p_moment,
-    pruned_sup,
+    slice_directions,
+    weighted_distance,
 )
 from .noise import RngStream, StableNoiseBank, convolution_scales, CH_PROJECTION, CH_SLOW
 
@@ -240,11 +242,7 @@ def _recorder(n_steps: int, every: int, shape, n_fields: int = 1, p: float | Non
     return clouds, mu, observe
 
 
-def simulate_mkv(
-    config: SimConfig,
-    law_override: np.ndarray | None = None,
-    noise: np.ndarray | None = None,
-) -> LawFlow:
+def simulate_mkv(config: SimConfig, law_override: np.ndarray | None = None) -> LawFlow:
     """Simulate the interacting particle system (or a frozen-law system).
 
     When ``law_override`` is given (an array of mu_stat values on the step
@@ -254,9 +252,7 @@ def simulate_mkv(
     :class:`~mvspde.measures.LawFlow` of the particles at every grid time.
 
     Particle i draws its noise on the stream (seed, 0, i, CH_SLOW), so
-    reruns reproduce trajectories bitwise.  ``noise``, if given, holds the
-    scaled convolution increments of every particle and step, shape
-    (M, n_steps, n_modes), and no noise bank is opened.
+    reruns reproduce trajectories bitwise.
     """
     spec, coeffs = config.spec, config.coeffs
     J = config.n_steps
@@ -266,15 +262,8 @@ def simulate_mkv(
             raise ValueError(
                 f"law_override must have shape ({J + 1},), got {law_override.shape}"
             )
-    if noise is None:
-        bank = StableNoiseBank(config.seed, spec.alpha, config.M, spec.n_modes, CH_SLOW)
-        noise = (bank, convolution_scales(spec, config.h, "slow"))
-    else:
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != (config.M, J, spec.n_modes):
-            raise ValueError(
-                f"noise must have shape {(config.M, J, spec.n_modes)}, got {noise.shape}"
-            )
+    bank = StableNoiseBank(config.seed, spec.alpha, config.M, spec.n_modes, CH_SLOW)
+    noise = (bank, convolution_scales(spec, config.h, "slow"))
 
     shape = (config.M, spec.n_modes)
     (clouds,), mu_track, observe = _recorder(
@@ -321,10 +310,6 @@ class PicardReport:
         return upto >= 1 and bool(np.all(self.ratios[:upto] < 1.0))
 
 
-class _Replay(Exception):
-    """A distance's pruned loop needs a time whose clouds the sweep did not keep."""
-
-
 def picard_law_iteration(
     config: SimConfig,
     n_iters: int = 8,
@@ -350,19 +335,17 @@ def picard_law_iteration(
     iterate n's cloud at t_j, which the sweep has just made (the pipelined
     form of waveform relaxation).  Each step also bounds every distance at
     t_j by the index coupling, as :func:`~mvspde.measures.dT_metric` does,
-    and, on the exact path, keeps each pair of iterates' clouds at the
-    pair's largest bound so far.  The sweep draws its noise ``BLOCK_STEPS``
-    steps at a time, as every loop does.  Held in memory: the iterates'
-    fields, those kept pairs, one noise block and every iteration's law
-    statistic, but no flow, so nothing of size n_steps x M.  Each distance
-    is then settled by dT_metric's pruned loop
-    (:func:`~mvspde.measures.pruned_sup`), with its bits.  Where that loop
-    needs a time other than the kept one (on the exact path hardly ever),
-    and on the sliced path, whose loop solves many times, the pair is
-    replayed: :func:`simulate_mkv` steps its iterates again from their
-    recorded statistics, in iteration order and each at most once, on the
-    sweep's noise drawn again in full at the first replay, and dT_metric
-    compares them.
+    and keeps each pair of iterates' clouds at the pair's largest bound so
+    far, the time its distance is solved at first.  Only where another
+    time's bound can still beat a pair's sup (on the exact path hardly
+    ever) does the same sweep run again, on the recorded statistics and
+    the noise drawn afresh, and solve each such time as it comes while its
+    bound beats the pair's running sup.  That is the maximum of the terms
+    dT_metric's pruned loop takes, so it has its bits.  A sweep draws its
+    noise ``BLOCK_STEPS`` steps at a time, as every loop does.  Held in
+    memory: the iterates' fields, the kept pairs, one noise block and every
+    iteration's law statistic and bounds, but no flow, so nothing of size
+    n_steps x M.
 
     A non-finite iterate raises FloatingPointError naming its iteration and
     the step; a non-finite distance bound raises dT_metric's ValueError,
@@ -376,14 +359,13 @@ def picard_law_iteration(
         raise ConfigError(f"weight {lambda_weight:.6g} makes exp(-lambda h) underflow to 0: "
                           "every flow distance past t = 0 would read 0", "/study/lambda_weight")
 
-    exact = config.M <= EXACT_ASSIGNMENT_LIMIT
-    if exact:
-        assignment_solver()  # load the LSAP kernel now, not inside the first distance
-
     spec, p, times = config.spec, config.spec.p, config.times
     J, S = config.n_steps, n_iters
+    directions = slice_directions(config.M, spec.n_modes,
+                                  RngStream(config.seed, channel=CH_PROJECTION))
+    if directions is None:
+        assignment_solver()  # load the LSAP kernel now, not inside the first distance
     scale = convolution_scales(spec, config.h, "slow")
-    bank = StableNoiseBank(config.seed, spec.alpha, config.M, spec.n_modes, CH_SLOW)
     shape = (config.M, spec.n_modes)
     xi_cloud = np.tile(config.xi, (config.M, 1))  # every measure of the flow delta_xi
 
@@ -394,68 +376,58 @@ def picard_law_iteration(
     bound = np.empty((S, J + 1))                # dT_metric's bound of each pair
     peak = np.full(S, -np.inf)                  # each pair's largest bound so far,
     kept_at = np.zeros(S, dtype=int)            # its first time
-    if exact:                                   # and the pair's clouds there, which
-        kept = np.empty((S, 2) + shape)         # only an exact solve reads
-        kept[0, 1] = xi_cloud
+    kept = np.empty((S, 2) + shape)             # and the pair's clouds there
+    kept[0, 1] = xi_cloud
     diff = np.empty((S,) + shape)
 
-    def observe(j, fields):
+    def sweep(observe):
+        bank = StableNoiseBank(config.seed, spec.alpha, config.M, spec.n_modes, CH_SLOW)
+        try:
+            advance({"Picard iterate": np.broadcast_to(config.xi, (S,) + shape)},
+                    [euler_weights(spec, config.h)], [(bank, scale)],
+                    lambda j, fields: [config.coeffs.B(fields[0], mu[:, j, None, None])],
+                    J, observe)
+        except NonFiniteState as exc:
+            raise FloatingPointError(
+                f"non-finite particle state in Picard iteration {exc.system + 1} of {S} "
+                f"at step {exc.step} of {J}") from exc
+
+    def bound_and_keep(j, fields):
         stages = fields[0]
         mu[1:, j] = p_moment(stages[:-1], p)
         np.subtract(stages[0], xi_cloud, out=diff[0])
         np.subtract(stages[1:], stages[:-1], out=diff[1:])
         bound[:, j] = weights[j] * p_moment(diff, p)
-        if exact:
-            # strictly above: ties keep the first time, as dT_metric's stable sort
-            up = np.flatnonzero(bound[:, j] > peak)
-            peak[up] = bound[up, j]
-            kept_at[up] = j
-            kept[up, 0] = stages[up]
-            later = up[up > 0]
-            kept[later, 1] = stages[later - 1]
+        # strictly above: ties keep the first time, as dT_metric's stable sort
+        up = np.flatnonzero(bound[:, j] > peak)
+        peak[up] = bound[up, j]
+        kept_at[up] = j
+        kept[up, 0] = stages[up]
+        later = up[up > 0]
+        kept[later, 1] = stages[later - 1]
 
-    try:
-        advance({"Picard iterate": np.broadcast_to(config.xi, (S,) + shape)},
-                [euler_weights(spec, config.h)], [(bank, scale)],
-                lambda j, fields: [config.coeffs.B(fields[0], mu[:, j, None, None])],
-                J, observe)
-    except NonFiniteState as exc:
-        raise FloatingPointError(
-            f"non-finite particle state in Picard iteration {exc.system + 1} of {S} "
-            f"at step {exc.step} of {J}") from exc
+    sweep(bound_and_keep)
     for s in range(S):
         check_bound(bound[s], times, f" in Picard iteration {s + 1} of {S}")
 
-    projections = RngStream(config.seed, channel=CH_PROJECTION)
-    held = {}     # replayed flows by row: at most the pair's two
-    noise = None  # the sweep's noise in full, drawn at the first replay
+    distances = np.zeros(S)  # each pair's running sup
 
-    def flow(s):
-        nonlocal noise
-        if s < 0:
-            return LawFlow(times, np.tile(xi_cloud, (J + 1, 1, 1)))
-        if s not in held:
-            if noise is None:
-                noise = StableNoiseBank(config.seed, spec.alpha, config.M, spec.n_modes,
-                                        CH_SLOW).draw(J)
-                noise *= scale
-            held[s] = simulate_mkv(config, law_override=mu[s], noise=noise)
-        return held[s]
+    def settle(s, j, x, y):
+        if may_exceed(bound[s, j], distances[s]):
+            distances[s] = max(distances[s], weighted_distance(x, y, p, lambda_weight,
+                                                               times[j], directions))
 
-    distances = np.empty(S)
     for s in range(S):
-        held.pop(s - 2, None)
+        settle(s, kept_at[s], *kept[s])
+    left = may_exceed(bound, distances[:, None])
+    left[np.arange(S), kept_at] = False
+    if left.any():
+        def settle_left(j, fields):
+            stages = fields[0]
+            for s in np.flatnonzero(left[:, j]):
+                settle(s, j, stages[s], stages[s - 1] if s else xi_cloud)
 
-        def kept_clouds(j):
-            # a sliced loop solves many times, so there every pair replays
-            if not exact or j != kept_at[s]:
-                raise _Replay
-            return kept[s, 0], kept[s, 1]
-
-        try:
-            distances[s] = pruned_sup(bound[s], times, lambda_weight, p, kept_clouds)
-        except _Replay:
-            distances[s] = dT_metric(flow(s), flow(s - 1), lambda_weight, p, rng=projections)
+        sweep(settle_left)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = distances[1:] / distances[:-1]

@@ -980,6 +980,23 @@ class TestBenchmarkHooks:
         stepped = [cfg.base.coeffs for name, cfg, _ in seen if name == "strong_error_stats"]
         assert stepped and all(co is built[0] for co in stepped)
 
+    def test_traced_picard_runs_through_the_benchmark_hooks(self, tmp_path):
+        # perfbench/spans.py looks the package's names up when it installs
+        # its traced hooks, so a rename breaks the benchmark's traced run;
+        # sliced W_p, one particle past the exact-assignment limit
+        cfg = write_cfg(tmp_path, sim={"M": measures.EXACT_ASSIGNMENT_LIMIT + 1},
+                        study=dict(_PICARD, n_iters=3))
+        code = ("import sys, spans, mvspde.cli as cli; tracer = spans.Tracer(); "
+                "spans.install_traced(tracer, cli); print(cli.run(sys.argv[1:])); "
+                "print(tracer.report()['spans']['study']['calls'])")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO / "perfbench")])}
+        proc = subprocess.run([sys.executable, "-c", code, "picard", "--config", cfg,
+                               "--out", str(tmp_path / "o")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-2:] == ["0", "1"]
+
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     # importing the scipy.optimize package costs about half a second; exact

@@ -35,7 +35,7 @@ and ``measures.fit_line`` the one line fit, re-recorded four cases once:
   from ``fit_line`` in place of lstsq, within 7.5e-15 relative.
 
 A later change re-recorded the five rate-study cases (``rate-equal``,
-``rate-unequal``, ``rate-unequal-threads2``, ``rate-m125`` and
+``rate-unequal``, a two-thread twin of it since dropped, ``rate-m125`` and
 ``rate-default8``; result.csv and meta.json) once: the averaged drift's
 table gather ``StackedInterp`` took its intercept form, slope[j] * u +
 icept[j] in place of np.interp's slope * (u - x_j) + f_j, so every Fbar
@@ -58,10 +58,10 @@ its recorded gaps were already added time after time, down axis 0.
 
 A change that alters these bytes must say so and re-record them.
 
-The ``*-threads2`` cases of ``CASES`` are too small to fork (see
-``experiments.WORKER_PARTICLE_STEPS``) and run in one process;
-``FORKED_CASES`` are large enough that ``--threads 2`` forks two workers,
-pinned to the bytes a ``--threads 1`` run wrote.  All cases share the test
+The cases of ``CASES`` run in one process; ``FORKED_CASES`` are large
+enough that ``--threads 2`` forks two workers (see
+``experiments.WORKER_PARTICLE_STEPS``), pinned to the bytes a
+``--threads 1`` run wrote.  All cases share the test
 session's averaged-drift table cache, so the first rate case builds the
 tables and the later ones read them back; one test runs a case twice on a
 fresh cache, cold and then warm.
@@ -128,7 +128,7 @@ CASES = {
         "5f3581cd0915c40d9965efda5b7b91fcbdb6dc3414f99b863a543423ae3f5392",
         "c61354665e85c7102af61410d30fe9b11fdc6186219eac6e0f6db47168b2906d",
     ),
-    # more steps than one noise block of simulate_mkv
+    # more steps than one noise block (solver.BLOCK_STEPS) of the Picard sweep
     "picard-long": (
         "picard",
         {"sim": {"M": 8, "T": 0.5, "h": 1 / 1200, "seed": 3}, "study": {"n_iters": 3}}, 1,
@@ -143,7 +143,8 @@ CASES = {
         "450652eb688a19b3b711c224bd71747ffca81ff0192c44d0e64e77e2af2c4f75",
         "239d10c86b0b39ed19de2eb3a5f8d37ec2db930716fdc7e44cba46e91353a687",
     ),
-    # sliced W_p, one particle past the exact-assignment limit: every pair replays
+    # sliced W_p, one particle past the exact-assignment limit: every pair is
+    # settled in a second sweep
     "picard-sliced": (
         "picard",
         {"sim": {"M": 257, "T": 0.5, "h": 0.03125, "seed": 13}, "study": {"n_iters": 3}}, 1,
@@ -167,12 +168,6 @@ CASES = {
     # systems of 17, 17, 17 and 16 particles
     "rate-unequal": (
         "rate-study", {"sim": {"M": 67, "seed": 9}, "study": RATE_STUDY}, 1,
-        "566fcf67eb29cdf431b957287da2794eb54be7272a56fdccd59a99cf206df8dd",
-        "a185915504637a5595066a4fb08b46bb2bb3ed5439e5a007aae75ed9acd482eb",
-    ),
-    # the same study on two workers: the bytes may not depend on the grouping
-    "rate-unequal-threads2": (
-        "rate-study", {"sim": {"M": 67, "seed": 9}, "study": RATE_STUDY}, 2,
         "566fcf67eb29cdf431b957287da2794eb54be7272a56fdccd59a99cf206df8dd",
         "a185915504637a5595066a4fb08b46bb2bb3ed5439e5a007aae75ed9acd482eb",
     ),
@@ -202,13 +197,13 @@ CASES = {
         "755087063a44c9aad882f5428ed2637b57ae14dc2147948369f959423bb75eff",
         "304be1b109bb5fd6e44f7c1c8699742c0e7df84c70bd365a5297e3001ff7fdb7",
     ),
-    # systems of 9 and 8 particles, two batches, on two workers
-    "aux-gap-unequal-threads2": (
+    # systems of 9 and 8 particles, two batches
+    "aux-gap-unequal": (
         "aux-gap",
         {"sim": {"M": 17, "h_fast": 1 / 256},
          "study": {"kind": "aux-gap", "epsilon": 0.0625, "grid": [0.03125, 0.0625, 0.125],
                    "n_replicas": 2, "n_iters": None}},
-        2,
+        1,
         "a8a5716eb16c564bc00270834b42a5ddc0a392bfe22003eb59678dd8662b95d5",
         "6c47ac46ed823e949c565cef2ac541e1306b7b306ad9151afd61bf376fc8ff36",
     ),

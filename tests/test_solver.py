@@ -225,16 +225,25 @@ class TestSimulateMkv:
     def test_particle_exchangeability(self, spec4, coeffs4):
         cfg = SimConfig(spec=spec4, coeffs=coeffs4, T=0.5, h=0.125, M=3,
                         seed=11, xi=0.2)
-        bank = StableNoiseBank(cfg.seed, spec4.alpha, cfg.M, 4, CH_SLOW)
-        noise = bank.draw(cfg.n_steps) * convolution_scales(spec4, cfg.h, "slow")
-        plain = simulate_mkv(cfg, noise=noise)
-        perm = simulate_mkv(cfg, noise=noise[[2, 0, 1]])
+        plain = simulate_mkv(cfg).clouds
+        # the same interacting system, particle i on particle [2, 0, 1][i]'s stream
+        bank = StableNoiseBank(cfg.seed, spec4.alpha, cfg.M, 4, CH_SLOW, particle_ids=[2, 0, 1])
+        mu, perm = [], []
+
+        def observe(j, fields):
+            mu.append(p_moment(fields[0], spec4.p))
+            perm.append(fields[0].copy())
+
+        advance({"u": np.broadcast_to(cfg.xi, (cfg.M, 4))}, [euler_weights(spec4, cfg.h)],
+                [(bank, convolution_scales(spec4, cfg.h, "slow"))],
+                lambda j, fields: [coeffs4.B(fields[0], mu[j])], cfg.n_steps, observe)
+        perm = np.array(perm)
         # the shared law statistic is a reordered fp sum, so equality is up
         # to roundoff, not bitwise
-        assert np.allclose(perm.clouds[:, 0], plain.clouds[:, 2], rtol=1e-10, atol=1e-13)
-        assert np.allclose(perm.clouds[:, 1], plain.clouds[:, 0], rtol=1e-10, atol=1e-13)
-        for j in range(plain.n_times):
-            d = wasserstein_exact(plain.clouds[j], perm.clouds[j], 1.0)
+        assert np.allclose(perm[:, 0], plain[:, 2], rtol=1e-10, atol=1e-13)
+        assert np.allclose(perm[:, 1], plain[:, 0], rtol=1e-10, atol=1e-13)
+        for j in range(len(plain)):
+            d = wasserstein_exact(plain[j], perm[j], 1.0)
             assert d == pytest.approx(0.0, abs=1e-10)
 
     def test_translation_coupling_bound(self):
@@ -251,17 +260,14 @@ class TestSimulateMkv:
             assert gap == pytest.approx(ref, abs=1e-12)
             assert gap <= math.exp(-spec.lambda_1 * t) * np.linalg.norm(xi) + 1e-12
 
-    def test_given_noise_replays_self_drawn_blocks(self, spec4, coeffs4, monkeypatch):
+    def test_block_size_leaves_the_bits(self, spec4, coeffs4, monkeypatch):
         cfg = SimConfig(spec=spec4, coeffs=coeffs4, T=0.5, h=1 / 40, M=6,
                         seed=13, xi=0.2)
-        bank = StableNoiseBank(cfg.seed, spec4.alpha, cfg.M, 4, CH_SLOW)
-        noise = bank.draw(cfg.n_steps) * convolution_scales(spec4, cfg.h, "slow")
         # 7-step blocks leave a short last block of the 20 steps
         with monkeypatch.context() as patch:
             patch.setattr(solver, "BLOCK_STEPS", 7)
-            drawn = simulate_mkv(cfg)
-        given_noise = simulate_mkv(cfg, noise=noise)
-        assert np.array_equal(drawn.clouds, given_noise.clouds)
+            short = simulate_mkv(cfg)
+        assert np.array_equal(short.clouds, simulate_mkv(cfg).clouds)
 
     def test_nonfinite_drift_raises_naming_the_step(self, spec4):
         calls = []
@@ -279,13 +285,6 @@ class TestSimulateMkv:
         with pytest.raises(FloatingPointError,
                            match=r"non-finite interacting particle state at step 3 of 4"):
             simulate_mkv(cfg)
-
-    def test_given_noise_shape_checked(self, spec4, coeffs4):
-        cfg = SimConfig(spec=spec4, coeffs=coeffs4, T=0.5, h=0.125, M=3,
-                        seed=1, xi=0.2)
-        for shape in [(3, 4), (3, 5, 4), (4, 4, 4), (3, 4, 3)]:
-            with pytest.raises(ValueError, match="noise must have shape"):
-                simulate_mkv(cfg, noise=np.zeros(shape))
 
 
 class TestEmpiricalMuStat:
@@ -397,19 +396,16 @@ class TestPicardIteration:
 
 def stage_by_stage(config, n_iters):
     """The Picard iteration one stage at a time: each stage its own
-    simulate_mkv run against the previous flow's p-moments, compared with
-    the previous flow by dT_metric, on noise drawn once."""
+    simulate_mkv run against the previous flow's p-moments, on the same
+    self-drawn noise, compared with the previous flow by dT_metric."""
     spec, J = config.spec, config.n_steps
     lam = effective_constants(config.coeffs, spec).contraction_lambda
-    bank = StableNoiseBank(config.seed, spec.alpha, config.M, spec.n_modes, CH_SLOW)
-    noise = bank.draw(J)
-    noise *= convolution_scales(spec, config.h, "slow")
     projections = RngStream(config.seed, channel=CH_PROJECTION)
     prev = LawFlow(config.times, np.tile(config.xi, (J + 1, config.M, 1)))
     stat = np.full(J + 1, float(np.linalg.norm(config.xi)))
     distances = []
     for _ in range(n_iters):
-        flow = simulate_mkv(config, law_override=stat, noise=noise)
+        flow = simulate_mkv(config, law_override=stat)
         distances.append(dT_metric(flow, prev, lam, spec.p, rng=projections))
         prev, stat = flow, flow.moments(spec.p)
     return np.asarray(distances), prev
@@ -461,31 +457,29 @@ class TestPicardLockstep:
         assert rep.distances.tobytes() == distances.tobytes()
         assert replayed(cfg, rep).tobytes() == last.clouds.tobytes()
 
-    def test_sliced_pairs_replay_each_stage_once(self, monkeypatch):
-        n_iters = 5
-        cfg = self.config(EXACT_ASSIGNMENT_LIMIT + 1, seed=6)
+    @staticmethod
+    def assert_two_sweeps(monkeypatch, cfg, n_iters):
+        """Picard settles its distances in a second sweep over time, stepping
+        every iteration once more and none through simulate_mkv, with the
+        stage-by-stage bits."""
         distances, last = stage_by_stage(cfg, n_iters)
+        banks = counting(monkeypatch, StableNoiseBank, "__init__")
         mkv = counting(monkeypatch, solver, "simulate_mkv")
         rep = picard_law_iteration(cfg, n_iters=n_iters)
-        # every pair replays here, so every stage steps again, once
-        stepped = [kw["law_override"].tobytes() for _, kw in mkv]
-        assert len(stepped) == n_iters == len(set(stepped))
+        assert len(banks) == 2 and mkv == []
         assert rep.distances.tobytes() == distances.tobytes()
         assert replayed(cfg, rep).tobytes() == last.clouds.tobytes()
+
+    def test_sliced_pairs_replay_each_stage_once(self, monkeypatch):
+        # sliced W_p reads far under its index-coupling bound, so every pair
+        # has times past its kept one left to solve
+        self.assert_two_sweeps(monkeypatch, self.config(EXACT_ASSIGNMENT_LIMIT + 1, seed=6), 5)
 
     @pytest.mark.parametrize("p", [1.0, 1.25])
     def test_exact_pairs_replay_with_the_bits(self, monkeypatch, p):
         # a wide margin makes every pruned loop visit a second time
         monkeypatch.setattr(measures, "PRUNE_MARGIN", 1.0)
-        n_iters = 4
-        cfg = self.config(16, p)
-        distances, last = stage_by_stage(cfg, n_iters)
-        mkv = counting(monkeypatch, solver, "simulate_mkv")
-        rep = picard_law_iteration(cfg, n_iters=n_iters)
-        stepped = [kw["law_override"].tobytes() for _, kw in mkv]
-        assert len(stepped) == n_iters == len(set(stepped))
-        assert rep.distances.tobytes() == distances.tobytes()
-        assert replayed(cfg, rep).tobytes() == last.clouds.tobytes()
+        self.assert_two_sweeps(monkeypatch, self.config(16, p), 4)
 
     def test_exact_path_steps_once_and_solves_as_before(self, monkeypatch):
         cfg = perfbench_shaped()
@@ -499,22 +493,26 @@ class TestPicardLockstep:
         assert mkv == []
         assert len(solves) == before == np.count_nonzero(rep.distances)
 
-    def test_memory_does_not_grow_with_the_horizon(self):
-        # the sweep holds one noise block and no flow, so ten times the
-        # steps add less than a tenth of one (n_steps, M, n_modes) array
-        picard_law_iteration(perfbench_shaped(), n_iters=8)  # one-time loads
-        peaks = {}
-        for T in (1.0, 10.0):
-            cfg = perfbench_shaped(T=T)
+    # exact W_p, and sliced W_p (every pair settled in a second sweep) on a
+    # shorter pair of horizons
+    @pytest.mark.parametrize("M, horizons", [(EXACT_ASSIGNMENT_LIMIT, (1.0, 10.0)),
+                                             (EXACT_ASSIGNMENT_LIMIT + 1, (1.0, 4.0))],
+                             ids=["256", "257"])
+    def test_memory_does_not_grow_with_the_horizon(self, M, horizons):
+        # the sweeps hold one noise block and no flow, so the longer horizon
+        # adds less than a tenth of one of its (n_steps, M, n_modes) arrays
+        picard_law_iteration(perfbench_shaped(M), n_iters=8)  # one-time loads
+        peaks = []
+        for T in horizons:
+            cfg = perfbench_shaped(M, T=T)
             tracemalloc.start()
             try:
                 picard_law_iteration(cfg, n_iters=8)
-                peaks[cfg.n_steps] = tracemalloc.get_traced_memory()[1]
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        flow_bytes = 640 * cfg.M * cfg.spec.n_modes * 8
-        assert sorted(peaks) == [64, 640]
-        assert abs(peaks[640] - peaks[64]) < 0.1 * flow_bytes, peaks
+        flow_bytes = cfg.n_steps * cfg.M * cfg.spec.n_modes * 8
+        assert abs(peaks[1] - peaks[0]) < 0.1 * flow_bytes, peaks
 
     def test_nonfinite_iterate_names_iteration_and_step(self, spec4):
         # xi = 0: iteration 1 reads |xi| = 0 and stays finite; iteration 2
